@@ -124,8 +124,9 @@ func counter(t *testing.T, snap map[string]map[string]any, section, key string) 
 
 // TestCacheWarmStart runs the same -lvs check twice over one cache
 // directory and asserts the second invocation answers from the
-// persistent store — the CLI-level shape the CI warm-start job checks
-// through -stats=json.
+// persistent store, and that neither run touches flattened geometry —
+// the CLI-level shape the CI warm-start job checks through
+// -stats=json.
 func TestCacheWarmStart(t *testing.T) {
 	t.Chdir(t.TempDir())
 	cache := filepath.Join(t.TempDir(), "cache")
@@ -138,6 +139,7 @@ func TestCacheWarmStart(t *testing.T) {
 	if got := counter(t, snap, "lvs", "matched"); got != 1 {
 		t.Fatalf("cold run matched = %v, want 1:\n%s", got, out)
 	}
+	noFlatten(t, "cold", snap, out)
 
 	code, out, _ = execRun(t, "-cache", cache, "-c", grid, "-lvs", "CHIP", "-stats=json")
 	if code != exitOK {
@@ -150,14 +152,23 @@ func TestCacheWarmStart(t *testing.T) {
 	if got := counter(t, snap, "hier", "cert_disk_hits"); got != 1 {
 		t.Errorf("warm run loaded %v certificate(s) from disk, want 1:\n%s", got, out)
 	}
-	if got := counter(t, snap, "flatten", "disk_loaded"); got != 1 {
-		t.Errorf("warm run loaded %v shard(s) from disk, want 1:\n%s", got, out)
-	}
+	noFlatten(t, "warm", snap, out)
 	if got := counter(t, snap, "castore", "corrupt"); got != 0 {
 		t.Errorf("warm run reported corruption (%v):\n%s", got, out)
 	}
 	if !strings.Contains(out, "netlists match") {
 		t.Errorf("warm run verdict missing:\n%s", out)
+	}
+}
+
+// noFlatten asserts a hier-served run neither loaded nor re-derived a
+// single flattened shard.
+func noFlatten(t *testing.T, run string, snap map[string]map[string]any, out string) {
+	t.Helper()
+	for _, key := range []string{"disk_loaded", "reflattened"} {
+		if got := counter(t, snap, "flatten", key); got != 0 {
+			t.Errorf("%s run: flatten %s = %v, want 0:\n%s", run, key, got, out)
+		}
 	}
 }
 

@@ -213,7 +213,7 @@ func (c *Cell) Connectors() []Connector {
 		return out
 	case LeafSticks:
 		u := c.Sticks.EffUnits()
-		var out []Connector
+		out := make([]Connector, 0, len(c.Sticks.Connectors))
 		for _, cn := range c.Sticks.Connectors {
 			out = append(out, Connector{
 				Name:  cn.Name,

@@ -83,7 +83,7 @@ type InstConn struct {
 // hidden.
 func (in *Instance) Connectors() []InstConn {
 	cellConns := in.Cell.Connectors()
-	var out []InstConn
+	out := make([]InstConn, 0, len(cellConns))
 	for i := 0; i < in.Nx; i++ {
 		for j := 0; j < in.Ny; j++ {
 			ct := in.copyTransform(i, j)

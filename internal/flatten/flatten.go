@@ -139,6 +139,27 @@ type Result struct {
 	layers  []geom.Layer
 }
 
+// Occurrences is a design's leaf-occurrence identity in flat walk
+// order: each occurrence's leaf cell and the index of its first device
+// (DevLo ends with the device total) — what LVS aligns against.
+type Occurrences struct {
+	Cells []*core.Cell
+	DevLo []int32
+}
+
+// Occurrences derives the result's occurrence identity (the walk emits
+// each occurrence's devices contiguously).
+func (r *Result) Occurrences() *Occurrences {
+	oc := &Occurrences{Cells: r.SrcCells, DevLo: make([]int32, len(r.SrcCells)+1)}
+	for _, d := range r.Devices {
+		oc.DevLo[d.Src+1]++
+	}
+	for o := range r.SrcCells {
+		oc.DevLo[o+1] += oc.DevLo[o]
+	}
+	return oc
+}
+
 // Options tunes the walk.
 type Options struct {
 	// Sequential disables the parallel array fan-out; the walk becomes

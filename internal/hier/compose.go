@@ -54,11 +54,28 @@ func (st *genState) deviceCount() int {
 
 func neg(p geom.Point) geom.Point { return geom.Pt(-p.X, -p.Y) }
 
-// compose runs the exact composition over a placed occurrence list:
-// interacting pairs via one spatial query per occurrence, memoized
-// pair templates, a global union-find over local nets, context
-// resolution for the certificates' deferred joins, and the composed
-// DRC verdict.
+// compose runs the exact composition over a placed occurrence list —
+// connectivity, then the composed DRC verdict — under one "compose"
+// span.
+func (e *Engine) compose(occs []placed, allowPartial bool) (*genState, error) {
+	csp := e.Trace.Begin("compose")
+	defer csp.End()
+	if csp != nil {
+		csp.Note("placements", strconv.Itoa(len(occs)))
+	}
+	st, err := e.connect(occs, allowPartial)
+	if err != nil {
+		return nil, err
+	}
+	e.check(st, csp)
+	return st, nil
+}
+
+// connect composes the connectivity half: interacting pairs via one
+// spatial query per occurrence, memoized pair templates, a global
+// union-find over local nets, context resolution for the certificates'
+// deferred joins, and the dense net renumbering. It is all a circuit
+// needs; the DRC half (check) reads the pairs it records.
 //
 // When allowPartial is set, per-placement decline conditions — a pend
 // certificate, a fragmentation-poison pair — quarantine the offending
@@ -68,12 +85,7 @@ func neg(p geom.Point) geom.Point { return geom.Pt(-p.X, -p.Y) }
 // whole-run conditions (quarantine set over budget, compose-budget
 // exhaustion, an unresolvable quarantined device terminal) return an
 // error, always a *Decline.
-func (e *Engine) compose(occs []placed, allowPartial bool) (*genState, error) {
-	csp := e.Trace.Begin("compose")
-	defer csp.End()
-	if csp != nil {
-		csp.Note("placements", strconv.Itoa(len(occs)))
-	}
+func (e *Engine) connect(occs []placed, allowPartial bool) (*genState, error) {
 	if e.Faults.Hit(faultinject.ComposeBudget, "") {
 		return nil, &Decline{Cond: CondComposeBudget, Placement: -1}
 	}
@@ -268,18 +280,23 @@ func (e *Engine) compose(occs []placed, allowPartial bool) (*genState, error) {
 		}
 	}
 	st.netOf, st.netCount = netOf, n
+	return st, nil
+}
 
-	wsp := csp.Child("width")
+// check composes the DRC half — width residues, cross-placement
+// spacing, contact surround — into the run's violation set, recording
+// its stages as children of sp.
+func (e *Engine) check(st *genState, sp *obs.Span) {
+	wsp := sp.Child("width")
 	e.composeWidth(st)
 	wsp.End()
-	ssp := csp.Child("spacing")
+	ssp := sp.Child("spacing")
 	e.composeSpacing(st)
 	ssp.End()
-	usp := csp.Child("surround")
+	usp := sp.Child("surround")
 	e.composeSurround(st)
 	usp.End()
 	st.violations = drc.FinishViolations(st.violations)
-	return st, nil
 }
 
 // composeWidth assembles the global width residues per layer: each
@@ -374,16 +391,15 @@ func (e *Engine) composeWidth(st *genState) {
 // signatures across thousands of windows.
 func (e *Engine) windowPieces(st *genState, l geom.Layer, minW int, win, clip geom.Rect, du geom.Point, wocc []int) []geom.Rect {
 	winRel := win.Translate(neg(du))
-	key := make([]byte, 0, 64)
-	key = appendInts(key, len(l))
+	key := appendInts(e.winKey[:0], len(l))
 	key = append(key, l...)
 	key = appendInts(key, winRel.Min.X, winRel.Min.Y, winRel.Max.X, winRel.Max.Y)
 	for _, w := range wocc {
 		o := &st.occs[w]
 		key = appendInts(key, o.cert.id, o.d.X-du.X, o.d.Y-du.Y)
 	}
-	ks := string(key)
-	if rel, ok := e.winMemo[ks]; ok {
+	e.winKey = key
+	if rel, ok := e.winMemo[string(key)]; ok {
 		return rel
 	}
 	var local []geom.Rect
@@ -406,7 +422,7 @@ func (e *Engine) windowPieces(st *genState, l geom.Layer, minW int, win, clip ge
 			rel = append(rel, c)
 		}
 	}
-	e.winMemo[ks] = rel
+	e.winMemo[string(key)] = rel
 	return rel
 }
 

@@ -72,6 +72,7 @@ type Engine struct {
 	// occupant pattern relative to the pair's first occurrence) — a
 	// lattice repeats a handful of patterns across thousands of pairs.
 	winMemo map[string][]geom.Rect
+	winKey  []byte // scratch buffer for winMemo keys
 	// lastDecline records why the most recent Verify declined (nil when
 	// it succeeded): fallback diagnostics for -stats and tests.
 	lastDecline *Decline
@@ -253,7 +254,11 @@ func (e *Engine) Verify(top *core.Cell) (*Result, bool) {
 		e.stats.FastRuns++
 		return r, true
 	}
-	st, err := e.generalTop(top)
+	occs, err := e.placements(top)
+	var st *genState
+	if err == nil {
+		st, err = e.compose(occs, true)
+	}
 	if err != nil {
 		e.declined(declineOf(err))
 		return nil, false
@@ -285,6 +290,10 @@ type Result struct {
 	DeviceCount int
 	Violations  []drc.Violation
 	Quarantined int
+	// Occs is the leaf-occurrence identity of the materialized circuit,
+	// equal to what a flat walk derives (flatten.Result.Occurrences);
+	// Circuit fills it in.
+	Occs *flatten.Occurrences
 
 	e   *Engine
 	top *core.Cell
@@ -382,15 +391,16 @@ func placedAt(ct *Cert, d geom.Point) placed {
 	}
 }
 
-// generalTop runs the exact O(placements) composition for a top cell.
-func (e *Engine) generalTop(top *core.Cell) (*genState, error) {
+// placements collects a top cell's leaf occurrences, building or
+// loading each distinct certificate on first sight.
+func (e *Engine) placements(top *core.Cell) ([]placed, error) {
 	wsp := e.Trace.Begin("certs")
 	occs, err := e.walk(top, geom.Identity, nil)
 	wsp.End()
 	if err != nil {
 		return nil, &Decline{Cond: CondCertBuild, Placement: -1, Err: err}
 	}
-	return e.compose(occs, true)
+	return occs, nil
 }
 
 // layersOf returns the union of the occurrences' checked layers in

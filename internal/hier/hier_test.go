@@ -13,6 +13,7 @@ import (
 	"riot/internal/extract"
 	"riot/internal/geom"
 	"riot/internal/lib"
+	"riot/internal/obs"
 	"riot/internal/rules"
 )
 
@@ -140,6 +141,70 @@ func TestHierFastPathSkipsPlacements(t *testing.T) {
 	// ratio of the form, indirectly: the fit is verified inside fast()
 	if res.NetCount <= small.NetCount {
 		t.Fatalf("64x64 NetCount %d not above 16x16's %d", res.NetCount, small.NetCount)
+	}
+}
+
+// TestHierFastPathExact pins that a fast-path verdict is reported as
+// is: its violations equal the flat checker's without any general
+// composition, and materializing its circuit composes connectivity
+// only — no width, spacing or surround stage runs — yet yields the flat
+// extractor's circuit exactly. A squeezed pitch, where the fast path
+// declines and the general path decides, must agree too.
+func TestHierFastPathExact(t *testing.T) {
+	squeezed := srArray(t, 14, 14, geom.R0)
+	squeezed.Instances[0].Sx, squeezed.Instances[0].Sy = 14*rules.Lambda, 22*rules.Lambda
+	for _, tc := range []struct {
+		c    *core.Cell
+		fast bool
+	}{
+		{srArray(t, 14, 14, geom.R0), true},
+		{srArray(t, 16, 14, geom.R0), true},
+		{srArray(t, 64, 64, geom.R0), true},
+		{srArray(t, 16, 14, geom.R90), true},
+		{srArray(t, 14, 14, geom.R180), true},
+		{squeezed, false},
+	} {
+		label := fmt.Sprintf("%s o=%d pitch %d,%d", tc.c.Name, tc.c.Instances[0].Tr.O, tc.c.Instances[0].Sx, tc.c.Instances[0].Sy)
+		e := New()
+		res, ok := e.Verify(tc.c)
+		if !ok {
+			t.Fatalf("%s: engine declined", label)
+		}
+		if got := e.Stats().FastRuns == 1; got != tc.fast {
+			t.Fatalf("%s: fast path taken = %v, want %v", label, got, tc.fast)
+		}
+		wantCkt, wantErr, wantVs := flatVerdict(t, tc.c)
+		if wantErr != nil {
+			t.Fatalf("%s: flat extraction: %v", label, wantErr)
+		}
+		if !reflect.DeepEqual(res.Violations, wantVs) {
+			t.Fatalf("%s: violations differ from flat\nhier: %v\nflat: %v", label, res.Violations, wantVs)
+		}
+		tr := obs.NewTrace()
+		e.Trace = tr
+		ckt, err := res.Circuit()
+		e.Trace = nil
+		if err != nil {
+			t.Fatalf("%s: materialize: %v", label, err)
+		}
+		if !reflect.DeepEqual(ckt, wantCkt) {
+			t.Fatalf("%s: materialized circuit differs from flat", label)
+		}
+		if res.NetCount != ckt.NetCount || !reflect.DeepEqual(res.Violations, wantVs) {
+			t.Fatalf("%s: materializing changed the verdict", label)
+		}
+		composed := false
+		for _, sp := range tr.Roots() {
+			composed = composed || sp.Find("compose") != nil || sp.Name() == "compose"
+			for _, name := range []string{"width", "spacing", "surround"} {
+				if sp.Find(name) != nil {
+					t.Fatalf("%s: Circuit ran the %s check", label, name)
+				}
+			}
+		}
+		if composed != tc.fast {
+			t.Fatalf("%s: Circuit composed = %v, want %v (only fast verdicts compose late)", label, composed, tc.fast)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"riot/internal/core"
 	"riot/internal/extract"
 	"riot/internal/flatten"
 	"riot/internal/geom"
@@ -8,27 +9,29 @@ import (
 
 // Circuit materializes the full netlist for a verdict: every
 // occurrence's devices renumbered into the composed dense net space,
-// plus the label map resolved in flat order. Fast-path verdicts run
-// the exact general composition on demand first — materialization is
-// O(placed copies), which is exactly the cost the fast path exists to
-// avoid, so it only happens when a caller actually needs the netlist.
+// plus the label map resolved in flat order, and the occurrence
+// identity (Occs) alongside. Materialization is O(placed copies) —
+// exactly the cost the fast path exists to avoid — so it only happens
+// when a caller needs the netlist. A fast-path verdict is exact already
+// (its violations stand), so it composes only the connectivity half of
+// the general path first.
 func (r *Result) Circuit() (*extract.Circuit, error) {
 	if r.ckt != nil {
 		return r.ckt, nil
 	}
 	st := r.gen
 	if st == nil {
-		var err error
-		st, err = r.e.generalTop(r.top)
+		occs, err := r.e.placements(r.top)
+		if err != nil {
+			return nil, err
+		}
+		csp := r.e.Trace.Begin("compose")
+		st, err = r.e.connect(occs, true)
+		csp.End()
 		if err != nil {
 			return nil, err
 		}
 		r.gen = st
-		// The general path is exact; its verdict supersedes the fitted
-		// one (they agree whenever the fit's verification held).
-		r.NetCount = st.netCount
-		r.DeviceCount = st.deviceCount()
-		r.Violations = st.violations
 		if st.quar != nil {
 			r.Quarantined = len(st.quar.occOf)
 		}
@@ -39,8 +42,11 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 	// their group span's globally-resolved terminals. Both interleave
 	// in global occurrence order, which is the flat device order.
 	ckt := &extract.Circuit{NetCount: st.netCount, NetOf: map[string]int{}}
+	occ := &flatten.Occurrences{Cells: make([]*core.Cell, len(st.occs)), DevLo: make([]int32, len(st.occs)+1)}
 	for i := range st.occs {
 		o := &st.occs[i]
+		occ.Cells[i] = o.cert.Cell
+		occ.DevLo[i] = int32(len(ckt.Transistors))
 		if st.inQ(i) {
 			q := st.quar
 			sp := q.g.OccDevSpan[q.qIdx[i]]
@@ -64,6 +70,7 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 			})
 		}
 	}
+	occ.DevLo[len(st.occs)] = int32(len(ckt.Transistors))
 
 	// Labels in flat walk order: the top's own connectors, then each
 	// top-level instance's connector labels (the flat walk does not
@@ -82,7 +89,7 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 			set(nl.Name, nl.At, nl.Layer)
 		}
 	}
-	r.ckt = ckt
+	r.ckt, r.Occs = ckt, occ
 	return ckt, nil
 }
 

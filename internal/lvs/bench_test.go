@@ -111,7 +111,7 @@ func BenchmarkLVSHierMatch(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d/certified", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var cs CertStore
-				res := compareHier(&rf, &cs, occs, ref, ckt, fr)
+				res := compareHier(&rf, &cs, occs, ref, ckt, fr.Occurrences())
 				if !res.Clean {
 					b.Fatalf("certified not clean: %v", res.Mismatches)
 				}

@@ -221,36 +221,22 @@ var notClean = &Result{}
 // or the residual's own non-clean result when a certified check fails
 // (the caller falls back to flat for diagnostics), or the composed
 // clean result.
-func (cs *CertStore) compareCertified(rf *Reference, occs []refOcc, ref, lay *Netlist, ckt *extract.Circuit, fr *flatten.Result) (*Result, CertStats) {
+func (cs *CertStore) compareCertified(rf *Reference, occs []refOcc, ref, lay *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) (*Result, CertStats) {
 	var st CertStats
-	st.Occurrences = len(fr.SrcCells)
-	if len(occs) != len(fr.SrcCells) {
+	st.Occurrences = len(lo.Cells)
+	if len(occs) != len(lo.Cells) {
 		return nil, st
 	}
 	for i, oc := range occs {
-		if oc.cell != fr.SrcCells[i] {
+		if oc.cell != lo.Cells[i] {
 			return nil, st
 		}
 	}
-
 	// layout device spans per occurrence: transistors are emitted
-	// one-to-one, in order, from flatten's device list
-	if len(ckt.Transistors) != len(fr.Devices) {
+	// one-to-one, in walk order, occurrence by occurrence
+	layLo := lo.DevLo
+	if int(layLo[len(occs)]) != len(ckt.Transistors) {
 		return nil, st
-	}
-	layLo := make([]int32, len(occs)+1)
-	{
-		d := 0
-		for o := range occs {
-			layLo[o] = int32(d)
-			for d < len(fr.Devices) && fr.Devices[d].Src == o {
-				d++
-			}
-		}
-		layLo[len(occs)] = int32(d)
-		if d != len(fr.Devices) {
-			return nil, st // device Srcs not in walk order
-		}
 	}
 
 	// certificates and reference spans; both sides must agree span for
@@ -564,12 +550,9 @@ func (cs *CertStore) compareCertified(rf *Reference, occs []refOcc, ref, lay *Ne
 // outcome other than clean reruns the flat comparison so diagnostics
 // name leaf-level nets and verdicts are identical to certificate-free
 // runs.
-func compareHier(rf *Reference, cs *CertStore, occs []refOcc, ref *Netlist, ckt *extract.Circuit, fr *flatten.Result) *Result {
+func compareHier(rf *Reference, cs *CertStore, occs []refOcc, ref *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) *Result {
 	lay := FromCircuit(ckt)
-	if fr == nil {
-		return Compare(ref, lay)
-	}
-	res, st := cs.compareCertified(rf, occs, ref, lay, ckt, fr)
+	res, st := cs.compareCertified(rf, occs, ref, lay, ckt, lo)
 	if res == nil {
 		res = Compare(ref, lay)
 		res.Cert = st

@@ -1,10 +1,15 @@
 package lvs
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"riot/internal/core"
 	"riot/internal/geom"
+	"riot/internal/rules"
+	"riot/internal/verify"
 )
 
 // TestReferenceSingleSessionGuard pins the ownership contract: a
@@ -28,35 +33,49 @@ func TestReferenceSingleSessionGuard(t *testing.T) {
 	}
 }
 
-// TestReferencePruneStale drives a Reference over many snapshot
-// generations of one editing session and checks the memo stays bounded:
-// superseded clones (each frozen generation is a fresh *Cell) are
-// pruned once the memo bloats past the reachable set.
+// TestReferencePruneStale drives an LVS session over many snapshot
+// generations of a 16x16 grid — every generation a fresh top clone,
+// the moved instance a fresh *Instance — and pins that the reference
+// memo keeps one entry per snapshot origin (the distinct cells plus at
+// most one superseded straggler), that the instance-level memos track
+// the live instances, and that the verdict stays clean throughout.
 func TestReferencePruneStale(t *testing.T) {
-	e := gridEditor(t, 2) // 4 instances: prune threshold 2*4+64 = 72
-	var rf Reference
-	for i := 0; i < 160; i++ {
-		e.MoveInstance(e.Cell.Instances[0], geom.Pt(0, 0)) // content no-op, new generation
-		snap := e.Snapshot()
-		if _, _, err := rf.NetlistOccs(snap.Cell, snap.Declared); err != nil {
+	const n = 16
+	e := gridEditor(t, n)
+	v := &verify.Verifier{Hier: true}
+	var inc Incremental
+	rng := rand.New(rand.NewSource(1982))
+	var in *core.Instance
+	for gen := 0; gen < 200; gen++ {
+		// nudge a random cell out, then back home
+		d := -rules.Lambda
+		if gen%2 == 0 {
+			in, d = e.Cell.Instances[rng.Intn(n*n)], rules.Lambda
+		}
+		e.MoveInstance(in, geom.Pt(d, 0))
+		res, err := inc.Check(e, v)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if gen%2 == 1 && !res.Clean {
+			t.Fatalf("generation %d: restored grid not clean: %v", gen, res.Mismatches)
+		}
+		if gen%50 == 0 {
+			want, err := CheckEditorFlat(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Clean != want.Clean || !reflect.DeepEqual(res.Mismatches, want.Mismatches) {
+				t.Fatalf("generation %d: verdict differs from the flat comparison", gen)
+			}
+		}
 	}
-	// reachable set: the current clone + 4 shared leaf cells (+ a few
-	// entries the threshold tolerates before the next prune)
-	if len(rf.memo) > 2*len(e.Cell.Instances)+64 {
-		t.Fatalf("memo grew unboundedly across generations: %d entries", len(rf.memo))
+	rf := &inc.Ref
+	const distinct = 2 // the top and SRCELL
+	if len(rf.memo) > distinct+1 || len(rf.ids) > distinct+1 {
+		t.Fatalf("memo grew across generations: %d entries, %d ids", len(rf.memo), len(rf.ids))
 	}
-	if len(rf.conns) > 3*len(e.Cell.Instances)+64 {
-		t.Fatalf("conns memo grew unboundedly: %d entries", len(rf.conns))
-	}
-	// and the derivation still answers correctly after pruning
-	snap := e.Snapshot()
-	ref, _, err := rf.NetlistOccs(snap.Cell, snap.Declared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref == nil {
-		t.Fatal("nil reference after prune")
+	if len(rf.parts) > n*n || len(rf.conns) > n*n {
+		t.Fatalf("instance memos grew across generations: %d parts, %d conns", len(rf.parts), len(rf.conns))
 	}
 }

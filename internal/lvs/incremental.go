@@ -58,9 +58,9 @@ func (inc *Incremental) Check(ed *core.Editor, v *verify.Verifier) (*Result, err
 }
 
 // CheckSnapshot is Check against an explicit frozen generation. The
-// verifier must be the session's own (they share the flatten result's
-// occurrence identity); generations are globally unique, so the cached
-// verdict can never alias another session's.
+// verifier must be the session's own (its report carries the occurrence
+// identity the comparison aligns against); generations are globally
+// unique, so the cached verdict can never alias another session's.
 func (inc *Incremental) CheckSnapshot(snap *core.Snapshot, v *verify.Verifier) (*Result, error) {
 	sp := inc.Trace.Begin("lvs")
 	defer sp.End()
@@ -71,11 +71,6 @@ func (inc *Incremental) CheckSnapshot(snap *core.Snapshot, v *verify.Verifier) (
 	if inc.have && inc.cell == snap.Cell && inc.gen == rep.Gen {
 		sp.Note("path", "cached")
 		return inc.res, nil
-	}
-	// the hierarchical verify path skips flattening; LVS reads
-	// occurrence identity from the flat result, so complete the report
-	if err := v.EnsureFlat(rep); err != nil {
-		return nil, err
 	}
 	res, err := inc.compare(snap.Cell, snap.Declared, rep)
 	if err != nil {
@@ -96,9 +91,6 @@ func (inc *Incremental) CheckCell(cell *core.Cell, v *verify.Verifier) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if err := v.EnsureFlat(rep); err != nil {
-		return nil, err
-	}
 	inc.have = false // verdict cache is per-editor-generation only
 	return inc.compare(cell, nil, rep)
 }
@@ -116,7 +108,7 @@ func (inc *Incremental) compare(cell *core.Cell, declared []core.Connection, rep
 		return nil, err
 	}
 	msp := inc.Trace.Begin("match")
-	res := compareHier(&inc.Ref, &inc.Certs, occs, ref, rep.Circuit, rep.Flat)
+	res := compareHier(&inc.Ref, &inc.Certs, occs, ref, rep.Circuit, rep.Occs)
 	msp.End()
 	inc.last = res
 	return res, nil
@@ -139,7 +131,7 @@ func checkScratch(cell *core.Cell, declared []core.Connection) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return compareHier(&rf, &cs, occs, ref, ckt, fr), nil
+	return compareHier(&rf, &cs, occs, ref, ckt, fr.Occurrences()), nil
 }
 
 // CheckCell is the from-scratch convenience: a fresh reference

@@ -79,7 +79,12 @@ type refEntry struct {
 	labels   map[string]int    // the cell's full label namespace, resolved
 	boundary []bfrag
 	occs     []refOcc // leaf occurrences in flatten walk order
-	err      error
+	// cell is the cell the entry derives (the memo is keyed by its
+	// snapshot origin); insts are the instances a composition entry was
+	// stitched from
+	cell  *core.Cell
+	insts []*core.Instance
+	err   error
 }
 
 // refOcc is one leaf occurrence inside an entry's net space: which
@@ -104,15 +109,18 @@ type refOcc struct {
 // *Instance pointer, so NetlistOccs asserts single-threaded entry
 // rather than corrupt them — sessions share derivation work through
 // the content-addressed store (AttachDisk), never through a Reference.
-// Snapshot clones of one design cell are handled naturally (unchanged
-// subtrees keep their pointers, superseded clones are pruned once the
-// memo bloats), which is what keeps a long-lived server session's
-// memory bounded.
+// Snapshot clones of one design cell are handled naturally: unchanged
+// subtrees keep their pointers, and the memo keys entries by snapshot
+// origin (Cell.Origin), so a newer clone's entry supersedes the older
+// one's — along with the instance-level memos of instances the new
+// clone no longer has. A long-lived session's memory is bounded by the
+// design, not by its history.
 type Reference struct {
-	ids   map[*core.Cell]uint64
-	memo  map[*core.Cell]*refEntry
-	conns map[*core.Instance]cachedConns
-	parts map[*core.Instance]cachedParts
+	ids    map[*core.Cell]uint64
+	lastID uint64
+	memo   map[*core.Cell]*refEntry
+	conns  map[*core.Instance]cachedConns
+	parts  map[*core.Instance]cachedParts
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.
@@ -245,7 +253,6 @@ func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Net
 		return nil, nil, fmt.Errorf("lvs: Reference entered concurrently (a Reference serves one session; share work across sessions through the content-addressed store)")
 	}
 	defer atomic.StoreInt32(&rf.busy, 0)
-	rf.pruneStale(c)
 	e := rf.entry(c, seamReach)
 	if e.err != nil {
 		return nil, nil, e.err
@@ -344,14 +351,17 @@ func (rf *Reference) declareUnion(uf *geom.UnionFind, e *refEntry, conn core.Con
 	}
 }
 
-// cellID returns a stable (per-Reference) numeric id for a cell.
+// cellID returns a stable (per-Reference) numeric id for a cell. Ids
+// are never reused, so a superseded clone's id cannot alias a live
+// cell's signature.
 func (rf *Reference) cellID(c *core.Cell) uint64 {
 	if rf.ids == nil {
 		rf.ids = map[*core.Cell]uint64{}
 	}
 	id, ok := rf.ids[c]
 	if !ok {
-		id = uint64(len(rf.ids) + 1)
+		rf.lastID++
+		id = rf.lastID
 		rf.ids[c] = id
 	}
 	return id
@@ -387,12 +397,13 @@ func pack32(a, b int) uint64 { return seam.Pack32(a, b) }
 // for), so alternating parents cannot thrash the memo.
 func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 	sig := rf.sigOf(c)
-	if e, ok := rf.memo[c]; ok {
-		if e.sig == sig && e.reach >= minReach {
-			return e
+	old := rf.memo[c.Origin()]
+	if old != nil {
+		if old.sig == sig && old.reach >= minReach {
+			return old
 		}
-		if e.reach > minReach {
-			minReach = e.reach // never shrink: alternating parents must not thrash
+		if old.reach > minReach {
+			minReach = old.reach // never shrink: alternating parents must not thrash
 		}
 	}
 	var e *refEntry
@@ -401,7 +412,7 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 	} else {
 		e = rf.leafEntry(c, minReach)
 	}
-	e.sig = sig
+	e.sig, e.cell = sig, c
 	// a disk-loaded leaf entry may retain boundary material deeper than
 	// asked; record the depth it actually has (never less than asked)
 	if e.reach < minReach {
@@ -410,8 +421,30 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 	if rf.memo == nil {
 		rf.memo = map[*core.Cell]*refEntry{}
 	}
-	rf.memo[c] = e
+	rf.memo[c.Origin()] = e
+	if old != nil {
+		rf.supersede(old, e)
+	}
 	return e
+}
+
+// supersede retires what a new entry replaced: a superseded clone's
+// cell id, and the instance-level memos of every instance the old
+// entry was stitched from that the new one no longer has.
+func (rf *Reference) supersede(old, e *refEntry) {
+	if old.cell != e.cell {
+		delete(rf.ids, old.cell)
+	}
+	kept := make(map[*core.Instance]bool, len(e.insts))
+	for _, in := range e.insts {
+		kept[in] = true
+	}
+	for _, in := range old.insts {
+		if !kept[in] {
+			delete(rf.conns, in)
+			delete(rf.parts, in)
+		}
+	}
 }
 
 // seamDepth bounds how deep sanctioned seam contact against bv can
@@ -488,7 +521,7 @@ type copyRef struct {
 // touching copy-box pairs), so ABUT OVERLAPs deeper than the base
 // contract stitch correctly.
 func (rf *Reference) stitch(c *core.Cell, reach int) *refEntry {
-	e := &refEntry{portAt: map[portKey]int32{}}
+	e := &refEntry{portAt: map[portKey]int32{}, insts: append([]*core.Instance(nil), c.Instances...)}
 
 	// pass 0: every copy's placed box, from placement alone, to size
 	// each instance's required seam reach before its entry is built
@@ -716,47 +749,3 @@ func seamUnions(copies []copyRef, uf *geom.UnionFind) {
 func fnvInit() uint64 { return seam.FNVInit() }
 
 func fnvMix(h, v uint64) uint64 { return seam.FNVMix(h, v) }
-
-// pruneStale bounds the memo when a long-lived session works over
-// snapshot clones: every frozen generation of an edited composition is
-// a fresh *Cell, so without pruning the maps would grow one entry per
-// verified generation. Reachability from the cell being derived
-// identifies the live clone set; superseded clones (entries whose key
-// is a snapshot clone no longer reachable) are dropped. The walk is
-// gated on the memo actually bloating, so the steady state — verify,
-// edit, verify — pays nothing.
-func (rf *Reference) pruneStale(c *core.Cell) {
-	if len(rf.memo) < 2*len(c.Instances)+64 {
-		return
-	}
-	cells := map[*core.Cell]bool{}
-	insts := map[*core.Instance]bool{}
-	var walk func(*core.Cell)
-	walk = func(x *core.Cell) {
-		if cells[x] {
-			return
-		}
-		cells[x] = true
-		for _, in := range x.Instances {
-			insts[in] = true
-			walk(in.Cell)
-		}
-	}
-	walk(c)
-	for mc := range rf.memo {
-		if mc.Origin() != mc && !cells[mc] {
-			delete(rf.memo, mc)
-			delete(rf.ids, mc)
-		}
-	}
-	for in := range rf.conns {
-		if !insts[in] {
-			delete(rf.conns, in)
-		}
-	}
-	for in := range rf.parts {
-		if !insts[in] {
-			delete(rf.parts, in)
-		}
-	}
-}

@@ -1,20 +1,19 @@
-// Package verify is the incremental whole-design verification
-// pipeline: one Verifier bundles the three splicing caches — flattened
-// geometry (internal/flatten.Cache), extracted connectivity
+// Package verify is the whole-design verification pipeline. A
+// Verifier keys a design's verdict on a core.Editor's edit generation
+// and serves it through the hierarchical certificate engine
+// (internal/hier) when Hier is set, the shipped default, or through the
+// incremental flat pipeline — splicing caches for flattened geometry
+// (internal/flatten.Cache), extracted connectivity
 // (internal/extract.Incremental) and design-rule state
-// (internal/drc.Incremental) — and keys them on a core.Editor's edit
-// generation.
+// (internal/drc.Incremental) — which also serves the engine's declines.
 //
-// The paper's workflow is edit, verify, edit: the designer abuts or
-// routes a cell, re-checks the whole composition, and moves on. A
-// from-scratch run repeats all the work for every keystroke even
-// though one edit disturbs a few rectangles. Verify instead asks the
-// editor what changed since the last run: unchanged instances keep
-// their flattened shards, untouched components replay their
-// connectivity and design-rule results, and only geometry near the
-// edit is re-derived. The spliced results are identical to
-// from-scratch runs — every splice layer is differential-tested — so
-// callers cannot observe the cache except as speed.
+// The paper's workflow is edit, verify, edit. The engine extracts and
+// checks each distinct cell once and composes placements; the flat
+// pipeline re-derives only geometry near the edit. Either way the
+// report equals a from-scratch flat run — every path is
+// differential-tested — and carries the circuit's leaf-occurrence
+// identity (Report.Occs) for LVS, so no path flattens a design just to
+// name its occurrences.
 //
 // A Verifier serves one session at a time and is not safe for
 // concurrent use — but it consumes frozen snapshots
@@ -26,8 +25,6 @@
 package verify
 
 import (
-	"errors"
-
 	"riot/internal/castore"
 	"riot/internal/core"
 	"riot/internal/drc"
@@ -58,13 +55,12 @@ type Report struct {
 	Quarantined int
 	// Gen is the editor generation the report describes.
 	Gen uint64
-	// Flat is the flattened geometry the report was derived from. The
-	// LVS hierarchical-certificate path reads occurrence identity
-	// (per-device Src ids, SrcCells) from it to align the extracted
-	// circuit's transistors with the cells the composition declares.
-	// Reports from the hierarchical path leave it nil — no flattening
-	// happened — and Verifier.EnsureFlat populates it on demand.
-	Flat *flatten.Result
+	// Occs is the circuit's leaf-occurrence identity in flat walk
+	// order: each occurrence's leaf cell and the start of its devices in
+	// Circuit.Transistors. LVS aligns certified sub-cells against it.
+	// The hierarchical path records it while materializing the circuit;
+	// the flat path derives it from the geometry it flattened anyway.
+	Occs *flatten.Occurrences
 }
 
 // Clean reports whether the design extracted successfully and checked
@@ -264,7 +260,7 @@ func (v *Verifier) run(cell *core.Cell, gen uint64) (*Report, error) {
 		Violations:  vs,
 		Incremental: splicedCkt || splicedDRC,
 		Gen:         gen,
-		Flat:        fr,
+		Occs:        fr.Occurrences(),
 	}
 	return v.report, nil
 }
@@ -272,7 +268,7 @@ func (v *Verifier) run(cell *core.Cell, gen uint64) (*Report, error) {
 // runHier attempts the hierarchical path: per-distinct-cell
 // certificates composed over placements, verdict-identical to the flat
 // pipeline or declined. On success the circuit materializes eagerly so
-// the report is complete; Flat stays nil until EnsureFlat. Any decline
+// the report is complete, occurrence identity included. Any decline
 // (engine-level or during materialization) reports ok=false and the
 // caller runs the flat pipeline, which reproduces whatever verdict or
 // error the design deserves.
@@ -297,27 +293,7 @@ func (v *Verifier) runHier(cell *core.Cell, gen uint64) (*Report, bool) {
 		Violations:  res.Violations,
 		Quarantined: res.Quarantined,
 		Gen:         gen,
+		Occs:        res.Occs,
 	}
 	return v.report, true
-}
-
-// EnsureFlat populates rep.Flat for reports the hierarchical path
-// produced without flattening. Only the verifier's current report can
-// be completed — the flatten cache tracks one design state. The
-// cache's own snapshot diffing keeps this safe to call at any time;
-// downstream splice caches guard on Result pointer identity, so a
-// flatten the solver never saw costs at most one full re-solve later.
-func (v *Verifier) EnsureFlat(rep *Report) error {
-	if rep.Flat != nil {
-		return nil
-	}
-	if rep != v.report {
-		return errors.New("verify: EnsureFlat on a stale report")
-	}
-	fr, _, err := v.cache.Flatten(v.cell)
-	if err != nil {
-		return err
-	}
-	rep.Flat = fr
-	return nil
 }

@@ -8,6 +8,8 @@ import (
 
 	"riot/internal/castore"
 	"riot/internal/core"
+	"riot/internal/faultinject"
+	"riot/internal/flatten"
 	"riot/internal/geom"
 	"riot/internal/hier"
 	"riot/internal/lib"
@@ -43,6 +45,7 @@ func TestHierVerifierMatchesScratchUnderEdits(t *testing.T) {
 		if rep.Gen != e.Generation() {
 			t.Fatalf("step %d: report generation %d, editor %d", step, rep.Gen, e.Generation())
 		}
+		sameOccurrences(t, rep, e.Cell)
 	}
 
 	compare(-1)
@@ -82,44 +85,129 @@ func TestHierVerifierMatchesScratchUnderEdits(t *testing.T) {
 	}
 }
 
-// TestHierVerifierEnsureFlat pins the lazy-flatten contract: a
-// hierarchically served report carries no flattened geometry until
-// EnsureFlat fills it in, and a superseded report refuses.
-func TestHierVerifierEnsureFlat(t *testing.T) {
-	e := gridEditor(t, 6)
-	v := &Verifier{Hier: true}
-	rep, err := v.Verify(e)
+// sameOccurrences requires a report's occurrence identity to equal
+// the one a from-scratch flat walk derives: every occurrence's leaf
+// cell and device span.
+func sameOccurrences(t *testing.T, rep *Report, cell *core.Cell) {
+	t.Helper()
+	fr, err := flatten.Cell(cell, flatten.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Stats().Hier != 1 {
-		t.Fatalf("clean grid must be served hierarchically: stats = %+v", v.Stats())
+	if want := fr.Occurrences(); !reflect.DeepEqual(rep.Occs, want) {
+		t.Fatalf("occurrence identity differs from the flat walk\ngot:  %d cells, spans %v\nwant: %d cells, spans %v",
+			len(rep.Occs.Cells), rep.Occs.DevLo, len(want.Cells), want.DevLo)
 	}
-	if rep.Flat != nil {
-		t.Fatal("hier report must not carry flattened geometry")
-	}
-	if err := v.EnsureFlat(rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Flat == nil {
-		t.Fatal("EnsureFlat left Flat nil")
-	}
-	// the populated geometry describes the current design
-	if got, want := len(rep.Flat.Shapes), 0; got == want {
-		t.Fatal("EnsureFlat produced empty geometry")
-	}
+}
 
-	e.MoveInstance(e.Cell.Instances[0], geom.Pt(rules.Lambda, 0))
-	rep2, err := v.Verify(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2 == rep {
-		t.Fatal("edit must produce a new report")
-	}
-	stale := &Report{}
-	if err := v.EnsureFlat(stale); err == nil {
-		t.Fatal("EnsureFlat on a stale report must refuse")
+// TestHierVerifierOccurrences is the differential for the identity LVS
+// aligns against: every hierarchically served report must name the
+// same leaf cell per occurrence, and the same device span, as a flat
+// walk — under a randomized editing trace with rotations, in nested
+// compositions, on a materialized fast-path array, and with forced
+// quarantine (the partial residue's spans interleave with composed
+// ones).
+func TestHierVerifierOccurrences(t *testing.T) {
+	t.Run("edits", func(t *testing.T) {
+		e := gridEditor(t, 10)
+		v := &Verifier{Hier: true}
+		rng := rand.New(rand.NewSource(7))
+		for step := 0; step < 20; step++ {
+			top := e.Cell
+			switch op := rng.Intn(10); {
+			case op < 4:
+				in := top.Instances[rng.Intn(len(top.Instances))]
+				e.MoveInstance(in, geom.Pt((rng.Intn(9)-4)*rules.Lambda, (rng.Intn(9)-4)*rules.Lambda))
+			case op < 6:
+				if _, err := e.CreateInstance("NAND", fmt.Sprintf("x%d", step),
+					geom.MakeTransform(geom.R0, geom.Pt(200*rules.Lambda+rng.Intn(3000), rng.Intn(3000))), 1, 1, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			case op < 7 && len(top.Instances) > 2:
+				if err := e.DeleteInstance(top.Instances[rng.Intn(len(top.Instances))]); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				e.OrientInstance(top.Instances[rng.Intn(len(top.Instances))], geom.R90)
+			}
+			rep, err := v.Verify(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameOccurrences(t, rep, e.Cell)
+		}
+		if v.Stats().Hier == 0 {
+			t.Fatalf("trace never served hierarchically: %+v", v.Stats())
+		}
+	})
+
+	t.Run("nested", func(t *testing.T) {
+		e := gridEditor(t, 0)
+		sr, _ := e.Design.Cell("SRCELL")
+		nand, _ := e.Design.Cell("NAND")
+		row := core.NewComposition("ROW")
+		if err := e.Design.AddCell(row); err != nil {
+			t.Fatal(err)
+		}
+		a := core.NewInstance("a", sr, geom.Identity)
+		a.Nx, a.Sx = 3, 20*rules.Lambda
+		row.Instances = append(row.Instances, a,
+			core.NewInstance("n", nand, geom.MakeTransform(geom.R0, geom.Pt(80*rules.Lambda, 0))))
+		top := e.Cell
+		top.Instances = append(top.Instances,
+			core.NewInstance("r0", row, geom.Identity),
+			core.NewInstance("r1", row, geom.MakeTransform(geom.R90, geom.Pt(0, 200*rules.Lambda))))
+		v := &Verifier{Hier: true}
+		rep, err := v.VerifyCell(top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Stats().Hier != 1 {
+			t.Fatalf("nested composition not served hierarchically: %+v", v.Stats())
+		}
+		sameOccurrences(t, rep, top)
+	})
+
+	t.Run("fast-array", func(t *testing.T) {
+		e := gridEditor(t, 0)
+		sr, _ := e.Design.Cell("SRCELL")
+		in := core.NewInstance("a", sr, geom.MakeTransform(geom.R90, geom.Pt(0, 0)))
+		in.Nx, in.Ny, in.Sx, in.Sy = 16, 14, 20*rules.Lambda, 24*rules.Lambda
+		e.Cell.Instances = append(e.Cell.Instances, in)
+		v := &Verifier{Hier: true}
+		rep, err := v.VerifyCell(e.Cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hs := v.HierStats(); hs.FastRuns != 1 {
+			t.Fatalf("array did not take the fast path: %+v", hs)
+		}
+		sameOccurrences(t, rep, e.Cell)
+	})
+
+	for _, tc := range []struct {
+		point faultinject.Point
+		match string
+	}{
+		{faultinject.CertPend, "NAND"},
+		{faultinject.TemplatePoison, "3"},
+	} {
+		t.Run(string(tc.point), func(t *testing.T) {
+			e := gridEditor(t, 9)
+			if _, err := e.CreateInstance("NAND", "n0",
+				geom.MakeTransform(geom.R0, geom.Pt(128*rules.Lambda, 0)), 1, 1, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			v := &Verifier{Hier: true}
+			f := faultinject.New()
+			f.Enable(tc.point, tc.match)
+			v.InjectFaults(f)
+			v.engine().QuarantineBudget = len(e.Cell.Instances)
+			rep := faultCheck(t, v, e)
+			if rep.Quarantined == 0 {
+				t.Fatalf("%s did not quarantine: stats = %+v", tc.point, v.Stats())
+			}
+		})
 	}
 }
 
