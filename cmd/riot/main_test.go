@@ -161,6 +161,29 @@ func TestCacheWarmStart(t *testing.T) {
 	}
 }
 
+// TestReferenceTemplatesFlat pins that the LVS reference stitch of an
+// array is template-driven: a 16x16 and a 32x32 ARRAY derive the same
+// number of pair templates — one per touching neighbour offset of the
+// arrayed cell (E, N and both diagonals) — however many copies replay
+// them.
+func TestReferenceTemplatesFlat(t *testing.T) {
+	t.Chdir(t.TempDir())
+	for _, n := range []string{"16", "32"} {
+		script := "READ srcell.sticks; EDIT CHIP; CREATE SRCELL a ARRAY " + n + " " + n
+		code, out, _ := execRun(t, "-c", script, "-lvs", "CHIP", "-stats=json")
+		if code != exitOK {
+			t.Fatalf("%sx%s: exit = %d", n, n, code)
+		}
+		snap := statsJSON(t, out)
+		if got := counter(t, snap, "lvs", "ref_templates_built"); got != 4 {
+			t.Errorf("%sx%s: built %v reference templates, want 4:\n%s", n, n, got, out)
+		}
+		if got := counter(t, snap, "lvs", "ref_template_hits"); got == 0 {
+			t.Errorf("%sx%s: no copy pair replayed a template:\n%s", n, n, out)
+		}
+	}
+}
+
 // noFlatten asserts a hier-served run neither loaded nor re-derived a
 // single flattened shard.
 func noFlatten(t *testing.T, run string, snap map[string]map[string]any, out string) {

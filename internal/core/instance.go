@@ -86,9 +86,12 @@ func (in *Instance) Connectors() []InstConn {
 	out := make([]InstConn, 0, len(cellConns))
 	for i := 0; i < in.Nx; i++ {
 		for j := 0; j < in.Ny; j++ {
+			// an interior copy of an array faces no outside edge
+			if in.IsArray() && i > 0 && i < in.Nx-1 && j > 0 && j < in.Ny-1 {
+				continue
+			}
 			ct := in.copyTransform(i, j)
 			for _, cn := range cellConns {
-				side := cn.Side.Transform(in.Tr.O)
 				if in.IsArray() && !onArrayEdge(cn.Side, i, j, in.Nx, in.Ny) {
 					continue
 				}
@@ -98,7 +101,7 @@ func (in *Instance) Connectors() []InstConn {
 					At:    ct.Apply(cn.At),
 					Layer: cn.Layer,
 					Width: cn.Width,
-					Side:  side,
+					Side:  cn.Side.Transform(in.Tr.O),
 				})
 			}
 		}

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"riot/internal/castore"
+	"riot/internal/core"
 	"riot/internal/extract"
 	"riot/internal/flatten"
 	"riot/internal/geom"
+	"riot/internal/lib"
 	"riot/internal/rules"
 	"riot/internal/verify"
 )
@@ -117,6 +120,63 @@ func BenchmarkLVSHierMatch(b *testing.B) {
 				}
 				if res.Cert.Certified != n*n {
 					b.Fatalf("certified %d of %d occurrences", res.Cert.Certified, n*n)
+				}
+			}
+		})
+	}
+}
+
+// arrayEditor builds a single n x n ARRAY instance of SRCELL under an
+// editor — the paper's replicated array, one instance for all copies.
+func arrayEditor(tb testing.TB, n int) *core.Editor {
+	tb.Helper()
+	d := core.NewDesign()
+	if err := lib.Install(d); err != nil {
+		tb.Fatal(err)
+	}
+	top := core.NewComposition(fmt.Sprintf("ARR%d", n))
+	if err := d.AddCell(top); err != nil {
+		tb.Fatal(err)
+	}
+	e, err := core.NewEditor(d, top)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := e.CreateInstance("SRCELL", "a", geom.Identity, n, n, 0, 0); err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkReferenceArray measures the reference derivation of a
+// single ARRAY instance as a warm sign-off pays it: every iteration is
+// a fresh Reference whose leaf entry loads from a content-addressed
+// store primed once, so the time is the array stitch — template
+// replay, device and occurrence copy, renumbering, labels.
+func BenchmarkReferenceArray(b *testing.B) {
+	for _, n := range []int{32, 128} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			cell := arrayEditor(b, n).Cell
+			st, sg := castore.NewMem(), &castore.Signer{}
+			var warm Reference
+			warm.AttachDisk(st, sg)
+			if _, _, err := warm.NetlistOccs(cell, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var rf Reference
+				rf.AttachDisk(st, sg)
+				nl, _, err := rf.NetlistOccs(cell, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(nl.Devices) != len(warm.memo[cell].devices) {
+					b.Fatalf("derived %d devices, want %d", len(nl.Devices), len(warm.memo[cell].devices))
+				}
+				if got := rf.Stats().TemplatesBuilt; got != 4 {
+					b.Fatalf("built %d templates, want the 4 neighbour offsets of one arrayed cell", got)
 				}
 			}
 		})

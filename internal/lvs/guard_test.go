@@ -75,7 +75,37 @@ func TestReferencePruneStale(t *testing.T) {
 	if len(rf.memo) > distinct+1 || len(rf.ids) > distinct+1 {
 		t.Fatalf("memo grew across generations: %d entries, %d ids", len(rf.memo), len(rf.ids))
 	}
-	if len(rf.parts) > n*n || len(rf.conns) > n*n {
-		t.Fatalf("instance memos grew across generations: %d parts, %d conns", len(rf.parts), len(rf.conns))
+	if len(rf.conns) > n*n {
+		t.Fatalf("instance memo grew across generations: %d conns", len(rf.conns))
 	}
+	// each composition entry keeps only the templates its latest stitch
+	// replayed, so the memo holds no more than the live design has
+	// distinct relative placements
+	tmpls := 0
+	for _, ent := range rf.memo {
+		tmpls += len(ent.tmpl)
+	}
+	if live := relativePlacements(e.Cell); tmpls == 0 || tmpls > live {
+		t.Fatalf("template memo holds %d templates; the live design has %d distinct relative placements", tmpls, live)
+	}
+}
+
+// relativePlacements counts the distinct (cell, orientation, cell,
+// orientation, translation) placements among a composition's touching
+// 1x1 instance pairs — the template keys a stitch of it can use.
+func relativePlacements(c *core.Cell) int {
+	type rel struct {
+		cu, cv *core.Cell
+		ou, ov geom.Orient
+		d      geom.Point
+	}
+	seen := map[rel]bool{}
+	for i, u := range c.Instances {
+		for _, v := range c.Instances[i+1:] {
+			if u.BBox().Touches(v.BBox()) {
+				seen[rel{u.Cell, v.Cell, u.Tr.O, v.Tr.O, v.Tr.D.Sub(u.Tr.D)}] = true
+			}
+		}
+	}
+	return len(seen)
 }

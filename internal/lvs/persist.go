@@ -138,7 +138,7 @@ func encodeLeafEntry(e *refEntry) []byte {
 
 func decodeLeafEntry(payload []byte) (*refEntry, error) {
 	d := castore.NewDec(payload)
-	e := &refEntry{reach: d.Int(), nets: d.Int(), portAt: map[portKey]int32{}}
+	e := &refEntry{reach: d.Int(), nets: d.Int()}
 	var err error
 	if e.devices, err = decodeDevices(d, e.nets); err != nil {
 		return nil, err
@@ -154,12 +154,6 @@ func decodeLeafEntry(payload []byte) (*refEntry, error) {
 			return nil, fmt.Errorf("castore: decode: port net %d out of %d", p.net, e.nets)
 		}
 		e.ports = append(e.ports, p)
-		// replay leafEntry's coincidence resolution: first registration
-		// wins unless a later connector at the point resolved to material
-		key := portKey{p.at.X, p.at.Y, p.layer}
-		if _, dup := e.portAt[key]; !dup || p.net >= 0 {
-			e.portAt[key] = p.net
-		}
 	}
 	nB := d.Len(8)
 	for i := 0; i < nB; i++ {

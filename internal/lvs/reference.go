@@ -1,7 +1,9 @@
 package lvs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"riot/internal/castore"
@@ -27,6 +29,17 @@ import (
 //     connector points that coincide, and boundary material that
 //     touches across a sanctioned seam (leaf occurrence boxes that
 //     touch — the abutment contract internal/drc also trusts).
+//
+// Which nets of two neighbouring copies union is a pure function of
+// their sub-entries and relative placement, so it is derived once per
+// distinct (sub-entry, orientation, sub-entry, orientation,
+// translation) as a pair template and replayed for every copy pair
+// that shares it — the same scheme internal/hier composes
+// certificates with. An array stitches from its leaf entry plus a
+// handful of templates; what still scales with copies is the device
+// copy, the occurrence maps and the renumbering. Connector positions
+// are resolved lazily, through the entry's copy index, instead of
+// from a map of every copy's ports.
 //
 // Entries are validated by a structural signature (instance
 // placements, recursively), so an edit rebuilds exactly the entries
@@ -75,16 +88,49 @@ type refEntry struct {
 	nets     int
 	devices  []Device
 	ports    []port
-	portAt   map[portKey]int32 // coincidence-resolved net per connector position
+	portNet  map[portKey]int32 // ports that resolved to material, by position
 	labels   map[string]int    // the cell's full label namespace, resolved
 	boundary []bfrag
-	occs     []refOcc // leaf occurrences in flatten walk order
+	bext     geom.Rect // extent of the boundary material
+	occs     []refOcc  // leaf occurrences in flatten walk order
 	// cell is the cell the entry derives (the memo is keyed by its
 	// snapshot origin); insts are the instances a composition entry was
 	// stitched from
 	cell  *core.Cell
 	insts []*core.Instance
-	err   error
+	// a composition entry keeps its copies (indexed by port box), the
+	// sub-entry of each instance and the dense net of every block net,
+	// so connector positions resolve lazily (netAt); tmpl holds the
+	// pair templates its last stitch replayed
+	copies []copySlot
+	subs   []*refEntry
+	ix     *geom.Index
+	dense  []int32
+	tmpl   map[tmplKey][][2]int32
+	err    error
+}
+
+// copySlot is one instance copy of a composition: its placement, its
+// instance (indexing refEntry.subs) and its net block base.
+type copySlot struct {
+	tr   geom.Transform
+	inst int32
+	base int32
+}
+
+// tmplKey identifies a pair template: sub-entry V placed at (ov, d)
+// relative to sub-entry U placed at (ou, origin). Entries are keyed by
+// pointer, so a rebuilt sub-entry never reads a stale template.
+type tmplKey struct {
+	u, v   *refEntry
+	ou, ov geom.Orient
+	dx, dy int
+}
+
+// RefStats is the reference memo's cumulative template accounting.
+type RefStats struct {
+	TemplatesBuilt int // pair templates derived
+	TemplateHits   int // copy pairs replayed from an existing template
 }
 
 // refOcc is one leaf occurrence inside an entry's net space: which
@@ -114,13 +160,14 @@ type refOcc struct {
 // origin (Cell.Origin), so a newer clone's entry supersedes the older
 // one's — along with the instance-level memos of instances the new
 // clone no longer has. A long-lived session's memory is bounded by the
-// design, not by its history.
+// design, not by its history: each composition entry carries only the
+// pair templates its latest stitch replayed.
 type Reference struct {
 	ids    map[*core.Cell]uint64
 	lastID uint64
 	memo   map[*core.Cell]*refEntry
 	conns  map[*core.Instance]cachedConns
-	parts  map[*core.Instance]cachedParts
+	stats  RefStats
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.
@@ -132,6 +179,9 @@ type Reference struct {
 	disk   castore.Blob
 	signer *castore.Signer
 }
+
+// Stats reports the memo's cumulative template accounting.
+func (rf *Reference) Stats() RefStats { return rf.stats }
 
 // instKey is the placement snapshot instance-level caches are valid
 // for (mirrors the flatten cache's contract: mutations inside the
@@ -170,70 +220,6 @@ func (rf *Reference) instConns(in *core.Instance) []core.InstConn {
 	return list
 }
 
-// cachedParts memoizes an instance's transformed stitch parts — every
-// copy's bounding box, connector positions and boundary material, with
-// copy-relative net ids. A one-instance edit re-transforms one entry;
-// the other thousand reuse theirs. reach records the sub-entry
-// boundary retention the parts were derived from: when a neighbor's
-// overlap deepens the instance's required reach, the parts re-derive.
-type cachedParts struct {
-	key    instKey
-	reach  int
-	copies []copyParts
-}
-
-// copyParts is one array copy's stitch contribution in parent
-// coordinates; nets are relative to the copy's block base.
-type copyParts struct {
-	bbox     geom.Rect
-	ports    []portReg
-	boundary []bfrag
-}
-
-// portReg is one valid connector position for coincidence stitching.
-type portReg struct {
-	key portKey
-	net int32 // copy-relative
-}
-
-// instParts returns the instance's transformed stitch parts, cached by
-// placement and the sub-entry's boundary reach.
-func (rf *Reference) instParts(in *core.Instance, sub *refEntry) []copyParts {
-	key := rf.keyOf(in)
-	if ent, ok := rf.parts[in]; ok && ent.key == key && ent.reach == sub.reach {
-		return ent.copies
-	}
-	var copies []copyParts
-	for i := 0; i < in.Nx; i++ {
-		for j := 0; j < in.Ny; j++ {
-			tr := in.CopyTransform(i, j)
-			cp := copyParts{bbox: tr.ApplyRect(in.Cell.BBox())}
-			for _, p := range sub.ports {
-				if p.net < 0 {
-					continue
-				}
-				at := tr.Apply(p.at)
-				cp.ports = append(cp.ports, portReg{key: portKey{at.X, at.Y, p.layer}, net: p.net})
-			}
-			cp.boundary = make([]bfrag, len(sub.boundary))
-			for k, bf := range sub.boundary {
-				cp.boundary[k] = bfrag{
-					layer:   bf.layer,
-					r:       tr.ApplyRect(bf.r),
-					leafBox: tr.ApplyRect(bf.leafBox),
-					net:     bf.net,
-				}
-			}
-			copies = append(copies, cp)
-		}
-	}
-	if rf.parts == nil {
-		rf.parts = map[*core.Instance]cachedParts{}
-	}
-	rf.parts[in] = cachedParts{key: key, reach: sub.reach, copies: copies}
-	return copies
-}
-
 // Netlist derives the reference netlist of a cell. declared lists
 // connection records to honor on top of the cell's structure — the
 // editing session's retained Connection list; nil is valid and means
@@ -269,44 +255,69 @@ func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Net
 	for _, conn := range declared {
 		rf.declareUnion(uf, e, conn)
 	}
-	remap := make([]int32, e.nets)
+	out := &Netlist{Labels: make(map[string]int, len(e.labels))}
+	out.Devices = append([]Device(nil), e.devices...)
+	dense, nets := renumber(uf, e.nets, out.Devices)
+	out.NetCount = nets
+	for name, n := range e.labels {
+		out.Labels[name] = int(dense[n])
+	}
+	// occurrence maps re-expressed in the declared-union numbering
+	occs, _ := appendOccs(make([]refOcc, 0, len(e.occs)), make([]int32, 0, occNets(e.occs)), e.occs, 0, dense)
+	return out, occs, nil
+}
+
+// renumber compresses a union-find over n block nets to dense nets,
+// numbered by first appearance in the devices (rewritten in place) and
+// then in block order — a function of the structure alone, never of
+// map iteration order. Nets carrying neither devices nor labels still
+// count, so NetCount matches the layout side's convention. It returns
+// the dense net of every block net and the dense net count.
+func renumber(uf *geom.UnionFind, n int, devs []Device) ([]int32, int) {
+	remap := make([]int32, n)
 	for i := range remap {
 		remap[i] = -1
 	}
 	nets := 0
-	renum := func(n int32) int {
-		root := uf.Find(int(n))
+	id := func(x int) int {
+		root := uf.Find(x)
 		if remap[root] < 0 {
 			remap[root] = int32(nets)
 			nets++
 		}
 		return int(remap[root])
 	}
+	for i, d := range devs {
+		devs[i] = Device{Kind: d.Kind, Gate: id(d.Gate), A: id(d.A), B: id(d.B)}
+	}
+	dense := make([]int32, n)
+	for x := range dense {
+		dense[x] = int32(id(x))
+	}
+	return dense, nets
+}
 
-	out := &Netlist{Labels: make(map[string]int, len(e.labels))}
-	out.Devices = make([]Device, len(e.devices))
-	for i, d := range e.devices {
-		out.Devices[i] = Device{Kind: d.Kind, Gate: renum(int32(d.Gate)), A: renum(int32(d.A)), B: renum(int32(d.B))}
+// occNets counts the net slots of a set of occurrence maps.
+func occNets(occs []refOcc) int {
+	n := 0
+	for _, oc := range occs {
+		n += len(oc.nets)
 	}
-	for name, n := range e.labels {
-		out.Labels[name] = renum(int32(n))
-	}
-	// nets carrying neither devices nor labels still count: walk the
-	// whole space so NetCount matches the layout side's convention
-	for n := 0; n < e.nets; n++ {
-		renum(int32(n))
-	}
-	out.NetCount = nets
-	// occurrence maps re-expressed in the declared-union numbering
-	occs := make([]refOcc, len(e.occs))
-	for i, oc := range e.occs {
-		m := make([]int32, len(oc.nets))
-		for k, n := range oc.nets {
-			m[k] = int32(renum(n))
+	return n
+}
+
+// appendOccs appends src's occurrence maps re-expressed through dense
+// (local net n of a block at base lands on dense[base+n]), carving every
+// map from one backing slice.
+func appendOccs(dst []refOcc, backing []int32, src []refOcc, base int32, dense []int32) ([]refOcc, []int32) {
+	for _, oc := range src {
+		at := len(backing)
+		for _, n := range oc.nets {
+			backing = append(backing, dense[base+n])
 		}
-		occs[i] = refOcc{cell: oc.cell, sig: oc.sig, nets: m}
+		dst = append(dst, refOcc{cell: oc.cell, sig: oc.sig, nets: backing[at:len(backing):len(backing)]})
 	}
-	return out, occs, nil
+	return dst, backing
 }
 
 // resolveLabels fills an entry's label map — the same namespace
@@ -315,26 +326,81 @@ func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Net
 // label at the same point) plus the explicit extras cover it; later
 // names overwrite earlier ones, as flatten's do.
 func (rf *Reference) resolveLabels(c *core.Cell, e *refEntry) {
-	e.labels = make(map[string]int, len(e.portAt))
-	label := func(name string, at geom.Point, layer geom.Layer) {
-		if n, ok := e.portAt[portKey{at.X, at.Y, layer}]; ok && n >= 0 {
-			e.labels[name] = int(n)
-		}
-	}
+	e.labels = map[string]int{}
+	// an instance lists its connectors copy by copy, so the copy that
+	// resolved the previous one is tried first
+	first := 0
 	for _, in := range c.Instances {
+		hint := first
 		for _, ic := range rf.instConns(in) {
-			label(in.Name+"."+ic.Name, ic.At, ic.Layer)
+			n, ok := e.copyNetAt(hint, ic.At, ic.Layer)
+			if !ok {
+				e.ix.QueryPoint(ic.At, func(ci int) bool {
+					if n, ok = e.copyNetAt(ci, ic.At, ic.Layer); ok {
+						hint = ci
+					}
+					return !ok
+				})
+			}
+			if ok {
+				e.labels[in.Name+"."+ic.Name] = int(n)
+			}
 		}
+		first += in.Nx * in.Ny
 	}
 	for _, cn := range c.ExtraConnectors {
-		label(cn.Name, cn.At, cn.Layer)
+		if n, ok := e.netAt(cn.At, cn.Layer); ok {
+			e.labels[cn.Name] = int(n)
+		}
 	}
 }
 
+// netAt resolves a connector position to the entry's net. A leaf reads
+// its port table; a composition point-queries its copy index, maps the
+// point into each candidate copy's frame and reads that sub-entry's
+// port table. The stitch unions coincident connectors of different
+// copies, so the first copy that resolves the point answers for all.
+func (e *refEntry) netAt(at geom.Point, layer geom.Layer) (int32, bool) {
+	if e.ix == nil {
+		n, ok := e.portNet[portKey{at.X, at.Y, layer}]
+		return n, ok
+	}
+	net, found := int32(0), false
+	e.ix.QueryPoint(at, func(ci int) bool {
+		net, found = e.copyNetAt(ci, at, layer)
+		return !found
+	})
+	return net, found
+}
+
+// copyNetAt resolves a connector position against one copy of a
+// composition entry: the point mapped into the copy's frame, looked up
+// in its sub-entry's port table.
+func (e *refEntry) copyNetAt(ci int, at geom.Point, layer geom.Layer) (int32, bool) {
+	cr := e.copies[ci]
+	p := cr.tr.Inverse().Apply(at)
+	if n, ok := e.subs[cr.inst].portNet[portKey{p.X, p.Y, layer}]; ok {
+		return e.dense[cr.base+n], true
+	}
+	return 0, false
+}
+
+// portTable indexes the ports that resolved to material by position.
+func portTable(ports []port) map[portKey]int32 {
+	t := make(map[portKey]int32, len(ports))
+	for _, p := range ports {
+		key := portKey{p.at.X, p.at.Y, p.layer}
+		if _, dup := t[key]; !dup && p.net >= 0 {
+			t[key] = p.net
+		}
+	}
+	return t
+}
+
 // declareUnion applies one declared connection record: both connector
-// positions resolve through the port map and their nets union. Records
-// whose endpoints no longer resolve (a renamed connector, material
-// removed from under a point) are skipped — there is no net to tie.
+// positions resolve to the entry's nets and those union. Records whose
+// endpoints no longer resolve (a renamed connector, material removed
+// from under a point) are skipped — there is no net to tie.
 func (rf *Reference) declareUnion(uf *geom.UnionFind, e *refEntry, conn core.Connection) {
 	fc, err := conn.From.Connector(conn.FromConn)
 	if err != nil {
@@ -344,9 +410,9 @@ func (rf *Reference) declareUnion(uf *geom.UnionFind, e *refEntry, conn core.Con
 	if err != nil {
 		return
 	}
-	fn, okF := e.portAt[portKey{fc.At.X, fc.At.Y, fc.Layer}]
-	tn, okT := e.portAt[portKey{tc.At.X, tc.At.Y, tc.Layer}]
-	if okF && okT && fn >= 0 && tn >= 0 {
+	fn, okF := e.netAt(fc.At, fc.Layer)
+	tn, okT := e.netAt(tc.At, tc.Layer)
+	if okF && okT {
 		uf.Union(int(fn), int(tn))
 	}
 }
@@ -408,11 +474,18 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 	}
 	var e *refEntry
 	if c.Kind == core.Composition {
-		e = rf.stitch(c, minReach)
+		e = rf.stitch(c, minReach, old)
 	} else {
 		e = rf.leafEntry(c, minReach)
 	}
 	e.sig, e.cell = sig, c
+	e.portNet = portTable(e.ports)
+	for i, bf := range e.boundary {
+		if i == 0 {
+			e.bext = bf.r
+		}
+		e.bext = span(e.bext, bf.r)
+	}
 	// a disk-loaded leaf entry may retain boundary material deeper than
 	// asked; record the depth it actually has (never less than asked)
 	if e.reach < minReach {
@@ -442,7 +515,6 @@ func (rf *Reference) supersede(old, e *refEntry) {
 	for _, in := range old.insts {
 		if !kept[in] {
 			delete(rf.conns, in)
-			delete(rf.parts, in)
 		}
 	}
 }
@@ -468,7 +540,7 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 	if err != nil {
 		return &refEntry{err: fmt.Errorf("lvs: leaf %s: %w", c.Name, err)}
 	}
-	e := &refEntry{nets: ckt.NetCount, portAt: map[portKey]int32{}}
+	e := &refEntry{nets: ckt.NetCount}
 	e.devices = make([]Device, len(ckt.Transistors))
 	for i, t := range ckt.Transistors {
 		e.devices[i] = Device{Kind: t.Kind, Gate: t.Gate, A: t.A, B: t.B}
@@ -479,10 +551,6 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 			net = int32(n)
 		}
 		e.ports = append(e.ports, port{name: cn.Name, at: cn.At, layer: cn.Layer, side: cn.Side, net: net})
-		key := portKey{cn.At.X, cn.At.Y, cn.Layer}
-		if _, dup := e.portAt[key]; !dup || net >= 0 {
-			e.portAt[key] = net
-		}
 	}
 	inner := c.BBox().Inset(reach)
 	for _, f := range frags {
@@ -504,243 +572,258 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 	return e
 }
 
-// copyRef is one instance copy during a stitch: its bounding box, its
-// boundary material (parent coordinates, copy-relative nets) and the
-// copy's net block base.
-type copyRef struct {
-	bbox     geom.Rect
-	boundary []bfrag
-	base     int32
-}
-
 // stitch derives a composition's entry from its instances' entries:
 // per-copy net blocks unioned at coincident connector points and
-// across sanctioned abutment seams. reach is the boundary retention
-// depth requested of this entry; each child entry is additionally
-// asked for the deepest reach its own seams need (seamDepth over the
-// touching copy-box pairs), so ABUT OVERLAPs deeper than the base
-// contract stitch correctly.
-func (rf *Reference) stitch(c *core.Cell, reach int) *refEntry {
-	e := &refEntry{portAt: map[portKey]int32{}, insts: append([]*core.Instance(nil), c.Instances...)}
+// across sanctioned abutment seams, both replayed from pair templates.
+// reach is the boundary retention depth requested of this entry; each
+// child entry is additionally asked for the deepest reach its own
+// seams need (seamDepth over the touching copy-box pairs), so ABUT
+// OVERLAPs deeper than the base contract stitch correctly. old is the
+// entry being replaced, or nil: templates it holds carry over when
+// this stitch replays them again.
+func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
+	e := &refEntry{insts: append([]*core.Instance(nil), c.Instances...)}
 
-	// pass 0: every copy's placed box, from placement alone, to size
-	// each instance's required seam reach before its entry is built
-	type cbox struct {
-		box  geom.Rect
-		inst int
-	}
-	var cboxes []cbox
+	// every copy's placed box and port box, from placement alone
+	type cellBoxes struct{ box, pbox geom.Rect }
+	known := map[*core.Cell]cellBoxes{}
+	var boxes, pboxes []geom.Rect
 	for ii, in := range c.Instances {
+		cb, ok := known[in.Cell]
+		if !ok {
+			cb = cellBoxes{in.Cell.BBox(), portBox(in.Cell)}
+			known[in.Cell] = cb
+		}
 		for i := 0; i < in.Nx; i++ {
 			for j := 0; j < in.Ny; j++ {
-				cboxes = append(cboxes, cbox{in.CopyTransform(i, j).ApplyRect(in.Cell.BBox()), ii})
+				tr := in.CopyTransform(i, j)
+				e.copies = append(e.copies, copySlot{tr: tr, inst: int32(ii)})
+				boxes = append(boxes, tr.ApplyRect(cb.box))
+				pboxes = append(pboxes, tr.ApplyRect(cb.pbox))
 			}
 		}
 	}
+
+	// one pass over the copy index yields the copy pairs that can
+	// interact (port boxes touch) and sizes each instance's seam reach
+	// before its entry is built
 	need := make([]int, len(c.Instances))
 	for ii := range need {
 		need[ii] = max(seamReach, reach)
 	}
-	if len(cboxes) > 1 {
-		boxes := make([]geom.Rect, len(cboxes))
-		for i, cb := range cboxes {
-			boxes[i] = cb.box
-		}
-		ix := geom.NewIndexFrom(boxes)
-		ix.Build()
-		for u := range cboxes {
-			ix.QueryRect(cboxes[u].box, func(v int) bool {
-				if v <= u {
-					return true
-				}
-				bu, bv := cboxes[u].box, cboxes[v].box
-				if du := seamDepth(bu, bv); du > need[cboxes[u].inst] {
-					need[cboxes[u].inst] = du
-				}
-				if dv := seamDepth(bv, bu); dv > need[cboxes[v].inst] {
-					need[cboxes[v].inst] = dv
-				}
+	e.ix = geom.NewIndexFrom(pboxes)
+	e.ix.Build()
+	var pairs [][2]int32
+	for u := range e.copies {
+		e.ix.QueryRect(pboxes[u], func(v int) bool {
+			if v <= u {
 				return true
-			})
-		}
+			}
+			pairs = append(pairs, [2]int32{int32(u), int32(v)})
+			iu, iv := e.copies[u].inst, e.copies[v].inst
+			need[iu] = max(need[iu], seamDepth(boxes[u], boxes[v]))
+			need[iv] = max(need[iv], seamDepth(boxes[v], boxes[u]))
+			return true
+		})
 	}
 
-	regs := map[portKey]int32{}
-	var copies []copyRef
-	var unions [][2]int32
-	var occs []refOcc // entry occurrences, nets still in block space
-
-	total := 0
+	e.subs = make([]*refEntry, len(c.Instances))
 	for ii, in := range c.Instances {
 		sub := rf.entry(in.Cell, need[ii])
 		if sub.err != nil {
 			e.err = sub.err
 			return e
 		}
-		for _, cp := range rf.instParts(in, sub) {
-			base := int32(total)
-			total += sub.nets
-			for _, d := range sub.devices {
-				e.devices = append(e.devices, Device{
-					Kind: d.Kind,
-					Gate: int(base) + d.Gate,
-					A:    int(base) + d.A,
-					B:    int(base) + d.B,
-				})
-			}
-			// register connector positions for coincidence unions
-			for _, p := range cp.ports {
-				net := base + p.net
-				if first, ok := regs[p.key]; ok {
-					unions = append(unions, [2]int32{first, net})
-				} else {
-					regs[p.key] = net
-				}
-			}
-			// the copy's leaf occurrences, offset into this block —
-			// flatten walk order: instances in declaration order, copies
-			// x-major, sub-occurrences recursively
-			for _, oc := range sub.occs {
-				m := make([]int32, len(oc.nets))
-				for k, n := range oc.nets {
-					m[k] = base + n
-				}
-				occs = append(occs, refOcc{cell: oc.cell, sig: oc.sig, nets: m})
-			}
-			copies = append(copies, copyRef{bbox: cp.bbox, boundary: cp.boundary, base: base})
+		e.subs[ii] = sub
+	}
+
+	// a net block per copy, its devices in block numbering
+	total, ndev := 0, 0
+	for ci := range e.copies {
+		sub := e.subs[e.copies[ci].inst]
+		e.copies[ci].base = int32(total)
+		total += sub.nets
+		ndev += len(sub.devices)
+	}
+	e.devices = make([]Device, 0, ndev)
+	for _, cr := range e.copies {
+		b := int(cr.base)
+		for _, d := range e.subs[cr.inst].devices {
+			e.devices = append(e.devices, Device{Kind: d.Kind, Gate: b + d.Gate, A: b + d.A, B: b + d.B})
 		}
 	}
 
+	// replay every pair's template, then compress to dense nets
 	uf := geom.NewUnionFind(total)
-	for _, u := range unions {
-		uf.Union(int(u[0]), int(u[1]))
+	e.tmpl = map[tmplKey][][2]int32{}
+	var carry map[tmplKey][][2]int32
+	if old != nil {
+		carry = old.tmpl
 	}
-	seamUnions(copies, uf)
-
-	// compress the block space to dense nets
-	remap := make([]int32, total)
-	for i := range remap {
-		remap[i] = -1
-	}
-	nets := 0
-	renum := func(n int32) int32 {
-		root := uf.Find(int(n))
-		if remap[root] < 0 {
-			remap[root] = int32(nets)
-			nets++
-		}
-		return remap[root]
-	}
-	for i, d := range e.devices {
-		e.devices[i] = Device{Kind: d.Kind, Gate: int(renum(int32(d.Gate))), A: int(renum(int32(d.A))), B: int(renum(int32(d.B)))}
-	}
-	// the coincidence map re-expressed in dense nets; positions with no
-	// valid net stay absent (nothing to tie there)
-	for key, first := range regs {
-		e.portAt[key] = renum(first)
-	}
-	for n := 0; n < total; n++ {
-		renum(int32(n))
-	}
-	e.nets = nets
-
-	// occurrence maps in the dense numbering
-	for oi := range occs {
-		m := occs[oi].nets
-		for k, n := range m {
-			m[k] = renum(n)
+	for _, p := range pairs {
+		cu, cv := e.copies[p[0]], e.copies[p[1]]
+		d := cv.tr.D.Sub(cu.tr.D)
+		k := tmplKey{u: e.subs[cu.inst], v: e.subs[cv.inst], ou: cu.tr.O, ov: cv.tr.O, dx: d.X, dy: d.Y}
+		for _, un := range rf.template(e.tmpl, carry, k) {
+			uf.Union(int(cu.base+un[0]), int(cv.base+un[1]))
 		}
 	}
-	e.occs = occs
+	e.dense, e.nets = renumber(uf, total, e.devices)
+
+	// the copies' leaf occurrences in dense numbering — flatten walk
+	// order: instances in declaration order, copies x-major,
+	// sub-occurrences recursively
+	nocc, slots := 0, 0
+	for ii, sub := range e.subs {
+		n := c.Instances[ii].Nx * c.Instances[ii].Ny
+		nocc += n * len(sub.occs)
+		slots += n * occNets(sub.occs)
+	}
+	e.occs = make([]refOcc, 0, nocc)
+	backing := make([]int32, 0, slots)
+	for _, cr := range e.copies {
+		e.occs, backing = appendOccs(e.occs, backing, e.subs[cr.inst].occs, cr.base, e.dense)
+	}
 
 	rf.resolveLabels(c, e)
 
 	// the composition's own ports, for stitching one level up
 	for _, cn := range core.CompositionConnectors(c, rf.instConns) {
-		net := int32(-1)
-		if n, ok := e.portAt[portKey{cn.At.X, cn.At.Y, cn.Layer}]; ok {
-			net = n
+		net, ok := e.netAt(cn.At, cn.Layer)
+		if !ok {
+			net = -1
 		}
 		e.ports = append(e.ports, port{name: cn.Name, at: cn.At, layer: cn.Layer, side: cn.Side, net: net})
 	}
 
 	// the composition's boundary: every copy's boundary material still
-	// within the requested reach of the composition's box
+	// within the requested reach of the composition's box (a copy whose
+	// retained material lies wholly inside contributes nothing)
 	inner := c.BBox().Inset(reach)
-	for _, cr := range copies {
-		for _, bf := range cr.boundary {
-			if inner.ContainsRect(bf.r) {
+	for _, cr := range e.copies {
+		sub := e.subs[cr.inst]
+		if len(sub.boundary) == 0 || inner.ContainsRect(cr.tr.ApplyRect(sub.bext)) {
+			continue
+		}
+		for _, bf := range sub.boundary {
+			r := cr.tr.ApplyRect(bf.r)
+			if inner.ContainsRect(r) {
 				continue
 			}
-			bf.net = renum(cr.base + bf.net)
-			e.boundary = append(e.boundary, bf)
+			e.boundary = append(e.boundary, bfrag{layer: bf.layer, r: r, leafBox: cr.tr.ApplyRect(bf.leafBox), net: e.dense[cr.base+bf.net]})
 		}
 	}
 	return e
 }
 
-// seamUnions applies the abutment contract: for every pair of copies
-// whose bounding boxes touch, boundary material on the same layer that
-// touches across the seam — and whose drawing leaf occurrences' boxes
-// touch, the same provenance test the DRC trusts — carries one net.
-func seamUnions(copies []copyRef, uf *geom.UnionFind) {
-	if len(copies) < 2 {
-		return
+// template returns the pair template for k: from the stitch's own
+// memo, else carried over from the entry being replaced, else derived.
+func (rf *Reference) template(memo, carry map[tmplKey][][2]int32, k tmplKey) [][2]int32 {
+	t, ok := memo[k]
+	if !ok {
+		if t, ok = carry[k]; ok {
+			memo[k] = t
+		}
 	}
-	boxes := make([]geom.Rect, len(copies))
-	for i, cr := range copies {
-		boxes[i] = cr.bbox
+	if ok {
+		rf.stats.TemplateHits++
+		return t
 	}
-	ix := geom.NewIndexFrom(boxes)
-	ix.Build()
-	var mine, theirs []bfrag
-	for u := range copies {
-		ix.QueryRect(copies[u].bbox, func(v int) bool {
-			if v <= u {
-				return true
+	t = buildTemplate(k)
+	memo[k] = t
+	rf.stats.TemplatesBuilt++
+	return t
+}
+
+// buildTemplate derives which nets of two placed sub-entries union, as
+// deduplicated (U net, V net) pairs: connectors that coincide, and —
+// when the placed boxes touch — boundary material on the same layer
+// that touches across the seam and whose drawing leaf occurrences'
+// boxes touch, the same provenance test the DRC trusts.
+func buildTemplate(k tmplKey) [][2]int32 {
+	tu := geom.Transform{O: k.ou}
+	tv := geom.Transform{O: k.ov, D: geom.Pt(k.dx, k.dy)}
+	var unions [][2]int32
+
+	// coincident connectors: U's ports mapped into V's frame
+	toV := tu.Then(tv.Inverse())
+	for _, p := range k.u.ports {
+		at := toV.Apply(p.at)
+		if n, ok := k.v.portNet[portKey{at.X, at.Y, p.layer}]; ok && p.net >= 0 {
+			unions = append(unions, [2]int32{p.net, n})
+		}
+	}
+
+	// the seam window: the (possibly degenerate) box intersection,
+	// inflated by the contract's reach — every cross-copy contact point
+	// lies inside it
+	bu, bv := tu.ApplyRect(k.u.cell.BBox()), tv.ApplyRect(k.v.cell.BBox())
+	sx0, sy0 := max(bu.Min.X, bv.Min.X), max(bu.Min.Y, bv.Min.Y)
+	sx1, sy1 := min(bu.Max.X, bv.Max.X), min(bu.Max.Y, bv.Max.Y)
+	if sx0 <= sx1 && sy0 <= sy1 {
+		win := geom.R(sx0-seamReach, sy0-seamReach, sx1+seamReach, sy1+seamReach)
+		// per-pair trust depth: only material within this seam's own
+		// reach of its copy's box participates. The filter makes the
+		// union set a function of the placement alone — entries retain
+		// material to the deepest reach they have ever needed, and
+		// deeper-than-needed retention must not union more than a
+		// freshly derived entry would.
+		innerU, innerV := bu.Inset(seamDepth(bu, bv)), bv.Inset(seamDepth(bv, bu))
+		var mine []bfrag // U's seam material, placed
+		for _, bf := range k.u.boundary {
+			if r := tu.ApplyRect(bf.r); r.Touches(win) && !innerU.ContainsRect(r) {
+				mine = append(mine, bfrag{layer: bf.layer, r: r, leafBox: tu.ApplyRect(bf.leafBox), net: bf.net})
 			}
-			bu, bv := copies[u].bbox, copies[v].bbox
-			// the seam window: the (possibly degenerate) box
-			// intersection, inflated by the contract's reach — every
-			// cross-copy contact point lies inside it
-			sx0, sy0 := max(bu.Min.X, bv.Min.X), max(bu.Min.Y, bv.Min.Y)
-			sx1, sy1 := min(bu.Max.X, bv.Max.X), min(bu.Max.Y, bv.Max.Y)
-			if sx0 > sx1 || sy0 > sy1 {
-				return true
+		}
+		for _, bf := range k.v.boundary {
+			r := tv.ApplyRect(bf.r)
+			if !r.Touches(win) || innerV.ContainsRect(r) {
+				continue
 			}
-			win := geom.R(sx0-seamReach, sy0-seamReach, sx1+seamReach, sy1+seamReach)
-			// per-pair trust depth: only material within this seam's own
-			// reach of its copy's box participates. The filter makes the
-			// union set a function of the current placement alone —
-			// entries retain material to the deepest reach they have
-			// ever needed, and deeper-than-needed retention must not
-			// union more than a freshly derived entry would.
-			innerU := bu.Inset(seamDepth(bu, bv))
-			innerV := bv.Inset(seamDepth(bv, bu))
-			mine = mine[:0]
-			for _, bf := range copies[u].boundary {
-				if bf.r.Touches(win) && !innerU.ContainsRect(bf.r) {
-					mine = append(mine, bf)
-				}
-			}
-			if len(mine) == 0 {
-				return true
-			}
-			theirs = theirs[:0]
-			for _, bf := range copies[v].boundary {
-				if bf.r.Touches(win) && !innerV.ContainsRect(bf.r) {
-					theirs = append(theirs, bf)
-				}
-			}
+			leafBox := tv.ApplyRect(bf.leafBox)
 			for _, fu := range mine {
-				for _, fv := range theirs {
-					if fu.layer == fv.layer && fu.leafBox.Touches(fv.leafBox) && fu.r.Touches(fv.r) {
-						uf.Union(int(copies[u].base+fu.net), int(copies[v].base+fv.net))
-					}
+				if fu.layer == bf.layer && fu.leafBox.Touches(leafBox) && fu.r.Touches(r) {
+					unions = append(unions, [2]int32{fu.net, bf.net})
 				}
 			}
-			return true
-		})
+		}
+	}
+	slices.SortFunc(unions, func(a, b [2]int32) int {
+		if a[0] != b[0] {
+			return cmp.Compare(a[0], b[0])
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	return slices.Compact(unions)
+}
+
+// portBox is where a copy of c can hold connectors, in c's frame: its
+// box grown over any connector placed outside it (a leaf's free
+// connectors, a composition's explicit extras; the instance connectors
+// a composition exports lie on its box by construction). Copies pair
+// up wherever these boxes touch, so coincident connectors union even
+// when the copies' boxes do not touch.
+func portBox(c *core.Cell) geom.Rect {
+	r := c.BBox()
+	if c.Kind == core.Composition {
+		for _, cn := range c.ExtraConnectors {
+			r = span(r, geom.Rect{Min: cn.At, Max: cn.At})
+		}
+		return r
+	}
+	for _, cn := range c.Connectors() {
+		r = span(r, geom.Rect{Min: cn.At, Max: cn.At})
+	}
+	return r
+}
+
+// span is the smallest rectangle holding both r and s. Unlike
+// Rect.Union it never drops the zero rectangle: a degenerate fragment
+// or a connector at the origin is real material or a real position.
+func span(r, s geom.Rect) geom.Rect {
+	return geom.Rect{
+		Min: geom.Pt(min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)),
+		Max: geom.Pt(max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)),
 	}
 }
 

@@ -1,0 +1,161 @@
+package lvs
+
+import (
+	"reflect"
+	"testing"
+
+	"riot/internal/cif"
+	"riot/internal/core"
+	"riot/internal/geom"
+	"riot/internal/lib"
+	"riot/internal/sticks"
+	"riot/internal/verify"
+)
+
+// wireRows builds a composition holding two abutting rows of a
+// wire-only leaf (each row one device-less net) beside an SRCELL, with
+// a declared record tying the rows' far ends.
+func wireRows(t *testing.T) (*core.Cell, []core.Connection) {
+	t.Helper()
+	d := core.NewDesign()
+	if err := lib.Install(d); err != nil {
+		t.Fatal(err)
+	}
+	bar, err := core.NewLeafFromSticks(&sticks.Cell{
+		Name:   "BAR",
+		HasBox: true,
+		Box:    geom.R(0, 0, 20, 20),
+		Wires:  []sticks.Wire{{Layer: geom.NM, Points: []geom.Point{geom.Pt(0, 10), geom.Pt(20, 10)}}},
+		Connectors: []sticks.Connector{
+			{Name: "L", At: geom.Pt(0, 10), Layer: geom.NM, Side: geom.SideLeft},
+			{Name: "R", At: geom.Pt(20, 10), Layer: geom.NM, Side: geom.SideRight},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddCell(bar); err != nil {
+		t.Fatal(err)
+	}
+	top := core.NewComposition("ROWS")
+	if err := d.AddCell(top); err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEditor(d, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := e.CreateInstance("BAR", "w", geom.Identity, 3, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := e.CreateInstance("BAR", "v", geom.MakeTransform(geom.R0, geom.Pt(0, 100*lam)), 3, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CreateInstance("SRCELL", "s", geom.MakeTransform(geom.R0, geom.Pt(200*lam, 0)), 1, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	return top, []core.Connection{{From: w, FromConn: "R[2]", To: v, ToConn: "R[2]"}}
+}
+
+// TestReferenceDeterministic pins that net numbering is a function of
+// the structure alone: two fresh References derive identical netlists
+// and occurrence maps, including the device-less nets of wire-only
+// leaves (numbered after the devices, in block order), with and
+// without declared records on top.
+func TestReferenceDeterministic(t *testing.T) {
+	cell, declared := wireRows(t)
+	for _, decl := range [][]core.Connection{nil, declared} {
+		var a, b Reference
+		na, oa, err := a.NetlistOccs(cell, decl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb, ob, err := b.NetlistOccs(cell, decl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(na, nb) || !reflect.DeepEqual(oa, ob) {
+			t.Fatalf("declared=%d: two fresh derivations differ:\n%+v\n%+v", len(decl), na, nb)
+		}
+		// the rows are one net each, joined by the declared record
+		rows := na.Labels["w.L[0]"] == na.Labels["v.L[0]"]
+		if rows != (len(decl) > 0) {
+			t.Errorf("declared=%d: rows joined = %v", len(decl), rows)
+		}
+		if na.Labels["w.L[0]"] != na.Labels["w.R[2]"] {
+			t.Errorf("declared=%d: row w not stitched into one net: %v", len(decl), na.Labels)
+		}
+	}
+}
+
+// TestReferenceOutsideBoxConnectors: CIF accepts a 94 connector outside
+// the symbol's geometry box (the box ignores a point at the symbol
+// origin). Arrayed at a pitch where each copy's outside connector
+// lands on the next copy's edge connector while the copies' boxes stay
+// apart, the zero-width wire under the connector joins the copies in
+// the layout, and the coincident connectors declare that join: the
+// reference must pair the copies by their connector extent, not just
+// their boxes, and the verdict must be the flat comparison's — clean.
+func TestReferenceOutsideBoxConnectors(t *testing.T) {
+	f, err := cif.ParseString("DS 1; 9 LEAF; L NM; B 40 20 -30 0; W 0 0 0 -10 0; 94 P 0 0 NM 2; 94 Q -50 0 NM 2; DF; E")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := core.NewLeafFromCIF(f, f.SymbolByID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.BBox().Contains(geom.Pt(0, 0)) {
+		t.Fatalf("connector P lies inside the leaf box %v; the test needs it outside", leaf.BBox())
+	}
+	d := core.NewDesign()
+	if err := d.AddCell(leaf); err != nil {
+		t.Fatal(err)
+	}
+	top := core.NewComposition("OUTSIDE")
+	if err := d.AddCell(top); err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEditor(d, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := e.CreateInstance("LEAF", "a", geom.Identity, 3, 1, 50, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.CopyTransform(0, 0).ApplyRect(leaf.BBox()).Touches(in.CopyTransform(1, 0).ApplyRect(leaf.BBox())) {
+		t.Fatal("copy boxes touch; the test needs them apart")
+	}
+
+	want, err := CheckCellFlat(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Clean {
+		t.Fatalf("flat comparison not clean: %v", want.Mismatches)
+	}
+	got, err := CheckCell(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inc Incremental
+	warm, err := inc.CheckCell(top, &verify.Verifier{Hier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"scratch": got, "incremental": warm} {
+		if res.Clean != want.Clean || !reflect.DeepEqual(res.Mismatches, want.Mismatches) {
+			t.Errorf("%s verdict differs from the flat comparison: %v vs %v", name, res.Mismatches, want.Mismatches)
+		}
+	}
+	ref, err := new(Reference).Netlist(top, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.NetCount != 1 {
+		t.Errorf("reference keeps %d nets; the coincident connectors join the copies into one", ref.NetCount)
+	}
+}

@@ -58,10 +58,13 @@ func (s *Shell) initRegistry() {
 	})
 	r.Register("lvs", func() []obs.Item {
 		st := s.LVS.Certs.Stats()
+		rs := s.LVS.Ref.Stats()
 		items := []obs.Item{
 			obs.N("matched", st.Matched),
 			obs.N("hits", st.Hits),
 			obs.N("disk_hits", st.DiskHits),
+			obs.N("ref_templates_built", rs.TemplatesBuilt),
+			obs.N("ref_template_hits", rs.TemplateHits),
 		}
 		if last := s.LVS.Last(); last != nil {
 			ct := last.Cert
