@@ -140,6 +140,7 @@ func TestCacheWarmStart(t *testing.T) {
 		t.Fatalf("cold run matched = %v, want 1:\n%s", got, out)
 	}
 	noFlatten(t, "cold", snap, out)
+	portLabels(t, "cold", snap, out)
 
 	code, out, _ = execRun(t, "-cache", cache, "-c", grid, "-lvs", "CHIP", "-stats=json")
 	if code != exitOK {
@@ -153,6 +154,7 @@ func TestCacheWarmStart(t *testing.T) {
 		t.Errorf("warm run loaded %v certificate(s) from disk, want 1:\n%s", got, out)
 	}
 	noFlatten(t, "warm", snap, out)
+	portLabels(t, "warm", snap, out)
 	if got := counter(t, snap, "castore", "corrupt"); got != 0 {
 		t.Errorf("warm run reported corruption (%v):\n%s", got, out)
 	}
@@ -192,6 +194,18 @@ func noFlatten(t *testing.T, run string, snap map[string]map[string]any, out str
 		if got := counter(t, snap, "flatten", key); got != 0 {
 			t.Errorf("%s run: flatten %s = %v, want 0:\n%s", run, key, got, out)
 		}
+	}
+}
+
+// portLabels asserts a run materialized every label from certificate
+// port tables, with no spatial query.
+func portLabels(t *testing.T, run string, snap map[string]map[string]any, out string) {
+	t.Helper()
+	if got := counter(t, snap, "hier", "labels_context"); got != 0 {
+		t.Errorf("%s run: %v label(s) took the spatial query, want 0:\n%s", run, got, out)
+	}
+	if got := counter(t, snap, "hier", "labels_local"); got == 0 {
+		t.Errorf("%s run: no label came from a port table:\n%s", run, out)
 	}
 }
 

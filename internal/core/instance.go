@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"riot/internal/geom"
 )
@@ -92,7 +93,7 @@ func (in *Instance) Connectors() []InstConn {
 			}
 			ct := in.copyTransform(i, j)
 			for _, cn := range cellConns {
-				if in.IsArray() && !onArrayEdge(cn.Side, i, j, in.Nx, in.Ny) {
+				if !in.ConnVisible(cn.Side, i, j) {
 					continue
 				}
 				out = append(out, InstConn{
@@ -107,6 +108,21 @@ func (in *Instance) Connectors() []InstConn {
 		}
 	}
 	return out
+}
+
+// ConnVisible reports whether the connector on (untransformed) side s
+// of copy (i,j) is visible in the parent: every connector of a 1x1
+// instance is, an array copy's only where it faces the array's outside.
+func (in *Instance) ConnVisible(s geom.Side, i, j int) bool {
+	return !in.IsArray() || onArrayEdge(s, i, j, in.Nx, in.Ny)
+}
+
+// AppendLabel appends the parent-space label of cell connector base on
+// copy (i,j): "inst.base" with the copy's array suffix, the name a
+// flatten of the parent gives the connector.
+func (in *Instance) AppendLabel(b []byte, base string, i, j int) []byte {
+	b = append(append(b, in.Name...), '.')
+	return appendArrayName(b, base, i, j, in.Nx, in.Ny)
 }
 
 // onArrayEdge reports whether the connector on (untransformed) side s
@@ -130,16 +146,26 @@ func onArrayEdge(s geom.Side, i, j, nx, ny int) bool {
 // arrayName decorates a connector name with its array index:
 // "OUT" for 1x1, "OUT[k]" for a one-axis array, "OUT[i,j]" for a grid.
 func arrayName(base string, i, j, nx, ny int) string {
+	if nx == 1 && ny == 1 {
+		return base
+	}
+	return string(appendArrayName(make([]byte, 0, len(base)+8), base, i, j, nx, ny))
+}
+
+func appendArrayName(b []byte, base string, i, j, nx, ny int) []byte {
+	b = append(b, base...)
 	switch {
 	case nx == 1 && ny == 1:
-		return base
+		return b
 	case ny == 1:
-		return fmt.Sprintf("%s[%d]", base, i)
+		b = strconv.AppendInt(append(b, '['), int64(i), 10)
 	case nx == 1:
-		return fmt.Sprintf("%s[%d]", base, j)
+		b = strconv.AppendInt(append(b, '['), int64(j), 10)
 	default:
-		return fmt.Sprintf("%s[%d,%d]", base, i, j)
+		b = strconv.AppendInt(append(b, '['), int64(i), 10)
+		b = strconv.AppendInt(append(b, ','), int64(j), 10)
 	}
+	return append(b, ']')
 }
 
 // Connector resolves a (possibly array-indexed) connector name on the

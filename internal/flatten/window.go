@@ -39,11 +39,6 @@ func Window(c *core.Cell, clip geom.Rect, pad int) (*Result, error) {
 	}, nil
 }
 
-// InstanceLabels resolves one instance's connectors to "inst.CONN"
-// labels, exactly as a full flatten of the enclosing composition would
-// list them.
-func InstanceLabels(in *core.Instance) []NamedLabel { return instanceLabels(in) }
-
 type windowWalker struct {
 	b *builder
 	// clip is the window already inflated by the caller's pad: a leaf

@@ -167,6 +167,10 @@ type Stats struct {
 	// placements quarantined and flattened, the rest composed);
 	// Quarantined totals the quarantined placements across them.
 	PartialRuns, Quarantined int
+	// LabelsLocal counts materialized labels read from a certificate's
+	// port table; LabelsContext those that took a spatial query (whether
+	// or not it found a net).
+	LabelsLocal, LabelsContext int
 }
 
 // Cert pairs one distinct (cell, orientation)'s extraction and DRC
@@ -177,7 +181,23 @@ type Cert struct {
 	X      *extract.CellCert
 	D      *drc.CellDRC
 
-	id int // engine-local sequence number for memo keys
+	id    int    // engine-local sequence number for memo keys
+	ports []port // the cell's connectors, in Cell.Connectors order
+}
+
+// port is one cell connector in a certificate's oriented local frame,
+// with the local net its label names: the lowest fragment on the
+// connector's own layer at its point (CellCert.FindOnLayer, the flat
+// label rule), or -1 when the cell has no material there on that layer
+// — including every connector with no layer, since no fragment has
+// none. Side is the untransformed cell side that decides array-edge
+// visibility.
+type port struct {
+	name  string
+	at    geom.Point
+	layer geom.Layer
+	side  geom.Side
+	net   int32
 }
 
 type certKey struct {
@@ -312,9 +332,7 @@ func (e *Engine) cert(c *core.Cell, o geom.Orient) (*Cert, error) {
 	}
 	if ct := e.diskLoad(c, o); ct != nil {
 		e.stats.CertDiskHits++
-		e.certSeq++
-		ct.id = e.certSeq
-		e.memo[k] = ct
+		e.admit(k, ct)
 		if e.Trace.Enabled() {
 			e.Trace.Begin("cert disk " + c.Name).End()
 		}
@@ -341,11 +359,23 @@ func (e *Engine) cert(c *core.Cell, o geom.Orient) (*Cert, error) {
 	dsp.End()
 	csp.End()
 	e.stats.CertBuilt++
-	e.certSeq++
-	ct.id = e.certSeq
-	e.memo[k] = ct
+	e.admit(k, ct)
 	e.diskStore(ct)
 	return ct, nil
+}
+
+// admit enters a built or loaded certificate into the memo with its
+// sequence id and its port table.
+func (e *Engine) admit(k certKey, ct *Cert) {
+	e.certSeq++
+	ct.id = e.certSeq
+	cns := ct.Cell.Connectors()
+	ct.ports = make([]port, len(cns))
+	for i, cn := range cns {
+		at := ct.Orient.Apply(cn.At)
+		ct.ports[i] = port{name: cn.Name, at: at, layer: cn.Layer, side: cn.Side, net: ct.X.FindOnLayer(at, cn.Layer)}
+	}
+	e.memo[k] = ct
 }
 
 // placed is one leaf occurrence: a certificate at a translation. The
@@ -442,9 +472,10 @@ func pairReach(layers []geom.Layer) int {
 
 // String renders engine statistics for -stats reports.
 func (s Stats) String() string {
-	return fmt.Sprintf("hier: %d run(s), %d fast, %d fallback(s); certs %d built, %d memo, %d disk, %d stored; templates %d built, %d hits; partial %d run(s), %d placement(s) quarantined",
+	return fmt.Sprintf("hier: %d run(s), %d fast, %d fallback(s); certs %d built, %d memo, %d disk, %d stored; templates %d built, %d hits; partial %d run(s), %d placement(s) quarantined; labels %d local, %d context",
 		s.Runs, s.FastRuns, s.Fallbacks,
 		s.CertBuilt, s.CertMemoHits, s.CertDiskHits, s.CertStored,
 		s.TemplateBuilt, s.TemplateHits,
-		s.PartialRuns, s.Quarantined)
+		s.PartialRuns, s.Quarantined,
+		s.LabelsLocal, s.LabelsContext)
 }

@@ -107,19 +107,25 @@ func (st *genState) boundaryUnions() {
 	}
 }
 
-// nodeAt finds the composed net NODE at a point under a layer
-// constraint, across composed and quarantined material. For a named
-// layer any occupant's material works (all same-layer fragments
-// containing one point touch, so they share a post-union net); for
-// LayerNone the LOWEST global occurrence with eligible material
-// decides — the flat fragment list is occurrence-major, so comparing
-// the group winner's global occurrence against the composed
-// candidates' ids reproduces the flat locator's
-// lowest-global-fragment pick.
+// nodeAt finds the composed net NODE at a point under a contact-join
+// layer constraint (LayerNone: any layer below the cut), across
+// composed and quarantined material.
 func (st *genState) nodeAt(p geom.Point, l geom.Layer) int32 {
+	return st.locate(p, l, l == geom.LayerNone)
+}
+
+// locate finds the composed net NODE at a point on layer l, or — with
+// belowCut — on any layer below the cut. On one layer any occupant's
+// material works (all same-layer fragments containing one point touch,
+// so they share a post-union net); below the cut the LOWEST global
+// occurrence with eligible material decides — the flat fragment list
+// is occurrence-major, so comparing the group winner's global
+// occurrence against the composed candidates' ids reproduces the flat
+// locator's lowest-global-fragment pick.
+func (st *genState) locate(p geom.Point, l geom.Layer, belowCut bool) int32 {
 	gOcc, gNet := int32(-1), int32(-1)
 	if st.quar != nil {
-		if l == geom.LayerNone {
+		if belowCut {
 			gOcc, gNet = st.quar.g.FindAtNone(p)
 		} else {
 			gOcc, gNet = st.quar.g.FindOnLayer(p, l)
@@ -144,7 +150,7 @@ func (st *genState) nodeAt(p geom.Point, l geom.Layer) int32 {
 		o := &st.occs[id]
 		lp := p.Sub(o.d)
 		var n int32
-		if l == geom.LayerNone {
+		if belowCut {
 			n = o.cert.X.FindAtNone(lp)
 		} else {
 			n = o.cert.X.FindOnLayer(lp, l)

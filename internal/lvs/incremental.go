@@ -12,14 +12,15 @@ import (
 
 // Incremental is the edit-loop entry point: one Incremental holds the
 // reference memo (leaf extractions, per-cell stitches) and the last
-// verdict, keyed on the editor's generation. The layout side splices
-// off the shared verify.Verifier — the same generation-keyed cache the
-// DRC and EXTRACT commands use — so a one-cell edit re-extracts only
-// the disturbed geometry, re-stitches only the edited composition's
-// entry (every leaf netlist and untouched sub-cell entry is reused),
-// and re-labels from there; an unchanged generation returns the cached
-// verdict outright. The verdict is identical to a from-scratch
-// CheckCell — the caches are invisible except as speed.
+// verdict, keyed on the editor's generation. The layout side comes from
+// the shared verify.Verifier — the one the DRC and EXTRACT commands
+// use, which by default composes per-cell certificates (internal/hier)
+// and takes the flat splice path only when the engine declines — so a
+// one-cell edit re-extracts no unchanged cell, re-stitches only the
+// edited composition's entry (every leaf netlist and untouched sub-cell
+// entry is reused), and re-labels from there; an unchanged generation
+// returns the cached verdict outright. The verdict is identical to a
+// from-scratch CheckCell — the caches are invisible except as speed.
 type Incremental struct {
 	// Ref is the reference-netlist memo; usable directly when a caller
 	// wants the reference netlist itself.

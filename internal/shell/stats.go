@@ -50,6 +50,8 @@ func (s *Shell) initRegistry() {
 			obs.N("template_hits", hs.TemplateHits),
 			obs.N("partial_runs", hs.PartialRuns),
 			obs.N("quarantined", hs.Quarantined),
+			obs.N("labels_local", hs.LabelsLocal),
+			obs.N("labels_context", hs.LabelsContext),
 		}
 		if d := s.Verifier.HierDeclineInfo(); d != nil {
 			items = append(items, obs.S("decline", string(d.Cond)))

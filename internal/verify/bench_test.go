@@ -48,24 +48,27 @@ func gridEditorN(tb testing.TB, n int) *core.Editor {
 // grid: per iteration, one cell moves and the whole design re-verifies
 // (extract + DRC).
 //
-//   - incremental: the session Verifier splices its caches off the
-//     editor's generation;
+//   - hier: the shipped default, a Verifier with Hier set — certificates
+//     composed over placements, the circuit materialized;
+//   - incremental: the flat pipeline's splice path (Hier unset), which
+//     serves -hier=false and the engine's declines;
 //   - full: a from-scratch extract.FromCell + drc.CheckCell, the cost
-//     every re-verify paid before this cache existed.
+//     every re-verify paid before either existed.
 //
 // The edit alternates a one-lambda displacement of a mid-array cell,
 // so every iteration really dirties geometry (rails detach and
 // reattach) rather than hitting the unchanged-generation fast path.
 func BenchmarkIncrementalVerify(b *testing.B) {
 	const n = 32
-	for _, mode := range []string{"incremental", "full"} {
+	for _, mode := range []string{"hier", "incremental", "full"} {
 		b.Run(fmt.Sprintf("%dx%d/%s", n, n, mode), func(b *testing.B) {
 			e := benchGrid(b, n)
 			in := e.Cell.Instances[n*n/2+n/2]
-			v := &Verifier{}
+			v := &Verifier{Hier: mode == "hier"}
 			if _, err := v.Verify(e); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := rules.Lambda
@@ -73,12 +76,12 @@ func BenchmarkIncrementalVerify(b *testing.B) {
 					d = -rules.Lambda
 				}
 				e.MoveInstance(in, geom.Pt(d, 0))
-				if mode == "incremental" {
+				if mode != "full" {
 					rep, err := v.Verify(e)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if i > 0 && !rep.Incremental {
+					if mode == "incremental" && i > 0 && !rep.Incremental {
 						b.Fatal("incremental mode fell back to a full run")
 					}
 					continue
@@ -89,6 +92,10 @@ func BenchmarkIncrementalVerify(b *testing.B) {
 				if _, err := drc.CheckCell(e.Cell); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if st := v.Stats(); mode == "hier" && st.Full+st.Spliced > 0 {
+				b.Fatalf("hier mode fell back to the flat pipeline: %+v", st)
 			}
 		})
 	}

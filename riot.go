@@ -243,11 +243,11 @@ func plotCell(cell *core.Cell, geometry bool) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// CheckDRC runs the design-rule checker over a cell's flattened mask
-// geometry and returns the violations in deterministic order (empty
-// means the design checks clean). Checks of the cell under edit go
-// through the session's incremental verifier: after a small edit only
-// the disturbed geometry is re-checked.
+// CheckDRC design-rule checks a cell's mask geometry and returns the
+// violations in deterministic order (empty means the design checks
+// clean). Checks go through the session's verifier, hierarchical by
+// default: each distinct cell is checked once and placements compose,
+// so after a small edit no unchanged cell is re-checked.
 func (s *Session) CheckDRC(cellName string) ([]Violation, error) {
 	rep, err := s.VerifyCell(cellName)
 	if err != nil {
