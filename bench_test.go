@@ -315,8 +315,8 @@ func BenchmarkManyToManyViaWrapper(b *testing.B) {
 
 // ---- Ablation: route-and-move vs route-in-place ----
 
-func BenchmarkRouteAndMove(b *testing.B)   { benchRouteVariant(b, false) }
-func BenchmarkRouteNoMove(b *testing.B)    { benchRouteVariant(b, true) }
+func BenchmarkRouteAndMove(b *testing.B) { benchRouteVariant(b, false) }
+func BenchmarkRouteNoMove(b *testing.B)  { benchRouteVariant(b, true) }
 
 func benchRouteVariant(b *testing.B, noMove bool) {
 	for i := 0; i < b.N; i++ {

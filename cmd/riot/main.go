@@ -18,8 +18,8 @@
 //	riot -lvs CHIP            after the script, compare the named
 //	                          cell's extracted netlist against its
 //	                          declared composition
-//	riot -cache DIR           persist verification caches (flatten
-//	                          shards, leaf netlists, LVS and per-cell
+//	riot -cache DIR           persist verification caches (leaf
+//	                          netlists, LVS and per-cell
 //	                          hierarchical certificates) under DIR
 //	                          across invocations; defaults to
 //	                          $RIOT_CACHE when set
@@ -32,10 +32,11 @@
 //	                          tree and write it as Chrome trace-event
 //	                          JSON (load in chrome://tracing or
 //	                          ui.perfetto.dev)
-//	riot -hier=false          verify with the flat engines only,
-//	                          bypassing the hierarchical per-cell
-//	                          certificate path (verdicts are identical;
-//	                          this is the slow reference mode)
+//	riot -hier=false          verify with the scratch flat reference
+//	                          only, bypassing the hierarchical
+//	                          per-cell certificate path (verdicts are
+//	                          identical; this is the slow reference
+//	                          mode)
 //	riot -faults SPEC         arm deterministic fault-injection points
 //	                          (e.g. "cert-pend=SRCELL,store-corrupt:1")
 //	                          to exercise the pipeline's degradation
@@ -50,7 +51,6 @@
 //	                          to persist it and -stats[=json] for the
 //	                          aggregate counters after serving
 
-//
 // Exit status distinguishes why a run failed: 0 means every requested
 // check passed; 1 means the design failed verification (design-rule
 // violations, an LVS mismatch, or a failed extraction); 2 means the
@@ -134,7 +134,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var stats statsFlag
 	fl.Var(&stats, "stats", "print unified verification statistics after the run (=json: machine-readable)")
 	traceFile := fl.String("trace", "", "write the pipeline's span tree as Chrome trace-event JSON to FILE")
-	hier := fl.Bool("hier", true, "verify through hierarchical per-cell certificates (=false: flat engines only)")
+	hier := fl.Bool("hier", true, "verify through hierarchical per-cell certificates (=false: the scratch flat reference only)")
 	faults := fl.String("faults", os.Getenv("RIOT_FAULTS"), "arm fault-injection points, e.g. \"cert-pend=SRCELL,store-corrupt:1\" (default $RIOT_FAULTS)")
 	srv := fl.Bool("serve", false, "run the multi-session design server over stdin (OPEN/ON/CLOSE/SESSIONS/STATS/QUIT)")
 	if err := fl.Parse(args); err != nil {
@@ -359,4 +359,3 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	return code
 }
-

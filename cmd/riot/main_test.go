@@ -124,9 +124,8 @@ func counter(t *testing.T, snap map[string]map[string]any, section, key string) 
 
 // TestCacheWarmStart runs the same -lvs check twice over one cache
 // directory and asserts the second invocation answers from the
-// persistent store, and that neither run touches flattened geometry —
-// the CLI-level shape the CI warm-start job checks through
-// -stats=json.
+// persistent store, and that neither run takes a flat run — the
+// CLI-level shape the CI warm-start job checks through -stats=json.
 func TestCacheWarmStart(t *testing.T) {
 	t.Chdir(t.TempDir())
 	cache := filepath.Join(t.TempDir(), "cache")
@@ -186,14 +185,15 @@ func TestReferenceTemplatesFlat(t *testing.T) {
 	}
 }
 
-// noFlatten asserts a hier-served run neither loaded nor re-derived a
-// single flattened shard.
+// noFlatten asserts the hierarchical engine served the run's verifies
+// and no scratch flat run happened.
 func noFlatten(t *testing.T, run string, snap map[string]map[string]any, out string) {
 	t.Helper()
-	for _, key := range []string{"disk_loaded", "reflattened"} {
-		if got := counter(t, snap, "flatten", key); got != 0 {
-			t.Errorf("%s run: flatten %s = %v, want 0:\n%s", run, key, got, out)
-		}
+	if got := counter(t, snap, "verify", "full"); got != 0 {
+		t.Errorf("%s run: %v scratch flat run(s), want 0:\n%s", run, got, out)
+	}
+	if got := counter(t, snap, "verify", "hier"); got == 0 {
+		t.Errorf("%s run: no verify served by the hierarchical engine:\n%s", run, out)
 	}
 }
 

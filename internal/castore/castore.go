@@ -1,7 +1,7 @@
 // Package castore is Riot's crash-safe, corruption-tolerant on-disk
 // content-addressed store: the persistence layer under the verification
 // caches (the LVS certificate store, the reference-netlist leaf memos,
-// and the flatten shard cache). Invalidation is already solved one
+// and the hierarchical certificates). Invalidation is already solved one
 // level up — every client keys its entries by a content signature of
 // the cell geometry the entry was derived from (see sig.go) — so the
 // store's whole job is robustness: a truncated, bit-flipped,
@@ -16,7 +16,7 @@
 //	                                  harmless and swept on Open)
 //	<dir>/quarantine/...              entries that failed validation
 //
-// <ns> is the client namespace ("lvscert", "lvsref", "flatshard"),
+// <ns> is the client namespace ("lvscert", "lvsref", "hiercert"),
 // <keyhex> the hex SHA-256 content key, <kk> its first two hex digits
 // (fan-out). Every entry file is self-validating:
 //

@@ -361,18 +361,14 @@ func TestSignerContentIdentity(t *testing.T) {
 	if c1 == c2 {
 		t.Fatal("moved instance did not change the composition signature")
 	}
-	// instance signature tracks replication
-	i1, err := sg.Instance(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// and replication
 	in.Nx, in.Sx = 4, 400
-	i2, err := sg.Instance(in)
+	c3, err := sg.Cell(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i1 == i2 {
-		t.Fatal("replication did not change the instance signature")
+	if c3 == c2 {
+		t.Fatal("replication did not change the composition signature")
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Blob is the minimal content-addressed surface the verification
-// caches (flatten shards, LVS leaf references and certificates,
-// hierarchical certificates) load and store through. Three
+// caches (LVS leaf references and certificates, hierarchical
+// certificates) load and store through. Three
 // implementations exist: the on-disk Store (durable across processes),
 // the in-process Mem store (shared across a server's sessions), and
 // Tiered, which stacks one over the other. All three tolerate
@@ -39,8 +39,8 @@ const memShardCount = 16
 
 // Mem is a process-wide in-memory content-addressed store: the shared
 // tier a design server attaches under every session's caches, so any
-// session deriving a verification artifact (a flattened shard, a leaf
-// netlist, a certificate) warms every other session. Entries live
+// session deriving a verification artifact (a leaf netlist, a
+// certificate) warms every other session. Entries live
 // until discarded; content addressing makes eviction a pure
 // space/speed trade-off, never a correctness concern. The zero value
 // is not usable; call NewMem. Safe for concurrent use.

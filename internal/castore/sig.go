@@ -98,25 +98,6 @@ func (sg *Signer) Cell(c *core.Cell) (Key, error) {
 	return k, nil
 }
 
-// Instance returns the content signature of one placed instance: the
-// defining cell's signature plus the full placement and replication
-// state (and the instance name, which the flattened connector labels
-// embed). Two instances with equal signatures flatten to byte-equal
-// shards.
-func (sg *Signer) Instance(in *core.Instance) (Key, error) {
-	ck, err := sg.Cell(in.Cell)
-	if err != nil {
-		return Key{}, err
-	}
-	h := newHasher()
-	h.str("inst")
-	h.str(in.Name)
-	h.key(ck)
-	h.transform(in.Tr)
-	h.ints(in.Nx, in.Ny, in.Sx, in.Sy)
-	return h.sum(), nil
-}
-
 // maxCIFDepth bounds symbol-call recursion while hashing; the CIF
 // loader already rejects recursive structures, but the signer must not
 // trust that.

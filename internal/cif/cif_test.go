@@ -153,10 +153,10 @@ func TestParseConnectorExtension(t *testing.T) {
 
 func TestParseConnectorErrors(t *testing.T) {
 	for _, src := range []string{
-		"DS 1; 94 X; DF; E",           // too few fields
-		"DS 1; 94 X 1 z; DF; E",       // bad y
+		"DS 1; 94 X; DF; E",             // too few fields
+		"DS 1; 94 X 1 z; DF; E",         // bad y
 		"DS 1; 94 X 1 2 TOOLONG; DF; E", // bad layer
-		"DS 1; 94 X 1 2 NM -3; DF; E", // bad width
+		"DS 1; 94 X 1 2 NM -3; DF; E",   // bad width
 	} {
 		if _, err := ParseString(src); err == nil {
 			t.Errorf("accepted %q", src)
@@ -207,14 +207,14 @@ func TestParseDD(t *testing.T) {
 
 func TestParseStructuralErrors(t *testing.T) {
 	cases := []string{
-		"DS 1; L NM; B 2 2 0 0; DF",        // missing E
-		"DS 1; DS 2; DF; DF; E",            // nested DS
-		"DF; E",                            // DF without DS
-		"DS 1; E",                          // E inside symbol
-		"DS 1; L NM; B 2 2 0; DF; E",       // short box
-		"DS 1; B 2 2 0 0; DF; E",           // geometry before L
-		"DS 1; L NM; B 2 2 0 0 1 1; DF; E", // diagonal box
-		"DS 1; L NM; Q; DF; E",             // unknown command
+		"DS 1; L NM; B 2 2 0 0; DF",              // missing E
+		"DS 1; DS 2; DF; DF; E",                  // nested DS
+		"DF; E",                                  // DF without DS
+		"DS 1; E",                                // E inside symbol
+		"DS 1; L NM; B 2 2 0; DF; E",             // short box
+		"DS 1; B 2 2 0 0; DF; E",                 // geometry before L
+		"DS 1; L NM; B 2 2 0 0 1 1; DF; E",       // diagonal box
+		"DS 1; L NM; Q; DF; E",                   // unknown command
 		"DS 1; L NM; B 2 2 0 0; DF; DS 1; DF; E", // redefinition
 		"(unterminated comment",
 		"DS 1 1 0; DF; E", // zero denominator

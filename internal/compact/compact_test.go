@@ -95,8 +95,8 @@ func TestGraphSolveBadPinIndex(t *testing.T) {
 // the NAND gate of the paper's figure 8.
 func gateCell() *sticks.Cell {
 	return &sticks.Cell{
-		Name: "GATE",
-		Box:  geom.R(0, 0, 12, 10),
+		Name:   "GATE",
+		Box:    geom.R(0, 0, 12, 10),
 		HasBox: true,
 		Wires: []sticks.Wire{
 			{Layer: geom.NM, Width: 4, Points: []geom.Point{{X: 0, Y: 2}, {X: 12, Y: 2}}},

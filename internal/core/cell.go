@@ -233,9 +233,9 @@ func (c *Cell) Connectors() []Connector {
 // every instance connector on the cell's bounding-box edge, deduped by
 // name, plus the explicit extras. instConns supplies each instance's
 // connector list — Cell.Connectors passes the plain method; callers
-// that verify repeatedly (the incremental flatten cache) pass a
-// memoized provider, since the per-instance lists only change when the
-// instance does.
+// that verify repeatedly (the LVS reference memo) pass a memoized
+// provider, since the per-instance lists only change when the instance
+// does.
 func CompositionConnectors(c *Cell, instConns func(*Instance) []InstConn) []Connector {
 	box := c.BBox()
 	var out []Connector

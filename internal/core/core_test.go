@@ -14,12 +14,12 @@ const L = rules.Lambda
 // stickCell builds a 20x10-lambda symbolic leaf cell with connectors on
 // all four sides:
 //
-//	        T1        T2
-//	   +----+---------+----+ 10
-//	 IN|                   |OUT   (metal, mid height)
-//	   +----+---------+----+ 0
-//	        B1        B2
-//	   0    5         15   20
+//	       T1        T2
+//	  +----+---------+----+ 10
+//	IN|                   |OUT   (metal, mid height)
+//	  +----+---------+----+ 0
+//	       B1        B2
+//	  0    5         15   20
 func stickCell(name string) *sticks.Cell {
 	return &sticks.Cell{
 		Name:   name,

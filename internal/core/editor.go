@@ -62,35 +62,10 @@ type Editor struct {
 	hitIx  *geom.Index
 	hitGen uint64
 
-	// Change log: the design-plane rectangles each generation dirtied,
-	// kept for consumers (incremental verification, display caches)
-	// that splice rather than recompute. Entries with Unbounded set
-	// mean "anything may have changed" — coarse operations and
-	// Invalidate record those.
-	log []changeEntry
-	// logFloor is the newest generation the log no longer covers: every
-	// generation in (logFloor, gen] still has its entries. It starts at
-	// the editor's creation generation and advances only when trimming
-	// drops entries, so "does the log cover (since, gen]?" is answered
-	// exactly by since >= logFloor — no arithmetic on the global
-	// generation counter, whose values interleave across editors.
-	logFloor uint64
-
 	// snap caches the frozen view of the current generation; see
 	// Editor.Snapshot.
 	snap *Snapshot
 }
-
-// changeEntry is one generation's dirty record.
-type changeEntry struct {
-	gen       uint64
-	rect      geom.Rect
-	unbounded bool
-}
-
-// changeLogMax bounds the change log; consumers further behind than
-// this must rebuild from scratch.
-const changeLogMax = 256
 
 // editorGen issues edit generations to every editor in the process.
 // Generations are globally unique and monotonic — never recycled
@@ -103,91 +78,8 @@ var editorGen atomic.Uint64
 // mutating editing operation, so an unchanged generation guarantees an
 // unchanged cell, and it is unique across all editors ever created in
 // the process. Consumers key caches on it (pointing index, display
-// cull indexes, the incremental verifier).
+// cull indexes, the verifier's report cache).
 func (e *Editor) Generation() uint64 { return e.gen }
-
-// ChangesSince returns the design-plane rectangles dirtied by every
-// generation after since, and whether the log still covers that span.
-// Consecutive edits are coalesced into one delta: overlapping and
-// touching dirty rectangles merge into their union, so a burst of N
-// edits between two verifies hands the consumer one compact dirty set
-// rather than N near-duplicates. ok == false — the log was trimmed
-// past since, since is not a generation this editor ever reached, or
-// some change could not be bounded (Invalidate, external mutation) —
-// means the caller must treat the whole cell as dirty. ok can never be
-// true over a silently partial set: coverage is tracked explicitly
-// (logFloor advances exactly when trimming drops entries), not
-// inferred from the global generation counter, whose values interleave
-// across editors and would make gap arithmetic ambiguous.
-func (e *Editor) ChangesSince(since uint64) (dirty []geom.Rect, ok bool) {
-	return changesSince(e.log, e.logFloor, e.gen, since)
-}
-
-// changesSince answers ChangesSince over an explicit log; shared by
-// the editor and the frozen Snapshots it hands out.
-func changesSince(log []changeEntry, logFloor, gen, since uint64) (dirty []geom.Rect, ok bool) {
-	if since > gen {
-		return nil, false
-	}
-	if since == gen {
-		return nil, true
-	}
-	// the log must hold every generation in (since, gen]: anything at or
-	// past the floor is fully covered, anything before it was trimmed
-	if since < logFloor {
-		return nil, false
-	}
-	for _, c := range log {
-		if c.gen <= since {
-			continue
-		}
-		if c.unbounded {
-			return nil, false
-		}
-		dirty = append(dirty, c.rect)
-	}
-	return coalesceRects(dirty), true
-}
-
-// coalesceRects merges overlapping and touching rectangles into their
-// unions, to a fixpoint. The result covers at least the input area
-// (unions may cover more — dirty rects are an over-approximation by
-// contract), with no two output rectangles touching.
-func coalesceRects(rects []geom.Rect) []geom.Rect {
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(rects); i++ {
-			for j := i + 1; j < len(rects); j++ {
-				if rects[i].Touches(rects[j]) {
-					rects[i] = rects[i].Union(rects[j])
-					rects[j] = rects[len(rects)-1]
-					rects = rects[:len(rects)-1]
-					changed = true
-					j--
-				}
-			}
-		}
-	}
-	return rects
-}
-
-// logChange appends the current generation's dirty rectangle, trimming
-// the log to its bound. Trimming drops whole generations (the cut
-// never splits a multi-entry generation, so a generation the log still
-// mentions is always completely covered) and advances logFloor to the
-// last dropped generation — the record that consumers further behind
-// must rebuild from scratch.
-func (e *Editor) logChange(r geom.Rect, unbounded bool) {
-	e.log = append(e.log, changeEntry{gen: e.gen, rect: r, unbounded: unbounded})
-	if len(e.log) > changeLogMax {
-		cut := len(e.log) - changeLogMax
-		for cut < len(e.log)-1 && e.log[cut].gen == e.log[cut-1].gen {
-			cut++
-		}
-		e.logFloor = e.log[cut-1].gen
-		e.log = append(e.log[:0], e.log[cut:]...)
-	}
-}
 
 // NewEditor opens a composition cell for editing.
 func NewEditor(d *Design, cell *Cell) (*Editor, error) {
@@ -195,42 +87,32 @@ func NewEditor(d *Design, cell *Cell) (*Editor, error) {
 		return nil, fmt.Errorf("core: cannot edit leaf cell %q (Riot edits composition cells only)", cell.Name)
 	}
 	// seed with a fresh global generation so caches keyed on a prior
-	// editing session can never collide with this one; the (empty) log
-	// covers exactly (creation, creation] so far
-	gen := editorGen.Add(1)
-	return &Editor{Design: d, Cell: cell, gen: gen, logFloor: gen}, nil
+	// editing session can never collide with this one
+	return &Editor{Design: d, Cell: cell, gen: editorGen.Add(1)}, nil
 }
 
-// bump advances the edit generation, logs the dirty record, and stamps
-// the new generation as the edited cell's revision and its design's
-// generation — the hooks snapshot builders and content signers watch.
-func (e *Editor) bump(r geom.Rect, unbounded bool) {
+// touch records that the cell under edit changed: it advances the edit
+// generation (invalidating the pointing index) and stamps the new
+// generation as the edited cell's revision and its design's generation
+// — the hooks snapshot builders and content signers watch.
+func (e *Editor) touch() {
 	e.gen = editorGen.Add(1)
-	e.logChange(r, unbounded)
 	e.Cell.markRev(e.gen)
 	if e.Design != nil {
 		e.Design.noteGen(e.gen)
 	}
 }
 
-// touch records that the cell under edit changed, invalidating the
-// pointing index. The logged dirty rectangle is empty; operations
-// whose geometric extent is known log it with touchRect or logChange.
-func (e *Editor) touch() { e.bump(geom.Rect{}, false) }
-
-// touchRect records a change confined to the given design-plane
-// rectangle.
-func (e *Editor) touchRect(r geom.Rect) { e.bump(r, false) }
-
 // Invalidate marks the cell under edit as externally modified: callers
 // that mutate cells or instances directly (rather than through Editor
-// methods) must call it. The change is recorded as unbounded, so
-// generation-keyed caches rebuild from scratch. Because an external
-// mutation may have reached any cell below the one under edit, every
-// reachable cell gets a fresh revision — long-lived content signers
-// recompute instead of serving a stale signature.
+// methods) must call it. It advances the generation, so
+// generation-keyed reports recompute. Because an external mutation may
+// have reached any cell below the one under edit, every reachable cell
+// gets a fresh revision — long-lived content signers and the
+// hierarchical engine's certificate memo recompute instead of serving
+// state derived from the old content.
 func (e *Editor) Invalidate() {
-	e.bump(geom.Rect{}, true)
+	e.touch()
 	marked := map[*Cell]bool{e.Cell: true}
 	for _, in := range e.Cell.Instances {
 		markSubtree(in.Cell, e.gen, marked)
@@ -315,7 +197,7 @@ func (e *Editor) CreateInstance(cellName, instName string, tr geom.Transform, nx
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	e.touchRect(in.BBox())
+	e.touch()
 	e.Cell.Instances = append(e.Cell.Instances, in)
 	return in, nil
 }
@@ -323,7 +205,7 @@ func (e *Editor) CreateInstance(cellName, instName string, tr geom.Transform, nx
 // DeleteInstance removes an instance and every pending connection that
 // references it.
 func (e *Editor) DeleteInstance(in *Instance) error {
-	e.touchRect(in.BBox())
+	e.touch()
 	found := false
 	for i, x := range e.Cell.Instances {
 		if x == in {
@@ -385,16 +267,14 @@ func (e *Editor) declareLinks(conns []Connection) {
 // instance can silently destroy a previously made (positional)
 // connection — the fundamental Riot limitation the paper discusses.
 func (e *Editor) MoveInstance(in *Instance, d geom.Point) {
-	before := in.BBox()
 	in.Tr = in.Tr.Translated(d)
-	e.touchRect(before.Union(in.BBox()))
+	e.touch()
 }
 
 // PlaceInstance sets an instance's transform outright.
 func (e *Editor) PlaceInstance(in *Instance, tr geom.Transform) {
-	before := in.BBox()
 	in.Tr = tr
-	e.touchRect(before.Union(in.BBox()))
+	e.touch()
 }
 
 // OrientInstance applies an additional orientation about the
@@ -405,13 +285,12 @@ func (e *Editor) OrientInstance(in *Instance, o geom.Orient) {
 	in.Tr = in.Tr.Then(geom.MakeTransform(o, geom.Point{}))
 	after := in.BBox()
 	in.Tr = in.Tr.Translated(before.Min.Sub(after.Min))
-	e.touchRect(before.Union(in.BBox()))
+	e.touch()
 }
 
 // Replicate sets an instance's array replication.
 func (e *Editor) Replicate(in *Instance, nx, ny, sx, sy int) error {
-	before := in.BBox()
-	defer func() { e.touchRect(before.Union(in.BBox())) }()
+	defer e.touch()
 	if nx < 1 {
 		nx = 1
 	}

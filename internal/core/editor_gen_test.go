@@ -7,157 +7,42 @@ import (
 )
 
 // TestEditorGenerationAndChangeLog checks that every mutating editing
-// operation advances the generation and that ChangesSince reports
-// bounded dirty rectangles covering the affected instances.
+// operation advances the generation and stamps it as the edited cell's
+// revision — the keys the verifier's report cache and the snapshot
+// builder watch.
 func TestEditorGenerationAndChangeLog(t *testing.T) {
-	d := NewDesign()
-	leaf := mustLeaf(t, "L")
-	if err := d.AddCell(leaf); err != nil {
-		t.Fatal(err)
-	}
-	top := NewComposition("TOP")
-	if err := d.AddCell(top); err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEditor(d, top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g0 := e.Generation()
-	if dirty, ok := e.ChangesSince(g0); !ok || len(dirty) != 0 {
-		t.Fatalf("no-change ChangesSince = %v, %v", dirty, ok)
-	}
-
-	in, err := e.CreateInstance("L", "a", geom.Identity, 1, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1 := e.Generation()
-	if g1 <= g0 {
-		t.Fatalf("CreateInstance did not advance the generation (%d -> %d)", g0, g1)
-	}
-	dirty, ok := e.ChangesSince(g0)
-	if !ok {
-		t.Fatal("bounded create reported unbounded")
-	}
-	if !coveredBy(in.BBox(), dirty) {
-		t.Fatalf("create dirty %v does not cover %v", dirty, in.BBox())
-	}
-
-	before := in.BBox()
-	e.MoveInstance(in, geom.Pt(500, 700))
-	dirty, ok = e.ChangesSince(g1)
-	if !ok {
-		t.Fatal("bounded move reported unbounded")
-	}
-	if !coveredBy(before, dirty) || !coveredBy(in.BBox(), dirty) {
-		t.Fatalf("move dirty %v does not cover old %v and new %v", dirty, before, in.BBox())
-	}
-
-	// cumulative query across both edits
-	dirty, ok = e.ChangesSince(g0)
-	if !ok || !coveredBy(in.BBox(), dirty) {
-		t.Fatalf("cumulative ChangesSince = %v, %v", dirty, ok)
-	}
-
-	// Invalidate is unbounded
-	gI := e.Generation()
-	e.Invalidate()
-	if _, ok := e.ChangesSince(gI); ok {
-		t.Fatal("Invalidate must report unbounded")
-	}
-	// a future generation is unanswerable
-	if _, ok := e.ChangesSince(e.Generation() + 5); ok {
-		t.Fatal("future generation must report not-ok")
-	}
-}
-
-// TestEditorChangeLogTrim drives the log past its bound and checks old
-// generations fall off while recent ones stay covered.
-func TestEditorChangeLogTrim(t *testing.T) {
-	d := NewDesign()
-	leaf := mustLeaf(t, "L")
-	if err := d.AddCell(leaf); err != nil {
-		t.Fatal(err)
-	}
-	top := NewComposition("TOP")
-	if err := d.AddCell(top); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := NewEditor(d, top)
-	in, err := e.CreateInstance("L", "a", geom.Identity, 1, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gOld := e.Generation()
-	for i := 0; i < changeLogMax+50; i++ {
-		e.MoveInstance(in, geom.Pt(1, 0))
-	}
-	if _, ok := e.ChangesSince(gOld); ok {
-		t.Fatal("trimmed generation must report not-ok")
-	}
-	gRecent := e.Generation()
-	e.MoveInstance(in, geom.Pt(1, 0))
-	if _, ok := e.ChangesSince(gRecent); !ok {
-		t.Fatal("recent generation must stay covered")
-	}
-}
-
-// coveredBy reports whether r is inside the union of the dirty rects
-// (approximately: r must be contained in one of them, which is how the
-// editor logs instance-level changes).
-func coveredBy(r geom.Rect, dirty []geom.Rect) bool {
-	for _, dr := range dirty {
-		if dr.ContainsRect(r) {
-			return true
-		}
-	}
-	return false
-}
-
-// TestChangesSinceCoalesces pins the coalesced-delta shape: a burst of
-// overlapping edits returns one merged dirty rectangle, while a
-// distant edit stays a separate region.
-func TestChangesSinceCoalesces(t *testing.T) {
 	d, e := newEditor(t)
 	addLeaf(t, d, "L")
-	a, err := e.CreateInstance("L", "a", geom.Identity, 1, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.CreateInstance("L", "b", MakeTransformAt(100000, 100000), 1, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	since := e.Generation()
-
-	// three overlapping moves of instance a, one move of the distant b
-	e.MoveInstance(a, geom.Pt(10, 0))
-	e.MoveInstance(a, geom.Pt(-10, 0))
-	e.MoveInstance(a, geom.Pt(0, 10))
-	e.MoveInstance(b, geom.Pt(10, 10))
-
-	dirty, ok := e.ChangesSince(since)
-	if !ok {
-		t.Fatal("change log lost the span")
-	}
-	if len(dirty) != 2 {
-		t.Fatalf("dirty rects = %v, want 2 coalesced regions", dirty)
-	}
-	// instance a's whole churn is covered by one region
-	want := a.BBox().Union(a.BBox().Translate(geom.Pt(0, -10)))
-	covered := false
-	for _, r := range dirty {
-		if r.ContainsRect(want) {
-			covered = true
+	var a, b *Instance
+	for _, op := range []struct {
+		name string
+		do   func() error
+	}{
+		{"CreateInstance", func() (err error) {
+			a, err = e.CreateInstance("L", "a", geom.Identity, 1, 1, 0, 0)
+			return err
+		}},
+		{"CreateInstance b", func() (err error) {
+			b, err = e.CreateInstance("L", "b", geom.Translate(geom.Pt(5000, 0)), 1, 1, 0, 0)
+			return err
+		}},
+		{"MoveInstance", func() error { e.MoveInstance(a, geom.Pt(500, 700)); return nil }},
+		{"PlaceInstance", func() error { e.PlaceInstance(a, geom.Identity); return nil }},
+		{"OrientInstance", func() error { e.OrientInstance(a, geom.R90); return nil }},
+		{"Declare", func() error { return e.Declare(a, "IN", b, "OUT") }},
+		{"Replicate", func() error { return e.Replicate(a, 2, 1, 0, 0) }},
+		{"DeleteInstance", func() error { return e.DeleteInstance(b) }},
+		{"Invalidate", func() error { e.Invalidate(); return nil }},
+	} {
+		before := e.Generation()
+		if err := op.do(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if g := e.Generation(); g <= before {
+			t.Fatalf("%s did not advance the generation (%d -> %d)", op.name, before, g)
+		}
+		if rev := e.Cell.Revision(); rev != e.Generation() {
+			t.Fatalf("%s: cell revision %d, generation %d", op.name, rev, e.Generation())
 		}
 	}
-	if !covered {
-		t.Errorf("coalesced dirty set %v does not cover instance a's churn %v", dirty, want)
-	}
-}
-
-// MakeTransformAt is a tiny test shorthand for a translation.
-func MakeTransformAt(x, y int) geom.Transform {
-	return geom.MakeTransform(geom.R0, geom.Pt(x, y))
 }

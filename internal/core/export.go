@@ -42,8 +42,8 @@ type symKey struct {
 type exporter struct {
 	out   *cif.File
 	next  int
-	ids   map[*Cell]int   // cell -> output symbol id
-	cifID map[symKey]int  // foreign CIF symbol -> output symbol id
+	ids   map[*Cell]int  // cell -> output symbol id
+	cifID map[symKey]int // foreign CIF symbol -> output symbol id
 }
 
 func (ex *exporter) newID() int {

@@ -44,7 +44,7 @@ func TestExportCIFHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := e.Cell.BBox()
-	if !box.ContainsRect(want.Inset(2*L)) {
+	if !box.ContainsRect(want.Inset(2 * L)) {
 		t.Errorf("export bbox %v does not cover cell bbox %v", box, want)
 	}
 	// the output round-trips through the parser

@@ -1,15 +1,14 @@
 package core
 
-import "riot/internal/geom"
-
 // Snapshot isolation.
 //
 // A server wants many readers (verifiers, plotters, other sessions)
 // working against a frozen view of a design while its editors keep
 // mutating. Copying the whole hierarchy per generation would throw
-// away the incremental pipeline: every cache downstream is keyed on
-// *Cell / *Instance pointers, and fresh pointers every generation mean
-// a cold cache every run.
+// away the caches downstream: the hierarchical certificate memo, the
+// LVS reference memo and the signer are keyed on *Cell / *Instance
+// pointers, and fresh pointers every generation mean a cold cache
+// every run.
 //
 // The builder below therefore clones copy-on-write, with two rules:
 //
@@ -23,8 +22,9 @@ import "riot/internal/geom"
 //     reused from the previous generation whenever the live cell's
 //     revision and children are unchanged. An edit to one cell re-clones
 //     only that cell and its ancestors; every untouched *Instance keeps
-//     its pointer, so flatten shards and connectivity memos splice
-//     across generations exactly as they did against a live editor.
+//     its pointer, so instance-keyed memos (the LVS reference's) keep
+//     hitting across generations exactly as they did against a live
+//     editor.
 //
 // Clones carry src = the live cell they froze, surfaced as
 // Cell.Origin(), so caches can answer "is this the same design cell as
@@ -127,8 +127,8 @@ func (d *Design) builder() *snapBuilder {
 // cell (and everything under it) is never mutated, so readers need no
 // further locking. Repeated calls at an unchanged generation return
 // the same pointer, and unchanged subtrees keep their pointers across
-// generations — pointer-keyed verification caches splice as if they
-// were watching a live editor.
+// generations — pointer-keyed verification caches keep hitting as if
+// they were watching a live editor.
 func (d *Design) SnapshotCell(c *Cell) *Cell {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
@@ -159,8 +159,7 @@ func (d *Design) snapshotEditor(c *Cell, declared []Connection) (*Cell, []Connec
 }
 
 // Snapshot is a frozen view of one editor generation: the cell's
-// copy-on-write clone, the declared connections remapped onto it, and
-// a copy of the editor's change log so verifiers can still splice.
+// copy-on-write clone and the declared connections remapped onto it.
 // Snapshots are immutable and safe to share across goroutines.
 type Snapshot struct {
 	// Gen is the editor generation the snapshot freezes. Generations
@@ -175,19 +174,10 @@ type Snapshot struct {
 	// remapped onto Cell's instances.
 	Declared []Connection
 
-	log      []changeEntry
-	logFloor uint64
 	// designGen is the design's generation at freeze time. The editor's
 	// own generation misses edits other editors make to sub-cells of the
 	// same design; the cached-snapshot check compares both.
 	designGen uint64
-}
-
-// ChangesSince reports the change rectangles between generation since
-// and the snapshot's generation, exactly as Editor.ChangesSince would
-// have at the moment the snapshot was taken.
-func (s *Snapshot) ChangesSince(since uint64) ([]geom.Rect, bool) {
-	return changesSince(s.log, s.logFloor, s.Gen, since)
 }
 
 // Snapshot freezes the editor's current generation. The result is
@@ -219,8 +209,6 @@ func (e *Editor) Snapshot() *Snapshot {
 		Gen:       e.gen,
 		Cell:      cl,
 		Declared:  decl,
-		log:       append([]changeEntry(nil), e.log...),
-		logFloor:  e.logFloor,
 		designGen: dg,
 	}
 	return e.snap

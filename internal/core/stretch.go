@@ -151,9 +151,7 @@ func (e *Editor) StretchConnect() (*StretchResult, error) {
 	}
 
 	// replace the instance's defining cell, keeping its placement
-	oldBox := from.BBox()
 	from.Cell = newCell
-	e.logChange(oldBox.Union(from.BBox()), false)
 
 	// finish with an abutment so "the instances [are] abutted without
 	// routing"

@@ -93,6 +93,13 @@ func fromCell(c *core.Cell, brute bool) (*Circuit, error) {
 	return solve(fr, brute)
 }
 
+// Solve extracts the circuit of an already flattened design: FromCell
+// minus the flatten, for callers that share one flatten.Result with
+// the design-rule checker.
+func Solve(fr *flatten.Result) (*Circuit, error) {
+	return solve(fr, false)
+}
+
 // NetShape is one solved fragment of mask material with the net it
 // landed on: the geometry-to-net map behind a Circuit. Src is the
 // flatten occurrence id of the leaf that produced the material.

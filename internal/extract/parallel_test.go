@@ -39,8 +39,8 @@ func soupResult(rng *rand.Rand, n int) *flatten.Result {
 	return fr
 }
 
-// copyResult clones the splice-relevant parts so a second solve never
-// sees per-layer caches built by the first.
+// copyResult copies the solver's inputs so a second solve never sees
+// per-layer caches built by the first.
 func copyResult(fr *flatten.Result) *flatten.Result {
 	return &flatten.Result{Shapes: fr.Shapes, Devices: fr.Devices,
 		Joins: fr.Joins, Labels: fr.Labels, SrcBoxes: fr.SrcBoxes}

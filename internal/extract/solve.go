@@ -25,17 +25,12 @@ func solve(fr *flatten.Result, brute bool) (*Circuit, error) {
 	return ckt, err
 }
 
-// solveState is the connectivity scaffolding one solve run leaves
-// behind: everything the incremental re-solver needs to splice the
-// next run instead of recomputing it. edges holds every same-layer
-// touching fragment pair (packed lo<<32|hi) — after an edit the
-// surviving edges replay in O(edges) plain unions, with index queries
-// only for the fragments the edit produced.
+// solveState is what one solve run leaves behind beside the circuit:
+// the fragment list and the dense net of each fragment, which
+// SolveNets reads out.
 type solveState struct {
-	frags  []flatten.Shape
-	counts []int32 // fragments produced per input shape (prefix-summable spans)
-	edges  []uint64
-	nets   []int32 // dense net of each fragment (SolveNets reads it out)
+	frags []flatten.Shape
+	nets  []int32
 }
 
 // solveWorkers runs the solver with an explicit concurrency width.
@@ -45,11 +40,10 @@ type solveState struct {
 // structure and point-location tie-breaks are all order-independent or
 // merged deterministically.
 func solveWorkers(fr *flatten.Result, brute bool, workers int) (*Circuit, *solveState, error) {
-	frags, counts := fragment(fr, brute, workers)
+	frags, _ := fragment(fr, brute, workers)
 
 	uf := geom.NewUnionFind(len(frags))
 	var loc *locator
-	st := &solveState{frags: frags, counts: counts}
 	if brute {
 		// quadratic reference: all-pairs touch test
 		for i := range frags {
@@ -59,7 +53,6 @@ func solveWorkers(fr *flatten.Result, brute bool, workers int) (*Circuit, *solve
 				}
 				if frags[i].R.Touches(frags[j].R) {
 					uf.Union(i, j)
-					st.edges = append(st.edges, uint64(i)<<32|uint64(j))
 				}
 			}
 		}
@@ -72,9 +65,8 @@ func solveWorkers(fr *flatten.Result, brute bool, workers int) (*Circuit, *solve
 		if workers > 1 {
 			// Per-layer sweeps touch disjoint UnionFind entries (all
 			// unions are intra-layer), so they run concurrently into the
-			// shared forest, each recording its own edge slice; the
-			// locator's per-layer point-location indexes build in
-			// parallel with the sweeps.
+			// shared forest; the locator's per-layer point-location
+			// indexes build in parallel with the sweeps.
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
@@ -82,23 +74,17 @@ func solveWorkers(fr *flatten.Result, brute bool, workers int) (*Circuit, *solve
 				loc = newLocator(frags, false)
 				loc.buildAll()
 			}()
-			layerEdges := make([][]uint64, 0, len(byLayer))
 			for _, idxs := range byLayer {
-				layerEdges = append(layerEdges, nil)
-				ep := &layerEdges[len(layerEdges)-1]
 				wg.Add(1)
-				go func(idxs []int, ep *[]uint64) {
+				go func(idxs []int) {
 					defer wg.Done()
-					*ep = sweepUnion(frags, idxs, uf)
-				}(idxs, ep)
+					sweepUnion(frags, idxs, uf)
+				}(idxs)
 			}
 			wg.Wait()
-			for _, es := range layerEdges {
-				st.edges = append(st.edges, es...)
-			}
 		} else {
 			for _, idxs := range byLayer {
-				st.edges = append(st.edges, sweepUnion(frags, idxs, uf)...)
+				sweepUnion(frags, idxs, uf)
 			}
 			loc = newLocator(frags, false)
 		}
@@ -108,21 +94,14 @@ func solveWorkers(fr *flatten.Result, brute bool, workers int) (*Circuit, *solve
 	if err != nil {
 		return nil, nil, err
 	}
-	st.nets = nets
-	return ckt, st, nil
+	return ckt, &solveState{frags: frags, nets: nets}, nil
 }
 
-// circuitFrom resolves contacts, numbers nets densely and reads out
+// circuitAndNets resolves contacts, numbers nets densely and reads out
 // devices and labels — the order-sensitive tail every solve path
-// (brute, indexed, parallel, incremental) shares, so their circuits
-// agree byte for byte.
-func circuitFrom(fr *flatten.Result, frags []flatten.Shape, uf *geom.UnionFind, loc *locator) (*Circuit, error) {
-	ckt, _, err := circuitAndNets(fr, frags, uf, loc)
-	return ckt, err
-}
-
-// circuitAndNets is circuitFrom plus the per-fragment net assignment
-// the LVS reference derivation consumes.
+// (brute, indexed, parallel) shares, so their circuits agree byte for
+// byte — and returns the per-fragment net assignment the LVS reference
+// derivation consumes.
 func circuitAndNets(fr *flatten.Result, frags []flatten.Shape, uf *geom.UnionFind, loc *locator) (*Circuit, []int32, error) {
 	// contacts join layers at a point
 	for _, j := range fr.Joins {
@@ -312,19 +291,18 @@ func fragmentShape(fr *flatten.Result, s flatten.Shape, gates *geom.Index, brute
 const sweepActiveSliceMax = 4096
 
 // sweepUnion unions every touching pair among the given same-layer
-// fragments with one sweep over their x-extents, returning the packed
-// pair list (the touch-edge graph the incremental solver replays).
-// Events are packed into uint64s ordered by x with entries before
-// exits, so material that only shares an edge or corner (x ranges
-// meeting exactly) still counts as touching — the closed-interval rule
-// Rect.Touches implements. The active set is ordered by (Min.Y, frag);
-// an entering rectangle unions with the active prefix whose Min.Y does
-// not exceed its Max.Y. Large layers keep the active set in a
-// geom.SweepSet skip list, small ones in an ordered slice; both orders
-// are identical, so the union structure is too.
-func sweepUnion(frags []flatten.Shape, idxs []int, uf *geom.UnionFind) []uint64 {
+// fragments with one sweep over their x-extents. Events are packed
+// into uint64s ordered by x with entries before exits, so material
+// that only shares an edge or corner (x ranges meeting exactly) still
+// counts as touching — the closed-interval rule Rect.Touches
+// implements. The active set is ordered by (Min.Y, frag); an entering
+// rectangle unions with the active prefix whose Min.Y does not exceed
+// its Max.Y. Large layers keep the active set in a geom.SweepSet skip
+// list, small ones in an ordered slice; both orders are identical, so
+// the union structure is too.
+func sweepUnion(frags []flatten.Shape, idxs []int, uf *geom.UnionFind) {
 	if len(idxs) < 2 {
-		return nil
+		return
 	}
 	events := sweepEvents(frags, idxs)
 
@@ -340,17 +318,10 @@ func sweepUnion(frags []flatten.Shape, idxs []int, uf *geom.UnionFind) []uint64 
 		}
 	}
 	if maxActive > sweepActiveSliceMax {
-		return sweepSkip(frags, events, uf)
+		sweepSkip(frags, events, uf)
+		return
 	}
-	return sweepSlice(frags, events, uf)
-}
-
-// packFragEdge packs a touching fragment pair, low index first.
-func packFragEdge(a, b int) uint64 {
-	if b < a {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
+	sweepSlice(frags, events, uf)
 }
 
 // sweepEvents builds the sorted event stream for a sweep over the
@@ -418,9 +389,8 @@ func sweepEvents(frags []flatten.Shape, idxs []int) []uint64 {
 
 // sweepSlice is sweepUnion's small-layer path: the active set is an
 // ordered slice with binary-search insert/delete.
-func sweepSlice(frags []flatten.Shape, events []uint64, uf *geom.UnionFind) []uint64 {
+func sweepSlice(frags []flatten.Shape, events []uint64, uf *geom.UnionFind) {
 	const exitBit = 1 << 32
-	var edges []uint64
 	var active []int
 	less := func(f, g int) bool {
 		if frags[f].R.Min.Y != frags[g].R.Min.Y {
@@ -443,7 +413,6 @@ func sweepSlice(frags []flatten.Shape, events []uint64, uf *geom.UnionFind) []ui
 		for _, a := range active[:end] {
 			if frags[a].R.Max.Y >= r.Min.Y {
 				uf.Union(a, frag)
-				edges = append(edges, packFragEdge(a, frag))
 			}
 		}
 		at := sort.Search(len(active), func(k int) bool { return !less(active[k], frag) })
@@ -451,14 +420,12 @@ func sweepSlice(frags []flatten.Shape, events []uint64, uf *geom.UnionFind) []ui
 		copy(active[at+1:], active[at:])
 		active[at] = frag
 	}
-	return edges
 }
 
 // sweepSkip is sweepUnion's large-layer path: the active set is a skip
 // list keyed by (Min.Y, frag).
-func sweepSkip(frags []flatten.Shape, events []uint64, uf *geom.UnionFind) []uint64 {
+func sweepSkip(frags []flatten.Shape, events []uint64, uf *geom.UnionFind) {
 	const exitBit = 1 << 32
-	var edges []uint64
 	active := geom.NewSweepSet()
 	for _, ev := range events {
 		frag := int(ev & (exitBit - 1))
@@ -471,13 +438,11 @@ func sweepSkip(frags []flatten.Shape, events []uint64, uf *geom.UnionFind) []uin
 		active.VisitPrefix(r.Max.Y, func(a int) bool {
 			if frags[a].R.Max.Y >= r.Min.Y {
 				uf.Union(a, frag)
-				edges = append(edges, packFragEdge(a, frag))
 			}
 			return true
 		})
 		active.Insert(minY, frag)
 	}
-	return edges
 }
 
 // locator answers "which fragment is at this point?" queries. The
@@ -517,87 +482,6 @@ func (l *locator) buildAll() {
 	for _, ix := range l.byLayer {
 		ix.Build()
 	}
-}
-
-// splice refills the locator for a spliced fragment list, rebuilding
-// only the per-layer indexes whose rectangle sequence could have
-// changed. dirty marks those layers: a layer none of whose fragments
-// were added, removed or re-derived has a rectangle sequence identical
-// to the previous run's (copied spans preserve both content and
-// relative order), so its spatial index — the expensive insert+build —
-// carries over untouched and only the cheap id map refills. This is
-// the ROADMAP follow-up to the O(n) per-splice locator rebuild: on a
-// one-cell edit, typically one or two layers are dirty and the rest of
-// the design's indexes are reused.
-func (l *locator) splice(frags []flatten.Shape, dirty map[geom.Layer]bool) {
-	l.frags, l.brute = frags, false
-	if l.byLayer == nil {
-		l.byLayer = map[geom.Layer]*geom.Index{}
-		l.fragIDs = map[geom.Layer][]int{}
-	}
-	for lay := range l.fragIDs {
-		l.fragIDs[lay] = l.fragIDs[lay][:0]
-	}
-	for i, s := range frags {
-		l.fragIDs[s.Layer] = append(l.fragIDs[s.Layer], i)
-	}
-	for lay, ids := range l.fragIDs {
-		if len(ids) == 0 {
-			// the layer vanished; drop it so queries cannot hit stale
-			// geometry
-			delete(l.byLayer, lay)
-			delete(l.fragIDs, lay)
-			continue
-		}
-		ix, ok := l.byLayer[lay]
-		if ok && !dirty[lay] && ix.Len() == len(ids) {
-			continue // unchanged rectangle sequence: keep the built index
-		}
-		if !ok {
-			ix = geom.NewIndex()
-			l.byLayer[lay] = ix
-		} else {
-			ix.Reset()
-		}
-		for _, f := range ids {
-			ix.Insert(frags[f].R)
-		}
-		ix.Build()
-	}
-}
-
-// rebuild refills the locator for a new fragment list, reusing the
-// per-layer index arenas — re-verify loops rebuild the locator every
-// run, and the allocation churn of fresh indexes is what this avoids.
-func (l *locator) rebuild(frags []flatten.Shape) {
-	l.frags, l.brute = frags, false
-	if l.byLayer == nil {
-		l.byLayer = map[geom.Layer]*geom.Index{}
-		l.fragIDs = map[geom.Layer][]int{}
-	}
-	for _, ix := range l.byLayer {
-		ix.Reset()
-	}
-	for lay := range l.fragIDs {
-		l.fragIDs[lay] = l.fragIDs[lay][:0]
-	}
-	for i, s := range frags {
-		ix, ok := l.byLayer[s.Layer]
-		if !ok {
-			ix = geom.NewIndex()
-			l.byLayer[s.Layer] = ix
-		}
-		ix.Insert(s.R)
-		l.fragIDs[s.Layer] = append(l.fragIDs[s.Layer], i)
-	}
-	// drop layers that vanished so queries cannot hit stale geometry
-	for lay, ix := range l.byLayer {
-		if ix.Len() == 0 {
-			delete(l.byLayer, lay)
-			delete(l.fragIDs, lay)
-		}
-	}
-	l.buildAll()
 }
 
 // findOnLayer returns the lowest fragment index on the given layer

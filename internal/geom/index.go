@@ -40,15 +40,6 @@ type Index struct {
 	epoch    uint32
 }
 
-// Reset empties the index for reuse: the rectangle list clears while
-// every backing array (rects, bins, visit markers) is retained for the
-// next Insert/Build cycle. Hot re-verify paths rebuild indexes every
-// run; reusing the arenas keeps that off the allocator.
-func (ix *Index) Reset() {
-	ix.rects = ix.rects[:0]
-	ix.built = false
-}
-
 // grownI32 returns s resized to n, reusing its backing array when
 // large enough; contents are zeroed.
 func grownI32(s []int32, n int) []int32 {

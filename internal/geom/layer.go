@@ -51,14 +51,14 @@ type Color uint8
 // The display palette. Indices 1-4 correspond to the plotter's four
 // pens.
 const (
-	ColorBlack  Color = iota // background / text
-	ColorRed                 // pen 1: polysilicon
-	ColorGreen               // pen 2: diffusion
-	ColorBlue                // pen 3: metal
-	ColorYellow              // pen 4: implant, highlights
-	ColorCyan                // buried contact
-	ColorMagenta             // glass
-	ColorWhite               // contacts, outlines, menu text
+	ColorBlack   Color = iota // background / text
+	ColorRed                  // pen 1: polysilicon
+	ColorGreen                // pen 2: diffusion
+	ColorBlue                 // pen 3: metal
+	ColorYellow               // pen 4: implant, highlights
+	ColorCyan                 // buried contact
+	ColorMagenta              // glass
+	ColorWhite                // contacts, outlines, menu text
 	NumColors
 )
 

@@ -302,9 +302,9 @@ func (e *Engine) check(st *genState, sp *obs.Span) {
 // composeWidth assembles the global width residues per layer: each
 // certificate's residues hold verbatim outside the pair interaction
 // windows; inside a window the residues recompute from every
-// occupant's material (clipped with the same margins the incremental
-// checker's splice uses). regionMerge canonicalizes, so the slabs —
-// and with them the violations — equal a flat run's.
+// occupant's material, clipped two interaction radii beyond the window
+// so clipping artifacts fall outside it. regionMerge canonicalizes, so
+// the slabs — and with them the violations — equal a flat run's.
 func (e *Engine) composeWidth(st *genState) {
 	for _, l := range st.layers {
 		minW := rules.Of(l).MinWidth * rules.Lambda

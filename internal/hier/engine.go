@@ -182,6 +182,7 @@ type Cert struct {
 	D      *drc.CellDRC
 
 	id    int    // engine-local sequence number for memo keys
+	rev   uint64 // Cell.Revision() when the memo admitted the cert
 	ports []port // the cell's connectors, in Cell.Connectors order
 }
 
@@ -237,9 +238,10 @@ func (e *Engine) AttachDisk(st castore.Blob, sg *castore.Signer) {
 // Stats returns the engine's counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// ResetMemo drops the in-memory certificate and template memos (tests
-// use it to simulate a cold process against a warm disk store).
-func (e *Engine) ResetMemo() {
+// resetMemo drops the in-memory certificate, template and window
+// memos. Store entries stay: they are keyed by content signature, and
+// the signer's revision check re-keys a mutated cell on its own.
+func (e *Engine) resetMemo() {
 	e.memo = map[certKey]*Cert{}
 	e.tmpl = map[tmplKey]*template{}
 	e.winMemo = map[string][]geom.Rect{}
@@ -323,12 +325,19 @@ type Result struct {
 
 // cert returns the certificate for one distinct (cell, orientation),
 // building it at most once per engine (and at most once per disk
-// store across processes).
+// store across processes). The memo is keyed by pointer, so a hit
+// whose cell revision moved on — a leaf mutated in place and announced
+// through Editor.Invalidate or Cell.MarkMutated — means any memoized
+// certificate, and every template and window derived from one, may
+// describe old content: the engine drops its memos and starts over.
 func (e *Engine) cert(c *core.Cell, o geom.Orient) (*Cert, error) {
 	k := certKey{c, o}
 	if ct, ok := e.memo[k]; ok {
-		e.stats.CertMemoHits++
-		return ct, nil
+		if ct.rev == c.Revision() {
+			e.stats.CertMemoHits++
+			return ct, nil
+		}
+		e.resetMemo()
 	}
 	if ct := e.diskLoad(c, o); ct != nil {
 		e.stats.CertDiskHits++
@@ -365,10 +374,11 @@ func (e *Engine) cert(c *core.Cell, o geom.Orient) (*Cert, error) {
 }
 
 // admit enters a built or loaded certificate into the memo with its
-// sequence id and its port table.
+// sequence id, its cell's revision and its port table.
 func (e *Engine) admit(k certKey, ct *Cert) {
 	e.certSeq++
 	ct.id = e.certSeq
+	ct.rev = ct.Cell.Revision()
 	cns := ct.Cell.Connectors()
 	ct.ports = make([]port, len(cns))
 	for i, cn := range cns {

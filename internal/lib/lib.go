@@ -101,14 +101,14 @@ func NAND() *sticks.Cell {
 		Box:    geom.R(0, 0, 20, 20),
 		HasBox: true,
 		Wires: []sticks.Wire{
-			{Layer: geom.NM, Width: 4, Points: []geom.Point{{X: 0, Y: 18}, {X: 20, Y: 18}}},                // VDD rail
-			{Layer: geom.NM, Width: 4, Points: []geom.Point{{X: 0, Y: 2}, {X: 20, Y: 2}}},                  // GND rail
-			{Layer: geom.ND, Width: 2, Points: []geom.Point{{X: 10, Y: 2}, {X: 10, Y: 18}}},                // pulldown chain
-			{Layer: geom.ND, Width: 2, Points: []geom.Point{{X: 10, Y: 2}, {X: 6, Y: 2}}},                  // jog to the GND contact
-			{Layer: geom.ND, Width: 2, Points: []geom.Point{{X: 10, Y: 18}, {X: 6, Y: 18}}},                // jog to the VDD contact
-			{Layer: geom.NP, Width: 2, Points: []geom.Point{{X: 4, Y: 0}, {X: 4, Y: 5}, {X: 10, Y: 5}}},    // input B to its gate
-			{Layer: geom.NP, Width: 2, Points: []geom.Point{{X: 16, Y: 0}, {X: 16, Y: 9}, {X: 10, Y: 9}}},  // input A to its gate
-			{Layer: geom.NP, Width: 2, Points: []geom.Point{{X: 10, Y: 13}, {X: 10, Y: 20}}},               // output: node contact up through the dep gate tie
+			{Layer: geom.NM, Width: 4, Points: []geom.Point{{X: 0, Y: 18}, {X: 20, Y: 18}}},               // VDD rail
+			{Layer: geom.NM, Width: 4, Points: []geom.Point{{X: 0, Y: 2}, {X: 20, Y: 2}}},                 // GND rail
+			{Layer: geom.ND, Width: 2, Points: []geom.Point{{X: 10, Y: 2}, {X: 10, Y: 18}}},               // pulldown chain
+			{Layer: geom.ND, Width: 2, Points: []geom.Point{{X: 10, Y: 2}, {X: 6, Y: 2}}},                 // jog to the GND contact
+			{Layer: geom.ND, Width: 2, Points: []geom.Point{{X: 10, Y: 18}, {X: 6, Y: 18}}},               // jog to the VDD contact
+			{Layer: geom.NP, Width: 2, Points: []geom.Point{{X: 4, Y: 0}, {X: 4, Y: 5}, {X: 10, Y: 5}}},   // input B to its gate
+			{Layer: geom.NP, Width: 2, Points: []geom.Point{{X: 16, Y: 0}, {X: 16, Y: 9}, {X: 10, Y: 9}}}, // input A to its gate
+			{Layer: geom.NP, Width: 2, Points: []geom.Point{{X: 10, Y: 13}, {X: 10, Y: 20}}},              // output: node contact up through the dep gate tie
 		},
 		Devices: []sticks.Device{
 			{Kind: sticks.Enhancement, At: geom.Pt(10, 5), Vertical: true, W: 2, L: 2}, // B (lower)
@@ -167,9 +167,9 @@ func OR4() *sticks.Cell {
 			{Layer: geom.NP, Width: 2, Points: []geom.Point{{X: 49, Y: 12}, {X: w, Y: 12}}},
 		},
 		Devices: []sticks.Device{
-			{Kind: sticks.Depletion, At: geom.Pt(37, 15), Vertical: true, W: 2, L: 2},   // NOR pullup, gate tied to NOR node
-			{Kind: sticks.Enhancement, At: geom.Pt(45, 8), Vertical: true, W: 2, L: 2},  // inverter pulldown
-			{Kind: sticks.Depletion, At: geom.Pt(45, 15), Vertical: true, W: 2, L: 2},   // inverter pullup, gate tied to OUT
+			{Kind: sticks.Depletion, At: geom.Pt(37, 15), Vertical: true, W: 2, L: 2},  // NOR pullup, gate tied to NOR node
+			{Kind: sticks.Enhancement, At: geom.Pt(45, 8), Vertical: true, W: 2, L: 2}, // inverter pulldown
+			{Kind: sticks.Depletion, At: geom.Pt(45, 15), Vertical: true, W: 2, L: 2},  // inverter pullup, gate tied to OUT
 		},
 		Contacts: []sticks.Contact{
 			{From: geom.ND, To: geom.NP, At: geom.Pt(33, 12)}, // NOR node tap (ties the NOR pullup gate)
@@ -225,7 +225,7 @@ func PipeFitting(name string, layer geom.Layer, width int) *sticks.Cell {
 		},
 		Connectors: []sticks.Connector{
 			{Name: "A", At: geom.Pt(0, s), Layer: layer, Width: width, Side: geom.SideLeft},
-			{Name: "B", At: geom.Pt(s, 2 * s), Layer: layer, Width: width, Side: geom.SideTop},
+			{Name: "B", At: geom.Pt(s, 2*s), Layer: layer, Width: width, Side: geom.SideTop},
 		},
 	}
 }

@@ -40,11 +40,11 @@ func BenchmarkLVSScale(b *testing.B) {
 // against its declared structure, through the same entry point both
 // ways.
 //
-//   - incremental: the generation-keyed path — spliced extraction off
-//     the shared verifier, memoized leaf netlists, re-stitched
-//     composition entry;
-//   - full: cold caches every iteration (a fresh verifier and a fresh
-//     reference memo), the from-scratch comparison cost every
+//   - incremental: the generation-keyed path — the shared verifier's
+//     hierarchical composition (the shipped default), memoized leaf
+//     netlists, re-stitched composition entry;
+//   - full: cold caches every iteration (a fresh flat verifier and a
+//     fresh reference memo), the from-scratch comparison cost every
 //     re-verify would pay without them.
 func BenchmarkIncrementalLVS(b *testing.B) {
 	const n = 32
@@ -52,7 +52,7 @@ func BenchmarkIncrementalLVS(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d/%s", n, n, mode), func(b *testing.B) {
 			e := gridEditor(b, n)
 			in := e.Cell.Instances[n*n/2+n/2]
-			v := &verify.Verifier{}
+			v := &verify.Verifier{Hier: true}
 			inc := &Incremental{}
 			if _, err := inc.Check(e, v); err != nil {
 				b.Fatal(err)

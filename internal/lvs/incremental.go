@@ -15,8 +15,8 @@ import (
 // verdict, keyed on the editor's generation. The layout side comes from
 // the shared verify.Verifier — the one the DRC and EXTRACT commands
 // use, which by default composes per-cell certificates (internal/hier)
-// and takes the flat splice path only when the engine declines — so a
-// one-cell edit re-extracts no unchanged cell, re-stitches only the
+// and runs the scratch flat reference only when the engine declines —
+// so a one-cell edit re-extracts no unchanged cell, re-stitches only the
 // edited composition's entry (every leaf netlist and untouched sub-cell
 // entry is reused), and re-labels from there; an unchanged generation
 // returns the cached verdict outright. The verdict is identical to a

@@ -55,9 +55,9 @@ func (cs *CertStore) AttachDisk(st castore.Blob, sg *castore.Signer) {
 }
 
 // AttachDisk connects both of the session's LVS memos to a persistent
-// store and the verifier's flatten cache alongside (the three caches
-// share one content-signature space, so one attach call wires a whole
-// verification session).
+// store and the verifier's hierarchical engine alongside (the three
+// caches share one content-signature space, so one attach call wires a
+// whole verification session).
 func (inc *Incremental) AttachDisk(st castore.Blob, sg *castore.Signer, v *verify.Verifier) {
 	inc.Ref.AttachDisk(st, sg)
 	inc.Certs.AttachDisk(st, sg)

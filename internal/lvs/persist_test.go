@@ -20,7 +20,8 @@ import (
 // warmSession runs one full LVS over a fresh 4x4 grid editor with the
 // store at dir attached, simulating one process lifetime (fresh cell
 // pointers, fresh signer, fresh memos each call — only the directory
-// persists).
+// persists). The layout side is the shipped hierarchical verifier; the
+// int result counts its certificates loaded from the store.
 func warmSession(t *testing.T, dir string, logf func(string, ...any)) (*Result, CertStoreStats, int, *castore.Store) {
 	t.Helper()
 	e := gridEditor(t, 4)
@@ -29,14 +30,14 @@ func warmSession(t *testing.T, dir string, logf func(string, ...any)) (*Result, 
 		t.Fatal(err)
 	}
 	st.Log = logf
-	v := &verify.Verifier{}
+	v := &verify.Verifier{Hier: true}
 	inc := &Incremental{}
 	inc.AttachDisk(st, &castore.Signer{}, v)
 	res, err := inc.Check(e, v)
 	if err != nil {
 		t.Fatalf("store-backed check: %v", err)
 	}
-	return res, inc.Certs.Stats(), v.FlattenDiskStats(), st
+	return res, inc.Certs.Stats(), v.HierStats().CertDiskHits, st
 }
 
 // TestPersistWarmRestart: a second process over the same store
@@ -56,7 +57,7 @@ func TestPersistWarmRestart(t *testing.T) {
 	}
 	st1.Close()
 
-	warm, warmStats, shardsLoaded, st2 := warmSession(t, dir, t.Logf)
+	warm, warmStats, certsLoaded, st2 := warmSession(t, dir, t.Logf)
 	defer st2.Close()
 	if warmStats.Matched != 0 {
 		t.Errorf("warm restart performed %d sub-cell matches; want 0 (served from disk)", warmStats.Matched)
@@ -64,8 +65,8 @@ func TestPersistWarmRestart(t *testing.T) {
 	if warmStats.DiskHits != 1 {
 		t.Errorf("warm restart disk hits = %d, want 1 (the one distinct leaf)", warmStats.DiskHits)
 	}
-	if shardsLoaded != 16 {
-		t.Errorf("warm restart loaded %d flatten shards from disk, want 16", shardsLoaded)
+	if certsLoaded != 1 {
+		t.Errorf("warm restart loaded %d hier certificates from disk, want 1 (the one distinct leaf)", certsLoaded)
 	}
 	if sst := st2.Stats(); sst.Corrupt != 0 {
 		t.Errorf("clean warm restart rejected %d entries", sst.Corrupt)

@@ -184,8 +184,8 @@ type Reference struct {
 func (rf *Reference) Stats() RefStats { return rf.stats }
 
 // instKey is the placement snapshot instance-level caches are valid
-// for (mirrors the flatten cache's contract: mutations inside the
-// defining cell swap the pointer or go through Editor.Invalidate).
+// for (mutations inside the defining cell swap the pointer or go
+// through Editor.Invalidate).
 type instKey struct {
 	cell           *core.Cell
 	sig            uint64

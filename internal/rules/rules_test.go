@@ -8,8 +8,8 @@ import (
 
 func TestKnownLayerRules(t *testing.T) {
 	cases := []struct {
-		layer   geom.Layer
-		w, s    int
+		layer geom.Layer
+		w, s  int
 	}{
 		{geom.NM, 3, 3},
 		{geom.NP, 2, 2},

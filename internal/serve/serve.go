@@ -4,8 +4,8 @@
 //
 // The paper's tool is single-designer — one keyboard, one design. A
 // chip is assembled by a team, though, and the expensive artifacts of
-// verification (flattened shards, leaf reference netlists, sub-cell
-// match certificates) depend only on cell content, not on who verifies
+// verification (per-cell certificates, leaf reference netlists,
+// sub-cell match certificates) depend only on cell content, not on who verifies
 // first. The server exploits both facts:
 //
 //   - Each session is a full shell (its own editor, verifier caches,

@@ -813,8 +813,8 @@ func cmdLVS(s *Shell, args []string) error {
 		}
 		if s.Cache != nil {
 			cst := s.Cache.Stats()
-			s.printf("%s: persistent store: %d certificate(s) and %d shard(s) loaded from disk, %d disk hit(s), %d corrupt entr(ies) quarantined (%d moved aside), %d miss(es), %d put(s), %d put error(s)\n",
-				name, store.DiskHits, s.Verifier.FlattenDiskStats(), cst.Hits, cst.Corrupt, cst.Quarantined, cst.Misses, cst.Puts, cst.PutErrors)
+			s.printf("%s: persistent store: %d certificate(s) loaded from disk, %d disk hit(s), %d corrupt entr(ies) quarantined (%d moved aside), %d miss(es), %d put(s), %d put error(s)\n",
+				name, store.DiskHits, cst.Hits, cst.Corrupt, cst.Quarantined, cst.Misses, cst.Puts, cst.PutErrors)
 		}
 		if s.Faults != nil {
 			s.printf("%s: faults: %s\n", name, s.Faults)

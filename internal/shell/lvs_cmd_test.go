@@ -90,7 +90,7 @@ func TestLVSCommandSharesVerifierCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := s.Verifier.Stats()
-	if after.Full != st.Full || after.Spliced != st.Spliced {
+	if after.Full != st.Full || after.Hier != st.Hier {
 		t.Fatalf("LVS re-verified the design: %+v -> %+v", st, after)
 	}
 	if after.Cached != st.Cached+1 {

@@ -42,8 +42,9 @@ type Shell struct {
 
 	// Verifier caches whole-design verification (EXTRACT, DRC, LVS)
 	// across edits, keyed on the editor's generation: re-running any of
-	// the commands after a small edit splices the previous run instead
-	// of recomputing the design.
+	// the commands on an unchanged generation returns the previous
+	// report, and after a small edit the hierarchical engine re-derives
+	// only what the edited placements touch.
 	Verifier verify.Verifier
 
 	// LVS holds the netlist-comparison caches (memoized leaf-cell
@@ -113,9 +114,9 @@ func New(out io.Writer) *Shell {
 func (s *Shell) Quit() bool { return s.quit }
 
 // AttachCache opens (creating if needed) the persistent verification
-// store rooted at dir and wires it under the verifier's flatten cache
-// and both LVS memos, so flatten shards, leaf reference netlists and
-// sub-cell match certificates survive across processes. Corrupt,
+// store rooted at dir and wires it under the verifier's hierarchical
+// engine and both LVS memos, so per-cell certificates, leaf reference
+// netlists and sub-cell match certificates survive across processes. Corrupt,
 // truncated or version-skewed entries are quarantined and recomputed
 // cold (the store logs each through the shell output); verdicts are
 // identical to cache-free runs either way.

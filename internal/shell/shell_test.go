@@ -142,11 +142,11 @@ func TestShellErrors(t *testing.T) {
 	sh := env.sh
 	cases := []string{
 		"BOGUS",
-		"CREATE GATE x",            // no editor
-		"READ missing.cif",         // missing file
-		"READ gate.txt",            // unknown extension
-		"CONNECT a b",              // no editor
-		"EDIT",                     // missing arg
+		"CREATE GATE x",    // no editor
+		"READ missing.cif", // missing file
+		"READ gate.txt",    // unknown extension
+		"CONNECT a b",      // no editor
+		"EDIT",             // missing arg
 	}
 	for _, c := range cases {
 		if err := sh.Exec(c); err == nil {

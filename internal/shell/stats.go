@@ -22,18 +22,9 @@ func (s *Shell) initRegistry() {
 		vs := s.Verifier.Stats()
 		return []obs.Item{
 			obs.N("cached", vs.Cached),
-			obs.N("spliced", vs.Spliced),
 			obs.N("full", vs.Full),
 			obs.N("hier", vs.Hier),
 			obs.N("hier_partial", vs.HierPartial),
-		}
-	})
-	r.Register("flatten", func() []obs.Item {
-		reused, reflattened := s.Verifier.FlattenStats()
-		return []obs.Item{
-			obs.N("reused", reused),
-			obs.N("reflattened", reflattened),
-			obs.N("disk_loaded", s.Verifier.FlattenDiskStats()),
 		}
 	})
 	r.Register("hier", func() []obs.Item {
@@ -122,7 +113,7 @@ func (s *Shell) Snapshot() *obs.Snapshot { return s.reg.Snapshot() }
 // the "is there anything to report" test behind riot -stats' exit code.
 func (s *Shell) VerifiedAny() bool {
 	vs := s.Verifier.Stats()
-	return vs.Cached+vs.Spliced+vs.Full+vs.Hier > 0
+	return vs.Cached+vs.Full+vs.Hier > 0
 }
 
 // SetTrace wires a span recorder through the whole session: the verify

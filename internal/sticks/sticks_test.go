@@ -118,19 +118,19 @@ func TestValidateErrors(t *testing.T) {
 
 func TestParseSyntaxErrors(t *testing.T) {
 	cases := []string{
-		"WIRE NM 4 0 0 1 1\n",                          // outside block
-		"STICKS A\nSTICKS B\nEND\n",                    // nested
-		"STICKS A\nWIRE NM x 0 0 1 0\nEND\n",           // bad width
-		"STICKS A\nWIRE NM 4 0 0 1\nEND\n",             // odd coords
-		"STICKS A\nDEVICE FOO 0 0 H 2 2\nEND\n",        // bad kind
-		"STICKS A\nDEVICE ENH 0 0 D 2 2\nEND\n",        // bad orient
-		"STICKS A\nDEVICE ENH 0 0 H 0 2\nEND\n",        // zero width
-		"STICKS A\nCONNECTOR P 0 0 NM 0 diag\nEND\n",   // bad side
-		"STICKS A\nCONSTRAINT Z A B 1\nEND\n",          // bad axis
-		"STICKS A\nUNITS -5\nEND\n",                    // bad units
-		"STICKS A\nFROB 1 2\nEND\n",                    // unknown keyword
-		"STICKS A\nWIRE NM 4 0 0 4 0\n",                // missing END
-		"STICKS\nEND\n",                                // missing name
+		"WIRE NM 4 0 0 1 1\n",                        // outside block
+		"STICKS A\nSTICKS B\nEND\n",                  // nested
+		"STICKS A\nWIRE NM x 0 0 1 0\nEND\n",         // bad width
+		"STICKS A\nWIRE NM 4 0 0 1\nEND\n",           // odd coords
+		"STICKS A\nDEVICE FOO 0 0 H 2 2\nEND\n",      // bad kind
+		"STICKS A\nDEVICE ENH 0 0 D 2 2\nEND\n",      // bad orient
+		"STICKS A\nDEVICE ENH 0 0 H 0 2\nEND\n",      // zero width
+		"STICKS A\nCONNECTOR P 0 0 NM 0 diag\nEND\n", // bad side
+		"STICKS A\nCONSTRAINT Z A B 1\nEND\n",        // bad axis
+		"STICKS A\nUNITS -5\nEND\n",                  // bad units
+		"STICKS A\nFROB 1 2\nEND\n",                  // unknown keyword
+		"STICKS A\nWIRE NM 4 0 0 4 0\n",              // missing END
+		"STICKS\nEND\n",                              // missing name
 	}
 	for _, src := range cases {
 		if _, err := ParseString(src); err == nil {

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"riot/internal/core"
-	"riot/internal/drc"
-	"riot/internal/extract"
 	"riot/internal/geom"
 	"riot/internal/lib"
 	"riot/internal/rules"
@@ -50,17 +48,15 @@ func gridEditorN(tb testing.TB, n int) *core.Editor {
 //
 //   - hier: the shipped default, a Verifier with Hier set — certificates
 //     composed over placements, the circuit materialized;
-//   - incremental: the flat pipeline's splice path (Hier unset), which
-//     serves -hier=false and the engine's declines;
-//   - full: a from-scratch extract.FromCell + drc.CheckCell, the cost
-//     every re-verify paid before either existed.
+//   - full: the zero Verifier, the scratch flat run that serves
+//     -hier=false and the engine's declines.
 //
 // The edit alternates a one-lambda displacement of a mid-array cell,
 // so every iteration really dirties geometry (rails detach and
 // reattach) rather than hitting the unchanged-generation fast path.
 func BenchmarkIncrementalVerify(b *testing.B) {
 	const n = 32
-	for _, mode := range []string{"hier", "incremental", "full"} {
+	for _, mode := range []string{"hier", "full"} {
 		b.Run(fmt.Sprintf("%dx%d/%s", n, n, mode), func(b *testing.B) {
 			e := benchGrid(b, n)
 			in := e.Cell.Instances[n*n/2+n/2]
@@ -76,62 +72,14 @@ func BenchmarkIncrementalVerify(b *testing.B) {
 					d = -rules.Lambda
 				}
 				e.MoveInstance(in, geom.Pt(d, 0))
-				if mode != "full" {
-					rep, err := v.Verify(e)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if mode == "incremental" && i > 0 && !rep.Incremental {
-						b.Fatal("incremental mode fell back to a full run")
-					}
-					continue
-				}
-				if _, err := extract.FromCell(e.Cell); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := drc.CheckCell(e.Cell); err != nil {
+				if _, err := v.Verify(e); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			if st := v.Stats(); mode == "hier" && st.Full+st.Spliced > 0 {
-				b.Fatalf("hier mode fell back to the flat pipeline: %+v", st)
+			if st := v.Stats(); mode == "hier" && st.Full > 0 {
+				b.Fatalf("hier mode fell back to the scratch flat run: %+v", st)
 			}
 		})
-	}
-}
-
-// BenchmarkIncrementalVerifyPipeEdit measures the same loop when the
-// edit moves a metal-only pipe fitting beside the grid. An SRCELL move
-// dirties every layer the design has, so the extractor's spliced
-// point-location indexes all rebuild; a single-layer edit leaves the
-// other layers' indexes untouched — the case the locator splice
-// (ROADMAP follow-up) accelerates.
-func BenchmarkIncrementalVerifyPipeEdit(b *testing.B) {
-	const n = 32
-	e := benchGrid(b, n)
-	pipe, err := e.CreateInstance("PIPEM", "pipe",
-		geom.MakeTransform(geom.R0, geom.Pt(-40*rules.Lambda, 0)), 1, 1, 0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := &Verifier{}
-	if _, err := v.Verify(e); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := rules.Lambda
-		if i%2 == 1 {
-			d = -rules.Lambda
-		}
-		e.MoveInstance(pipe, geom.Pt(d, 0))
-		rep, err := v.Verify(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i > 0 && !rep.Incremental {
-			b.Fatal("fell back to a full run")
-		}
 	}
 }

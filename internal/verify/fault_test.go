@@ -177,7 +177,7 @@ func TestVerifierFaultMatrix(t *testing.T) {
 
 // TestVerifierFaultMatrixUnderEdits runs a short editing trace with
 // pend and poison faults both armed — repeated partial runs across
-// splice generations must stay verdict-identical to scratch.
+// generations must stay verdict-identical to scratch.
 func TestVerifierFaultMatrixUnderEdits(t *testing.T) {
 	ed := gridEditor(t, 9)
 	if _, err := ed.CreateInstance("NAND", "n0",

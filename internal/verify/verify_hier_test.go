@@ -291,3 +291,59 @@ func TestHierVerifierWarmRestart(t *testing.T) {
 		t.Fatal("warm-restart verdict differs from the cold run")
 	}
 }
+
+// TestHierLeafMutatedInPlace pins the in-place mutation contract: the
+// engine memoizes certificates by cell pointer, so a leaf whose content
+// changes under the same pointer — announced through Editor.Invalidate
+// or, outside any editor, Cell.MarkMutated (core/cell.go) — must not be
+// served from its old certificate. Each case drops the shared SRCELL's
+// first sticks wire after a priming run; every later report must equal
+// the scratch flat run, which itself must differ from the primed one.
+func TestHierLeafMutatedInPlace(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		announce func(e *core.Editor, leaf *core.Cell)
+		verify   func(v *Verifier, e *core.Editor) (*Report, error)
+	}{
+		{"editor",
+			func(e *core.Editor, _ *core.Cell) { e.Invalidate() },
+			(*Verifier).Verify},
+		{"VerifyCell",
+			func(_ *core.Editor, leaf *core.Cell) { leaf.MarkMutated() },
+			func(v *Verifier, e *core.Editor) (*Report, error) { return v.VerifyCell(e.Cell) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := gridEditor(t, 6)
+			v := &Verifier{Hier: true}
+			before, err := tc.verify(v, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf, _ := e.Design.Cell("SRCELL")
+			sc := *leaf.Sticks
+			sc.Wires = sc.Wires[1:]
+			leaf.Sticks = &sc
+			tc.announce(e, leaf)
+
+			wantCkt, wantErr, wantVs := scratch(t, e.Cell)
+			if (wantErr == nil) == (before.CircuitErr == nil) && reflect.DeepEqual(wantCkt, before.Circuit) &&
+				reflect.DeepEqual(wantVs, before.Violations) {
+				t.Fatal("dropping the wire left the scratch verdict unchanged; the case proves nothing")
+			}
+			for run := 0; run < 2; run++ {
+				rep, err := tc.verify(v, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (rep.CircuitErr == nil) != (wantErr == nil) || !reflect.DeepEqual(rep.Circuit, wantCkt) ||
+					!reflect.DeepEqual(rep.Violations, wantVs) {
+					t.Fatalf("run %d after the mutation differs from scratch (stale certificate?)\ngot:  %v, %v\nwant: %v, %v",
+						run, rep.CircuitErr, rep.Violations, wantErr, wantVs)
+				}
+			}
+			if st := v.Stats(); st.Full != 0 {
+				t.Fatalf("the engine declined, so the stale-certificate path never ran: stats = %+v", st)
+			}
+		})
+	}
+}

@@ -110,17 +110,14 @@ func TestVerifierMatchesScratchUnderEdits(t *testing.T) {
 }
 
 // TestVerifierCachesByGeneration checks the generation fast path (same
-// report pointer back) and that edits invalidate it via the splice
-// path.
+// report pointer back) and that an edit invalidates it: the new
+// generation costs one more scratch run.
 func TestVerifierCachesByGeneration(t *testing.T) {
 	e := gridEditor(t, 6)
 	v := &Verifier{}
 	r1, err := v.Verify(e)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r1.Incremental {
-		t.Error("first run must not be incremental")
 	}
 	r2, err := v.Verify(e)
 	if err != nil {
@@ -137,8 +134,8 @@ func TestVerifierCachesByGeneration(t *testing.T) {
 	if r3 == r2 {
 		t.Error("edit did not invalidate the cached report")
 	}
-	if !r3.Incremental {
-		t.Error("post-edit verify must splice")
+	if st := v.Stats(); st != (Stats{Cached: 1, Full: 2}) {
+		t.Errorf("stats = %+v, want 1 cached and 2 full runs", st)
 	}
 }
 
@@ -158,8 +155,8 @@ func TestVerifierInvalidateRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Incremental {
-		t.Error("post-Invalidate verify must rebuild from scratch")
+	if st := v.Stats(); st.Full != 2 || st.Cached != 0 {
+		t.Errorf("post-Invalidate verify did not run again: stats = %+v", st)
 	}
 	wantCkt, wantErr, wantVs := scratch(t, e.Cell)
 	if (rep.CircuitErr == nil) != (wantErr == nil) {
@@ -170,115 +167,5 @@ func TestVerifierInvalidateRebuilds(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Violations, wantVs) {
 		t.Error("post-Invalidate violations differ from scratch")
-	}
-}
-
-// TestVerifierBatchesEditsIntoOneSplice pins the coalesced-delta
-// contract: any number of edits between two Verify calls cost exactly
-// one splice, and only the instances the edits touched re-flatten.
-func TestVerifierBatchesEditsIntoOneSplice(t *testing.T) {
-	e := gridEditor(t, 12)
-	v := &Verifier{}
-	if _, err := v.Verify(e); err != nil {
-		t.Fatal(err)
-	}
-	if st := v.Stats(); st.Full != 1 || st.Spliced != 0 {
-		t.Fatalf("after priming: stats = %+v", st)
-	}
-
-	// a burst of edits on two instances: four moves, only two distinct
-	// instances touched (a's moves leave a net displacement, so its
-	// shard really must re-flatten)
-	a, b := e.Cell.Instances[3], e.Cell.Instances[7]
-	e.MoveInstance(a, geom.Pt(rules.Lambda, 0))
-	e.MoveInstance(a, geom.Pt(-rules.Lambda, 0))
-	e.MoveInstance(a, geom.Pt(rules.Lambda, 0))
-	e.MoveInstance(b, geom.Pt(0, rules.Lambda))
-
-	rep, err := v.Verify(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Incremental {
-		t.Fatal("batched verify fell back to a full run")
-	}
-	if st := v.Stats(); st.Spliced != 1 || st.Full != 1 {
-		t.Fatalf("five edits did not coalesce into one splice: stats = %+v", st)
-	}
-	if reused, reflat := v.FlattenStats(); reflat != 2 || reused != 10 {
-		t.Fatalf("re-flattened %d instances (reused %d), want exactly the 2 touched", reflat, reused)
-	}
-
-	// the spliced report equals scratch
-	ckt, cktErr, vs := scratch(t, e.Cell)
-	if (cktErr == nil) != (rep.CircuitErr == nil) {
-		t.Fatalf("extraction error mismatch: %v vs %v", rep.CircuitErr, cktErr)
-	}
-	if cktErr == nil && !reflect.DeepEqual(ckt, rep.Circuit) {
-		t.Error("spliced circuit differs from scratch after batched edits")
-	}
-	if !reflect.DeepEqual(vs, rep.Violations) {
-		t.Error("spliced violations differ from scratch after batched edits")
-	}
-}
-
-// TestVerifierChangeLogFloodRebuilds pins the change-log truncation
-// contract end to end: a burst of edits deep enough to trim the
-// editor's bounded change log must make ChangesSince report ok=false
-// for the verifier's old generation — never a silently partial dirty
-// set — and the verifier must respond with a full rebuild whose report
-// still matches the cache-free pipeline exactly.
-func TestVerifierChangeLogFloodRebuilds(t *testing.T) {
-	e := gridEditor(t, 9)
-	v := &Verifier{}
-	if _, err := v.Verify(e); err != nil {
-		t.Fatal(err)
-	}
-	oldGen := e.Generation()
-	full0 := v.Stats().Full
-
-	// flood: well past the log bound, jogging one instance back and
-	// forth (net displacement zero, so the final geometry equals a
-	// single-edit state only by accident of the jog count — the verify
-	// must not depend on that)
-	in := e.Cell.Instances[4]
-	const flood = 300
-	for i := 0; i < flood; i++ {
-		d := rules.Lambda
-		if i%2 == 1 {
-			d = -rules.Lambda
-		}
-		e.MoveInstance(in, geom.Pt(d, rules.Lambda))
-		e.MoveInstance(in, geom.Pt(0, -rules.Lambda))
-	}
-	if dirty, ok := e.ChangesSince(oldGen); ok {
-		t.Fatalf("ChangesSince across a trimmed log returned ok=true with %d rects; must refuse", len(dirty))
-	}
-	// a generation the log still covers keeps answering exactly
-	midGen := e.Generation()
-	e.MoveInstance(in, geom.Pt(rules.Lambda, 0))
-	if dirty, ok := e.ChangesSince(midGen); !ok || len(dirty) != 1 {
-		t.Fatalf("ChangesSince inside the log = %v, %v; want one rect, ok", dirty, ok)
-	}
-
-	rep, err := v.Verify(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Incremental {
-		t.Error("flooded verify claimed an incremental splice; must rebuild from scratch")
-	}
-	if got := v.Stats().Full; got != full0+1 {
-		t.Errorf("full rebuilds = %d, want %d", got, full0+1)
-	}
-	wantCkt, wantErr, wantVs := scratch(t, e.Cell)
-	if (rep.CircuitErr == nil) != (wantErr == nil) {
-		t.Fatalf("circuit error mismatch: %v vs %v", rep.CircuitErr, wantErr)
-	}
-	if !reflect.DeepEqual(rep.Circuit, wantCkt) {
-		t.Error("flooded rebuild circuit differs from scratch")
-	}
-	if !reflect.DeepEqual(rep.Violations, wantVs) {
-		t.Error("flooded rebuild violations differ from scratch")
 	}
 }

@@ -155,9 +155,9 @@ func (s *Session) Mount(fsys fs.FS) { s.extra = fsys }
 
 // AttachCache opens (creating if needed) a persistent verification
 // cache rooted at dir and wires it under the session's verifier and
-// LVS caches: flatten shards, leaf reference netlists and sub-cell
-// match certificates then survive across processes, keyed by content
-// signatures. Corrupt or version-skewed entries are quarantined and
+// LVS caches: per-cell hierarchical certificates, leaf reference
+// netlists and sub-cell match certificates then survive across
+// processes, keyed by content signatures. Corrupt or version-skewed entries are quarantined and
 // recomputed cold; verdicts are identical to cache-free runs.
 func (s *Session) AttachCache(dir string) error { return s.Shell.AttachCache(dir) }
 
