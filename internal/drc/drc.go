@@ -53,9 +53,7 @@ package drc
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"riot/internal/core"
 	"riot/internal/flatten"
@@ -100,64 +98,27 @@ func lambdaStr(cm int) string {
 	return fmt.Sprintf("%.2f", l)
 }
 
-// CheckCell flattens a cell hierarchy (in parallel, like the
-// extractor) and checks every layer present in the result.
+// CheckCell flattens a cell hierarchy and checks every layer present
+// in the result.
 func CheckCell(c *core.Cell) ([]Violation, error) {
-	fr, err := flatten.Cell(c, flatten.Options{})
+	fr, err := flatten.Cell(c)
 	if err != nil {
 		return nil, err
 	}
 	return Check(fr), nil
 }
 
-// Check checks every layer of a flattened design, reusing the result's
-// per-layer spatial indexes, and returns the violations in
-// deterministic order. Layers are independent, so with more than one
-// CPU each layer's width and spacing pass runs in its own goroutine;
-// the merged report is identical to the sequential one (the final
-// sort-and-dedupe canonicalizes it).
+// Check checks every layer of a flattened design in turn, reusing the
+// result's per-layer spatial indexes, then every contact cut's metal
+// surround, and returns the violations in deterministic order.
 func Check(fr *flatten.Result) []Violation {
-	return checkWorkers(fr, runtime.GOMAXPROCS(0))
-}
-
-// checkWorkers runs the full check with an explicit concurrency width.
-func checkWorkers(fr *flatten.Result, workers int) []Violation {
-	layers := checkedLayers(fr)
 	var out []Violation
-	for _, ev := range evalAll(fr, layers, workers) {
+	for _, l := range checkedLayers(fr) {
+		ev := evalLayer(l, fr.LayerRects(l), resolveBoxes(fr, l), fr.LayerIndex(l), rules.Of(l))
 		out = ev.appendViolations(out)
 	}
 	out = append(out, checkContactSurround(fr)...)
-	sortViolations(out)
-	return dedupe(out)
-}
-
-// evalAll evaluates every layer, one goroutine per layer when more
-// than one worker is available.
-func evalAll(fr *flatten.Result, layers []geom.Layer, workers int) []*layerEval {
-	evals := make([]*layerEval, len(layers))
-	if workers < 2 || len(layers) < 2 {
-		for k, l := range layers {
-			evals[k] = evalLayer(l, fr.LayerRects(l), resolveBoxes(fr, l), fr.LayerIndex(l), rules.Of(l))
-		}
-		return evals
-	}
-	// force the shared lazy per-layer views and indexes before the
-	// fan-out; afterwards each goroutine touches only its own layer
-	for _, l := range layers {
-		fr.LayerIndex(l)
-		fr.LayerSrcs(l)
-	}
-	var wg sync.WaitGroup
-	for k, l := range layers {
-		wg.Add(1)
-		go func(k int, l geom.Layer) {
-			defer wg.Done()
-			evals[k] = evalLayer(l, fr.LayerRects(l), resolveBoxes(fr, l), fr.LayerIndex(l), rules.Of(l))
-		}(k, l)
-	}
-	wg.Wait()
-	return evals
+	return FinishViolations(out)
 }
 
 // checkedLayers returns the layers a flattened design gets checked on.
@@ -190,9 +151,7 @@ func resolveBoxes(fr *flatten.Result, l geom.Layer) []geom.Rect {
 func CheckLayer(l geom.Layer, rects []geom.Rect, r rules.Rule) []Violation {
 	ix := geom.NewIndexFrom(rects)
 	ev := evalLayer(l, rects, nil, ix, r)
-	out := ev.appendViolations(nil)
-	sortViolations(out)
-	return dedupe(out)
+	return FinishViolations(ev.appendViolations(nil))
 }
 
 // widthViolations reports material narrower than minW (centimicrons):

@@ -41,18 +41,7 @@ func (le *layerEval) appendViolations(out []Violation) []Violation {
 // all-pairs spacing scan.
 func evalLayer(l geom.Layer, rects, boxes []geom.Rect, ix *geom.Index, rule rules.Rule) *layerEval {
 	le := &layerEval{layer: l, rule: rule, rects: rects, boxes: boxes}
-
-	uf := geom.NewUnionFind(len(rects))
-	for i, r := range rects {
-		ix.QueryRect(r, func(j int) bool {
-			if j > i {
-				uf.Union(i, j)
-			}
-			return true
-		})
-	}
-	le.comp = compLabels(uf, len(rects))
-
+	le.comp = touchComponents(rects, ix)
 	le.widthResid = widthResidues(rects, rule.MinWidth*rules.Lambda)
 
 	minS := rule.MinSpacing * rules.Lambda
@@ -64,9 +53,21 @@ func evalLayer(l geom.Layer, rects, boxes []geom.Rect, ix *geom.Index, rule rule
 	return le
 }
 
-func compLabels(uf *geom.UnionFind, n int) []int32 {
-	comp := make([]int32, n)
-	for i := 0; i < n; i++ {
+// touchComponents labels each rectangle with the root of its touch
+// component, finding touching partners through the layer's index: the
+// component loop the flat check and the cell certificate share.
+func touchComponents(rects []geom.Rect, ix *geom.Index) []int32 {
+	uf := geom.NewUnionFind(len(rects))
+	for i, r := range rects {
+		ix.QueryRect(r, func(j int) bool {
+			if j > i {
+				uf.Union(i, j)
+			}
+			return true
+		})
+	}
+	comp := make([]int32, len(rects))
+	for i := range comp {
 		comp[i] = int32(uf.Find(i))
 	}
 	return comp

@@ -56,19 +56,9 @@ func CellCheck(fr *flatten.Result) *CellDRC {
 	}
 	for _, l := range checkedLayers(fr) {
 		rects := fr.LayerRects(l)
-		ix := fr.LayerIndex(l)
-		uf := geom.NewUnionFind(len(rects))
-		for i, r := range rects {
-			ix.QueryRect(r, func(j int) bool {
-				if j > i {
-					uf.Union(i, j)
-				}
-				return true
-			})
-		}
 		c.Layers = append(c.Layers, l)
 		c.Rects[l] = rects
-		c.Comp[l] = compLabels(uf, len(rects))
+		c.Comp[l] = touchComponents(rects, fr.LayerIndex(l))
 		c.Resid[l] = widthResidues(rects, rules.Of(l).MinWidth*rules.Lambda)
 	}
 

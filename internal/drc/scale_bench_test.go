@@ -56,7 +56,7 @@ func BenchmarkDRCScale(b *testing.B) {
 // build once, lazily).
 func BenchmarkDRCCheckOnly(b *testing.B) {
 	top := benchArray(b, 16)
-	fr, err := flatten.Cell(top, flatten.Options{})
+	fr, err := flatten.Cell(top)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,31 +64,6 @@ func BenchmarkDRCCheckOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if vs := Check(fr); len(vs) != 0 {
 			b.Fatalf("array not clean: %v", vs)
-		}
-	}
-}
-
-// BenchmarkDRCCheckWorkers pins the per-layer fan-out width so
-// single-threaded and concurrent checks compare directly (see
-// BenchmarkExtractSolveWorkers on the single-hardware-thread caveat).
-func BenchmarkDRCCheckWorkers(b *testing.B) {
-	for _, n := range []int{32, 64} {
-		top := benchArray(b, n)
-		fr, err := flatten.Cell(top, flatten.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, l := range checkedLayers(fr) {
-			fr.LayerIndex(l) // front-load the shared lazy builds
-		}
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%dx%d/w%d", n, n, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if vs := checkWorkers(fr, w); len(vs) != 0 {
-						b.Fatalf("array not clean: %v", vs)
-					}
-				}
-			})
 		}
 	}
 }

@@ -2,8 +2,6 @@ package extract
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"riot/internal/core"
@@ -102,87 +100,47 @@ func TestExtractArrayRow(t *testing.T) {
 	}
 }
 
-// TestExtractIndexedMatchesBrute runs the production extractor and the
-// brute-force reference over every library cell and several replicated
-// arrays, requiring byte-identical circuits (same dense net numbering,
-// same transistor list, same label map).
-func TestExtractIndexedMatchesBrute(t *testing.T) {
-	d := core.NewDesign()
-	if err := lib.Install(d); err != nil {
+// TestFragmentsKeepOccurrence: every solved fragment — diffusion
+// pieces cut at gates included — carries the occurrence id of the leaf
+// that drew it, in the flat solve and in a group solve alike.
+func TestFragmentsKeepOccurrence(t *testing.T) {
+	fr, err := flatten.Cell(srArray(t, 3, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var cells []*core.Cell
-	for _, name := range []string{"SRCELL", "NAND", "OR4", "PIPEM", "PIPEP", "PADIN", "PADOUT"} {
-		c, ok := d.Cell(name)
-		if !ok {
-			t.Fatalf("library cell %s missing", name)
-		}
-		cells = append(cells, c)
+	_, frags, err := SolveNets(fr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cells = append(cells, srArray(t, 2, 2), srArray(t, 5, 1), srArray(t, 4, 3))
-	for _, c := range cells {
-		fast, errF := FromCell(c)
-		slow, errB := fromCell(c, true)
-		if (errF == nil) != (errB == nil) {
-			t.Fatalf("%s: indexed err=%v, brute err=%v", c.Name, errF, errB)
+	// sticks geometry may overhang its declared box by up to a wire
+	// width; a contact-size margin covers the library cells
+	margin := rules.ContactSize * rules.Lambda
+	ndSrcs := map[int]int{}
+	for _, f := range frags {
+		if !fr.SrcBoxes[f.Src].Inset(-margin).ContainsRect(f.R) {
+			t.Fatalf("%v fragment %v strays from its occurrence %d box %v", f.Layer, f.R, f.Src, fr.SrcBoxes[f.Src])
 		}
-		if errF != nil {
-			continue
-		}
-		if !reflect.DeepEqual(fast, slow) {
-			t.Errorf("%s: indexed and brute circuits differ:\nindexed: %+v\nbrute:   %+v", c.Name, fast, slow)
+		if f.Layer == geom.ND {
+			ndSrcs[f.Src]++
 		}
 	}
-}
+	if len(ndSrcs) != 3 || ndSrcs[0] != ndSrcs[1] || ndSrcs[1] != ndSrcs[2] {
+		t.Errorf("diffusion fragments per occurrence = %v, want the same count for each of 0, 1, 2", ndSrcs)
+	}
 
-// TestExtractConnectivityFuzz cross-checks the sweep-line/indexed
-// solver against the all-pairs reference on random rectangle soups:
-// random sizes (including degenerate slivers), random layers, random
-// cross-layer contact joins, and a label probing every rectangle's
-// center. Any divergence in fragmentation, connectivity or point
-// location shows up as a circuit mismatch.
-func TestExtractConnectivityFuzz(t *testing.T) {
-	layers := []geom.Layer{geom.ND, geom.NP, geom.NM}
-	rng := rand.New(rand.NewSource(1982))
-	for trial := 0; trial < 40; trial++ {
-		span := 200 + rng.Intn(2000)
-		n := 5 + rng.Intn(120)
-		mk := func() *flatten.Result {
-			fr := &flatten.Result{}
-			for i := 0; i < n; i++ {
-				x, y := rng.Intn(span), rng.Intn(span)
-				w, h := rng.Intn(span/4), rng.Intn(span/4)
-				lay := layers[rng.Intn(len(layers))]
-				r := geom.R(x, y, x+w, y+h)
-				fr.Shapes = append(fr.Shapes, flatten.Shape{Layer: lay, R: r})
-				fr.Labels = append(fr.Labels, flatten.NamedLabel{Name: fmt.Sprintf("s%d", i), Label: flatten.Label{At: r.Center(), Layer: lay}})
-				if rng.Intn(4) == 0 {
-					// contact join at this rect's center to a random layer
-					// (or the LayerNone wildcard)
-					to := geom.Layer(geom.LayerNone)
-					if rng.Intn(2) == 0 {
-						to = layers[rng.Intn(len(layers))]
-					}
-					fr.Joins = append(fr.Joins, flatten.Join{
-						At:     [2]geom.Point{r.Center(), r.Center()},
-						Layers: [2]geom.Layer{lay, to},
-					})
-				}
-			}
-			return fr
-		}
-		// identical inputs: mk consumes rng, so build once and copy
-		fr1 := mk()
-		fr2 := &flatten.Result{Shapes: fr1.Shapes, Devices: fr1.Devices,
-			Joins: fr1.Joins, Labels: fr1.Labels}
-		fast, errF := solve(fr1, false)
-		slow, errB := solve(fr2, true)
-		if errF != nil || errB != nil {
-			t.Fatalf("trial %d: solve errors %v / %v", trial, errF, errB)
-		}
-		if !reflect.DeepEqual(fast, slow) {
-			t.Fatalf("trial %d (n=%d): indexed and brute circuits differ\nindexed: %+v\nbrute:   %+v",
-				trial, n, fast, slow)
+	sr := fr.SrcCells[0]
+	var leaves []flatten.LeafAt
+	for i := 0; i < 3; i++ {
+		leaves = append(leaves, flatten.LeafAt{Cell: sr, Tr: geom.MakeTransform(geom.R0, geom.Pt(i*20*rules.Lambda, 0))})
+	}
+	gfr, err := flatten.Leaves(leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := GroupSolve(gfr)
+	for i, f := range g.Frags {
+		if f.Src != int(g.FragOcc[i]) {
+			t.Fatalf("group fragment %d (%v): Src %d, FragOcc %d", i, f.Layer, f.Src, g.FragOcc[i])
 		}
 	}
 }

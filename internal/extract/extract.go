@@ -7,16 +7,15 @@
 // users "must verify connections with extensive checking". The
 // extractor is this reproduction's checking tool: tests use it to
 // prove that abutment, routing and stretching really do produce
-// electrically connected nets, and the switch-level simulator
-// (internal/sim) runs gate truth tables from extracted circuits.
+// electrically connected nets, and the library tests run gate truth
+// tables on extracted circuits with a switch-level simulator.
 //
 // # Algorithm
 //
 // Extraction consumes the shared flattening layer (internal/flatten),
 // which walks the cell hierarchy and emits every mask rectangle,
-// device and contact in top-level coordinates — replicated arrays fan
-// out across goroutines with a deterministic shard merge. Solving then
-// recovers connectivity:
+// device and contact in top-level coordinates. Solving then recovers
+// connectivity in one sequential pass:
 //
 //   - diffusion is fragmented at transistor gates, finding the gates
 //     that actually cut each diffusion shape through a spatial index
@@ -28,14 +27,14 @@
 //   - contacts, device probes and connector labels resolve points to
 //     fragments through per-layer geom.Index point location.
 //
-// A brute-force solver (all-pairs touch, linear point scans,
-// sequential flatten) is retained for differential testing; both paths
-// produce byte-identical circuits.
+// The flat solver and the hierarchical engine's certificate builders
+// (CellSolve, GroupSolve) run the same fragment-and-sweep pipeline. The
+// tests keep a quadratic reference (all-device fragmentation, the
+// all-pairs touch test, linear point scans) and require byte-identical
+// circuits and fragment lists from both.
 package extract
 
 import (
-	"runtime"
-
 	"riot/internal/core"
 	"riot/internal/flatten"
 	"riot/internal/geom"
@@ -78,26 +77,19 @@ func (c *Circuit) Net(label string) (int, bool) {
 // connectors and, for composition cells, every instance connector
 // ("inst.CONN").
 func FromCell(c *core.Cell) (*Circuit, error) {
-	return fromCell(c, false)
-}
-
-// fromCell runs either the production extractor (indexed solve,
-// parallel flatten) or the brute-force reference (linear scans,
-// sequential flatten). Both produce identical circuits; the reference
-// exists for differential tests and the scaling benchmark.
-func fromCell(c *core.Cell, brute bool) (*Circuit, error) {
-	fr, err := flatten.Cell(c, flatten.Options{Sequential: brute})
+	fr, err := flatten.Cell(c)
 	if err != nil {
 		return nil, err
 	}
-	return solve(fr, brute)
+	return Solve(fr)
 }
 
 // Solve extracts the circuit of an already flattened design: FromCell
 // minus the flatten, for callers that share one flatten.Result with
 // the design-rule checker.
 func Solve(fr *flatten.Result) (*Circuit, error) {
-	return solve(fr, false)
+	ckt, _, _, err := solve(fr)
+	return ckt, err
 }
 
 // NetShape is one solved fragment of mask material with the net it
@@ -115,13 +107,13 @@ type NetShape struct {
 // uses the fragments to stitch leaf-cell netlists across abutment
 // seams: a net is reachable from every rectangle that carries it.
 func SolveNets(fr *flatten.Result) (*Circuit, []NetShape, error) {
-	ckt, st, err := solveWorkers(fr, false, runtime.GOMAXPROCS(0))
+	ckt, frags, nets, err := solve(fr)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]NetShape, len(st.frags))
-	for i, f := range st.frags {
-		out[i] = NetShape{Layer: f.Layer, R: f.R, Src: f.Src, Net: st.nets[i]}
+	out := make([]NetShape, len(frags))
+	for i, f := range frags {
+		out[i] = NetShape{Layer: f.Layer, R: f.R, Src: f.Src, Net: nets[i]}
 	}
 	return ckt, out, nil
 }

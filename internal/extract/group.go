@@ -1,8 +1,6 @@
 package extract
 
 import (
-	"fmt"
-
 	"riot/internal/flatten"
 	"riot/internal/geom"
 	"riot/internal/sticks"
@@ -66,49 +64,18 @@ type GroupDevice struct {
 }
 
 // GroupSolve fragments and sweeps a group flatten (flatten.Leaves)
-// with the flat solver's exact sequential pipeline. It performs no
-// join baking and no device resolution — everything that could depend
-// on material outside the group is left to the engine.
-func GroupSolve(fr *flatten.Result) (*GroupCert, error) {
-	frags, counts := fragment(fr, false, 1)
-	uf := geom.NewUnionFind(len(frags))
-	byLayer := map[geom.Layer][]int{}
-	for i, s := range frags {
-		byLayer[s.Layer] = append(byLayer[s.Layer], i)
+// with the flat solver's connect pipeline. It performs no join baking
+// and no device resolution — everything that could depend on material
+// outside the group is left to the engine.
+func GroupSolve(fr *flatten.Result) *GroupCert {
+	frags, uf, loc := connect(fr)
+	g := &GroupCert{Frags: frags, Joins: fr.Joins, loc: loc}
+	g.FragOcc = make([]int32, len(frags))
+	for i, f := range frags {
+		g.FragOcc[i] = int32(f.Src)
 	}
-	for _, idxs := range byLayer {
-		sweepUnion(frags, idxs, uf)
-	}
-
-	g := &GroupCert{Frags: frags, Joins: fr.Joins, loc: newLocator(frags, false)}
-
-	// fragment -> occurrence, via the per-shape fragment counts
-	g.FragOcc = make([]int32, 0, len(frags))
-	for si, s := range fr.Shapes {
-		for k := int32(0); k < counts[si]; k++ {
-			g.FragOcc = append(g.FragOcc, int32(s.Src))
-		}
-	}
-	if len(g.FragOcc) != len(frags) {
-		return nil, fmt.Errorf("extract: group fragment accounting mismatch (%d vs %d)", len(g.FragOcc), len(frags))
-	}
-
 	// dense group-local nets in first-fragment order
-	netID := make([]int32, len(frags))
-	for i := range netID {
-		netID[i] = -1
-	}
-	nets := 0
-	g.FragNet = make([]int32, len(frags))
-	for i := range frags {
-		root := uf.Find(i)
-		if netID[root] < 0 {
-			netID[root] = int32(nets)
-			nets++
-		}
-		g.FragNet[i] = netID[root]
-	}
-	g.NetCount = nets
+	g.FragNet, g.NetCount = denseNets(uf, len(frags))
 
 	for _, d := range fr.Devices {
 		g.Devices = append(g.Devices, GroupDevice{
@@ -125,7 +92,7 @@ func GroupSolve(fr *flatten.Result) (*GroupCert, error) {
 	n := len(fr.SrcBoxes)
 	g.OccFragSpan = occSpans(n, len(g.Frags), func(i int) int32 { return g.FragOcc[i] })
 	g.OccDevSpan = occSpans(n, len(g.Devices), func(i int) int32 { return g.Devices[i].Occ })
-	return g, nil
+	return g
 }
 
 // occSpans turns an occurrence-major id sequence into per-occurrence

@@ -72,25 +72,15 @@ type CertJoin struct {
 
 // CellSolve builds the extraction certificate for one flattened cell.
 // fr must be the flatten of a single leaf occurrence (flatten.CellAt
-// of a non-composition cell); the fragment pipeline is the exact
-// sequential pipeline of the flat solver, so a placement of this
-// certificate contributes the same fragments, in the same order, with
-// the same intra-cell unions as the flat solve of the whole design.
+// of a non-composition cell); the fragments come from the flat
+// solver's own connect pipeline, so a placement of this certificate
+// contributes the same fragments, in the same order, with the same
+// intra-cell unions as the flat solve of the whole design.
 func CellSolve(fr *flatten.Result) (*CellCert, error) {
 	if len(fr.SrcBoxes) != 1 {
 		return nil, fmt.Errorf("extract: cell certificate needs exactly one leaf occurrence, got %d", len(fr.SrcBoxes))
 	}
-	frags, _ := fragment(fr, false, 1)
-	uf := geom.NewUnionFind(len(frags))
-	byLayer := map[geom.Layer][]int{}
-	for i, s := range frags {
-		byLayer[s.Layer] = append(byLayer[s.Layer], i)
-	}
-	for _, idxs := range byLayer {
-		sweepUnion(frags, idxs, uf)
-	}
-	loc := newLocator(frags, false)
-
+	frags, uf, loc := connect(fr)
 	c := &CellCert{Frags: frags, loc: loc, Box: fr.SrcBoxes[0]}
 
 	// Bake only joins that are fully local AND choice-independent: both
@@ -117,21 +107,7 @@ func CellSolve(fr *flatten.Result) (*CellCert, error) {
 	// dense local net numbering in fragment order — the engine's
 	// (occurrence, local net) lexicographic renumbering reproduces the
 	// flat solver's first-fragment dense order from this
-	netID := make([]int32, len(frags))
-	for i := range netID {
-		netID[i] = -1
-	}
-	nets := 0
-	c.FragNet = make([]int32, len(frags))
-	for i := range frags {
-		root := uf.Find(i)
-		if netID[root] < 0 {
-			netID[root] = int32(nets)
-			nets++
-		}
-		c.FragNet[i] = netID[root]
-	}
-	c.NetCount = nets
+	c.FragNet, c.NetCount = denseNets(uf, len(frags))
 
 	netAt := func(at geom.Point, layer geom.Layer) int32 {
 		i := loc.findOnLayer(at, layer)
@@ -185,7 +161,7 @@ func (c *CellCert) Seal() error {
 			}
 		}
 	}
-	c.loc = newLocator(c.Frags, false)
+	c.loc = newLocator(c.Frags)
 	return nil
 }
 

@@ -3,15 +3,13 @@ package extract
 import (
 	"fmt"
 	"testing"
-
-	"riot/internal/flatten"
 )
 
 // BenchmarkExtractScale times full extraction of N x N SRCELL arrays —
 // the replicated-composition workload the paper's Nx/Ny primitive
 // creates. The production extractor (spatial index, sweep-line
-// connectivity, parallel flatten) is timed up to 64x64; the brute-force
-// reference it replaced is timed only up to 16x16, beyond which the
+// connectivity) is timed up to 64x64; the brute-force reference it
+// replaced is timed only up to 16x16, beyond which the
 // quadratic algorithms are too slow to benchmark honestly (the 16x16
 // brute case already runs ~300ms per op). BENCH_extract.json records
 // the trajectory.
@@ -30,37 +28,10 @@ func BenchmarkExtractScale(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("%dx%d/brute", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := fromCell(top, true); err != nil {
+				if _, err := bruteFromCell(top); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkExtractSolveWorkers isolates the solver (one shared
-// flatten) and pins the concurrency width, so single-threaded and
-// concurrent solves compare directly: per-layer sweeps, locator index
-// builds and gate fragmentation all fan out at w4. On a single
-// hardware thread the goroutines interleave rather than overlap — the
-// numbers then measure the parallel path's overhead, not a speedup;
-// BENCH_extract.json records which applies to the machine that
-// produced it.
-func BenchmarkExtractSolveWorkers(b *testing.B) {
-	for _, n := range []int{32, 64} {
-		top := srArray(b, n, n)
-		fr, err := flatten.Cell(top, flatten.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%dx%d/w%d", n, n, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := solveWorkers(copyResult(fr), false, w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

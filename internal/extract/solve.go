@@ -2,107 +2,55 @@ package extract
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"riot/internal/flatten"
 	"riot/internal/geom"
 )
 
-// solve fragments diffusion at gates, unions touching material and
-// assigns nets. With brute set it runs the quadratic reference
-// algorithms instead of the sweep-line and spatial index; both paths
-// yield byte-identical circuits (the fragment list, and therefore the
-// dense net numbering, is order-identical).
-func solve(fr *flatten.Result, brute bool) (*Circuit, error) {
-	workers := 1
-	if !brute {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ckt, _, err := solveWorkers(fr, brute, workers)
-	return ckt, err
-}
-
-// solveState is what one solve run leaves behind beside the circuit:
-// the fragment list and the dense net of each fragment, which
-// SolveNets reads out.
-type solveState struct {
-	frags []flatten.Shape
-	nets  []int32
-}
-
-// solveWorkers runs the solver with an explicit concurrency width.
-// workers > 1 runs the per-layer sweeps, the locator index builds and
-// the gate fragmentation concurrently; the result is byte-identical to
-// workers == 1 (differential-tested), because fragment order, union
-// structure and point-location tie-breaks are all order-independent or
-// merged deterministically.
-func solveWorkers(fr *flatten.Result, brute bool, workers int) (*Circuit, *solveState, error) {
-	frags, _ := fragment(fr, brute, workers)
-
-	uf := geom.NewUnionFind(len(frags))
-	var loc *locator
-	if brute {
-		// quadratic reference: all-pairs touch test
-		for i := range frags {
-			for j := i + 1; j < len(frags); j++ {
-				if frags[i].Layer != frags[j].Layer {
-					continue
-				}
-				if frags[i].R.Touches(frags[j].R) {
-					uf.Union(i, j)
-				}
-			}
-		}
-		loc = newLocator(frags, true)
-	} else {
-		byLayer := map[geom.Layer][]int{}
-		for i, s := range frags {
-			byLayer[s.Layer] = append(byLayer[s.Layer], i)
-		}
-		if workers > 1 {
-			// Per-layer sweeps touch disjoint UnionFind entries (all
-			// unions are intra-layer), so they run concurrently into the
-			// shared forest; the locator's per-layer point-location
-			// indexes build in parallel with the sweeps.
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				loc = newLocator(frags, false)
-				loc.buildAll()
-			}()
-			for _, idxs := range byLayer {
-				wg.Add(1)
-				go func(idxs []int) {
-					defer wg.Done()
-					sweepUnion(frags, idxs, uf)
-				}(idxs)
-			}
-			wg.Wait()
-		} else {
-			for _, idxs := range byLayer {
-				sweepUnion(frags, idxs, uf)
-			}
-			loc = newLocator(frags, false)
-		}
-	}
-
+// solve is the flat solver: connect the design's material, then
+// resolve contacts, number nets and read out devices and labels. It
+// returns the circuit with the fragment list and each fragment's dense
+// net, which SolveNets reads out.
+func solve(fr *flatten.Result) (*Circuit, []flatten.Shape, []int32, error) {
+	frags, uf, loc := connect(fr)
 	ckt, nets, err := circuitAndNets(fr, frags, uf, loc)
-	if err != nil {
-		return nil, nil, err
+	return ckt, frags, nets, err
+}
+
+// connect is the fragment-and-sweep pipeline every solve shares — the
+// flat solver, CellSolve and GroupSolve — so their fragment lists,
+// intra-layer unions and point-location tie-breaks agree by
+// construction: fragment diffusion at gates, union touching same-layer
+// fragments with one sweep per layer, and index the fragments for
+// point location.
+func connect(fr *flatten.Result) ([]flatten.Shape, *geom.UnionFind, *locator) {
+	frags := fragment(fr)
+	uf := geom.NewUnionFind(len(frags))
+	byLayer := map[geom.Layer][]int{}
+	for i, s := range frags {
+		byLayer[s.Layer] = append(byLayer[s.Layer], i)
 	}
-	return ckt, &solveState{frags: frags, nets: nets}, nil
+	for _, idxs := range byLayer {
+		sweepUnion(frags, idxs, uf)
+	}
+	return frags, uf, newLocator(frags)
+}
+
+// pointFinder resolves points to fragments: the solver's locator, or
+// the linear-scan reference the tests compare it with.
+type pointFinder interface {
+	findOnLayer(at geom.Point, layer geom.Layer) int
+	findAt(at geom.Point, layer geom.Layer) int
 }
 
 // circuitAndNets resolves contacts, numbers nets densely and reads out
-// devices and labels — the order-sensitive tail every solve path
-// (brute, indexed, parallel) shares, so their circuits agree byte for
-// byte — and returns the per-fragment net assignment the LVS reference
-// derivation consumes.
-func circuitAndNets(fr *flatten.Result, frags []flatten.Shape, uf *geom.UnionFind, loc *locator) (*Circuit, []int32, error) {
+// devices and labels — the order-sensitive tail the solver and its
+// test reference share, so their circuits agree byte for byte — and
+// returns the per-fragment net assignment the LVS reference derivation
+// consumes.
+func circuitAndNets(fr *flatten.Result, frags []flatten.Shape, uf *geom.UnionFind, loc pointFinder) (*Circuit, []int32, error) {
 	// contacts join layers at a point
 	for _, j := range fr.Joins {
 		ia := loc.findAt(j.At[0], j.Layers[0])
@@ -111,23 +59,7 @@ func circuitAndNets(fr *flatten.Result, frags []flatten.Shape, uf *geom.UnionFin
 			uf.Union(ia, ib)
 		}
 	}
-
-	// dense net numbering (roots are fragment indices, so a flat table
-	// replaces a map on this hot path)
-	netID := make([]int32, len(frags))
-	for i := range netID {
-		netID[i] = -1
-	}
-	nets := 0
-	netOfFrag := make([]int32, len(frags))
-	for i := range frags {
-		root := uf.Find(i)
-		if netID[root] < 0 {
-			netID[root] = int32(nets)
-			nets++
-		}
-		netOfFrag[i] = netID[root]
-	}
+	netOfFrag, nets := denseNets(uf, len(frags))
 
 	ckt := &Circuit{NetCount: nets, NetOf: map[string]int{}}
 	netAt := func(at geom.Point, layer geom.Layer) (int, bool) {
@@ -159,121 +91,62 @@ func circuitAndNets(fr *flatten.Result, frags []flatten.Shape, uf *geom.UnionFin
 	return ckt, netOfFrag, nil
 }
 
-// fragment splits every ND shape around every gate strip that cuts it,
-// returning the fragments plus the number of fragments each input shape
-// produced (non-ND shapes pass through as one fragment). The indexed
-// path finds cutting gates through a spatial index over the gate strips
-// instead of testing all devices against all diffusion; candidates are
-// subtracted in device order (non-intersecting gates are no-ops in
-// subtract), so the piece sequence matches the brute path exactly.
-// workers > 1 chunks the shape list across goroutines — each worker
-// queries its own clone of the gate index — and merges the chunks in
-// shape order, keeping the output byte-identical.
-func fragment(fr *flatten.Result, brute bool, workers int) ([]flatten.Shape, []int32) {
-	var gates *geom.Index
-	if !brute && len(fr.Devices) > 0 {
-		gates = geom.NewIndex()
-		for _, d := range fr.Devices {
-			gates.Insert(d.Gate)
+// denseNets numbers the forest's sets densely in first-fragment order
+// (roots are fragment indices, so a flat table replaces a map on this
+// hot path) and returns each fragment's net and the net count.
+func denseNets(uf *geom.UnionFind, n int) ([]int32, int) {
+	netID := make([]int32, n)
+	for i := range netID {
+		netID[i] = -1
+	}
+	nets := 0
+	netOf := make([]int32, n)
+	for i := range netOf {
+		root := uf.Find(i)
+		if netID[root] < 0 {
+			netID[root] = int32(nets)
+			nets++
 		}
-		gates.Build()
+		netOf[i] = netID[root]
 	}
-
-	const parallelMinShapes = 2048
-	if brute || workers < 2 || len(fr.Shapes) < parallelMinShapes {
-		frags := make([]flatten.Shape, 0, len(fr.Shapes))
-		counts := make([]int32, len(fr.Shapes))
-		var cand []int
-		for si, s := range fr.Shapes {
-			n := len(frags)
-			frags = fragmentShape(fr, s, gates, brute, &cand, frags)
-			counts[si] = int32(len(frags) - n)
-		}
-		return frags, counts
-	}
-
-	if workers > len(fr.Shapes) {
-		workers = len(fr.Shapes)
-	}
-	type chunk struct {
-		frags  []flatten.Shape
-		counts []int32
-	}
-	chunks := make([]chunk, workers)
-	// one query handle per worker: clones share the built bins but keep
-	// private visit markers (cloning up front, before any worker
-	// queries, keeps the source index untouched)
-	gateIx := make([]*geom.Index, workers)
-	for w := range gateIx {
-		if gates == nil {
-			break
-		}
-		if w == 0 {
-			gateIx[w] = gates
-		} else {
-			gateIx[w] = gates.Clone()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(fr.Shapes)/workers, (w+1)*len(fr.Shapes)/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			g := gateIx[w]
-			frags := make([]flatten.Shape, 0, hi-lo)
-			counts := make([]int32, hi-lo)
-			var cand []int
-			for si := lo; si < hi; si++ {
-				n := len(frags)
-				frags = fragmentShape(fr, fr.Shapes[si], g, false, &cand, frags)
-				counts[si-lo] = int32(len(frags) - n)
-			}
-			chunks[w] = chunk{frags, counts}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	frags := make([]flatten.Shape, 0, len(fr.Shapes))
-	counts := make([]int32, 0, len(fr.Shapes))
-	for _, c := range chunks {
-		frags = append(frags, c.frags...)
-		counts = append(counts, c.counts...)
-	}
-	return frags, counts
+	return netOf, nets
 }
 
-// fragmentShape appends shape s's fragments to out: the shape itself
-// for non-diffusion, otherwise the diffusion minus every cutting gate,
-// subtracted in device order. cand is scratch for the candidate list.
-func fragmentShape(fr *flatten.Result, s flatten.Shape, gates *geom.Index, brute bool, cand *[]int, out []flatten.Shape) []flatten.Shape {
-	if s.Layer != geom.ND {
-		return append(out, s)
+// fragment splits every ND shape around every gate strip that cuts it;
+// other shapes pass through as one fragment. Every fragment keeps its
+// shape's occurrence id. Cutting gates come from a spatial index over
+// the gate strips instead of testing all devices against all
+// diffusion; candidates are subtracted in device order (a gate that
+// does not intersect a shape is a no-op in subtract), so the pieces
+// are exactly those of subtracting every device in turn.
+func fragment(fr *flatten.Result) []flatten.Shape {
+	gates := geom.NewIndex()
+	for _, d := range fr.Devices {
+		gates.Insert(d.Gate)
 	}
-	// candidate gate ids, always in device order: the full device list
-	// on the brute path, the index's touch set (sorted) otherwise — one
-	// subtraction loop keeps both paths byte-identical by construction
-	c := (*cand)[:0]
-	if gates != nil {
-		gates.QueryRect(s.R, func(id int) bool { c = append(c, id); return true })
-		sort.Ints(c)
-	} else if brute {
-		for id := range fr.Devices {
-			c = append(c, id)
+	frags := make([]flatten.Shape, 0, len(fr.Shapes))
+	var cand []int
+	for _, s := range fr.Shapes {
+		if s.Layer != geom.ND {
+			frags = append(frags, s)
+			continue
 		}
-	}
-	*cand = c
-	pieces := []geom.Rect{s.R}
-	for _, id := range c {
-		var next []geom.Rect
+		cand = cand[:0]
+		gates.QueryRect(s.R, func(id int) bool { cand = append(cand, id); return true })
+		sort.Ints(cand)
+		pieces := []geom.Rect{s.R}
+		for _, id := range cand {
+			var next []geom.Rect
+			for _, p := range pieces {
+				next = append(next, subtract(p, fr.Devices[id].Gate)...)
+			}
+			pieces = next
+		}
 		for _, p := range pieces {
-			next = append(next, subtract(p, fr.Devices[id].Gate)...)
+			frags = append(frags, flatten.Shape{Layer: geom.ND, R: p, Src: s.Src})
 		}
-		pieces = next
 	}
-	for _, p := range pieces {
-		out = append(out, flatten.Shape{Layer: geom.ND, R: p})
-	}
-	return out
+	return frags
 }
 
 // sweepActiveSliceMax is the measured active-set size above which
@@ -445,25 +318,16 @@ func sweepSkip(frags []flatten.Shape, events []uint64, uf *geom.UnionFind) {
 	}
 }
 
-// locator answers "which fragment is at this point?" queries. The
-// indexed form holds one geom.Index per layer; the brute form scans
-// the fragment slice. Both return the lowest fragment index that
-// matches, so net lookups are deterministic and identical across the
-// two implementations.
+// locator answers "which fragment is at this point?" queries with one
+// geom.Index per layer. It returns the lowest fragment index that
+// matches, so net lookups are deterministic.
 type locator struct {
-	frags   []flatten.Shape
-	brute   bool
 	byLayer map[geom.Layer]*geom.Index
 	fragIDs map[geom.Layer][]int // index id -> fragment index, per layer
 }
 
-func newLocator(frags []flatten.Shape, brute bool) *locator {
-	l := &locator{frags: frags, brute: brute}
-	if brute {
-		return l
-	}
-	l.byLayer = map[geom.Layer]*geom.Index{}
-	l.fragIDs = map[geom.Layer][]int{}
+func newLocator(frags []flatten.Shape) *locator {
+	l := &locator{byLayer: map[geom.Layer]*geom.Index{}, fragIDs: map[geom.Layer][]int{}}
 	for i, s := range frags {
 		ix, ok := l.byLayer[s.Layer]
 		if !ok {
@@ -476,25 +340,9 @@ func newLocator(frags []flatten.Shape, brute bool) *locator {
 	return l
 }
 
-// buildAll front-loads every per-layer index build (they are otherwise
-// lazy), so a solve can overlap them with the connectivity sweeps.
-func (l *locator) buildAll() {
-	for _, ix := range l.byLayer {
-		ix.Build()
-	}
-}
-
 // findOnLayer returns the lowest fragment index on the given layer
 // containing at, or -1.
 func (l *locator) findOnLayer(at geom.Point, layer geom.Layer) int {
-	if l.brute {
-		for i, s := range l.frags {
-			if s.Layer == layer && s.R.Contains(at) {
-				return i
-			}
-		}
-		return -1
-	}
 	ix, ok := l.byLayer[layer]
 	if !ok {
 		return -1
@@ -517,17 +365,6 @@ func (l *locator) findOnLayer(at geom.Point, layer geom.Layer) int {
 func (l *locator) findAt(at geom.Point, layer geom.Layer) int {
 	if layer != geom.LayerNone {
 		return l.findOnLayer(at, layer)
-	}
-	if l.brute {
-		for i, s := range l.frags {
-			if s.Layer == geom.NM || s.Layer == geom.NC {
-				continue
-			}
-			if s.R.Contains(at) {
-				return i
-			}
-		}
-		return -1
 	}
 	best := -1
 	for layer := range l.byLayer {

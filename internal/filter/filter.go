@@ -60,16 +60,6 @@ type Stats struct {
 // srPitch is the shift-register cell pitch in lambda.
 const srPitch = 20
 
-// taps returns the global x positions (lambda) of the shift-register
-// taps for an array starting at x=0.
-func taps() [4]int {
-	var t [4]int
-	for i := range t {
-		t[i] = srPitch*i + 18
-	}
-	return t
-}
-
 // BuildLogic assembles the logic block of figure 9 in the given
 // variant and returns the design, the logic cell and the stats. The
 // design also contains every intermediate cell Riot created (route
@@ -137,7 +127,6 @@ func BuildLogic(variant Variant) (*core.Design, *core.Cell, *Stats, error) {
 	}
 
 	st := &Stats{Variant: variant}
-	tp := taps()
 
 	switch variant {
 	case Routed:
@@ -237,7 +226,6 @@ func BuildLogic(variant Variant) (*core.Design, *core.Cell, *Stats, error) {
 		if _, err := e.BringOut(orr, []string{"OUT"}, geom.SideRight); err != nil {
 			return nil, nil, nil, err
 		}
-		_ = tp
 	}
 
 	box := logic.BBox()
@@ -262,7 +250,7 @@ type ChipStats struct {
 // stretched by Riot and all connections to them will have to be made
 // by routing").
 func BuildChip(variant Variant) (*core.Design, *core.Cell, *ChipStats, error) {
-	d, logicCell, lst, err := BuildLogic(variant)
+	d, _, lst, err := BuildLogic(variant)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -330,7 +318,6 @@ func BuildChip(variant Variant) (*core.Design, *core.Cell, *ChipStats, error) {
 	box := chip.BBox()
 	cst.ChipBox = box
 	cst.ChipArea = (box.W() / l) * (box.H() / l)
-	_ = logicCell
 	return d, chip, cst, nil
 }
 

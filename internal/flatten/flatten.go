@@ -4,9 +4,9 @@
 // reproduction: the circuit extractor (internal/extract) solves
 // connectivity over its output, and the design-rule checker
 // (internal/drc) measures widths and spacings on it. Keeping the walk
-// in one package means "flatten the hierarchy" is implemented — and
-// parallelized — exactly once, and every new verification workload
-// starts from the same deterministic shape lists.
+// in one package means "flatten the hierarchy" is implemented exactly
+// once, and every new verification workload starts from the same
+// deterministic shape lists.
 //
 // # What flattening produces
 //
@@ -23,12 +23,8 @@
 //     cell's own connectors plus, for compositions, every instance
 //     connector as "inst.CONN").
 //
-// Replicated arrays — the paper's Nx x Ny composition primitive — fan
-// out across goroutines: the copy list is chunked, each chunk flattens
-// into a private shard, and shards merge back in grid order, so the
-// parallel result is byte-identical to the sequential walk. Options
-// {Sequential: true} forces the plain loop (differential tests and
-// benchmarks use it as the reference).
+// The walk is one sequential pass: replicated arrays — the paper's
+// Nx x Ny composition primitive — flatten copy by copy in grid order.
 //
 // # Per-layer views
 //
@@ -42,9 +38,7 @@ package flatten
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"riot/internal/cif"
 	"riot/internal/core"
@@ -160,18 +154,11 @@ func (r *Result) Occurrences() *Occurrences {
 	return oc
 }
 
-// Options tunes the walk.
-type Options struct {
-	// Sequential disables the parallel array fan-out; the walk becomes
-	// the plain nested loop. The output is identical either way.
-	Sequential bool
-}
-
 // Cell flattens a cell hierarchy. Labels cover the cell's own
 // connectors and, for composition cells, every instance connector
 // ("inst.CONN").
-func Cell(c *core.Cell, opt Options) (*Result, error) {
-	return CellAt(c, geom.Identity, opt)
+func Cell(c *core.Cell) (*Result, error) {
+	return CellAt(c, geom.Identity)
 }
 
 // CellAt flattens a cell hierarchy under an explicit placement
@@ -180,18 +167,12 @@ func Cell(c *core.Cell, opt Options) (*Result, error) {
 // distinct cell once per orientation with CellAt (orientation changes
 // fragment emission order, so a rotated placement cannot reuse an
 // identity-orientation flatten by transforming its output).
-func CellAt(c *core.Cell, tr geom.Transform, opt Options) (*Result, error) {
-	b := &builder{sequential: opt.Sequential}
+func CellAt(c *core.Cell, tr geom.Transform) (*Result, error) {
+	b := &builder{}
 	if err := b.cell(c, tr); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Shapes:   b.shapes,
-		Devices:  b.devices,
-		Joins:    b.joins,
-		SrcBoxes: b.srcBoxes,
-		SrcCells: b.srcCells,
-	}
+	res := b.result()
 	for _, cn := range c.Connectors() {
 		res.Labels = append(res.Labels, NamedLabel{cn.Name, Label{tr.Apply(cn.At), cn.Layer}})
 	}
@@ -290,9 +271,17 @@ type builder struct {
 	// srcN counts leaf-cell occurrences entered so far; the current
 	// leaf's shapes carry srcN-1 as their Src id.
 	srcN int
-	// sequential disables the parallel array flatten (set on shard
-	// builders and by Options.Sequential).
-	sequential bool
+}
+
+// result wraps the walk's lists, without labels, as a Result.
+func (b *builder) result() *Result {
+	return &Result{
+		Shapes:   b.shapes,
+		Devices:  b.devices,
+		Joins:    b.joins,
+		SrcBoxes: b.srcBoxes,
+		SrcCells: b.srcCells,
+	}
 }
 
 func (b *builder) cell(c *core.Cell, tr geom.Transform) error {
@@ -324,72 +313,15 @@ func (b *builder) enterLeaf(c *core.Cell, tr geom.Transform) {
 // src is the occurrence id of the leaf currently being flattened.
 func (b *builder) src() int { return b.srcN - 1 }
 
-// parallelMin is the replication count below which an array is
-// flattened inline; tiny arrays are not worth the goroutine handoff.
-const parallelMin = 8
-
-// instance flattens every array copy of an instance. Large replication
-// grids — the paper's Nx x Ny composition primitive — fan out across
-// goroutines: the copy list is chunked, each chunk flattens into a
-// private shard builder, and shards merge back in chunk order so the
-// result is byte-identical to the sequential loop.
+// instance flattens every array copy of an instance in grid order
+// (i outer, j inner).
 func (b *builder) instance(in *core.Instance, tr geom.Transform) error {
-	n := in.Nx * in.Ny
-	workers := runtime.GOMAXPROCS(0)
-	if b.sequential || n < parallelMin || workers < 2 {
-		for i := 0; i < in.Nx; i++ {
-			for j := 0; j < in.Ny; j++ {
-				if err := b.cell(in.Cell, in.CopyTransform(i, j).Then(tr)); err != nil {
-					return err
-				}
+	for i := 0; i < in.Nx; i++ {
+		for j := 0; j < in.Ny; j++ {
+			if err := b.cell(in.Cell, in.CopyTransform(i, j).Then(tr)); err != nil {
+				return err
 			}
 		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	shards := make([]*builder, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		sb := &builder{sequential: true}
-		shards[w] = sb
-		wg.Add(1)
-		go func(sb *builder, lo, hi int, err *error) {
-			defer wg.Done()
-			for k := lo; k < hi; k++ {
-				// copy k in the sequential loop's (i outer, j inner)
-				// order
-				i, j := k/in.Ny, k%in.Ny
-				if e := sb.cell(in.Cell, in.CopyTransform(i, j).Then(tr)); e != nil {
-					*err = e
-					return
-				}
-			}
-		}(sb, lo, hi, &errs[w])
-	}
-	wg.Wait()
-	for w, sb := range shards {
-		if errs[w] != nil {
-			return errs[w]
-		}
-		// renumber shard-local occurrence ids into the walk-global
-		// sequence; chunk order matches the sequential loop, so the
-		// numbering is identical to a sequential flatten
-		for i := range sb.shapes {
-			sb.shapes[i].Src += b.srcN
-		}
-		for i := range sb.devices {
-			sb.devices[i].Src += b.srcN
-		}
-		b.srcN += sb.srcN
-		b.srcBoxes = append(b.srcBoxes, sb.srcBoxes...)
-		b.srcCells = append(b.srcCells, sb.srcCells...)
-		b.shapes = append(b.shapes, sb.shapes...)
-		b.devices = append(b.devices, sb.devices...)
-		b.joins = append(b.joins, sb.joins...)
 	}
 	return nil
 }

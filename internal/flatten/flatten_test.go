@@ -1,7 +1,6 @@
 package flatten
 
 import (
-	"reflect"
 	"testing"
 
 	"riot/internal/core"
@@ -36,44 +35,13 @@ func srArray(t *testing.T, d *core.Design, nx, ny int) *core.Cell {
 	return top
 }
 
-// TestParallelMatchesSequential: the goroutine fan-out must reproduce
-// the sequential walk byte for byte — shapes, devices, joins, labels,
-// occurrence ids and occurrence boxes.
-func TestParallelMatchesSequential(t *testing.T) {
-	d := libDesign(t)
-	top := srArray(t, d, 5, 4)
-	par, err := Cell(top, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Cell(top, Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par.Shapes, seq.Shapes) {
-		t.Error("shapes differ between parallel and sequential flatten")
-	}
-	if !reflect.DeepEqual(par.Devices, seq.Devices) {
-		t.Error("devices differ")
-	}
-	if !reflect.DeepEqual(par.Joins, seq.Joins) {
-		t.Error("joins differ")
-	}
-	if !reflect.DeepEqual(par.Labels, seq.Labels) {
-		t.Error("labels differ")
-	}
-	if !reflect.DeepEqual(par.SrcBoxes, seq.SrcBoxes) {
-		t.Error("occurrence boxes differ")
-	}
-}
-
 // TestOccurrenceProvenance: Src ids are dense, count the leaf
 // occurrences, and every occurrence's shapes lie near its recorded
 // box.
 func TestOccurrenceProvenance(t *testing.T) {
 	d := libDesign(t)
 	top := srArray(t, d, 3, 2)
-	fr, err := Cell(top, Options{})
+	fr, err := Cell(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +72,7 @@ func TestOccurrenceProvenance(t *testing.T) {
 func TestPerLayerViews(t *testing.T) {
 	d := libDesign(t)
 	nand, _ := d.Cell("NAND")
-	fr, err := Cell(nand, Options{})
+	fr, err := Cell(nand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +119,7 @@ func TestPerLayerViews(t *testing.T) {
 func TestLabels(t *testing.T) {
 	d := libDesign(t)
 	top := srArray(t, d, 2, 1)
-	fr, err := Cell(top, Options{})
+	fr, err := Cell(top)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type LeafAt struct {
 // The result carries no labels (label resolution stays with the
 // caller, which has the full design context).
 func Leaves(occs []LeafAt) (*Result, error) {
-	b := &builder{sequential: true}
+	b := &builder{}
 	for _, oc := range occs {
 		if oc.Cell == nil {
 			return nil, fmt.Errorf("flatten: group occurrence with nil cell")
@@ -39,11 +39,5 @@ func Leaves(occs []LeafAt) (*Result, error) {
 			return nil, err
 		}
 	}
-	return &Result{
-		Shapes:   b.shapes,
-		Devices:  b.devices,
-		Joins:    b.joins,
-		SrcBoxes: b.srcBoxes,
-		SrcCells: b.srcCells,
-	}, nil
+	return b.result(), nil
 }

@@ -25,18 +25,12 @@ import "riot/internal/geom"
 // joins, and a culled label list would be misleading.
 func Window(c *core.Cell, clip geom.Rect, pad int) (*Result, error) {
 	clip = clip.Canon()
-	b := &builder{sequential: true}
+	b := &builder{}
 	w := &windowWalker{b: b, clip: clip.Inset(-pad)}
 	if err := w.cell(c, geom.Identity); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Shapes:   b.shapes,
-		Devices:  b.devices,
-		Joins:    b.joins,
-		SrcBoxes: b.srcBoxes,
-		SrcCells: b.srcCells,
-	}, nil
+	return b.result(), nil
 }
 
 type windowWalker struct {

@@ -14,7 +14,7 @@ import (
 func TestWindowMatchesBruteCull(t *testing.T) {
 	d := libDesign(t)
 	top := srArray(t, d, 7, 5)
-	full, err := Cell(top, Options{Sequential: true})
+	full, err := Cell(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWindowOrientedArray(t *testing.T) {
 	d := libDesign(t)
 	top := srArray(t, d, 6, 3)
 	top.Instances[0].Tr = geom.Transform{O: geom.R90, D: geom.Pt(0, 0)}
-	full, err := Cell(top, Options{Sequential: true})
+	full, err := Cell(top)
 	if err != nil {
 		t.Fatal(err)
 	}

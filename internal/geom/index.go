@@ -67,22 +67,6 @@ func NewIndexFrom(rects []Rect) *Index {
 	return ix
 }
 
-// Clone returns an independent query handle over the same built index:
-// the rectangle list, grid and bins are shared (they are immutable once
-// built), while the per-query visit markers are private. Concurrent
-// queries on one Index race on those markers, so parallel workers each
-// take a Clone. The clone must not Insert or Build; the source index
-// must not be modified while clones are live.
-func (ix *Index) Clone() *Index {
-	if !ix.built {
-		ix.Build()
-	}
-	cp := *ix
-	cp.stamp = make([]uint32, len(ix.rects))
-	cp.epoch = 0
-	return &cp
-}
-
 // Insert adds a rectangle and returns its id (dense, in insertion
 // order). Inserting invalidates the built grid; the next query
 // rebuilds it.

@@ -351,7 +351,7 @@ func (e *Engine) cert(c *core.Cell, o geom.Orient) (*Cert, error) {
 	if e.Trace.Enabled() {
 		csp = e.Trace.Begin("cert build " + c.Name)
 	}
-	fr, err := flatten.CellAt(c, geom.Transform{O: o}, flatten.Options{Sequential: true})
+	fr, err := flatten.CellAt(c, geom.Transform{O: o})
 	if err != nil {
 		csp.End()
 		return nil, err

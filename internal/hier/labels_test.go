@@ -263,7 +263,7 @@ func TestCircuitLabelsExact(t *testing.T) {
 			if got := st.LabelsContext > 0; got != tc.context {
 				t.Errorf("%d label(s) took the spatial query, want context = %v", st.LabelsContext, tc.context)
 			}
-			fr, err := flatten.Cell(tc.top, flatten.Options{})
+			fr, err := flatten.Cell(tc.top)
 			if err != nil {
 				t.Fatal(err)
 			}

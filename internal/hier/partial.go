@@ -74,10 +74,7 @@ func (e *Engine) buildQuarantine(occs []placed, inQ []bool) (*quarState, error) 
 	if err != nil {
 		return nil, err
 	}
-	g, err := extract.GroupSolve(fr)
-	if err != nil {
-		return nil, err
-	}
+	g := extract.GroupSolve(fr)
 	q.g = g
 	return q, nil
 }

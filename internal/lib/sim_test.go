@@ -1,19 +1,23 @@
-// Package sim is a switch-level simulator for extracted nMOS circuits,
-// in the spirit of the simulators the Sticks format fed ("Sticks ... is
-// also used as input to simulation"). It models ratioed nMOS logic:
-// enhancement transistors conduct when their gate is high, depletion
-// loads always conduct but pull up weakly, and a conducting path to
-// ground overpowers any pullup.
+package lib_test
+
+// A switch-level simulator for extracted nMOS circuits, in the spirit
+// of the simulators the Sticks format fed ("Sticks ... is also used as
+// input to simulation"). It models ratioed nMOS logic: enhancement
+// transistors conduct when their gate is high, depletion loads always
+// conduct but pull up weakly, and a conducting path to ground
+// overpowers any pullup.
 //
-// The simulator is used by the test suite to run truth tables on the
-// library gates after extraction — closing the loop from symbolic
-// layout through composition to electrical behaviour.
-package sim
+// The tests below run truth tables on the library gates after
+// extraction — closing the loop from symbolic layout through
+// composition to electrical behaviour.
 
 import (
 	"fmt"
+	"testing"
 
+	"riot/internal/core"
 	"riot/internal/extract"
+	"riot/internal/lib"
 	"riot/internal/sticks"
 )
 
@@ -46,9 +50,9 @@ type Simulator struct {
 	gnd int
 }
 
-// New builds a simulator; vddLabel and gndLabel name connectors on the
-// supply rails (e.g. "PWRL" and "GNDL").
-func New(ckt *extract.Circuit, vddLabel, gndLabel string) (*Simulator, error) {
+// newSimulator builds a simulator; vddLabel and gndLabel name
+// connectors on the supply rails (e.g. "PWRL" and "GNDL").
+func newSimulator(ckt *extract.Circuit, vddLabel, gndLabel string) (*Simulator, error) {
 	vdd, ok := ckt.Net(vddLabel)
 	if !ok {
 		return nil, fmt.Errorf("sim: no net for %q", vddLabel)
@@ -195,4 +199,124 @@ func (s *Simulator) TruthTable(inputs []string, output string) ([]Level, error) 
 		out[v] = lv
 	}
 	return out, nil
+}
+
+func extractGate(t *testing.T, name string) *extract.Circuit {
+	t.Helper()
+	d := core.NewDesign()
+	if err := lib.Install(d); err != nil {
+		t.Fatal(err)
+	}
+	cell, ok := d.Cell(name)
+	if !ok {
+		t.Fatalf("no cell %s", name)
+	}
+	ckt, err := extract.FromCell(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckt
+}
+
+// TestNANDTruthTable closes the loop: the symbolic NAND laid out "in
+// REST" extracts to a transistor netlist whose switch-level behaviour
+// is exactly NAND.
+func TestNANDTruthTable(t *testing.T) {
+	ckt := extractGate(t, "NAND")
+	if len(ckt.Transistors) != 3 {
+		t.Fatalf("transistors = %d, want 3", len(ckt.Transistors))
+	}
+	s, err := newSimulator(ckt, "PWRL", "GNDL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.TruthTable([]string{"A", "B"}, "OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Level{L1, L1, L1, L0} // NAND: only A=1,B=1 gives 0
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %02b: OUT = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestOR4TruthTable: the four-input OR (NOR + inverter) behaves as OR
+// on all sixteen input rows.
+func TestOR4TruthTable(t *testing.T) {
+	ckt := extractGate(t, "OR4")
+	// 4 NOR pulldowns + NOR pullup + inverter pulldown + pullup
+	if len(ckt.Transistors) != 7 {
+		t.Fatalf("transistors = %d, want 7", len(ckt.Transistors))
+	}
+	s, err := newSimulator(ckt, "PWRL", "GNDL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.TruthTable([]string{"IN0", "IN1", "IN2", "IN3"}, "OUT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, lv := range got {
+		want := L0
+		if v != 0 {
+			want = L1
+		}
+		if lv != want {
+			t.Errorf("row %04b: OUT = %v, want %v", v, lv, want)
+		}
+	}
+}
+
+func TestRailsConnectAcross(t *testing.T) {
+	// the NAND's left and right rail connectors are one net each
+	ckt := extractGate(t, "NAND")
+	if !ckt.SameNet("PWRL", "PWRR") {
+		t.Error("power rail not continuous")
+	}
+	if !ckt.SameNet("GNDL", "GNDR") {
+		t.Error("ground rail not continuous")
+	}
+	if ckt.SameNet("PWRL", "GNDL") {
+		t.Error("power and ground shorted")
+	}
+	if ckt.SameNet("A", "B") {
+		t.Error("inputs shorted")
+	}
+	if ckt.SameNet("A", "OUT") || ckt.SameNet("B", "OUT") {
+		t.Error("input shorted to output")
+	}
+}
+
+func TestSimulatorErrors(t *testing.T) {
+	ckt := extractGate(t, "NAND")
+	if _, err := newSimulator(ckt, "NOPE", "GNDL"); err == nil {
+		t.Error("unknown vdd accepted")
+	}
+	if _, err := newSimulator(ckt, "PWRL", "PWRL"); err == nil {
+		t.Error("vdd == gnd accepted")
+	}
+	s, _ := newSimulator(ckt, "PWRL", "GNDL")
+	if _, err := s.Eval(map[string]Level{"NOPE": L1}); err == nil {
+		t.Error("unknown input accepted")
+	}
+}
+
+func TestUndrivenInputIsX(t *testing.T) {
+	ckt := extractGate(t, "NAND")
+	s, _ := newSimulator(ckt, "PWRL", "GNDL")
+	res, err := s.Eval(map[string]Level{"A": L1}) // B undriven
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res["B"] != LX {
+		t.Errorf("undriven B = %v", res["B"])
+	}
+}
+
+func TestLevelString(t *testing.T) {
+	if L0.String() != "0" || L1.String() != "1" || LX.String() != "X" {
+		t.Error("level names wrong")
+	}
 }

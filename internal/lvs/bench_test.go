@@ -90,7 +90,7 @@ func BenchmarkIncrementalLVS(b *testing.B) {
 func BenchmarkLVSHierMatch(b *testing.B) {
 	for _, n := range []int{32, 64} {
 		e := gridEditor(b, n)
-		fr, err := flatten.Cell(e.Cell, flatten.Options{})
+		fr, err := flatten.Cell(e.Cell)
 		if err != nil {
 			b.Fatal(err)
 		}

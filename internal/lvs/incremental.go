@@ -118,7 +118,7 @@ func (inc *Incremental) compare(cell *core.Cell, declared []core.Connection, rep
 // checkScratch is the shared from-scratch path: fresh reference memo,
 // fresh certificate store, fresh extraction.
 func checkScratch(cell *core.Cell, declared []core.Connection) (*Result, error) {
-	fr, err := flatten.Cell(cell, flatten.Options{})
+	fr, err := flatten.Cell(cell)
 	if err != nil {
 		return nil, fmt.Errorf("lvs: %s: layout extraction failed: %w", cell.Name, err)
 	}

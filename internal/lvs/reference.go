@@ -532,7 +532,7 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 	if e := rf.diskLoadLeaf(c, reach); e != nil {
 		return e
 	}
-	fr, err := flatten.Cell(c, flatten.Options{})
+	fr, err := flatten.Cell(c)
 	if err != nil {
 		return &refEntry{err: fmt.Errorf("lvs: leaf %s: %w", c.Name, err)}
 	}

@@ -1,10 +1,6 @@
 package lvs
 
-import (
-	"runtime"
-	"slices"
-	"sync"
-)
+import "slices"
 
 // Partition-refinement canonical labeling, the comparison core. Both
 // reduced netlists are colored in ONE shared class space: a class is a
@@ -31,11 +27,9 @@ import (
 // identically (isomorphic twins dirty in the same rounds and hash to
 // the same signatures), so verdicts are unaffected.
 //
-// Recoloring a round's frontier is data-parallel: every dirty node's
-// signature depends only on the previous round's classes, so the
-// frontier is chunked across GOMAXPROCS workers and the results merge
-// in deterministic node order — the merge, not the schedule, assigns
-// class ids.
+// Every dirty node's signature depends only on the previous round's
+// classes; class ids are assigned afterwards, in deterministic node
+// order.
 
 // pinRef is one device incidence of a net.
 type pinRef struct {
@@ -207,43 +201,18 @@ func (sd *mside) netSigOf(n int32, scratch *[]uint64) uint64 {
 	return h
 }
 
-// parallelMinSigs is the frontier size under which signatures compute
-// inline; tiny frontiers are not worth the goroutine handoff.
-const parallelMinSigs = 4096
-
-// computeSigs fills sigs[i] for each dirty id, fanning across
-// GOMAXPROCS workers for large frontiers. The signature function reads
-// only previous-round classes, so the fan-out is deterministic.
+// computeSigs fills sigs[i] for each dirty id from the previous
+// round's classes.
 func computeSigs(sd *mside, devices bool, ids []int32, sigs []uint64) {
-	one := func(lo, hi int) {
-		var si32 []int32
-		var su64 []uint64
-		for i := lo; i < hi; i++ {
-			if devices {
-				sigs[i] = sd.devSigOf(ids[i], &si32)
-			} else {
-				sigs[i] = sd.netSigOf(ids[i], &su64)
-			}
+	var si32 []int32
+	var su64 []uint64
+	for i, id := range ids {
+		if devices {
+			sigs[i] = sd.devSigOf(id, &si32)
+		} else {
+			sigs[i] = sd.netSigOf(id, &su64)
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if len(ids) < parallelMinSigs || workers < 2 {
-		one(0, len(ids))
-		return
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(ids)/workers, (w+1)*len(ids)/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			one(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // mover is one node whose signature moved this round.
@@ -259,7 +228,7 @@ type mover struct {
 // else the smallest signature — and every other subgroup gets a fresh
 // id in deterministic order. Returns the nodes whose class changed.
 func (m *matcher) recolor(devices bool, dirty [2][]int32) [2][]int32 {
-	// signatures, in parallel per side
+	// signatures, per side
 	var sigs [2][]uint64
 	for si, ids := range dirty {
 		sigs[si] = make([]uint64, len(ids))

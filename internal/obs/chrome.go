@@ -12,8 +12,8 @@ import (
 // Spans become complete ("X") events; instant events become "i"
 // events; span notes become event args. All events share pid 1; the
 // tid is a display lane assigned so that overlapping sibling spans
-// (concurrent shard fan-outs) land on separate rows while sequential
-// nesting stays on its parent's row.
+// (concurrent work) land on separate rows while sequential nesting
+// stays on its parent's row.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"traceEvents":[`)

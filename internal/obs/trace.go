@@ -25,9 +25,8 @@
 //
 // Concurrency: Begin/End maintain a current-span stack and assume the
 // pipeline's single-threaded call discipline (one Verify at a time);
-// parallel sub-work (flatten's array fan-out, per-layer DRC) must
-// attach through Span.Child, which is mutex-protected and
-// stack-independent.
+// concurrent sub-work must attach through Span.Child, which is
+// mutex-protected and stack-independent.
 package obs
 
 import (
@@ -163,8 +162,8 @@ type Span struct {
 }
 
 // Child opens a sub-span under sp without touching the trace's span
-// stack — the attachment point for concurrent fan-out work (flatten
-// shards), safe to call from multiple goroutines.
+// stack — the attachment point for concurrent work, safe to call from
+// multiple goroutines.
 func (sp *Span) Child(name string) *Span {
 	if sp == nil {
 		return nil

@@ -191,7 +191,7 @@ func (v *Verifier) run(cell *core.Cell, gen uint64) (*Report, error) {
 		}
 	}
 	fsp := v.trace.Begin("flatten")
-	fr, err := flatten.Cell(cell, flatten.Options{})
+	fr, err := flatten.Cell(cell)
 	fsp.End()
 	if err != nil {
 		v.have = false

@@ -90,7 +90,7 @@ func TestHierVerifierMatchesScratchUnderEdits(t *testing.T) {
 // cell and device span.
 func sameOccurrences(t *testing.T, rep *Report, cell *core.Cell) {
 	t.Helper()
-	fr, err := flatten.Cell(cell, flatten.Options{})
+	fr, err := flatten.Cell(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
