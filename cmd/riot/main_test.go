@@ -391,9 +391,9 @@ func TestTamperedCacheStats(t *testing.T) {
 }
 
 // TestFaultsFlag pins the -faults plumbing end to end: a bad spec is a
-// broken invocation; an armed partial-degradation fault keeps the
-// verdict and surfaces in -stats; an armed whole-decline fault falls
-// back flat with a structured decline line.
+// broken invocation; an armed decline fault keeps the verdict, falls
+// back flat and surfaces in -stats as a fire count and a structured
+// decline condition.
 func TestFaultsFlag(t *testing.T) {
 	t.Chdir(t.TempDir())
 
@@ -402,34 +402,32 @@ func TestFaultsFlag(t *testing.T) {
 		t.Fatalf("bad spec: exit %d, stderr %q", code, errOut)
 	}
 
-	// template-poison on the corner placement: the placement and its
-	// abutting partners quarantine, the rest compose, verdict holds
-	code, out, _ := execRun(t, "-faults", "template-poison=0", "-c", grid, "-lvs", "CHIP", "-stats=json")
-	if code != exitOK {
-		t.Fatalf("poison-injected run exit = %d", code)
-	}
-	if !strings.Contains(out, "netlists match") {
-		t.Errorf("poison-injected verdict missing:\n%s", out)
-	}
-	snap := statsJSON(t, out)
-	if got := counter(t, snap, "hier", "partial_runs"); got != 1 {
-		t.Errorf("poison-injected run not served partially (partial_runs=%v):\n%s", got, out)
-	}
-	if got := counter(t, snap, "faults", "template-poison"); got == 0 {
-		t.Errorf("fault fire count missing from -stats:\n%s", out)
-	}
-
-	// cert-pend on every SRCELL: the whole grid would quarantine, the
-	// budget declines the run and the flat path serves
-	code, out, _ = execRun(t, "-faults", "cert-pend=SRCELL", "-c", grid, "-lvs", "CHIP", "-stats=json")
-	if code != exitOK {
-		t.Fatalf("pend-injected run exit = %d", code)
-	}
-	if !strings.Contains(out, "netlists match") {
-		t.Errorf("pend-injected verdict missing:\n%s", out)
-	}
-	snap = statsJSON(t, out)
-	if d, ok := snap["hier"]["decline"].(string); !ok || d != "quarantine-budget" {
-		t.Errorf("structured decline missing from -stats (got %v):\n%s", snap["hier"]["decline"], out)
+	for _, tc := range []struct {
+		spec    string
+		point   string
+		decline string
+	}{
+		// the corner placement's pairs read as fragmentation poison
+		{"template-poison=0", "template-poison", "poison"},
+		// every SRCELL certificate reads as needing flat context
+		{"cert-pend=SRCELL", "cert-pend", "pend"},
+	} {
+		code, out, _ := execRun(t, "-faults", tc.spec, "-c", grid, "-lvs", "CHIP", "-stats=json")
+		if code != exitOK {
+			t.Fatalf("%s: run exit = %d", tc.spec, code)
+		}
+		if !strings.Contains(out, "netlists match") {
+			t.Errorf("%s: verdict missing:\n%s", tc.spec, out)
+		}
+		snap := statsJSON(t, out)
+		if got := counter(t, snap, "faults", tc.point); got == 0 {
+			t.Errorf("%s: fault fire count missing from -stats:\n%s", tc.spec, out)
+		}
+		if d, ok := snap["hier"]["decline"].(string); !ok || d != tc.decline {
+			t.Errorf("%s: structured decline = %v, want %s:\n%s", tc.spec, snap["hier"]["decline"], tc.decline, out)
+		}
+		if got := counter(t, snap, "verify", "full"); got == 0 {
+			t.Errorf("%s: declined run not served by the flat path:\n%s", tc.spec, out)
+		}
 	}
 }

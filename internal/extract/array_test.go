@@ -102,7 +102,7 @@ func TestExtractArrayRow(t *testing.T) {
 
 // TestFragmentsKeepOccurrence: every solved fragment — diffusion
 // pieces cut at gates included — carries the occurrence id of the leaf
-// that drew it, in the flat solve and in a group solve alike.
+// that drew it.
 func TestFragmentsKeepOccurrence(t *testing.T) {
 	fr, err := flatten.Cell(srArray(t, 3, 1))
 	if err != nil {
@@ -126,21 +126,5 @@ func TestFragmentsKeepOccurrence(t *testing.T) {
 	}
 	if len(ndSrcs) != 3 || ndSrcs[0] != ndSrcs[1] || ndSrcs[1] != ndSrcs[2] {
 		t.Errorf("diffusion fragments per occurrence = %v, want the same count for each of 0, 1, 2", ndSrcs)
-	}
-
-	sr := fr.SrcCells[0]
-	var leaves []flatten.LeafAt
-	for i := 0; i < 3; i++ {
-		leaves = append(leaves, flatten.LeafAt{Cell: sr, Tr: geom.MakeTransform(geom.R0, geom.Pt(i*20*rules.Lambda, 0))})
-	}
-	gfr, err := flatten.Leaves(leaves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := GroupSolve(gfr)
-	for i, f := range g.Frags {
-		if f.Src != int(g.FragOcc[i]) {
-			t.Fatalf("group fragment %d (%v): Src %d, FragOcc %d", i, f.Layer, f.Src, g.FragOcc[i])
-		}
 	}
 }

@@ -27,8 +27,8 @@
 //   - contacts, device probes and connector labels resolve points to
 //     fragments through per-layer geom.Index point location.
 //
-// The flat solver and the hierarchical engine's certificate builders
-// (CellSolve, GroupSolve) run the same fragment-and-sweep pipeline. The
+// The flat solver and the hierarchical engine's certificate builder
+// (CellSolve) run the same fragment-and-sweep pipeline. The
 // tests keep a quadratic reference (all-device fragmentation, the
 // all-pairs touch test, linear point scans) and require byte-identical
 // circuits and fragment lists from both.

@@ -20,7 +20,7 @@ func solve(fr *flatten.Result) (*Circuit, []flatten.Shape, []int32, error) {
 }
 
 // connect is the fragment-and-sweep pipeline every solve shares — the
-// flat solver, CellSolve and GroupSolve — so their fragment lists,
+// flat solver and CellSolve — so their fragment lists,
 // intra-layer unions and point-location tie-breaks agree by
 // construction: fragment diffusion at gates, union touching same-layer
 // fragments with one sweep per layer, and index the fragments for

@@ -1,7 +1,7 @@
 // Package faultinject is the deterministic fault-injection harness for
 // the verification pipeline's degradation paths. The pipeline already
 // degrades gracefully in several places — the hierarchical engine
-// quarantines poisoned placements or declines to the flat path, the
+// declines a run its certificates cannot compose to the flat path, the
 // content-addressed store quarantines corrupt entries and recomputes
 // cold — but those edges fire only when real designs happen to hit
 // them. A Set arms named fault points so tests (and `riot -faults`)
@@ -37,13 +37,14 @@ type Point string
 // degradation edge; the match key's meaning is per-point.
 const (
 	// CertPend forces a cell's certificate to read as Pend (device
-	// terminals need flat context), quarantining every placement of the
+	// terminals need flat context), declining any run that places the
 	// cell. Match key: the cell name ("" = every cell).
 	CertPend Point = "cert-pend"
 	// TemplatePoison forces pair templates involving a placement to
-	// read as fragmentation poison, quarantining the placement and its
-	// interacting partners. Match key: the occurrence index in flatten
-	// walk order, as a decimal string ("" = every pair).
+	// read as fragmentation poison, declining any run in which the
+	// placement has an interacting partner. Match key: the occurrence
+	// index in flatten walk order, as a decimal string ("" = every
+	// pair).
 	TemplatePoison Point = "template-poison"
 	// CertDecode corrupts a hierarchical certificate payload after it
 	// leaves the store but before decoding — the decode must fail
@@ -54,9 +55,10 @@ const (
 	// driving the validate→quarantine→recompute path. Match key: the
 	// store namespace ("" = every namespace).
 	StoreCorrupt Point = "store-corrupt"
-	// ComposeBudget forces the hierarchical composition's work budget
-	// to read as exhausted, declining the run whole to the flat path.
-	// Match key: unused ("" recommended).
+	// ComposeBudget makes the hierarchical composition give up before
+	// pairing placements, declining the run to the flat path — the one
+	// fault that makes the array fast path itself decline. Match key:
+	// unused ("" recommended).
 	ComposeBudget Point = "compose-budget"
 )
 

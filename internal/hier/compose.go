@@ -1,7 +1,6 @@
 package hier
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -21,23 +20,14 @@ type genState struct {
 	matIx  *geom.Index
 	pairs  []pairRef
 
-	uf       *geom.UnionFind
 	netOf    []int32 // dense net of each (occ netBase + local net) node
 	netCount int
-
-	// quar is the partial-degradation state when some placements were
-	// quarantined and served from a flat group residue; nil on clean
-	// runs.
-	quar *quarState
 
 	violations []drc.Violation
 	// spacingCands counts candidate spacing pairs before the component
 	// exemption — the fast path requires zero across its samples.
 	spacingCands int
 }
-
-// inQ reports whether occurrence i is quarantined.
-func (st *genState) inQ(i int) bool { return st.quar != nil && st.quar.inQ[i] }
 
 type pairRef struct {
 	u, v int32
@@ -57,13 +47,13 @@ func neg(p geom.Point) geom.Point { return geom.Pt(-p.X, -p.Y) }
 // compose runs the exact composition over a placed occurrence list —
 // connectivity, then the composed DRC verdict — under one "compose"
 // span.
-func (e *Engine) compose(occs []placed, allowPartial bool) (*genState, error) {
+func (e *Engine) compose(occs []placed) (*genState, error) {
 	csp := e.Trace.Begin("compose")
 	defer csp.End()
 	if csp != nil {
 		csp.Note("placements", strconv.Itoa(len(occs)))
 	}
-	st, err := e.connect(occs, allowPartial)
+	st, err := e.connect(occs)
 	if err != nil {
 		return nil, err
 	}
@@ -77,35 +67,21 @@ func (e *Engine) compose(occs []placed, allowPartial bool) (*genState, error) {
 // deferred joins, and the dense net renumbering. It is all a circuit
 // needs; the DRC half (check) reads the pairs it records.
 //
-// When allowPartial is set, per-placement decline conditions — a pend
-// certificate, a fragmentation-poison pair — quarantine the offending
-// placements instead of declining the run: the quarantined set's flat
-// residue (flatten.Leaves + extract.GroupSolve) splices into the
-// composed remainder, still verdict-identical to flat. Only
-// whole-run conditions (quarantine set over budget, compose-budget
-// exhaustion, an unresolvable quarantined device terminal) return an
-// error, always a *Decline.
-func (e *Engine) connect(occs []placed, allowPartial bool) (*genState, error) {
+// A pend certificate or a fragmentation-poison pair is a composition
+// the certificates cannot express: connect declines the run, always
+// with a *Decline, and the caller runs the scratch flat oracle.
+func (e *Engine) connect(occs []placed) (*genState, error) {
 	if e.Faults.Hit(faultinject.ComposeBudget, "") {
 		return nil, &Decline{Cond: CondComposeBudget, Placement: -1}
 	}
 	st := &genState{occs: occs}
 	total := 0
-	inQ := make([]bool, len(occs))
-	nq := 0
 	for i := range occs {
 		if occs[i].cert.X.Pend || e.Faults.Hit(faultinject.CertPend, occs[i].cert.Cell.Name) {
-			if !allowPartial {
-				return nil, &Decline{Cond: CondPend, Cell: occs[i].cert.Cell.Name, Placement: i}
-			}
-			inQ[i] = true
-			nq++
+			return nil, &Decline{Cond: CondPend, Cell: occs[i].cert.Cell.Name, Placement: i}
 		}
 		occs[i].netBase = int32(total)
 		total += occs[i].cert.X.NetCount
-	}
-	if nq > e.quarantineBudget(len(occs)) {
-		return nil, &Decline{Cond: CondQuarantineBudget, Placement: -1, Quarantined: nq}
 	}
 	st.layers = layersOf(occs)
 	reach := pairReach(st.layers)
@@ -117,14 +93,7 @@ func (e *Engine) connect(occs []placed, allowPartial bool) (*genState, error) {
 	ix.Build()
 	st.matIx = ix
 
-	// Pair pass: build every interacting pair's template BEFORE
-	// applying any union. A poison pair quarantines BOTH members —
-	// poison is symmetric, and putting both sides in the group is what
-	// keeps the group's fragmentation self-contained (every gate that
-	// cuts group diffusion belongs to the group) — and a pair
-	// discovered late can pull in an occurrence whose earlier pairs'
-	// unions would then be stale.
-	work := 0
+	uf := geom.NewUnionFind(total)
 	var cand []int
 	for u := range occs {
 		cand = cand[:0]
@@ -136,10 +105,6 @@ func (e *Engine) connect(occs []placed, allowPartial bool) (*genState, error) {
 		})
 		sort.Ints(cand)
 		for _, v := range cand {
-			work++
-			if e.ComposeBudget > 0 && work > e.ComposeBudget {
-				return nil, &Decline{Cond: CondComposeBudget, Placement: u}
-			}
 			t := e.template(occs[u].cert, occs[v].cert, occs[v].d.Sub(occs[u].d))
 			poison := t.poison
 			if !poison && e.Faults != nil {
@@ -147,79 +112,19 @@ func (e *Engine) connect(occs []placed, allowPartial bool) (*genState, error) {
 					e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(v))
 			}
 			if poison {
-				if !allowPartial {
-					return nil, &Decline{Cond: CondPoison, Cell: occs[u].cert.Cell.Name, Placement: u}
-				}
-				if !inQ[u] {
-					inQ[u] = true
-					nq++
-				}
-				if !inQ[v] {
-					inQ[v] = true
-					nq++
-				}
+				return nil, &Decline{Cond: CondPoison, Cell: occs[u].cert.Cell.Name, Placement: u}
 			}
-			// The pair is kept even when poisoned: poison breaks the pair's
-			// FRAGMENTATION (extraction), which the quarantine re-derives
-			// flat, but the DRC certificates are raw-rectangle-based and
-			// fragmentation-independent, so the template's spacing, width
-			// and touch relations replay unchanged.
+			ub, vb := occs[u].netBase, occs[v].netBase
+			for _, p := range t.unions {
+				uf.Union(int(ub+p[0]), int(vb+p[1]))
+			}
 			st.pairs = append(st.pairs, pairRef{int32(u), int32(v), t})
 		}
 	}
-	if nq > e.quarantineBudget(len(occs)) {
-		return nil, &Decline{Cond: CondQuarantineBudget, Placement: -1, Quarantined: nq}
-	}
-
-	groupNets := 0
-	if nq > 0 {
-		qsp := e.Trace.Begin("quarantine")
-		if qsp != nil {
-			qsp.Note("placements", strconv.Itoa(nq))
-		}
-		if e.Trace.Enabled() {
-			e.Trace.Event(obs.EventQuarantine,
-				fmt.Sprintf("%d of %d placement(s) quarantined to the flat residue", nq, len(occs)))
-		}
-		e.logf("hier: quarantined %d of %d placement(s); composing the remainder", nq, len(occs))
-		q, err := e.buildQuarantine(occs, inQ)
-		qsp.End()
-		if err != nil {
-			return nil, &Decline{Cond: CondQuarantine, Placement: -1, Err: err}
-		}
-		q.base = int32(total)
-		st.quar = q
-		groupNets = q.g.NetCount
-	}
-
-	// Net node space: every occurrence's local certificate nets, then
-	// the quarantine group's nets. Quarantined occurrences' certificate
-	// nodes exist but stay untouched (their material lives in the
-	// group); the renumbering skips them.
-	uf := geom.NewUnionFind(total + groupNets)
-	st.uf = uf
-	for _, pr := range st.pairs {
-		if st.inQ(int(pr.u)) || st.inQ(int(pr.v)) {
-			continue
-		}
-		ub, vb := occs[pr.u].netBase, occs[pr.v].netBase
-		for _, p := range pr.t.unions {
-			uf.Union(int(ub+p[0]), int(vb+p[1]))
-		}
-	}
-	if st.quar != nil {
-		st.boundaryUnions()
-	}
 
 	// deferred joins, resolved in placement context. Both-sides-found
-	// joins union; others drop, matching the flat solver. A quarantined
-	// occurrence's joins are ALL carried by the group (including the
-	// ones its certificate would have baked — re-resolving a both-named
-	// both-local join globally lands on the same nets).
+	// joins union; others drop, matching the flat solver.
 	for ui := range occs {
-		if st.inQ(ui) {
-			continue
-		}
 		u := &occs[ui]
 		for _, j := range u.cert.X.Joins {
 			a := st.nodeAt(j.At[0].Add(u.d), j.Layers[0])
@@ -229,58 +134,65 @@ func (e *Engine) connect(occs []placed, allowPartial bool) (*genState, error) {
 			}
 		}
 	}
-	if st.quar != nil {
-		for _, j := range st.quar.g.Joins {
-			a := st.nodeAt(j.At[0], j.Layers[0])
-			b := st.nodeAt(j.At[1], j.Layers[1])
-			if a >= 0 && b >= 0 {
-				uf.Union(int(a), int(b))
-			}
-		}
-		if d := st.resolveGroupDevices(); d != nil {
-			return nil, d
-		}
-	}
 
 	// Dense renumbering: first appearance in global fragment order. The
 	// flat solver numbers by first fragment over its occurrence-major
-	// fragment list; iterating occurrences in global order — a composed
-	// occurrence's local net ids (themselves first-fragment-ordered), a
-	// quarantined occurrence's group fragment span (the flat fragments
-	// verbatim) — visits every class exactly at its first flat
-	// fragment, so the two orders agree.
-	netOf := make([]int32, total+groupNets)
-	for i := range netOf {
-		netOf[i] = -1
-	}
-	rootID := make([]int32, total+groupNets)
+	// fragment list; iterating the nodes in order — occurrences in global
+	// order, each over its local net ids (themselves
+	// first-fragment-ordered) — visits every class exactly at its first
+	// flat fragment, so the two orders agree.
+	netOf := make([]int32, total)
+	rootID := make([]int32, total)
 	for i := range rootID {
 		rootID[i] = -1
 	}
 	n := 0
-	assign := func(node int32) {
-		r := uf.Find(int(node))
+	for node := range netOf {
+		r := uf.Find(node)
 		if rootID[r] < 0 {
 			rootID[r] = int32(n)
 			n++
 		}
 		netOf[node] = rootID[r]
 	}
-	for i := range occs {
-		if st.inQ(i) {
-			q := st.quar
-			sp := q.g.OccFragSpan[q.qIdx[i]]
-			for f := sp[0]; f < sp[1]; f++ {
-				assign(q.base + q.g.FragNet[f])
-			}
-			continue
-		}
-		for ln := int32(0); ln < int32(occs[i].cert.X.NetCount); ln++ {
-			assign(occs[i].netBase + ln)
-		}
-	}
 	st.netOf, st.netCount = netOf, n
 	return st, nil
+}
+
+// nodeAt finds the composed net NODE at a point under a contact-join
+// layer constraint (LayerNone: any layer below the cut).
+func (st *genState) nodeAt(p geom.Point, l geom.Layer) int32 {
+	return st.locate(p, l, l == geom.LayerNone)
+}
+
+// locate finds the composed net NODE at a point on layer l, or — with
+// belowCut — on any layer below the cut. On one layer any occupant's
+// material works (all same-layer fragments containing one point touch,
+// so they share a post-union net); below the cut the LOWEST occurrence
+// with eligible material decides — the flat fragment list is
+// occurrence-major, so that reproduces the flat locator's
+// lowest-global-fragment pick.
+func (st *genState) locate(p geom.Point, l geom.Layer, belowCut bool) int32 {
+	var cand []int
+	st.matIx.QueryPoint(p, func(id int) bool {
+		cand = append(cand, id)
+		return true
+	})
+	sort.Ints(cand)
+	for _, id := range cand {
+		o := &st.occs[id]
+		lp := p.Sub(o.d)
+		var n int32
+		if belowCut {
+			n = o.cert.X.FindAtNone(lp)
+		} else {
+			n = o.cert.X.FindOnLayer(lp, l)
+		}
+		if n >= 0 {
+			return o.netBase + n
+		}
+	}
+	return -1
 }
 
 // check composes the DRC half — width residues, cross-placement

@@ -2,8 +2,8 @@ package hier
 
 import "fmt"
 
-// Cond names a decline condition — the reason a hierarchical run (or
-// part of one) could not be served from certificates.
+// Cond names a decline condition — the reason a hierarchical run could
+// not be served from certificates.
 type Cond string
 
 // The decline conditions.
@@ -15,27 +15,14 @@ const (
 	// a certificate.
 	CondCertBuild Cond = "cert-build"
 	// CondPend: a certificate has device terminals that need flat
-	// context, in a mode that cannot quarantine (the fast path's
-	// sample composition).
+	// context (a terminal probe finds none of the cell's own material).
 	CondPend Cond = "pend"
 	// CondPoison: a pair template found cross-placement gate/diffusion
-	// overlap, in a mode that cannot quarantine.
+	// overlap, which changes fragmentation itself.
 	CondPoison Cond = "poison"
-	// CondQuarantineBudget: partial degradation was possible but the
-	// quarantine set exceeded the engine's budget — flattening that
-	// many placements costs what the flat path costs anyway.
-	CondQuarantineBudget Cond = "quarantine-budget"
-	// CondComposeBudget: the composition's pair-work budget ran out
-	// (configured via Engine.ComposeBudget or forced by fault
-	// injection).
+	// CondComposeBudget: the composition gave up before pairing
+	// placements, forced by the compose-budget fault point.
 	CondComposeBudget Cond = "compose-budget"
-	// CondDeviceContext: a quarantined placement's device terminal
-	// found no material even with global context — the flat path
-	// reproduces the extraction error the design deserves.
-	CondDeviceContext Cond = "device-context"
-	// CondQuarantine: the quarantine group itself failed to flatten or
-	// solve.
-	CondQuarantine Cond = "quarantine"
 	// CondError wraps a decline that carries only an underlying error.
 	CondError Cond = "error"
 )
@@ -51,8 +38,6 @@ type Decline struct {
 	// Placement is the leaf occurrence index in flatten walk order, or
 	// -1 when the decline is not tied to one placement.
 	Placement int
-	// Quarantined is the quarantine set size for budget declines.
-	Quarantined int
 	// Err is the underlying error, when any.
 	Err error
 }
@@ -64,9 +49,6 @@ func (d *Decline) Error() string {
 	}
 	if d.Placement >= 0 {
 		s += fmt.Sprintf(" placement %d", d.Placement)
-	}
-	if d.Quarantined > 0 {
-		s += fmt.Sprintf(": %d placement(s) would quarantine", d.Quarantined)
 	}
 	if d.Err != nil {
 		s += ": " + d.Err.Error()

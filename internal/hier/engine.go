@@ -34,7 +34,10 @@
 //     dirty cuts re-derive.
 //   - A placement whose transistor gates overlap another placement's
 //     diffusion (or vice versa) would change fragmentation itself;
-//     the engine declines ("poison") and the flat path decides.
+//     the engine declines ("poison") and the flat path decides. So
+//     does a certificate with a device terminal that needs flat
+//     context ("pend"): the engine composes exactly or declines the
+//     whole run, never part of it.
 //
 // Certificates persist in the content-addressed store under the
 // "hiercert" namespace, so a warm restart re-extracts zero certified
@@ -80,22 +83,13 @@ type Engine struct {
 	// Faults is the optional fault-injection set; nil never fires.
 	Faults *faultinject.Set
 	// Trace, when enabled, records the engine's span tree per Verify
-	// (certs, compose, fast, quarantine) plus typed decline and
-	// quarantine events; nil records nothing and costs nothing.
+	// (certs, compose, fast) plus typed decline events; nil records
+	// nothing and costs nothing.
 	Trace *obs.Trace
-	// Log receives one line per noteworthy degradation (declines other
-	// than the routine not-a-composition, partial quarantines); nil
-	// means the default obs.Stderr. Set obs.Discard to silence.
+	// Log receives one line per noteworthy decline (all but the routine
+	// not-a-composition); nil means the default obs.Stderr. Set
+	// obs.Discard to silence.
 	Log obs.Logger
-	// QuarantineBudget caps how many placements a run may quarantine
-	// before declining whole: 0 picks the default (max(4, n/4) of n
-	// placements), a negative value disables partial degradation, a
-	// positive value is the absolute cap.
-	QuarantineBudget int
-	// ComposeBudget caps the pair-template work units (template builds
-	// plus replays) of one composition; 0 is unlimited. Exhaustion
-	// declines the run whole — a sanity valve for pathological designs.
-	ComposeBudget int
 }
 
 // logf routes a noteworthy-event line through the injectable logger
@@ -135,22 +129,6 @@ func (e *Engine) LastDecline() error {
 // record, or nil when it succeeded.
 func (e *Engine) LastDeclineInfo() *Decline { return e.lastDecline }
 
-// quarantineBudget resolves the effective quarantine cap for a run of
-// n placements.
-func (e *Engine) quarantineBudget(n int) int {
-	switch {
-	case e.QuarantineBudget > 0:
-		return e.QuarantineBudget
-	case e.QuarantineBudget < 0:
-		return 0
-	}
-	b := n / 4
-	if b < 4 {
-		b = 4
-	}
-	return b
-}
-
 // Stats counts engine work for the -stats reports and the
 // warm-restart tests.
 type Stats struct {
@@ -163,10 +141,6 @@ type Stats struct {
 	CertBuilt, CertMemoHits, CertDiskHits, CertStored int
 	// TemplateBuilt / TemplateHits count pair-interaction templates.
 	TemplateBuilt, TemplateHits int
-	// PartialRuns counts runs served by partial degradation (some
-	// placements quarantined and flattened, the rest composed);
-	// Quarantined totals the quarantined placements across them.
-	PartialRuns, Quarantined int
 	// LabelsLocal counts materialized labels read from a certificate's
 	// port table; LabelsContext those that took a spatial query (whether
 	// or not it found a net).
@@ -214,9 +188,8 @@ func New() *Engine {
 }
 
 // ensureMemos makes a zero-value Engine usable: the exported
-// configuration fields (QuarantineBudget, ComposeBudget, Faults)
-// invite struct-literal construction, which would otherwise leave the
-// memo maps nil.
+// configuration fields (Faults, Trace, Log) invite struct-literal
+// construction, which would otherwise leave the memo maps nil.
 func (e *Engine) ensureMemos() {
 	if e.memo == nil {
 		e.memo = map[certKey]*Cert{}
@@ -248,14 +221,10 @@ func (e *Engine) resetMemo() {
 }
 
 // Verify runs the hierarchical verdict for a composition top. ok is
-// false when the engine declines whole (non-composition top,
-// certificate build failure, quarantine over budget, ...) — the caller
-// must fall back to the flat engines, which reproduce whatever verdict
-// or error the design deserves. Decline conditions that touch only
-// some placements (pend certificates, fragmentation poison) degrade
-// partially instead: the engine quarantines the offending placements,
-// re-derives their flat residue, and splices it into the composed
-// remainder — still verdict-identical to flat.
+// false when the engine declines (non-composition top, certificate
+// build failure, a pend certificate, fragmentation poison, ...) — the
+// caller must fall back to the flat engines, which reproduce whatever
+// verdict or error the design deserves.
 func (e *Engine) Verify(top *core.Cell) (*Result, bool) {
 	e.ensureMemos()
 	e.stats.Runs++
@@ -279,23 +248,16 @@ func (e *Engine) Verify(top *core.Cell) (*Result, bool) {
 	occs, err := e.placements(top)
 	var st *genState
 	if err == nil {
-		st, err = e.compose(occs, true)
+		st, err = e.compose(occs)
 	}
 	if err != nil {
 		e.declined(declineOf(err))
 		return nil, false
 	}
-	quarantined := 0
-	if st.quar != nil {
-		quarantined = len(st.quar.occOf)
-		e.stats.PartialRuns++
-		e.stats.Quarantined += quarantined
-	}
 	return &Result{
 		NetCount:    st.netCount,
 		DeviceCount: st.deviceCount(),
 		Violations:  st.violations,
-		Quarantined: quarantined,
 		e:           e,
 		top:         top,
 		gen:         st,
@@ -305,13 +267,11 @@ func (e *Engine) Verify(top *core.Cell) (*Result, bool) {
 // Result is one hierarchical verdict. NetCount, DeviceCount and
 // Violations are exact (fast-path results verify their extrapolation
 // before claiming exactness); Circuit materializes the full netlist
-// on demand. Quarantined counts the placements served by the partial
-// flat residue rather than certificate composition (0 on clean runs).
+// on demand.
 type Result struct {
 	NetCount    int
 	DeviceCount int
 	Violations  []drc.Violation
-	Quarantined int
 	// Occs is the leaf-occurrence identity of the materialized circuit,
 	// equal to what a flat walk derives (flatten.Result.Occurrences);
 	// Circuit fills it in.
@@ -482,10 +442,9 @@ func pairReach(layers []geom.Layer) int {
 
 // String renders engine statistics for -stats reports.
 func (s Stats) String() string {
-	return fmt.Sprintf("hier: %d run(s), %d fast, %d fallback(s); certs %d built, %d memo, %d disk, %d stored; templates %d built, %d hits; partial %d run(s), %d placement(s) quarantined; labels %d local, %d context",
+	return fmt.Sprintf("hier: %d run(s), %d fast, %d fallback(s); certs %d built, %d memo, %d disk, %d stored; templates %d built, %d hits; labels %d local, %d context",
 		s.Runs, s.FastRuns, s.Fallbacks,
 		s.CertBuilt, s.CertMemoHits, s.CertDiskHits, s.CertStored,
 		s.TemplateBuilt, s.TemplateHits,
-		s.PartialRuns, s.Quarantined,
 		s.LabelsLocal, s.LabelsContext)
 }

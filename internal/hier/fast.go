@@ -2,7 +2,6 @@ package hier
 
 import (
 	"riot/internal/core"
-	"riot/internal/faultinject"
 	"riot/internal/geom"
 	"riot/internal/rules"
 )
@@ -39,8 +38,9 @@ import (
 //     copies (certificates carry complete device lists).
 //
 // Declines (any violation, any spacing candidate, a fit mismatch, an
-// offsets-check failure) run the general path; sample pend/poison
-// errors decline the engine entirely.
+// offsets-check failure, a sample pend/poison decline) run the general
+// path, which composes the full array or declines it; any other sample
+// decline declines the engine.
 const fastMinDim = 14
 
 func abs2(x int) int {
@@ -81,12 +81,6 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if ct.X.Pend || e.Faults.Hit(faultinject.CertPend, in.Cell.Name) {
-		// Not eligible rather than a decline: the general path can
-		// quarantine the pend placements and still serve the run.
-		return nil, false, nil
-	}
-
 	o := in.Tr.O
 	vx := o.Apply(geom.Pt(in.Sx, 0))
 	vy := o.Apply(geom.Pt(0, in.Sy))
@@ -128,9 +122,9 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	fsp := e.Trace.Begin("fast")
 	defer fsp.End()
 
-	// Samples compose WITHOUT partial degradation: a pend or poison
-	// sample means the full array would quarantine placements, so the
-	// fast path is simply not eligible and the general path decides.
+	// A pend or poison sample makes the fast path not eligible: the
+	// general path decides, so an injected fault keyed to a placement
+	// index fires where the full array puts that index.
 	run := func(s fastSize) (*genState, error) {
 		occs := make([]placed, 0, s.nx*s.ny)
 		for i := 0; i < s.nx; i++ {
@@ -139,7 +133,7 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 				occs = append(occs, placedAt(ct, d))
 			}
 		}
-		return e.compose(occs, false)
+		return e.compose(occs)
 	}
 	sampleErr := func(err error) (bool, error) {
 		if d, ok := err.(*Decline); ok && (d.Cond == CondPend || d.Cond == CondPoison) {

@@ -8,7 +8,6 @@ import (
 	"riot/internal/cif"
 	"riot/internal/core"
 	"riot/internal/extract"
-	"riot/internal/faultinject"
 	"riot/internal/flatten"
 	"riot/internal/geom"
 	"riot/internal/obs"
@@ -57,14 +56,13 @@ func place(t testing.TB, d *core.Design, top *core.Cell, cell, name string, tr g
 
 // labelCase is one design the label differential materializes.
 // context marks the ones where some label must take the spatial query:
-// an off-material or unlayered connector, a composition instance, a
-// quarantined placement, or the top's own extra connectors. has and
-// lacks name labels the flat extractor must resolve or leave out, so
-// the case really reaches the edge it is named for.
+// an off-material or unlayered connector, a composition instance, or
+// the top's own extra connectors. has and lacks name labels the flat
+// extractor must resolve or leave out, so the case really reaches the
+// edge it is named for.
 type labelCase struct {
 	name       string
 	top        *core.Cell
-	arm        func(e *Engine)
 	context    bool
 	has, lacks []string
 }
@@ -191,19 +189,6 @@ func labelCases(t *testing.T) []labelCase {
 	cases = append(cases, tc{name: "extra connectors", top: top, context: true,
 		has: []string{"CLK", "b.OUT", "k.P"}, lacks: []string{"k.UP"}})
 
-	// quarantined placements: a pend NAND, and a poisoned grid center
-	d, top = placedGrid(t, "PENDQ", 3, 3, nil)
-	place(t, d, top, "NAND", "n", at(geom.R0, 64, 0))
-	cases = append(cases, tc{name: "cert-pend quarantine", top: top, context: true, has: []string{"n.OUT"}, arm: func(e *Engine) {
-		e.Faults = faultinject.New()
-		e.Faults.Enable(faultinject.CertPend, "NAND")
-	}})
-	_, top = placedGrid(t, "POISONQ", 4, 4, nil)
-	cases = append(cases, tc{name: "template-poison quarantine", top: top, context: true, has: []string{"c5.OUT"}, arm: func(e *Engine) {
-		e.QuarantineBudget = len(top.Instances)
-		e.Faults = faultinject.New()
-		e.Faults.Enable(faultinject.TemplatePoison, "5")
-	}})
 	return cases
 }
 
@@ -216,9 +201,6 @@ func TestCircuitLabelsExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New()
 			e.Log = obs.Discard
-			if tc.arm != nil {
-				tc.arm(e)
-			}
 			res, ok := e.Verify(tc.top)
 			if !ok {
 				t.Fatalf("engine declined: %v", e.LastDecline())

@@ -14,7 +14,8 @@ import (
 // exactly the cost the fast path exists to avoid — so it only happens
 // when a caller needs the netlist. A fast-path verdict is exact already
 // (its violations stand), so it composes only the connectivity half of
-// the general path first. The top must not have changed since Verify
+// the general path first, and a decline there is recorded as the
+// engine's last decline. The top must not have changed since Verify
 // (a snapshot never does): labels index the walked occurrences by the
 // top's instance list.
 func (r *Result) Circuit() (*extract.Circuit, error) {
@@ -24,25 +25,23 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 	st := r.gen
 	if st == nil {
 		occs, err := r.e.placements(r.top)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			csp := r.e.Trace.Begin("compose")
+			st, err = r.e.connect(occs)
+			csp.End()
 		}
-		csp := r.e.Trace.Begin("compose")
-		st, err = r.e.connect(occs, true)
-		csp.End()
 		if err != nil {
-			return nil, err
+			// a decline this late is still a decline: counted, recorded
+			// and traced like one from Verify
+			d := declineOf(err)
+			r.e.declined(d)
+			return nil, d
 		}
 		r.gen = st
-		if st.quar != nil {
-			r.Quarantined = len(st.quar.occOf)
-		}
 	}
 
-	// Devices in flat walk order: composed occurrences read their
-	// certificate's locally-resolved terminals; quarantined ones read
-	// their group span's globally-resolved terminals. Both interleave
-	// in global occurrence order, which is the flat device order.
+	// Devices in flat walk order: each occurrence's certificate
+	// terminals, renumbered into the composed nets.
 	ckt := &extract.Circuit{NetCount: st.netCount}
 	if n := st.deviceCount(); n > 0 {
 		ckt.Transistors = make([]extract.Transistor, 0, n)
@@ -52,20 +51,6 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 		o := &st.occs[i]
 		occ.Cells[i] = o.cert.Cell
 		occ.DevLo[i] = int32(len(ckt.Transistors))
-		if st.inQ(i) {
-			q := st.quar
-			sp := q.g.OccDevSpan[q.qIdx[i]]
-			for k := sp[0]; k < sp[1]; k++ {
-				dn := q.devNodes[k]
-				ckt.Transistors = append(ckt.Transistors, extract.Transistor{
-					Kind: q.g.Devices[k].Kind,
-					Gate: int(st.netOf[dn[0]]),
-					A:    int(st.netOf[dn[1]]),
-					B:    int(st.netOf[dn[2]]),
-				})
-			}
-			continue
-		}
 		for _, dv := range o.cert.X.Devices {
 			ckt.Transistors = append(ckt.Transistors, extract.Transistor{
 				Kind: dv.Kind,
@@ -94,8 +79,7 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 // point share a composed net — the placement's own fragment answers
 // for the flat solver's lowest-fragment pick. The spatial query runs
 // only where the answer depends on context: a port with no local net
-// (no material on its layer, or no layer), a quarantined occurrence
-// (its material lives in the group residue), and the connectors of a
+// (no material on its layer, or no layer) and the connectors of a
 // composition instance.
 func (r *Result) labels(st *genState) map[string]int {
 	top := r.top
@@ -147,7 +131,7 @@ func (r *Result) labels(st *genState) map[string]int {
 						continue
 					}
 					var n int32
-					if p.net >= 0 && !st.inQ(oi) {
+					if p.net >= 0 {
 						local++
 						n = st.netOf[o.netBase+p.net]
 					} else {

@@ -55,12 +55,17 @@ func (e *Engine) template(cu, cv *Cert, delta geom.Point) *template {
 }
 
 func buildTemplate(cu, cv *Cert, delta geom.Point) *template {
+	back := geom.Pt(-delta.X, -delta.Y)
+	if gatesOverND(cu, cv, back) || gatesOverND(cv, cu, delta) {
+		// the engine declines on a poisoned pair, so nothing else about
+		// it is ever replayed
+		return &template{poison: true}
+	}
 	t := &template{
 		compTouch:    map[geom.Layer][][2]int32{},
 		spacingCands: map[geom.Layer][][2]int32{},
 		widthNear:    map[geom.Layer]bool{},
 	}
-	back := geom.Pt(-delta.X, -delta.Y)
 	bv := cv.X.Box.Translate(delta)
 	t.boxesTouch = cu.X.Box == bv || cu.X.Box.Touches(bv)
 	vMat := cv.X.MatBox.Translate(delta)
@@ -80,46 +85,6 @@ func buildTemplate(cu, cv *Cert, delta geom.Point) *template {
 			})
 			return true
 		})
-	}
-
-	// fragmentation poison: a gate overlapping foreign diffusion with
-	// positive area would cut fragments the certificates never saw
-	gateOverND := func(gates []geom.Rect, nd *Cert, toND geom.Point) bool {
-		rects := nd.D.Rects[geom.ND]
-		if len(rects) == 0 {
-			return false
-		}
-		ix := nd.D.Index(geom.ND)
-		for _, g := range gates {
-			g := g.Canon().Translate(toND)
-			bad := false
-			ix.QueryRect(g, func(id int) bool {
-				if !g.Intersect(rects[id].Canon()).Empty() {
-					bad = true
-					return false
-				}
-				return true
-			})
-			if bad {
-				return true
-			}
-		}
-		return false
-	}
-	var ug, vg []geom.Rect
-	for _, d := range cu.X.Devices {
-		ug = append(ug, d.Gate)
-	}
-	for _, d := range cv.X.Devices {
-		vg = append(vg, d.Gate)
-	}
-	// A poisoned template still carries its DRC relations: the partial
-	// path quarantines the pair's placements for EXTRACTION (their flat
-	// residue re-derives fragmentation) but the DRC certificates are
-	// raw-rectangle-based and fragmentation-independent, so the spacing,
-	// width and touch relations below stay exact and are still replayed.
-	if gateOverND(ug, cv, back) || gateOverND(vg, cu, delta) {
-		t.poison = true
 	}
 
 	// per-layer raw-rectangle relations
@@ -171,4 +136,27 @@ func buildTemplate(cu, cv *Cert, delta geom.Point) *template {
 		}
 	}
 	return t
+}
+
+// gatesOverND reports fragmentation poison from one side: a gate of g,
+// moved into nd's frame by toND, overlapping nd's diffusion with
+// positive area would cut fragments the certificates never saw.
+func gatesOverND(g, nd *Cert, toND geom.Point) bool {
+	rects := nd.D.Rects[geom.ND]
+	if len(rects) == 0 {
+		return false
+	}
+	ix := nd.D.Index(geom.ND)
+	for _, d := range g.X.Devices {
+		gate := d.Gate.Canon().Translate(toND)
+		bad := false
+		ix.QueryRect(gate, func(id int) bool {
+			bad = !gate.Intersect(rects[id].Canon()).Empty()
+			return !bad
+		})
+		if bad {
+			return true
+		}
+	}
+	return false
 }

@@ -69,7 +69,7 @@ func TestDisabledTraceAllocates(t *testing.T) {
 		c := sp.Child("shard")
 		c.Note("k", "v")
 		c.End()
-		sp.Event(EventQuarantine, "q")
+		sp.Event(EventCorrupt, "c")
 		tr.Event(EventDecline, "d")
 		sp.End()
 		if tr.Enabled() {

@@ -7,13 +7,12 @@
 // The package has three pieces:
 //
 //   - Trace/Span: a nested timing tree of one or more verification
-//     runs, plus typed instant Events (declines, quarantines, cache
-//     corruption). A nil *Trace is the disabled state and costs
-//     near-zero on the hot path: every method is nil-safe, and call
-//     sites with dynamic names or formatted details guard on
-//     Enabled() so the disabled path neither formats nor allocates
-//     (pinned by TestDisabledTraceAllocates and the hier scale
-//     benchmark).
+//     runs, plus typed instant Events (declines, cache corruption). A
+//     nil *Trace is the disabled state and costs near-zero on the hot
+//     path: every method is nil-safe, and call sites with dynamic
+//     names or formatted details guard on Enabled() so the disabled
+//     path neither formats nor allocates (pinned by
+//     TestDisabledTraceAllocates and the hier scale benchmark).
 //   - Registry/Snapshot: named sections of ordered counters pulled
 //     from the engines' live Stats structs on demand. One Registry
 //     per session; every stats surface renders the same Snapshot, in
@@ -37,10 +36,9 @@ import (
 // Event kinds recorded by the pipeline. Kind is an open string — these
 // are the ones the engines emit today.
 const (
-	EventDecline    = "decline"    // hierarchical engine declined (whole or to flat)
-	EventQuarantine = "quarantine" // placements served by partial degradation
-	EventCorrupt    = "corrupt"    // persistent-store entry failed validation
-	EventLog        = "log"        // a logger line captured into the trace
+	EventDecline = "decline" // hierarchical engine declined to the flat path
+	EventCorrupt = "corrupt" // persistent-store entry failed validation
+	EventLog     = "log"     // a logger line captured into the trace
 )
 
 // Event is one instant (zero-duration) occurrence inside a span.

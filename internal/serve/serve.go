@@ -55,9 +55,6 @@ type Options struct {
 	// persistent on-disk store rooted there, so the server also starts
 	// warm across restarts.
 	CacheDir string
-	// MaxConcurrent bounds how many commands execute at once across all
-	// sessions; 0 means 2×GOMAXPROCS.
-	MaxConcurrent int
 	// Log receives the on-disk store's quarantine lines; nil discards.
 	Log func(format string, args ...any)
 }
@@ -123,11 +120,8 @@ func New(opts Options) (*Server, error) {
 		sv.disk = st
 		sv.blob = &castore.Tiered{Mem: sv.mem, Disk: st}
 	}
-	n := opts.MaxConcurrent
-	if n <= 0 {
-		n = 2 * runtime.GOMAXPROCS(0)
-	}
-	sv.sem = make(chan struct{}, n)
+	// at most 2×GOMAXPROCS commands execute at once across all sessions
+	sv.sem = make(chan struct{}, 2*runtime.GOMAXPROCS(0))
 	return sv, nil
 }
 

@@ -24,7 +24,6 @@ func (s *Shell) initRegistry() {
 			obs.N("cached", vs.Cached),
 			obs.N("full", vs.Full),
 			obs.N("hier", vs.Hier),
-			obs.N("hier_partial", vs.HierPartial),
 		}
 	})
 	r.Register("hier", func() []obs.Item {
@@ -39,8 +38,6 @@ func (s *Shell) initRegistry() {
 			obs.N("cert_stored", hs.CertStored),
 			obs.N("template_built", hs.TemplateBuilt),
 			obs.N("template_hits", hs.TemplateHits),
-			obs.N("partial_runs", hs.PartialRuns),
-			obs.N("quarantined", hs.Quarantined),
 			obs.N("labels_local", hs.LabelsLocal),
 			obs.N("labels_context", hs.LabelsContext),
 		}

@@ -6,7 +6,9 @@ import (
 
 	"riot/internal/core"
 	"riot/internal/geom"
+	"riot/internal/hier"
 	"riot/internal/lib"
+	"riot/internal/obs"
 	"riot/internal/rules"
 )
 
@@ -79,6 +81,38 @@ func BenchmarkIncrementalVerify(b *testing.B) {
 			b.StopTimer()
 			if st := v.Stats(); mode == "hier" && st.Full > 0 {
 				b.Fatalf("hier mode fell back to the scratch flat run: %+v", st)
+			}
+		})
+	}
+}
+
+// BenchmarkPoisonedVerify measures what a poisoned design costs: an
+// n x n grid of individually placed SRCELLs whose centre cell is
+// rotated R90 in place, burying gates under its neighbours' diffusion.
+// The engine composes exactly or declines, so it declines the run as
+// poison and every iteration pays the scratch flat run; the benchmark
+// fails if any run composes.
+func BenchmarkPoisonedVerify(b *testing.B) {
+	for _, n := range []int{16, 32} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			e := benchGrid(b, n)
+			e.OrientInstance(e.Cell.Instances[n*n/2+n/2], geom.R90)
+			top := e.Snapshot().Cell
+			v := &Verifier{Hier: true}
+			v.SetLog(obs.Discard)
+			if _, err := v.VerifyCell(top); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.VerifyCell(top); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if d := v.HierDeclineInfo(); d == nil || d.Cond != hier.CondPoison || v.Stats().Hier > 0 {
+				b.Fatalf("poisoned grid not declined as poison: decline %+v, stats %+v", d, v.Stats())
 			}
 		})
 	}

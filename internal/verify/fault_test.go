@@ -36,6 +36,18 @@ func faultCheck(t *testing.T, v *Verifier, ed *core.Editor) *Report {
 	return rep
 }
 
+// declinedFlat requires that the verifier's last run declined with the
+// given condition and was served by the scratch flat run.
+func declinedFlat(t *testing.T, v *Verifier, cond hier.Cond) {
+	t.Helper()
+	if d := v.HierDeclineInfo(); d == nil || d.Cond != cond {
+		t.Fatalf("decline = %+v, want condition %s", d, cond)
+	}
+	if st := v.Stats(); st.Hier != 0 || st.Full == 0 {
+		t.Fatalf("declined run should fall back flat: %+v", st)
+	}
+}
+
 // TestVerifierFaultMatrix drives every fault-injection point through
 // the full verifier and differential-tests each one against the flat
 // reference. Every subtest additionally asserts the fault actually
@@ -53,14 +65,11 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		f := faultinject.New()
 		f.Enable(faultinject.CertPend, "NAND")
 		v.InjectFaults(f)
-		rep := faultCheck(t, v, ed)
+		faultCheck(t, v, ed)
 		if f.Hits(faultinject.CertPend) == 0 {
 			t.Fatal("cert-pend fault armed but never fired")
 		}
-		if rep.Quarantined == 0 || v.Stats().HierPartial == 0 {
-			t.Fatalf("pend placement not served partially: rep.Quarantined=%d stats=%+v",
-				rep.Quarantined, v.Stats())
-		}
+		declinedFlat(t, v, hier.CondPend)
 	})
 
 	t.Run("template-poison", func(t *testing.T) {
@@ -69,17 +78,11 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		f := faultinject.New()
 		f.Enable(faultinject.TemplatePoison, "0")
 		v.InjectFaults(f)
-		// the corner placement's abutting partners pull into the group;
-		// give the run headroom so the subtest exercises splicing
-		v.engine().QuarantineBudget = len(ed.Cell.Instances)
-		rep := faultCheck(t, v, ed)
+		faultCheck(t, v, ed)
 		if f.Hits(faultinject.TemplatePoison) == 0 {
 			t.Fatal("template-poison fault armed but never fired")
 		}
-		if rep.Quarantined < 2 || v.Stats().HierPartial == 0 {
-			t.Fatalf("poisoned pair not served partially: rep.Quarantined=%d stats=%+v",
-				rep.Quarantined, v.Stats())
-		}
+		declinedFlat(t, v, hier.CondPoison)
 	})
 
 	t.Run("cert-decode", func(t *testing.T) {
@@ -165,23 +168,19 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		if f.Hits(faultinject.ComposeBudget) == 0 {
 			t.Fatal("compose-budget fault armed but never fired")
 		}
-		// budget exhaustion declines whole: the flat pipeline serves
-		if st := v.Stats(); st.Hier != 0 || st.Full == 0 {
-			t.Fatalf("exhausted compose budget should fall back flat: %+v", st)
-		}
-		if d := v.HierDeclineInfo(); d == nil || d.Cond != hier.CondComposeBudget {
-			t.Fatalf("decline = %+v, want condition %s", d, hier.CondComposeBudget)
-		}
+		declinedFlat(t, v, hier.CondComposeBudget)
 	})
 }
 
 // TestVerifierFaultMatrixUnderEdits runs a short editing trace with
-// pend and poison faults both armed — repeated partial runs across
-// generations must stay verdict-identical to scratch.
+// pend and poison faults both armed — the pend NAND declines the first
+// generations, the poisoned center the ones after the NAND's deletion,
+// and every generation's verdict must equal scratch.
 func TestVerifierFaultMatrixUnderEdits(t *testing.T) {
 	ed := gridEditor(t, 9)
-	if _, err := ed.CreateInstance("NAND", "n0",
-		geom.MakeTransform(geom.R0, geom.Pt(128*rules.Lambda, 0)), 1, 1, 0, 0); err != nil {
+	nand, err := ed.CreateInstance("NAND", "n0",
+		geom.MakeTransform(geom.R0, geom.Pt(128*rules.Lambda, 0)), 1, 1, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	v := &Verifier{Hier: true}
@@ -189,13 +188,22 @@ func TestVerifierFaultMatrixUnderEdits(t *testing.T) {
 	f.Enable(faultinject.CertPend, "NAND")
 	f.Enable(faultinject.TemplatePoison, "4")
 	v.InjectFaults(f)
-	v.engine().QuarantineBudget = len(ed.Cell.Instances)
 	for step := 0; step < 4; step++ {
 		faultCheck(t, v, ed)
+		want := hier.CondPend
+		if step >= 2 {
+			want = hier.CondPoison
+		}
+		declinedFlat(t, v, want)
+		if step == 1 {
+			if err := ed.DeleteInstance(nand); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ed.MoveInstance(ed.Cell.Instances[step], geom.Pt(rules.Lambda, 0))
 	}
-	if v.Stats().HierPartial == 0 {
-		t.Fatalf("no partial runs across the trace: %+v", v.Stats())
+	if st := v.Stats(); st.Full != 4 {
+		t.Fatalf("every generation should run flat: %+v", st)
 	}
 	if f.Hits(faultinject.CertPend) == 0 || f.Hits(faultinject.TemplatePoison) == 0 {
 		t.Fatalf("faults armed but idle: %s", f)

@@ -44,11 +44,6 @@ type Report struct {
 	CircuitErr error
 	// Violations is the design-rule report, empty when clean.
 	Violations []drc.Violation
-	// Quarantined counts placements the hierarchical engine served by
-	// partial degradation (flat residue spliced into the composed
-	// remainder) rather than certificate composition; 0 for flat-path
-	// reports and clean hierarchical runs.
-	Quarantined int
 	// Gen is the editor generation the report describes.
 	Gen uint64
 	// Occs is the circuit's leaf-occurrence identity in flat walk
@@ -68,14 +63,11 @@ func (r *Report) Clean() bool {
 // Stats counts how a Verifier satisfied its runs: Cached (unchanged
 // generation, the report returned outright), Full (a scratch flat run:
 // Hier unset, or the engine declined) and Hier (answered by the
-// hierarchical certificate engine, with no flattening at all);
-// HierPartial counts the Hier runs that quarantined placements and
-// spliced a flat residue.
+// hierarchical certificate engine, with no flattening at all).
 type Stats struct {
-	Cached      int
-	Full        int
-	Hier        int
-	HierPartial int
+	Cached int
+	Full   int
+	Hier   int
 }
 
 // Verifier caches verification state across edits of one composition
@@ -117,9 +109,8 @@ func (v *Verifier) SetTrace(t *obs.Trace) {
 // Trace reports the recorder SetTrace installed, or nil.
 func (v *Verifier) Trace() *obs.Trace { return v.trace }
 
-// SetLog routes the hierarchical engine's degradation lines (declines,
-// partial quarantines) through l. nil restores the default, stderr;
-// obs.Discard silences them.
+// SetLog routes the hierarchical engine's decline lines through l. nil
+// restores the default, stderr; obs.Discard silences them.
 func (v *Verifier) SetLog(l obs.Logger) { v.engine().Log = l }
 
 // AttachDisk connects the hierarchical engine to a content-addressed
@@ -234,16 +225,12 @@ func (v *Verifier) runHier(cell *core.Cell, gen uint64) (*Report, bool) {
 		return nil, false
 	}
 	v.stats.Hier++
-	if res.Quarantined > 0 {
-		v.stats.HierPartial++
-	}
 	v.cell, v.gen, v.have = cell, gen, true
 	v.report = &Report{
-		Circuit:     ckt,
-		Violations:  res.Violations,
-		Quarantined: res.Quarantined,
-		Gen:         gen,
-		Occs:        res.Occs,
+		Circuit:    ckt,
+		Violations: res.Violations,
+		Gen:        gen,
+		Occs:       res.Occs,
 	}
 	return v.report, true
 }

@@ -104,9 +104,8 @@ func sameOccurrences(t *testing.T, rep *Report, cell *core.Cell) {
 // aligns against: every hierarchically served report must name the
 // same leaf cell per occurrence, and the same device span, as a flat
 // walk — under a randomized editing trace with rotations, in nested
-// compositions, on a materialized fast-path array, and with forced
-// quarantine (the partial residue's spans interleave with composed
-// ones).
+// compositions, on a materialized fast-path array, and on forced
+// declines, which the flat run serves.
 func TestHierVerifierOccurrences(t *testing.T) {
 	t.Run("edits", func(t *testing.T) {
 		e := gridEditor(t, 10)
@@ -188,9 +187,10 @@ func TestHierVerifierOccurrences(t *testing.T) {
 	for _, tc := range []struct {
 		point faultinject.Point
 		match string
+		cond  hier.Cond
 	}{
-		{faultinject.CertPend, "NAND"},
-		{faultinject.TemplatePoison, "3"},
+		{faultinject.CertPend, "NAND", hier.CondPend},
+		{faultinject.TemplatePoison, "3", hier.CondPoison},
 	} {
 		t.Run(string(tc.point), func(t *testing.T) {
 			e := gridEditor(t, 9)
@@ -202,11 +202,11 @@ func TestHierVerifierOccurrences(t *testing.T) {
 			f := faultinject.New()
 			f.Enable(tc.point, tc.match)
 			v.InjectFaults(f)
-			v.engine().QuarantineBudget = len(e.Cell.Instances)
-			rep := faultCheck(t, v, e)
-			if rep.Quarantined == 0 {
-				t.Fatalf("%s did not quarantine: stats = %+v", tc.point, v.Stats())
+			faultCheck(t, v, e)
+			if f.Hits(tc.point) == 0 {
+				t.Fatalf("%s armed but never fired", tc.point)
 			}
+			declinedFlat(t, v, tc.cond)
 		})
 	}
 }
