@@ -123,9 +123,12 @@ func counter(t *testing.T, snap map[string]map[string]any, section, key string) 
 }
 
 // TestCacheWarmStart runs the same -lvs check twice over one cache
-// directory and asserts the second invocation answers from the
-// persistent store, and that neither run takes a flat run — the
-// CLI-level shape the CI warm-start job checks through -stats=json.
+// directory and asserts the second invocation loads the hier
+// certificate from the persistent store and writes nothing, that LVS
+// derives its one leaf certificate in process on both runs, that the
+// store holds the hier family alone, and that neither run takes a flat
+// run — the CLI-level shape the CI warm-start job checks through
+// -stats=json.
 func TestCacheWarmStart(t *testing.T) {
 	t.Chdir(t.TempDir())
 	cache := filepath.Join(t.TempDir(), "cache")
@@ -138,6 +141,9 @@ func TestCacheWarmStart(t *testing.T) {
 	if got := counter(t, snap, "lvs", "matched"); got != 1 {
 		t.Fatalf("cold run matched = %v, want 1:\n%s", got, out)
 	}
+	if got := counter(t, snap, "castore", "puts"); got != 1 {
+		t.Errorf("cold run stored %v entries, want 1 (the leaf's hier certificate):\n%s", got, out)
+	}
 	noFlatten(t, "cold", snap, out)
 	portLabels(t, "cold", snap, out)
 
@@ -146,8 +152,11 @@ func TestCacheWarmStart(t *testing.T) {
 		t.Fatalf("warm run exit = %d", code)
 	}
 	snap = statsJSON(t, out)
-	if got := counter(t, snap, "lvs", "matched"); got != 0 {
-		t.Errorf("warm run still matched (%v):\n%s", got, out)
+	if got := counter(t, snap, "lvs", "matched"); got != 1 {
+		t.Errorf("warm run derived %v leaf certificates, want 1 (LVS derives in process):\n%s", got, out)
+	}
+	if got := counter(t, snap, "castore", "puts"); got != 0 {
+		t.Errorf("warm run stored %v entries, want 0:\n%s", got, out)
 	}
 	if got := counter(t, snap, "hier", "cert_disk_hits"); got != 1 {
 		t.Errorf("warm run loaded %v certificate(s) from disk, want 1:\n%s", got, out)
@@ -159,6 +168,12 @@ func TestCacheWarmStart(t *testing.T) {
 	}
 	if !strings.Contains(out, "netlists match") {
 		t.Errorf("warm run verdict missing:\n%s", out)
+	}
+	// the store holds one family: no LVS namespace was ever written
+	for _, ns := range []string{"lvsref", "lvscert"} {
+		if _, err := os.Stat(filepath.Join(cache, ns)); !os.IsNotExist(err) {
+			t.Errorf("cache holds a %s/ directory (stat: %v); LVS must persist nothing", ns, err)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package castore is Riot's crash-safe, corruption-tolerant on-disk
-// content-addressed store: the persistence layer under the verification
-// caches (the LVS certificate store, the reference-netlist leaf memos,
-// and the hierarchical certificates). Invalidation is already solved one
-// level up — every client keys its entries by a content signature of
-// the cell geometry the entry was derived from (see sig.go) — so the
-// store's whole job is robustness: a truncated, bit-flipped,
-// version-skewed, or concurrently-written entry must degrade to a cache
-// miss (a cold recompute), never to a wrong payload.
+// content-addressed store: the persistence layer under the
+// hierarchical engine's per-cell certificates. Invalidation is already
+// solved one level up — every client keys its entries by a content
+// signature of the cell geometry the entry was derived from (see
+// sig.go) — so the store's whole job is robustness: a truncated,
+// bit-flipped, version-skewed, or concurrently-written entry must
+// degrade to a cache miss (a cold recompute), never to a wrong
+// payload.
 //
 // # On-disk layout
 //
@@ -16,9 +16,10 @@
 //	                                  harmless and swept on Open)
 //	<dir>/quarantine/...              entries that failed validation
 //
-// <ns> is the client namespace ("lvscert", "lvsref", "hiercert"),
-// <keyhex> the hex SHA-256 content key, <kk> its first two hex digits
-// (fan-out). Every entry file is self-validating:
+// <ns> is the client namespace: "hiercert", the one family in use.
+// Namespaces older riot versions wrote are never read. <keyhex> is the
+// hex SHA-256 content key, <kk> its first two hex digits (fan-out).
+// Every entry file is self-validating:
 //
 //	offset  size  field
 //	0       4     magic "RCAS"

@@ -5,13 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// Blob is the minimal content-addressed surface the verification
-// caches (LVS leaf references and certificates, hierarchical
-// certificates) load and store through. Three
-// implementations exist: the on-disk Store (durable across processes),
-// the in-process Mem store (shared across a server's sessions), and
-// Tiered, which stacks one over the other. All three tolerate
-// concurrent callers.
+// Blob is the minimal content-addressed surface the hierarchical
+// engine's certificates load and store through. Three implementations
+// exist: the on-disk Store (durable across processes), the in-process
+// Mem store (shared across a server's sessions), and Tiered, which
+// stacks one over the other. All three tolerate concurrent callers.
 type Blob interface {
 	// Get returns the payload stored under (ns, key) when its format
 	// fingerprint matches, with ok reporting the hit. The returned bytes

@@ -55,15 +55,6 @@ type leafSig struct {
 	rev uint64
 }
 
-// Reset drops the leaf memo. Revision checking makes this unnecessary
-// for correctness; it remains for callers that want to release the
-// memory of a memo full of dead cells.
-func (sg *Signer) Reset() {
-	sg.mu.Lock()
-	sg.leaf = nil
-	sg.mu.Unlock()
-}
-
 // Cell returns the cell's content signature.
 func (sg *Signer) Cell(c *core.Cell) (Key, error) {
 	if c == nil {

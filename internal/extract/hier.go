@@ -144,22 +144,35 @@ func CellSolve(fr *flatten.Result) (*CellCert, error) {
 }
 
 // Seal rebuilds the certificate's internal locator (after a disk
-// decode) and validates the invariants the engine relies on.
+// decode) and validates the invariants the engine relies on: the net
+// count is one the fragments can carry (the engine sizes its
+// union-find by it), every net id and terminal lies in the net space
+// (a terminal may be -1, unresolved), and Pend is set exactly when
+// some terminal is unresolved (the engine declines on Pend and
+// otherwise indexes terminals unguarded).
 func (c *CellCert) Seal() error {
 	if len(c.FragNet) != len(c.Frags) {
 		return fmt.Errorf("extract: certificate fragment/net length mismatch")
+	}
+	if c.NetCount < 0 || c.NetCount > len(c.Frags) {
+		return fmt.Errorf("extract: certificate net count %d out of range for %d fragments", c.NetCount, len(c.Frags))
 	}
 	for _, n := range c.FragNet {
 		if n < 0 || int(n) >= c.NetCount {
 			return fmt.Errorf("extract: certificate net id %d out of range", n)
 		}
 	}
+	pend := false
 	for _, d := range c.Devices {
-		for _, n := range []int32{d.GateNet, d.ANet, d.BNet} {
-			if n >= 0 && int(n) >= c.NetCount {
+		for _, n := range [3]int32{d.GateNet, d.ANet, d.BNet} {
+			if n < -1 || int(n) >= c.NetCount {
 				return fmt.Errorf("extract: certificate device net %d out of range", n)
 			}
+			pend = pend || n < 0
 		}
+	}
+	if pend != c.Pend {
+		return fmt.Errorf("extract: certificate pend flag %v disagrees with its device terminals", c.Pend)
 	}
 	c.loc = newLocator(c.Frags)
 	return nil

@@ -217,36 +217,3 @@ func TestIndexAllDegenerate(t *testing.T) {
 		t.Errorf("miss reported %v", got)
 	}
 }
-
-// TestUnionTouching: the shared touch-connectivity helper merges
-// exactly the transitively touching groups, matching a brute
-// all-pairs union.
-func TestUnionTouching(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(60)
-		rects := make([]Rect, n)
-		for i := range rects {
-			x, y := rng.Intn(100), rng.Intn(100)
-			rects[i] = R(x, y, x+rng.Intn(20), y+rng.Intn(20))
-		}
-		ix := NewIndexFrom(rects)
-		uf := NewUnionFind(n)
-		ix.UnionTouching(uf)
-		brute := NewUnionFind(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rects[i].Touches(rects[j]) {
-					brute.Union(i, j)
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if (uf.Find(i) == uf.Find(j)) != (brute.Find(i) == brute.Find(j)) {
-					t.Fatalf("trial %d: components disagree for %d,%d", trial, i, j)
-				}
-			}
-		}
-	}
-}

@@ -30,22 +30,6 @@ func (u *UnionFind) Find(x int) int {
 	return x
 }
 
-// UnionTouching merges, into uf, the sets of every pair of indexed
-// rectangles that touch (shared edges and corners included) — the
-// "edge-adjacent material on one layer is connected" rule stated once
-// for every consumer. uf must hold at least Len elements; each pair is
-// discovered once, from its lower id.
-func (ix *Index) UnionTouching(uf *UnionFind) {
-	for i, r := range ix.rects {
-		ix.QueryRect(r, func(j int) bool {
-			if j > i {
-				uf.Union(i, j)
-			}
-			return true
-		})
-	}
-}
-
 // Union merges the sets holding a and b.
 func (u *UnionFind) Union(a, b int) {
 	ra, rb := u.Find(a), u.Find(b)

@@ -34,9 +34,27 @@ func FuzzDecodeCert(f *testing.F) {
 		if ct.X == nil || ct.D == nil {
 			t.Fatalf("decode accepted a certificate with nil halves: %+v", ct)
 		}
-		if len(ct.X.FragNet) > 0 && ct.X.NetCount <= 0 {
+		x := ct.X
+		if len(x.FragNet) > 0 && x.NetCount <= 0 {
 			t.Fatalf("decode accepted fragments with no nets: %d frags, %d nets",
-				len(ct.X.FragNet), ct.X.NetCount)
+				len(x.FragNet), x.NetCount)
+		}
+		// the engine sizes its union-find by NetCount, indexes
+		// terminals unguarded unless Pend, and declines on Pend
+		if x.NetCount < 0 || x.NetCount > len(x.Frags) {
+			t.Fatalf("decode accepted net count %d for %d fragments", x.NetCount, len(x.Frags))
+		}
+		pend := false
+		for _, d := range x.Devices {
+			for _, n := range [3]int32{d.GateNet, d.ANet, d.BNet} {
+				if n < -1 || int(n) >= x.NetCount {
+					t.Fatalf("decode accepted device terminal %d of %d nets", n, x.NetCount)
+				}
+				pend = pend || n < 0
+			}
+		}
+		if pend != x.Pend {
+			t.Fatalf("decode accepted pend flag %v against terminals that say %v", x.Pend, pend)
 		}
 	})
 }

@@ -444,3 +444,76 @@ func TestHierCorruptCertFallsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestHierLyingCertRejected pins the decoder's trust boundary: a
+// certificate payload written through castore.Store.Put carries a valid
+// header and CRC, yet can still lie about its net count or its pend
+// flag. decodeCert must reject each lie, and a store-backed Verify over
+// the entry whose terminal is -1 without Pend must discard it, rebuild
+// the certificate and match flat — trusting it would index net -1 when
+// the circuit materializes.
+func TestHierLyingCertRejected(t *testing.T) {
+	e := New()
+	if _, ok := e.Verify(srArray(t, 4, 4, geom.R0)); !ok {
+		t.Fatal("engine declined the seed array")
+	}
+	if len(e.memo) != 1 {
+		t.Fatalf("seed array built %d certificates, want the one SRCELL", len(e.memo))
+	}
+	var real *Cert
+	for _, ct := range e.memo {
+		real = ct
+	}
+	// lie encodes a copy of the real certificate after mut edits its
+	// extraction half
+	lie := func(mut func(x *extract.CellCert)) []byte {
+		x := *real.X
+		x.Devices = append([]extract.CertDevice(nil), real.X.Devices...)
+		mut(&x)
+		ct := *real
+		ct.X = &x
+		return encodeCert(&ct)
+	}
+	pendLie := lie(func(x *extract.CellCert) { x.Devices[0].GateNet, x.Pend = -1, false })
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"net count 2^40, no fragments", lie(func(x *extract.CellCert) {
+			x.Frags, x.FragNet, x.Devices, x.Pend, x.NetCount = nil, nil, nil, false, 1<<40
+		})},
+		{"net count -5", lie(func(x *extract.CellCert) {
+			x.Frags, x.FragNet, x.Devices, x.Pend, x.NetCount = nil, nil, nil, false, -5
+		})},
+		{"terminal -1 without pend", pendLie},
+	} {
+		if _, err := decodeCert(tc.payload); err == nil {
+			t.Errorf("%s: decodeCert accepted the payload", tc.name)
+		}
+	}
+
+	st, err := castore.Open(filepath.Join(t.TempDir(), "cas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.Log = t.Logf
+	sg := &castore.Signer{}
+	c := srArray(t, 4, 4, geom.R0)
+	key, ok := (&Engine{disk: st, signer: sg}).certKeyFor(c.Instances[0].Cell, geom.R0)
+	if !ok {
+		t.Fatal("no store key for SRCELL")
+	}
+	st.Put(certNamespace, key, certFingerprint(), pendLie)
+	e2 := New()
+	e2.AttachDisk(st, sg)
+	if !mustMatch(t, e2, c, "lying store entry") {
+		t.Fatal("engine declined over the lying store entry")
+	}
+	if hs := e2.Stats(); hs.CertDiskHits != 0 || hs.CertBuilt != 1 {
+		t.Errorf("lying entry served: %d disk hits, %d built; want 0 and 1", hs.CertDiskHits, hs.CertBuilt)
+	}
+	if sst := st.Stats(); sst.Corrupt != 1 {
+		t.Errorf("store rejected %d entries, want the lying one", sst.Corrupt)
+	}
+}

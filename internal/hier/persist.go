@@ -17,12 +17,12 @@ import (
 )
 
 // Certificates persist in the content-addressed store under their own
-// namespace, keyed by the cell's content signature (the same signature
-// the LVS sub-cell certificates use) mixed with the orientation, and
-// fingerprinted by the encoding version plus the rule parameters the
-// certificate bakes in. A warm restart loads certificates instead of
-// re-running per-cell extraction and DRC; a rules or format change
-// rotates the fingerprint and silently invalidates every entry.
+// namespace, keyed by the cell's content signature mixed with the
+// orientation, and fingerprinted by the encoding version plus the rule
+// parameters the certificate bakes in. A warm restart loads
+// certificates instead of re-running per-cell extraction and DRC; a
+// rules or format change rotates the fingerprint and silently
+// invalidates every entry.
 const certNamespace = "hiercert"
 
 func certFingerprint() uint64 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"riot/internal/castore"
 	"riot/internal/core"
 	"riot/internal/extract"
 	"riot/internal/flatten"
@@ -16,14 +15,16 @@ import (
 
 // BenchmarkLVSScale runs the from-scratch comparison over NxN abutting
 // SRCELL grids — the same workload the extract and DRC scale
-// benchmarks use, so the trajectories compare.
+// benchmarks use, so the trajectories compare. Each iteration is a
+// fresh Incremental over a zero verifier, so the time includes the
+// verifier's flat DRC beside flatten, solve, reference and match.
 func BenchmarkLVSScale(b *testing.B) {
 	for _, n := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			e := gridEditor(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := CheckEditor(e)
+				res, err := scratchEditor(e)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,9 +83,9 @@ func BenchmarkIncrementalLVS(b *testing.B) {
 // BenchmarkLVSHierMatch isolates the matching stage (reference,
 // circuit and flattened geometry prebuilt and shared): the flat
 // comparison against the certificate-backed path, cold — every
-// certified iteration re-runs the one-time sub-cell matches from an
-// empty store and re-certifies all occurrences. The repeated leaf is
-// matched once; the copies settle by device alignment and the forced
+// certified iteration drops the reference's certificates, re-derives
+// the leaf's from its memoized entry and re-certifies all
+// occurrences. The copies settle by device alignment and the forced
 // boundary bijection, so the certified cost is the flat cost of the
 // un-certified residual (here: nothing) plus linear bookkeeping.
 func BenchmarkLVSHierMatch(b *testing.B) {
@@ -113,8 +114,8 @@ func BenchmarkLVSHierMatch(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%dx%d/certified", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var cs CertStore
-				res := compareHier(&rf, &cs, occs, ref, ckt, fr.Occurrences())
+				rf.certs = nil
+				res := compareHier(&rf, occs, ref, ckt, fr.Occurrences())
 				if !res.Clean {
 					b.Fatalf("certified not clean: %v", res.Mismatches)
 				}
@@ -123,6 +124,25 @@ func BenchmarkLVSHierMatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLeafCertificate measures what each session pays per
+// distinct leaf, in process: a fresh Reference extracts SRCELL alone
+// for its entry and derives the leaf's certificate from it.
+func BenchmarkLeafCertificate(b *testing.B) {
+	sr := arrayEditor(b, 1).Cell.Instances[0].Cell
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var rf Reference
+		e := rf.entry(sr, seamReach)
+		if e.err != nil {
+			b.Fatal(e.err)
+		}
+		if ct := rf.cert(e.occs[0]); !ct.ok {
+			b.Fatal("SRCELL did not certify")
+		}
 	}
 }
 
@@ -149,17 +169,15 @@ func arrayEditor(tb testing.TB, n int) *core.Editor {
 }
 
 // BenchmarkReferenceArray measures the reference derivation of a
-// single ARRAY instance as a warm sign-off pays it: every iteration is
-// a fresh Reference whose leaf entry loads from a content-addressed
-// store primed once, so the time is the array stitch — template
-// replay, device and occurrence copy, renumbering, labels.
+// single ARRAY instance as every sign-off session pays it: each
+// iteration is a fresh Reference, so the time is one standalone leaf
+// extraction plus the array stitch — template replay, device and
+// occurrence copy, renumbering, labels.
 func BenchmarkReferenceArray(b *testing.B) {
 	for _, n := range []int{32, 128} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			cell := arrayEditor(b, n).Cell
-			st, sg := castore.NewMem(), &castore.Signer{}
 			var warm Reference
-			warm.AttachDisk(st, sg)
 			if _, _, err := warm.NetlistOccs(cell, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -167,7 +185,6 @@ func BenchmarkReferenceArray(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var rf Reference
-				rf.AttachDisk(st, sg)
 				nl, _, err := rf.NetlistOccs(cell, nil)
 				if err != nil {
 					b.Fatal(err)

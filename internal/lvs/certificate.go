@@ -3,7 +3,6 @@ package lvs
 import (
 	"strconv"
 
-	"riot/internal/castore"
 	"riot/internal/extract"
 	"riot/internal/flatten"
 )
@@ -11,15 +10,18 @@ import (
 // Hierarchical matching certificates. Riot's whole premise is
 // composition of pre-designed cells — the same leaf repeated hundreds
 // of times in arrays and padframes — yet a flat comparison re-matches
-// every copy's interior from scratch. A certificate captures the
-// one-time verdict for one distinct sub-cell (keyed by the same
-// placement signature the reference derivation memoizes extractions
-// on): its reference and extracted netlists are matched ONCE, and the
-// verified net-map witness is recorded with the reduced-interior
-// accounting. At the top level every occurrence of a certified cell is
-// then checked cheaply — its extracted devices must align one-to-one
-// with the cell's standalone extraction (flatten emits both in the
-// same walk order), and its interior nets must be untouched by
+// every copy's interior from scratch. A certificate captures what one
+// distinct leaf contributes (keyed by the same placement signature the
+// reference derivation memoizes extractions on), derived once from the
+// leaf's reference entry: its device list, its boundary-visible nets,
+// the pin count of every interior net and its reduced-interior
+// accounting. For a leaf the reference derivation IS the standalone
+// extraction, so the cell's own netlist stands on both sides of its
+// match and the net map between them is the identity; no one-time
+// match runs. At the top level every occurrence of a certified cell
+// is then checked cheaply — its extracted devices must align
+// one-to-one with the cell's standalone extraction (flatten emits both
+// in the same walk order), and its interior nets must be untouched by
 // anything outside the occurrence — and treated as pre-collapsed:
 //
 //   - the occurrence's interior is covered by the certificate and
@@ -38,10 +40,10 @@ import (
 //
 // Matching cost therefore scales with O(distinct cells + boundary +
 // un-certified residual) instead of O(flat devices): a cold 64x64
-// array matches its one leaf once and settles the 4096 copies by
-// alignment, and an incremental edit re-refines only the de-certified
-// region around the dirty rectangles — the warm start the persistent
-// store and reference memo provide across editor generations.
+// array derives its one leaf's certificate once and settles the 4096
+// copies by alignment, and an incremental edit re-refines only the
+// de-certified region around the edit — the warm start the reference
+// memo's certificates provide across editor generations.
 //
 // Soundness: an occurrence is only certified when its interior is
 // provably isolated — every flat net claimed interior carries exactly
@@ -52,13 +54,13 @@ import (
 // that comes back anything but clean is rerun flat, so diagnostics
 // always name leaf-level nets and verdicts are identical to
 // certificate-free runs by construction; a clean certified verdict is
-// witnessed by the composed net map (bijection + certificate interiors
+// backed by the composed net map (bijection + certificate interiors
 // + residual matching), which the NetMap reports in leaf-level terms.
 
-// certificate is one distinct sub-cell's recorded match.
+// certificate is one distinct leaf's recorded contribution.
 type certificate struct {
 	sig uint64
-	ok  bool // the one-time reference/extracted match verified clean
+	ok  bool // the leaf has devices and boundary nets to align on
 
 	nets     int // the cell's standalone net space
 	devs     []Device
@@ -74,13 +76,10 @@ type certificate struct {
 	// redDevices counts the cell's reduced devices, the certificate's
 	// contribution to the per-side device accounting.
 	redDevices int
-	// witness is the verified net map of the one-time match (reduced
-	// net spaces), kept as the certificate's evidence.
-	witness map[int]int
 }
 
 // CertStats is one comparison's certificate accounting; it is
-// deterministic per design (independent of store warmth), so cached
+// deterministic per design (independent of memo warmth), so cached
 // and from-scratch runs produce identical Results.
 type CertStats struct {
 	// Occurrences counts the design's leaf occurrences; Certified how
@@ -94,52 +93,17 @@ type CertStats struct {
 	Fallback bool
 }
 
-// CertStoreStats is the cumulative store accounting (LVS -stats).
-type CertStoreStats struct {
-	Matched  int // one-time sub-cell matches performed
-	Hits     int // comparisons served by an already-recorded certificate
-	DiskHits int // certificates loaded from the persistent store
-}
-
-// CertStore records sub-cell certificates across comparisons. The zero
-// value is ready to use. A store is coupled to the Reference whose
-// signatures key it: use one pair per verification session (as
-// Incremental does).
-type CertStore struct {
-	certs map[uint64]*certificate
-	stats CertStoreStats
-
-	// optional persistent second level (AttachDisk): certificates
-	// missing in memory are looked up by content signature before the
-	// one-time match is performed
-	disk   castore.Blob
-	signer *castore.Signer
-}
-
-// Stats reports the store's cumulative accounting.
-func (cs *CertStore) Stats() CertStoreStats { return cs.stats }
-
-// get returns the cell's certificate, matching its reference and
-// extracted netlists once on first sight of the signature.
-func (cs *CertStore) get(rf *Reference, oc refOcc) *certificate {
-	if ct, ok := cs.certs[oc.sig]; ok {
-		cs.stats.Hits++
+// cert returns the leaf's certificate: one map lookup per occurrence,
+// and on first sight of the signature a derivation from the leaf's
+// reference entry.
+func (rf *Reference) cert(oc refOcc) *certificate {
+	if ct, ok := rf.certs[oc.sig]; ok {
+		rf.stats.CertHits++
 		return ct
 	}
-	if ct := cs.diskLoad(oc); ct != nil {
-		// the persistent store already holds the cell's one-time match
-		// (from a previous process): adopt it, skipping the match
-		cs.stats.DiskHits++
-		if cs.certs == nil {
-			cs.certs = map[uint64]*certificate{}
-		}
-		cs.certs[oc.sig] = ct
-		return ct
-	}
-	cs.stats.Matched++
+	rf.stats.CertsBuilt++
 	ct := &certificate{sig: oc.sig}
-	e := rf.entry(oc.cell, seamReach)
-	if e.err == nil {
+	if e := rf.entry(oc.cell, seamReach); e.err == nil {
 		ct.nets, ct.devs = e.nets, e.devices
 		// boundary-visibility at the BASE contract reach, filtered from
 		// the entry's (possibly deeper) retained material: an entry's
@@ -174,18 +138,11 @@ func (cs *CertStore) get(rf *Reference, oc refOcc) *certificate {
 				ct.interior[n] = true
 			}
 		}
-		// the one-time match: the cell's declared netlist against its
-		// own standalone extraction (for a leaf the derivation IS the
-		// extraction, so this verifies self-consistency and records the
-		// witness; a cell that cannot even match itself is never
-		// certified and its occurrences stay in the residual)
-		side := &Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labels}
-		if res := Compare(side, side); res.Clean {
-			ct.ok = len(ct.boundary) > 0 && len(ct.devs) > 0
-			ct.witness = res.NetMap
-		}
+		// a leaf with no devices or no boundary nets has nothing to
+		// align on; its occurrences stay in the residual
+		ct.ok = len(ct.boundary) > 0 && len(ct.devs) > 0
 		// reduced-interior accounting for clean top-level net maps
-		rr := reduce(side)
+		rr := reduce(&Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labels})
 		ct.redDevices = len(rr.devs)
 		for n := 0; n < e.nets; n++ {
 			if rr.alive[n] && !isB[n] {
@@ -193,13 +150,10 @@ func (cs *CertStore) get(rf *Reference, oc refOcc) *certificate {
 			}
 		}
 	}
-	if cs.certs == nil {
-		cs.certs = map[uint64]*certificate{}
+	if rf.certs == nil {
+		rf.certs = map[uint64]*certificate{}
 	}
-	cs.certs[oc.sig] = ct
-	if e.err == nil {
-		cs.diskStore(oc.cell, ct)
-	}
+	rf.certs[oc.sig] = ct
 	return ct
 }
 
@@ -221,7 +175,7 @@ var notClean = &Result{}
 // or the residual's own non-clean result when a certified check fails
 // (the caller falls back to flat for diagnostics), or the composed
 // clean result.
-func (cs *CertStore) compareCertified(rf *Reference, occs []refOcc, ref, lay *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) (*Result, CertStats) {
+func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) (*Result, CertStats) {
 	var st CertStats
 	st.Occurrences = len(lo.Cells)
 	if len(occs) != len(lo.Cells) {
@@ -245,7 +199,7 @@ func (cs *CertStore) compareCertified(rf *Reference, occs []refOcc, ref, lay *Ne
 	refLo := make([]int32, len(occs)+1)
 	total := 0
 	for o, oc := range occs {
-		ct := cs.get(rf, oc)
+		ct := rf.cert(oc)
 		certs[o] = ct
 		refLo[o] = int32(total)
 		total += len(ct.devs)
@@ -509,7 +463,7 @@ func (cs *CertStore) compareCertified(rf *Reference, occs []refOcc, ref, lay *Ne
 		return res, st
 	}
 
-	// compose the witness: residual matching, then the bijection pairs
+	// compose the net map: residual matching, then the bijection pairs
 	// and every certified occurrence's reduced interior (the
 	// certificate substituted back, so the map names leaf-level nets)
 	netMap := res.NetMap
@@ -550,9 +504,9 @@ func (cs *CertStore) compareCertified(rf *Reference, occs []refOcc, ref, lay *Ne
 // outcome other than clean reruns the flat comparison so diagnostics
 // name leaf-level nets and verdicts are identical to certificate-free
 // runs.
-func compareHier(rf *Reference, cs *CertStore, occs []refOcc, ref *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) *Result {
+func compareHier(rf *Reference, occs []refOcc, ref *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) *Result {
 	lay := FromCircuit(ckt)
-	res, st := cs.compareCertified(rf, occs, ref, lay, ckt, lo)
+	res, st := rf.compareCertified(occs, ref, lay, ckt, lo)
 	if res == nil {
 		res = Compare(ref, lay)
 		res.Cert = st

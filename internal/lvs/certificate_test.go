@@ -16,8 +16,8 @@ import (
 
 // TestCertificateGridCoverage pins that the certificate path actually
 // engages on the canonical workload: every occurrence of the repeated
-// leaf certifies, the leaf is matched exactly once, and the verdict is
-// clean with a complete net map.
+// leaf certifies, the leaf's certificate is derived exactly once, and
+// the verdict is clean with a complete net map.
 func TestCertificateGridCoverage(t *testing.T) {
 	e := gridEditor(t, 4)
 	v := &verify.Verifier{}
@@ -30,18 +30,42 @@ func TestCertificateGridCoverage(t *testing.T) {
 	if res.Cert.Fallback {
 		t.Error("clean grid fell back to the flat comparison; the certified path must settle it")
 	}
-	st := inc.Certs.Stats()
-	if st.Matched != 1 {
-		t.Errorf("sub-cell matches = %d, want the one distinct leaf matched once", st.Matched)
+	st := inc.Ref.Stats()
+	if st.CertsBuilt != 1 {
+		t.Errorf("leaf certificates derived = %d, want the one distinct leaf once", st.CertsBuilt)
 	}
-	if st.Hits != 15 {
-		t.Errorf("store hits = %d, want 15 (every further occurrence served by the certificate)", st.Hits)
+	if st.CertHits != 15 {
+		t.Errorf("certificate hits = %d, want 15 (every further occurrence served by the certificate)", st.CertHits)
 	}
-	// the one-time match's verified net map is the recorded evidence:
-	// every certificate in the store carries its witness
-	for sig, ct := range inc.Certs.certs {
-		if ct.ok && len(ct.witness) == 0 {
-			t.Errorf("certificate %x verified clean but recorded no witness net map", sig)
+}
+
+// TestLeafSelfMatchIsIdentity pins why a certificate needs no one-time
+// match: a leaf's reference entry IS its standalone extraction, and a
+// netlist compared against itself is clean under the identity net map.
+// Every shipped leaf is checked.
+func TestLeafSelfMatchIsIdentity(t *testing.T) {
+	cells, err := lib.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if c.Kind == core.Composition {
+			continue
+		}
+		var rf Reference
+		e := rf.entry(c, seamReach)
+		if e.err != nil {
+			t.Fatalf("%s: %v", c.Name, e.err)
+		}
+		side := &Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labels}
+		res := Compare(side, side)
+		if !res.Clean {
+			t.Fatalf("%s: self-match not clean: %v", c.Name, res.Mismatches)
+		}
+		for r, l := range res.NetMap {
+			if r != l {
+				t.Fatalf("%s: self-match maps net %d to %d, want the identity", c.Name, r, l)
+			}
 		}
 	}
 }
@@ -50,26 +74,26 @@ func TestCertificateGridCoverage(t *testing.T) {
 // repeated cell must de-certify only that occurrence's cell signature.
 // The edit swaps the instance's defining cell for a stretched variant
 // (the editor contract: mutations inside a leaf swap the pointer);
-// only the variant is matched anew — the other occurrences keep
-// comparing under the original certificate.
+// only the variant's certificate is derived anew — the other
+// occurrences keep comparing under the original certificate.
 func TestCertificateInvalidation(t *testing.T) {
 	e := gridEditor(t, 4)
 	v := &verify.Verifier{}
 	inc := &Incremental{}
 	res, err := inc.Check(e, v)
 	mustClean(t, res, err, "before edit")
-	matched0 := inc.Certs.Stats().Matched
+	matched0 := inc.Ref.Stats().CertsBuilt
 	if matched0 != 1 {
-		t.Fatalf("initial matches = %d, want 1", matched0)
+		t.Fatalf("initial certificates = %d, want 1", matched0)
 	}
 
-	// a pure re-stitch (move) re-matches nothing: every signature is
+	// a pure re-stitch (move) derives nothing: every signature is
 	// already certified
 	e.MoveInstance(e.Cell.Instances[5], geom.Pt(400*lam, 400*lam))
 	res, err = inc.Check(e, v)
 	mustClean(t, res, err, "after move")
-	if got := inc.Certs.Stats().Matched; got != matched0 {
-		t.Fatalf("a move re-matched sub-cells: %d -> %d", matched0, got)
+	if got := inc.Ref.Stats().CertsBuilt; got != matched0 {
+		t.Fatalf("a move derived certificates: %d -> %d", matched0, got)
 	}
 
 	// edit INSIDE one occurrence: clone the leaf's sticks definition
@@ -89,8 +113,8 @@ func TestCertificateInvalidation(t *testing.T) {
 
 	res, err = inc.Check(e, v)
 	mustClean(t, res, err, "after in-cell edit")
-	if got := inc.Certs.Stats().Matched; got != matched0+1 {
-		t.Fatalf("in-cell edit re-matched %d sub-cells, want exactly the edited variant (1)", got-matched0)
+	if got := inc.Ref.Stats().CertsBuilt; got != matched0+1 {
+		t.Fatalf("in-cell edit derived %d certificates, want exactly the edited variant (1)", got-matched0)
 	}
 	if res.Cert.Cells != 2 || res.Cert.Certified != 16 {
 		t.Fatalf("cert stats after edit = %+v; want 16 certified under 2 distinct cells", res.Cert)
@@ -121,7 +145,7 @@ func TestCertifiedMatchesFlatUnderEdits(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
-		cert, err := CheckEditor(e)
+		cert, err := scratchEditor(e)
 		if err != nil {
 			t.Fatalf("step %d: certified: %v", step, err)
 		}
@@ -171,7 +195,7 @@ func TestCertifiedMatchesFlatUnderEdits(t *testing.T) {
 func TestCertifiedChipClean(t *testing.T) {
 	for _, n := range []int{8} {
 		e := gridEditor(t, n)
-		res, err := CheckEditor(e)
+		res, err := scratchEditor(e)
 		mustClean(t, res, err, fmt.Sprintf("%dx%d grid", n, n))
 		if res.Cert.Certified != n*n {
 			t.Errorf("%dx%d: certified %d of %d occurrences", n, n, res.Cert.Certified, n*n)
@@ -181,7 +205,7 @@ func TestCertifiedChipClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckCell(chip)
+	res, err := scratchCell(chip)
 	mustClean(t, res, err, "chip/routed")
 	if res.Cert.Certified == 0 {
 		t.Error("chip verified with no certified occurrences; the repeated gates should certify")
@@ -191,7 +215,7 @@ func TestCertifiedChipClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		res, err := CheckCell(c)
+		res, err := scratchCell(c)
 		mustClean(t, res, err, c.Name)
 	}
 }

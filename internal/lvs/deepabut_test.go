@@ -76,7 +76,7 @@ func TestDeepAbutOverlapClean(t *testing.T) {
 	// stub at local x 8..12: contact with the bar at local depth 8..10,
 	// and the stub lies wholly outside the old 4-lambda boundary band
 	e := deepPair(t, 8, 12)
-	res, err := CheckEditor(e)
+	res, err := scratchEditor(e)
 	mustClean(t, res, err, "deep overlap (8-lambda-deep contact)")
 }
 
@@ -88,7 +88,7 @@ func TestDeepAbutOverlapClean(t *testing.T) {
 func TestDeepAbutOverlapShallowContactStaysClean(t *testing.T) {
 	// stub at local x 0..4: within the old band, still under the overlap
 	e := deepPair(t, 0, 4)
-	res, err := CheckEditor(e)
+	res, err := scratchEditor(e)
 	mustClean(t, res, err, "deep overlap (shallow contact)")
 }
 

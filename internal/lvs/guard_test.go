@@ -14,8 +14,7 @@ import (
 
 // TestReferenceSingleSessionGuard pins the ownership contract: a
 // Reference serves one session; a second concurrent entry is refused
-// loudly instead of corrupting the pointer-keyed memos. Cross-session
-// sharing goes through the content-addressed store.
+// loudly instead of corrupting the pointer-keyed memos.
 func TestReferenceSingleSessionGuard(t *testing.T) {
 	e := gridEditor(t, 2)
 	var rf Reference

@@ -5,34 +5,33 @@ import (
 
 	"riot/internal/core"
 	"riot/internal/extract"
-	"riot/internal/flatten"
 	"riot/internal/obs"
 	"riot/internal/verify"
 )
 
-// Incremental is the edit-loop entry point: one Incremental holds the
-// reference memo (leaf extractions, per-cell stitches) and the last
-// verdict, keyed on the editor's generation. The layout side comes from
-// the shared verify.Verifier — the one the DRC and EXTRACT commands
-// use, which by default composes per-cell certificates (internal/hier)
-// and runs the scratch flat reference only when the engine declines —
-// so a one-cell edit re-extracts no unchanged cell, re-stitches only the
-// edited composition's entry (every leaf netlist and untouched sub-cell
+// Incremental is the LVS entry point: one Incremental holds the
+// reference memo (leaf extractions and certificates, per-cell
+// stitches) and the last verdict, keyed on the editor's generation.
+// The layout side comes from the caller's verify.Verifier — the one
+// the DRC and EXTRACT commands use, which by default composes per-cell
+// certificates (internal/hier) and runs the scratch flat reference
+// only when the engine declines — so a one-cell edit re-extracts no
+// unchanged cell, re-stitches only the edited composition's entry
+// (every leaf netlist and certificate and every untouched sub-cell
 // entry is reused), and re-labels from there; an unchanged generation
-// returns the cached verdict outright. The verdict is identical to a
-// from-scratch CheckCell — the caches are invisible except as speed.
+// returns the cached verdict outright. The memo lives in process only:
+// a fresh Incremental derives each distinct leaf once, whatever store
+// the verifier has attached. A fresh Incremental over a zero Verifier
+// is the from-scratch path (flatten, solve, certified compare); the
+// caches are invisible except as speed.
 type Incremental struct {
-	// Ref is the reference-netlist memo; usable directly when a caller
-	// wants the reference netlist itself.
+	// Ref is the reference-netlist memo with its leaf certificates;
+	// usable directly when a caller wants the reference netlist itself.
+	// Because the memo persists across generations, an edit derives no
+	// certificate for an unchanged leaf and refinement warm-starts
+	// from the certified boundary anchors — only the un-certified
+	// region around the edit is re-refined.
 	Ref Reference
-	// Certs records hierarchical sub-cell certificates across runs:
-	// each distinct sub-cell signature is matched once, and certified
-	// occurrences compare collapsed (see certificate.go). Because the
-	// store and the reference memo persist across generations, an edit
-	// re-matches nothing and refinement warm-starts from the certified
-	// boundary anchors — only the un-certified region around the edit
-	// is re-refined.
-	Certs CertStore
 	// Trace, when enabled, records an "lvs" span per Check with the
 	// verifier's span tree, a "reference" derivation span and a "match"
 	// span nested inside; nil records nothing and costs nothing.
@@ -109,44 +108,10 @@ func (inc *Incremental) compare(cell *core.Cell, declared []core.Connection, rep
 		return nil, err
 	}
 	msp := inc.Trace.Begin("match")
-	res := compareHier(&inc.Ref, &inc.Certs, occs, ref, rep.Circuit, rep.Occs)
+	res := compareHier(&inc.Ref, occs, ref, rep.Circuit, rep.Occs)
 	msp.End()
 	inc.last = res
 	return res, nil
-}
-
-// checkScratch is the shared from-scratch path: fresh reference memo,
-// fresh certificate store, fresh extraction.
-func checkScratch(cell *core.Cell, declared []core.Connection) (*Result, error) {
-	fr, err := flatten.Cell(cell)
-	if err != nil {
-		return nil, fmt.Errorf("lvs: %s: layout extraction failed: %w", cell.Name, err)
-	}
-	ckt, _, err := extract.SolveNets(fr)
-	if err != nil {
-		return nil, fmt.Errorf("lvs: %s: layout extraction failed: %w", cell.Name, err)
-	}
-	var rf Reference
-	var cs CertStore
-	ref, occs, err := rf.NetlistOccs(cell, declared)
-	if err != nil {
-		return nil, err
-	}
-	return compareHier(&rf, &cs, occs, ref, ckt, fr.Occurrences()), nil
-}
-
-// CheckCell is the from-scratch convenience: a fresh reference
-// derivation against a fresh extraction, no caches involved. Tests and
-// the scale benchmark use it as the baseline the incremental path must
-// reproduce verdict-identically.
-func CheckCell(cell *core.Cell) (*Result, error) {
-	return checkScratch(cell, nil)
-}
-
-// CheckEditor is the from-scratch path for a cell under edit, honoring
-// the session's declared connection records without any caching.
-func CheckEditor(ed *core.Editor) (*Result, error) {
-	return checkScratch(ed.Cell, ed.Declared)
 }
 
 // CheckCellFlat is the certificate-free baseline: a plain flat

@@ -55,7 +55,7 @@ func nandQuad(t *testing.T) (*core.Editor, [4]*core.Instance) {
 // declared-distinct nets — a short, reported with both labels.
 func TestUnsanctionedContactIsShort(t *testing.T) {
 	e, _ := nandQuad(t)
-	res, err := CheckEditor(e)
+	res, err := scratchEditor(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSwappedConnectionMismatch(t *testing.T) {
 	if err := e.Declare(ins[2], "OUT", ins[1], "OUT"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckEditor(e)
+	res, err := scratchEditor(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDeletedRouteIsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckEditor(e)
+	res, err := scratchEditor(e)
 	mustClean(t, res, err, "routed pair")
 
 	// the deleted-wire edit
@@ -146,7 +146,7 @@ func TestDeletedRouteIsOpen(t *testing.T) {
 	if len(e.Declared) != 1 {
 		t.Fatalf("declared records = %d after route deletion, want the original link kept", len(e.Declared))
 	}
-	res, err = CheckEditor(e)
+	res, err = scratchEditor(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +160,9 @@ func TestDeletedRouteIsOpen(t *testing.T) {
 
 // TestIncrementalMatchesScratchUnderEdits is the end-to-end
 // differential: random editor operations on an abutting grid, the
-// generation-keyed incremental path after each, compared against the
-// cache-free CheckEditor. Verdicts, mismatches and net maps must be
-// identical.
+// generation-keyed incremental path after each, compared against a
+// cache-free run from scratch. Verdicts, mismatches and net maps must
+// be identical.
 func TestIncrementalMatchesScratchUnderEdits(t *testing.T) {
 	e := gridEditor(t, 4)
 	// an isolated island far from the grid: declarations against it tie
@@ -184,7 +184,7 @@ func TestIncrementalMatchesScratchUnderEdits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: incremental: %v", step, err)
 		}
-		want, err := CheckEditor(e)
+		want, err := scratchEditor(e)
 		if err != nil {
 			t.Fatalf("step %d: scratch: %v", step, err)
 		}

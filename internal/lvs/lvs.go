@@ -12,7 +12,8 @@
 // The reference netlist is derived from exactly that:
 //
 //   - every leaf cell's netlist comes from extracting the leaf alone
-//     (memoized per cell — a 32x32 array extracts its cell once);
+//     (memoized per cell in process — a 32x32 array extracts its cell
+//     once per session, and nothing LVS derives goes to a store);
 //   - instance netlists stitch together where connectors coincide
 //     (abutment and routing place joined connectors on the same point)
 //     and where material crosses an abutted seam — occurrences whose
@@ -23,23 +24,24 @@
 //     realizes them, so a connection a later MOVE silently destroyed
 //     surfaces as an open instead of vanishing from both sides.
 //
-// Comparison is hierarchical. Each distinct sub-cell's
-// reference/extracted netlist pair is matched once and recorded as a
-// certificate (certificate.go); occurrences of certified cells are
-// settled by device alignment and a directly-checked boundary
-// bijection, and only the un-certified residual enters the generic
-// matcher. That matcher is Gemini-style canonical labeling: both
-// netlists are series/parallel-reduced (stacked and paralleled
-// transistors collapse into compound devices, so device order and
-// source/drain orientation never matter), then a partition refinement
-// iteratively colors the bipartite net/device graph of both sides in
-// one shared color space, seeded with the connector labels the two
-// sides share and the certificates' boundary anchors. Classes whose
-// member counts differ between the sides are mismatches; equal
-// partitions are witnessed by an explicit net-to-net matching produced
-// through deterministic individualization. Reports are stable: every
-// tie-break follows net numbering, which both derivations produce
-// deterministically.
+// Comparison is hierarchical. Each distinct leaf gets a certificate
+// derived once from its reference entry (certificate.go): for a leaf
+// the reference IS the standalone extraction, so the leaf matches
+// itself under the identity net map and no one-time match runs.
+// Occurrences of certified cells are settled by device alignment and
+// a directly-checked boundary bijection, and only the un-certified
+// residual enters the generic matcher. That matcher is Gemini-style
+// canonical labeling: both netlists are series/parallel-reduced
+// (stacked and paralleled transistors collapse into compound devices,
+// so device order and source/drain orientation never matter), then a
+// partition refinement iteratively colors the bipartite net/device
+// graph of both sides in one shared color space, seeded with the
+// connector labels the two sides share and the certificates' boundary
+// anchors. Classes whose member counts differ between the sides are
+// mismatches; equal partitions are proven by an explicit net-to-net
+// matching produced through deterministic individualization. Reports
+// are stable: every tie-break follows net numbering, which both
+// derivations produce deterministically.
 //
 // Mismatch diagnostics are structural, not a bare fail: shorts (two
 // declared nets merged in the layout), opens (one declared net split),

@@ -9,6 +9,7 @@ import (
 	"riot/internal/geom"
 	"riot/internal/lib"
 	"riot/internal/rules"
+	"riot/internal/verify"
 )
 
 // gridEditor builds an n x n grid of individually placed, abutting
@@ -37,6 +38,18 @@ func gridEditor(tb testing.TB, n int) *core.Editor {
 	return e
 }
 
+// scratchCell and scratchEditor run the certified comparison from
+// scratch: a fresh Incremental over a zero verify.Verifier, whose
+// flatten and solve are the layout side. The differentials use them as
+// the cache-free baseline the warm paths must reproduce.
+func scratchCell(c *core.Cell) (*Result, error) {
+	return new(Incremental).CheckCell(c, &verify.Verifier{})
+}
+
+func scratchEditor(e *core.Editor) (*Result, error) {
+	return new(Incremental).Check(e, &verify.Verifier{})
+}
+
 func mustClean(tb testing.TB, res *Result, err error, what string) {
 	tb.Helper()
 	if err != nil {
@@ -59,7 +72,7 @@ func TestLibraryCellsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		res, err := CheckCell(c)
+		res, err := scratchCell(c)
 		mustClean(t, res, err, c.Name)
 		if c.Name == "SRCELL" && res.RefDevices == 0 {
 			t.Error("SRCELL reduced to no devices")
@@ -103,7 +116,7 @@ func TestAbuttedPairClean(t *testing.T) {
 	if len(e.Declared) != 2 {
 		t.Fatalf("declared records = %d, want 2", len(e.Declared))
 	}
-	res, err := CheckEditor(e)
+	res, err := scratchEditor(e)
 	mustClean(t, res, err, "abutted pair")
 }
 
@@ -112,7 +125,7 @@ func TestAbuttedPairClean(t *testing.T) {
 // reference matches the layout with no declarations at all.
 func TestGridClean(t *testing.T) {
 	e := gridEditor(t, 4)
-	res, err := CheckEditor(e)
+	res, err := scratchEditor(e)
 	mustClean(t, res, err, "4x4 grid")
 }
 
@@ -135,7 +148,7 @@ func TestReplicatedArrayClean(t *testing.T) {
 	if _, err := e.CreateInstance("SRCELL", "arr", geom.Identity, 4, 3, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckEditor(e)
+	res, err := scratchEditor(e)
 	mustClean(t, res, err, "4x3 array")
 }
 
@@ -149,7 +162,7 @@ func TestFilterVariantsClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = d
-		res, err := CheckCell(logic)
+		res, err := scratchCell(logic)
 		mustClean(t, res, err, "logic/"+variant.String())
 	}
 	for _, variant := range []filter.Variant{filter.Routed, filter.Stretched} {
@@ -157,7 +170,7 @@ func TestFilterVariantsClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := CheckCell(chip)
+		res, err := scratchCell(chip)
 		mustClean(t, res, err, "chip/"+variant.String())
 	}
 }

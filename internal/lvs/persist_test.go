@@ -12,17 +12,20 @@ import (
 )
 
 // The persistence differential suite: the on-disk store must change
-// verdicts never and wall-time only. Every test compares a
-// store-backed run against the cache-free flat baseline, both on a
+// verdicts never and wall-time only. The store holds the hierarchical
+// engine's certificates; LVS keeps its memos in process, so every
+// session derives its one leaf certificate itself. Every test compares
+// a store-backed run against the cache-free flat baseline, both on a
 // warm store and under every corruption mode, and asserts the results
 // are deeply equal.
 
 // warmSession runs one full LVS over a fresh 4x4 grid editor with the
-// store at dir attached, simulating one process lifetime (fresh cell
-// pointers, fresh signer, fresh memos each call — only the directory
-// persists). The layout side is the shipped hierarchical verifier; the
-// int result counts its certificates loaded from the store.
-func warmSession(t *testing.T, dir string, logf func(string, ...any)) (*Result, CertStoreStats, int, *castore.Store) {
+// store at dir attached to the verifier, simulating one process
+// lifetime (fresh cell pointers, fresh signer, fresh memos each call —
+// only the directory persists). The layout side is the shipped
+// hierarchical verifier; the int result counts its certificates loaded
+// from the store.
+func warmSession(t *testing.T, dir string, logf func(string, ...any)) (*Result, RefStats, int, *castore.Store) {
 	t.Helper()
 	e := gridEditor(t, 4)
 	st, err := castore.Open(dir)
@@ -31,45 +34,43 @@ func warmSession(t *testing.T, dir string, logf func(string, ...any)) (*Result, 
 	}
 	st.Log = logf
 	v := &verify.Verifier{Hier: true}
+	v.AttachDisk(st, &castore.Signer{})
 	inc := &Incremental{}
-	inc.AttachDisk(st, &castore.Signer{}, v)
 	res, err := inc.Check(e, v)
 	if err != nil {
 		t.Fatalf("store-backed check: %v", err)
 	}
-	return res, inc.Certs.Stats(), v.HierStats().CertDiskHits, st
+	return res, inc.Ref.Stats(), v.HierStats().CertDiskHits, st
 }
 
 // TestPersistWarmRestart: a second process over the same store
-// directory must produce the identical verdict while performing zero
-// sub-cell matches and zero leaf re-extractions — the whole point of
-// persisting the caches.
+// directory must produce the identical verdict, loading the one hier
+// certificate instead of rebuilding it and writing nothing. LVS derives
+// its one leaf certificate in process on both runs.
 func TestPersistWarmRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 
-	cold, coldStats, _, st1 := warmSession(t, dir, t.Logf)
+	cold, coldStats, coldLoads, st1 := warmSession(t, dir, t.Logf)
 	mustClean(t, cold, nil, "cold store-backed run")
-	if coldStats.Matched != 1 || coldStats.DiskHits != 0 {
-		t.Fatalf("cold run stats = %+v; want 1 match, 0 disk hits", coldStats)
+	if coldStats.CertsBuilt != 1 || coldLoads != 0 {
+		t.Fatalf("cold run derived %d leaf certificates and loaded %d hier certificates; want 1 and 0",
+			coldStats.CertsBuilt, coldLoads)
 	}
-	if got := st1.Stats(); got.Puts == 0 {
-		t.Fatalf("cold run wrote nothing to the store: %+v", got)
+	if got := st1.Stats(); got.Puts != 1 {
+		t.Fatalf("cold run stored %d entries, want 1 (the leaf's hier certificate): %+v", got.Puts, got)
 	}
 	st1.Close()
 
-	warm, warmStats, certsLoaded, st2 := warmSession(t, dir, t.Logf)
+	warm, warmStats, warmLoads, st2 := warmSession(t, dir, t.Logf)
 	defer st2.Close()
-	if warmStats.Matched != 0 {
-		t.Errorf("warm restart performed %d sub-cell matches; want 0 (served from disk)", warmStats.Matched)
+	if warmStats.CertsBuilt != 1 {
+		t.Errorf("warm restart derived %d leaf certificates, want 1 (LVS memos live in process)", warmStats.CertsBuilt)
 	}
-	if warmStats.DiskHits != 1 {
-		t.Errorf("warm restart disk hits = %d, want 1 (the one distinct leaf)", warmStats.DiskHits)
+	if warmLoads != 1 {
+		t.Errorf("warm restart loaded %d hier certificates from disk, want 1 (the one distinct leaf)", warmLoads)
 	}
-	if certsLoaded != 1 {
-		t.Errorf("warm restart loaded %d hier certificates from disk, want 1 (the one distinct leaf)", certsLoaded)
-	}
-	if sst := st2.Stats(); sst.Corrupt != 0 {
-		t.Errorf("clean warm restart rejected %d entries", sst.Corrupt)
+	if sst := st2.Stats(); sst.Corrupt != 0 || sst.Puts != 0 {
+		t.Errorf("clean warm restart rejected %d entries and stored %d; want 0 and 0", sst.Corrupt, sst.Puts)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Errorf("warm-restart verdict diverged:\ncold: %+v\nwarm: %+v", cold, warm)
@@ -115,16 +116,16 @@ func TestPersistTamperMatrix(t *testing.T) {
 				logged.WriteString(strings.TrimSpace(strings.ReplaceAll(format, "%s", "_")) + "\n")
 				t.Logf(format, args...)
 			}
-			res, stats, _, st2 := warmSession(t, dir, logf)
+			res, stats, loads, st2 := warmSession(t, dir, logf)
 			defer st2.Close()
 			if !reflect.DeepEqual(baseline, res) {
 				t.Errorf("verdict diverged under %s corruption:\nwant %+v\ngot  %+v", mode, baseline, res)
 			}
-			if stats.DiskHits != 0 {
-				t.Errorf("%d disk hits served from a fully corrupted store", stats.DiskHits)
+			if loads != 0 {
+				t.Errorf("%d hier certificates loaded from a fully corrupted store", loads)
 			}
-			if stats.Matched != 1 {
-				t.Errorf("matches = %d after corruption, want 1 (cold recompute)", stats.Matched)
+			if stats.CertsBuilt != 1 {
+				t.Errorf("leaf certificates derived = %d after corruption, want 1", stats.CertsBuilt)
 			}
 			sst := st2.Stats()
 			if sst.Corrupt == 0 {
@@ -134,10 +135,11 @@ func TestPersistTamperMatrix(t *testing.T) {
 				t.Error("corruption recovery logged nothing")
 			}
 			// recovery re-populates: a third session is warm again
-			_, stats3, _, st3 := warmSession(t, dir, t.Logf)
+			_, stats3, loads3, st3 := warmSession(t, dir, t.Logf)
 			defer st3.Close()
-			if stats3.Matched != 0 || stats3.DiskHits != 1 {
-				t.Errorf("store did not recover after corruption: %+v", stats3)
+			if loads3 != 1 || stats3.CertsBuilt != 1 {
+				t.Errorf("store did not recover after corruption: %d hier loads, %d leaf certificates derived; want 1 and 1",
+					loads3, stats3.CertsBuilt)
 			}
 		})
 	}
@@ -159,9 +161,9 @@ func TestPersistConcurrentSessions(t *testing.T) {
 				return
 			}
 			defer st.Close()
-			v := &verify.Verifier{}
+			v := &verify.Verifier{Hier: true}
+			v.AttachDisk(st, &castore.Signer{})
 			inc := &Incremental{}
-			inc.AttachDisk(st, &castore.Signer{}, v)
 			res, err := inc.Check(e, v)
 			if err != nil {
 				t.Error(err)
@@ -181,19 +183,16 @@ func TestPersistConcurrentSessions(t *testing.T) {
 	mustClean(t, a, nil, "concurrent session")
 }
 
-// TestPersistShallowReachRecomputes: an entry stored at a shallow
-// reach must not serve a session that needs deeper boundary retention.
-// nandQuad's overlapping pairs force reach growth beyond the base
-// contract; priming the store with the plain grid first ensures the
-// SRCELL entry on disk carries only base reach.
-func TestPersistShallowReachRecomputes(t *testing.T) {
+// TestPersistDeepOverlapMatchesFlat: a store primed by the plain grid
+// serves a second design that reuses the same leaf content at a deep
+// overlap. Moving a copy 6 lambda into its neighbour forces the
+// reference's boundary reach past the base contract; the store-backed
+// verdict must match the cache-free flat baseline.
+func TestPersistDeepOverlapMatchesFlat(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	_, _, _, st1 := warmSession(t, dir, t.Logf)
 	st1.Close()
 
-	// a second design reusing the same leaf content at a deep overlap:
-	// correctness requires either a deep-enough disk entry or a
-	// recompute — the verdict must match the cache-free baseline
 	e := gridEditor(t, 2)
 	e.MoveInstance(e.Cell.Instances[1], geom.Pt(-6*lam, 0))
 	flat, err := CheckEditorFlat(e)
@@ -208,12 +207,15 @@ func TestPersistShallowReachRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	v := &verify.Verifier{}
+	v := &verify.Verifier{Hier: true}
+	v.AttachDisk(st, &castore.Signer{})
 	inc := &Incremental{}
-	inc.AttachDisk(st, &castore.Signer{}, v)
 	res, err := inc.Check(e2, v)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if loads := v.HierStats().CertDiskHits; loads != 1 {
+		t.Errorf("the primed store served %d hier certificates, want 1 (the shared leaf)", loads)
 	}
 	got := verdict{res.Clean, res.Mismatches}
 	want := verdict{flat.Clean, flat.Mismatches}

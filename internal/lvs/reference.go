@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"riot/internal/castore"
 	"riot/internal/core"
 	"riot/internal/extract"
 	"riot/internal/flatten"
@@ -127,10 +126,13 @@ type tmplKey struct {
 	dx, dy int
 }
 
-// RefStats is the reference memo's cumulative template accounting.
+// RefStats is the reference memo's cumulative accounting: pair
+// templates and leaf certificates.
 type RefStats struct {
 	TemplatesBuilt int // pair templates derived
 	TemplateHits   int // copy pairs replayed from an existing template
+	CertsBuilt     int // leaf certificates derived (LVS -stats "matched")
+	CertHits       int // occurrences served by an already-derived certificate
 }
 
 // refOcc is one leaf occurrence inside an entry's net space: which
@@ -151,36 +153,36 @@ type refOcc struct {
 // edited compositions re-stitch while untouched cells and all leaf
 // extractions are reused).
 //
+// The memo also holds one certificate per distinct leaf signature
+// (certificate.go), derived from the leaf's entry the first time a
+// comparison meets the leaf; later occurrences, runs and generations
+// read it with one map lookup.
+//
 // A Reference belongs to one session: its memos are keyed by *Cell /
 // *Instance pointer, so NetlistOccs asserts single-threaded entry
-// rather than corrupt them — sessions share derivation work through
-// the content-addressed store (AttachDisk), never through a Reference.
-// Snapshot clones of one design cell are handled naturally: unchanged
-// subtrees keep their pointers, and the memo keys entries by snapshot
-// origin (Cell.Origin), so a newer clone's entry supersedes the older
-// one's — along with the instance-level memos of instances the new
-// clone no longer has. A long-lived session's memory is bounded by the
-// design, not by its history: each composition entry carries only the
-// pair templates its latest stitch replayed.
+// rather than corrupt them. Nothing in it persists: a fresh session
+// re-derives each distinct leaf in process, one standalone extraction
+// per leaf. Snapshot clones of one design cell are handled naturally:
+// unchanged subtrees keep their pointers, and the memo keys entries by
+// snapshot origin (Cell.Origin), so a newer clone's entry supersedes
+// the older one's — along with the instance-level memos of instances
+// the new clone no longer has. A long-lived session's memory is
+// bounded by the design, not by its history: each composition entry
+// carries only the pair templates its latest stitch replayed.
 type Reference struct {
 	ids    map[*core.Cell]uint64
 	lastID uint64
 	memo   map[*core.Cell]*refEntry
 	conns  map[*core.Instance]cachedConns
+	certs  map[uint64]*certificate // by leaf signature
 	stats  RefStats
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.
 	busy int32
-
-	// optional persistent second level (AttachDisk): leaf entries
-	// missing in memory are looked up by content signature before the
-	// leaf is extracted
-	disk   castore.Blob
-	signer *castore.Signer
 }
 
-// Stats reports the memo's cumulative template accounting.
+// Stats reports the memo's cumulative accounting.
 func (rf *Reference) Stats() RefStats { return rf.stats }
 
 // instKey is the placement snapshot instance-level caches are valid
@@ -236,7 +238,7 @@ func (rf *Reference) Netlist(c *core.Cell, declared []core.Connection) (*Netlist
 // comparison uses the map to collapse repeated, already-matched cells.
 func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Netlist, []refOcc, error) {
 	if !atomic.CompareAndSwapInt32(&rf.busy, 0, 1) {
-		return nil, nil, fmt.Errorf("lvs: Reference entered concurrently (a Reference serves one session; share work across sessions through the content-addressed store)")
+		return nil, nil, fmt.Errorf("lvs: Reference entered concurrently (a Reference serves one session)")
 	}
 	defer atomic.StoreInt32(&rf.busy, 0)
 	e := rf.entry(c, seamReach)
@@ -478,18 +480,13 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 	} else {
 		e = rf.leafEntry(c, minReach)
 	}
-	e.sig, e.cell = sig, c
+	e.sig, e.cell, e.reach = sig, c, minReach
 	e.portNet = portTable(e.ports)
 	for i, bf := range e.boundary {
 		if i == 0 {
 			e.bext = bf.r
 		}
 		e.bext = span(e.bext, bf.r)
-	}
-	// a disk-loaded leaf entry may retain boundary material deeper than
-	// asked; record the depth it actually has (never less than asked)
-	if e.reach < minReach {
-		e.reach = minReach
 	}
 	if rf.memo == nil {
 		rf.memo = map[*core.Cell]*refEntry{}
@@ -524,14 +521,8 @@ func (rf *Reference) supersede(old, e *refEntry) {
 func seamDepth(bu, bv geom.Rect) int { return seam.Depth(bu, bv) }
 
 // leafEntry extracts a leaf cell alone and packages its netlist,
-// ports and boundary material within reach of its bounding box. With a
-// persistent store attached, the extraction is skipped when the store
-// holds an entry for the same cell content at sufficient reach, and
-// fresh derivations are written back.
+// ports and boundary material within reach of its bounding box.
 func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
-	if e := rf.diskLoadLeaf(c, reach); e != nil {
-		return e
-	}
 	fr, err := flatten.Cell(c)
 	if err != nil {
 		return &refEntry{err: fmt.Errorf("lvs: leaf %s: %w", c.Name, err)}
@@ -567,8 +558,6 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 		ident[n] = int32(n)
 	}
 	e.occs = []refOcc{{cell: c, sig: rf.sigOf(c), nets: ident}}
-	e.reach = reach
-	rf.diskStoreLeaf(c, e)
 	return e
 }
 

@@ -137,7 +137,7 @@ func TestReferenceOutsideBoxConnectors(t *testing.T) {
 	if !want.Clean {
 		t.Fatalf("flat comparison not clean: %v", want.Mismatches)
 	}
-	got, err := CheckCell(top)
+	got, err := scratchCell(top)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -400,7 +400,7 @@ func (m *matcher) restore(sn *snapshot) {
 // Wrong guesses roll back; bounded retries keep the worst case finite.
 // The final map is checked outright — every ref device must map onto a
 // lay device, every shared label onto its own net — so an accepted
-// matching is a witness, not a heuristic: a pairing that slipped
+// matching is a proof, not a heuristic: a pairing that slipped
 // through balanced-but-wrong fails the verification and reports as
 // unmatched rather than clean. Returns the ref-to-lay net map and
 // whether a verified matching completed.

@@ -3,9 +3,9 @@
 // content-addressed verification store.
 //
 // The paper's tool is single-designer — one keyboard, one design. A
-// chip is assembled by a team, though, and the expensive artifacts of
-// verification (per-cell certificates, leaf reference netlists,
-// sub-cell match certificates) depend only on cell content, not on who verifies
+// chip is assembled by a team, though, and the expensive artifact of
+// verification (the hierarchical engine's per-cell extract+DRC
+// certificate) depends only on cell content, not on who verifies
 // first. The server exploits both facts:
 //
 //   - Each session is a full shell (its own editor, verifier caches,
@@ -15,11 +15,12 @@
 //     against the immutable frozen generation, so one session's long
 //     DRC never blocks another's edits — and the verdict each session
 //     sees is deterministic per generation.
-//   - Every session's caches attach the same castore.Mem (optionally
-//     tiered over one on-disk castore.Store) through one shared
-//     revision-checked Signer: the first session to verify a cell
-//     warms every other, and a new session joining mid-flight starts
-//     warm.
+//   - Every session's verifier attaches the same castore.Mem
+//     (optionally tiered over one on-disk castore.Store) through one
+//     shared revision-checked Signer: the first session to verify a
+//     cell warms every other, and a new session joining mid-flight
+//     starts warm. LVS memos stay per session: each session derives
+//     its leaves' LVS entries and certificates in process.
 //
 // Cell-level write conflicts resolve by lease: EDIT claims the cell
 // for the session and a second session's EDIT of the same cell is

@@ -776,10 +776,10 @@ func cmdExtract(s *Shell, args []string) error {
 // DRC and EXTRACT; for the cell under edit, the session's retained
 // connection records participate in the reference. -stats additionally
 // prints the hierarchical-certificate accounting: how many occurrences
-// compared pre-collapsed, how often the session's certificate store
-// answered without re-matching a sub-cell, and the hierarchical
-// verification engine's run counters (fast runs, fallbacks, per-cell
-// certificates built vs reloaded).
+// compared pre-collapsed, how many leaf certificates the session
+// derived in process and how often one answered an occurrence, and
+// the hierarchical verification engine's run counters (fast runs,
+// fallbacks, per-cell certificates built vs reloaded from the store).
 func cmdLVS(s *Shell, args []string) error {
 	stats := false
 	if len(args) > 0 && args[0] == "-stats" {
@@ -801,11 +801,11 @@ func cmdLVS(s *Shell, args []string) error {
 		return err
 	}
 	if stats {
-		st, store := res.Cert, s.LVS.Certs.Stats()
+		st, rs := res.Cert, s.LVS.Ref.Stats()
 		s.printf("%s: certificates: %d/%d occurrence(s) certified under %d distinct cell(s)\n",
 			name, st.Certified, st.Occurrences, st.Cells)
-		s.printf("%s: certificate store: %d hit(s), %d sub-cell match(es) performed\n",
-			name, store.Hits, store.Matched)
+		s.printf("%s: leaf certificates: %d derived in process, %d hit(s)\n",
+			name, rs.CertsBuilt, rs.CertHits)
 		s.printf("%s: %s\n", name, s.Verifier.HierStats())
 		if d := s.Verifier.HierDeclineInfo(); d != nil {
 			s.printf("%s: hier declined: condition=%s cell=%q placement=%d: %v\n",
@@ -813,8 +813,8 @@ func cmdLVS(s *Shell, args []string) error {
 		}
 		if s.Cache != nil {
 			cst := s.Cache.Stats()
-			s.printf("%s: persistent store: %d certificate(s) loaded from disk, %d disk hit(s), %d corrupt entr(ies) quarantined (%d moved aside), %d miss(es), %d put(s), %d put error(s)\n",
-				name, store.DiskHits, cst.Hits, cst.Corrupt, cst.Quarantined, cst.Misses, cst.Puts, cst.PutErrors)
+			s.printf("%s: persistent store: %d disk hit(s), %d corrupt entr(ies) quarantined (%d moved aside), %d miss(es), %d put(s), %d put error(s)\n",
+				name, cst.Hits, cst.Corrupt, cst.Quarantined, cst.Misses, cst.Puts, cst.PutErrors)
 		}
 		if s.Faults != nil {
 			s.printf("%s: faults: %s\n", name, s.Faults)

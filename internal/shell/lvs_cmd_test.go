@@ -99,8 +99,8 @@ func TestLVSCommandSharesVerifierCache(t *testing.T) {
 }
 
 // TestLVSCommandStats pins the -stats surface: an array design reports
-// its certificate coverage and the store's hit accounting, and a
-// repeat of the command answers from the certificate store.
+// its certificate coverage and the leaf-certificate accounting — one
+// certificate derived in process, every further occurrence a hit.
 func TestLVSCommandStats(t *testing.T) {
 	s, out := lvsShell(t)
 	if err := s.ExecAll(
@@ -115,7 +115,7 @@ func TestLVSCommandStats(t *testing.T) {
 	if !strings.Contains(got, "8/8 occurrence(s) certified under 1 distinct cell(s)") {
 		t.Fatalf("LVS -stats output = %q", got)
 	}
-	if !strings.Contains(got, "1 sub-cell match(es) performed") {
+	if !strings.Contains(got, "leaf certificates: 1 derived in process, 7 hit(s)") {
 		t.Fatalf("LVS -stats output = %q", got)
 	}
 	if !strings.Contains(got, "netlists match") {

@@ -48,8 +48,9 @@ type Shell struct {
 	Verifier verify.Verifier
 
 	// LVS holds the netlist-comparison caches (memoized leaf-cell
-	// reference netlists, the last verdict); the layout side comes from
-	// the shared Verifier, so LVS after DRC re-extracts nothing.
+	// reference netlists and certificates, the last verdict), in
+	// process only; the layout side comes from the shared Verifier, so
+	// LVS after DRC re-extracts nothing.
 	LVS lvs.Incremental
 
 	// Cache is the persistent verification store attached with
@@ -115,11 +116,12 @@ func (s *Shell) Quit() bool { return s.quit }
 
 // AttachCache opens (creating if needed) the persistent verification
 // store rooted at dir and wires it under the verifier's hierarchical
-// engine and both LVS memos, so per-cell certificates, leaf reference
-// netlists and sub-cell match certificates survive across processes. Corrupt,
-// truncated or version-skewed entries are quarantined and recomputed
-// cold (the store logs each through the shell output); verdicts are
-// identical to cache-free runs either way.
+// engine, so per-cell extract+DRC certificates survive across
+// processes. LVS keeps its memos in process and re-derives each
+// distinct leaf per session. Corrupt, truncated or version-skewed
+// entries are quarantined and recomputed cold (the store logs each
+// through the shell output); verdicts are identical to cache-free runs
+// either way.
 func (s *Shell) AttachCache(dir string) error {
 	st, err := castore.Open(dir)
 	if err != nil {
@@ -129,18 +131,18 @@ func (s *Shell) AttachCache(dir string) error {
 	st.Faults = s.Faults
 	st.Trace = s.trace
 	s.Cache = st
-	s.LVS.AttachDisk(st, &castore.Signer{}, &s.Verifier)
+	s.Verifier.AttachDisk(st, &castore.Signer{})
 	return nil
 }
 
 // AttachStore wires a prebuilt content-addressed store — typically a
 // server's shared in-memory tier layered over one on-disk store — plus
-// a shared signer under the session's caches. Unlike AttachCache it
+// a shared signer under the session's verifier. Unlike AttachCache it
 // opens nothing and takes no ownership: many sessions attach the same
-// store and signer, and any session deriving a verification artifact
-// warms every other.
+// store and signer, and any session deriving a hier certificate warms
+// every other.
 func (s *Shell) AttachStore(b castore.Blob, sg *castore.Signer) {
-	s.LVS.AttachDisk(b, sg, &s.Verifier)
+	s.Verifier.AttachDisk(b, sg)
 }
 
 // InjectFaults arms the whole pipeline with a fault-injection set

@@ -47,12 +47,10 @@ func (s *Shell) initRegistry() {
 		return items
 	})
 	r.Register("lvs", func() []obs.Item {
-		st := s.LVS.Certs.Stats()
 		rs := s.LVS.Ref.Stats()
 		items := []obs.Item{
-			obs.N("matched", st.Matched),
-			obs.N("hits", st.Hits),
-			obs.N("disk_hits", st.DiskHits),
+			obs.N("matched", rs.CertsBuilt),
+			obs.N("hits", rs.CertHits),
 			obs.N("ref_templates_built", rs.TemplatesBuilt),
 			obs.N("ref_template_hits", rs.TemplateHits),
 		}

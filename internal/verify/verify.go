@@ -133,10 +133,6 @@ func (v *Verifier) engine() *hier.Engine {
 // HierStats reports the hierarchical engine's work counters.
 func (v *Verifier) HierStats() hier.Stats { return v.engine().Stats() }
 
-// HierDecline reports why the most recent hierarchical attempt fell
-// back to the scratch flat run, or nil.
-func (v *Verifier) HierDecline() error { return v.engine().LastDecline() }
-
 // HierDeclineInfo reports the structured decline record of the most
 // recent hierarchical attempt, or nil.
 func (v *Verifier) HierDeclineInfo() *hier.Decline { return v.engine().LastDeclineInfo() }

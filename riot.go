@@ -154,11 +154,12 @@ func (m sessionFS) Open(name string) (fs.File, error) {
 func (s *Session) Mount(fsys fs.FS) { s.extra = fsys }
 
 // AttachCache opens (creating if needed) a persistent verification
-// cache rooted at dir and wires it under the session's verifier and
-// LVS caches: per-cell hierarchical certificates, leaf reference
-// netlists and sub-cell match certificates then survive across
-// processes, keyed by content signatures. Corrupt or version-skewed entries are quarantined and
-// recomputed cold; verdicts are identical to cache-free runs.
+// cache rooted at dir and wires it under the session's verifier:
+// per-cell hierarchical extract+DRC certificates then survive across
+// processes, keyed by content signatures. LVS derives its leaf memos
+// in process, once per distinct leaf per session. Corrupt or
+// version-skewed entries are quarantined and recomputed cold; verdicts
+// are identical to cache-free runs.
 func (s *Session) AttachCache(dir string) error { return s.Shell.AttachCache(dir) }
 
 // Snapshot pulls the session's unified verification statistics: the
