@@ -568,3 +568,67 @@ func TestManyToManyViaWrapperCell(t *testing.T) {
 		t.Errorf("many-to-many abutment failed: %v vs %v", pc.At, ac.At)
 	}
 }
+
+// TestEditorNameIndex checks the editor's instance name index against
+// a linear scan of the cell after creates, deletes, a route and a
+// bring-out.
+func TestEditorNameIndex(t *testing.T) {
+	d, e, a, b := routeSetup(t)
+	agree := func(step string, gone ...string) {
+		t.Helper()
+		names := map[string]bool{}
+		for _, in := range e.Cell.Instances {
+			names[in.Name] = true
+			want, _ := e.Cell.InstanceByName(in.Name)
+			if got, ok := e.Instance(in.Name); !ok || got != want {
+				t.Fatalf("%s: index has %q -> %v, the scan finds %v", step, in.Name, got, want)
+			}
+		}
+		if len(e.byName) != len(names) {
+			t.Fatalf("%s: index holds %d names, the cell %d", step, len(e.byName), len(names))
+		}
+		for _, n := range gone {
+			if _, ok := e.Instance(n); ok {
+				t.Fatalf("%s: deleted instance %q still indexed", step, n)
+			}
+		}
+	}
+	agree("setup")
+	for i := 0; i < 4; i++ {
+		if _, err := e.CreateInstance("A", "", geom.Translate(geom.Pt(100*L*(i+1), 0)), 1, 1, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.CreateInstance("A", "a", geom.Identity, 1, 1, 0, 0); err == nil {
+		t.Fatal("duplicate instance name accepted")
+	}
+	agree("creates")
+	if err := e.DeleteInstance(e.Cell.Instances[3]); err != nil {
+		t.Fatal(err)
+	}
+	agree("delete", "A_2")
+	if err := e.AddConnection(b, "B1", a, "T1"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RouteConnect(RouteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := e.Instance(res.RouteInst.Name); got != res.RouteInst {
+		t.Fatal("route instance not indexed")
+	}
+	agree("route", "A_2")
+	ri, err := e.BringOut(a, []string{"T2"}, geom.SideTop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := e.Instance(ri.Name); got != ri {
+		t.Fatal("bring-out instance not indexed")
+	}
+	agree("bring-out", "A_2")
+	if err := e.DeleteInstance(res.RouteInst); err != nil {
+		t.Fatal(err)
+	}
+	agree("delete route", "A_2", res.RouteInst.Name)
+	_ = d
+}

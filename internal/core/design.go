@@ -115,6 +115,11 @@ func (d *Design) DeleteCell(name string) error {
 			break
 		}
 	}
+	d.snapMu.Lock()
+	if d.snapB != nil {
+		d.snapB.forget(victim)
+	}
+	d.snapMu.Unlock()
 	d.touchMenu()
 	return nil
 }

@@ -54,6 +54,12 @@ type Editor struct {
 
 	nextInst int
 
+	// byName indexes the cell's instances by name, holding the first
+	// of any duplicates as Cell.InstanceByName's scan finds it. Every
+	// editor operation that changes the instance list maintains it, and
+	// Invalidate rebuilds it.
+	byName map[string]*Instance
+
 	// Pointing support: a geom.Index over the instances' bounding
 	// boxes, keyed by an edit generation so pan/zoom pointing over an
 	// unchanged cell never rebuilds or rescans. Every editing
@@ -88,7 +94,46 @@ func NewEditor(d *Design, cell *Cell) (*Editor, error) {
 	}
 	// seed with a fresh global generation so caches keyed on a prior
 	// editing session can never collide with this one
-	return &Editor{Design: d, Cell: cell, gen: editorGen.Add(1)}, nil
+	e := &Editor{Design: d, Cell: cell, gen: editorGen.Add(1)}
+	e.indexNames()
+	return e, nil
+}
+
+// Instance finds an instance of the cell under edit by name in
+// constant time.
+func (e *Editor) Instance(name string) (*Instance, bool) {
+	in, ok := e.byName[name]
+	return in, ok
+}
+
+// indexNames rebuilds the instance name index from the cell.
+func (e *Editor) indexNames() {
+	e.byName = make(map[string]*Instance, len(e.Cell.Instances))
+	for _, in := range e.Cell.Instances {
+		e.nameAdded(in)
+	}
+}
+
+// nameAdded indexes an instance appended to the cell.
+func (e *Editor) nameAdded(in *Instance) {
+	if _, dup := e.byName[in.Name]; !dup {
+		e.byName[in.Name] = in
+	}
+}
+
+// nameRemoved drops a removed instance from the index, exposing a
+// remaining duplicate of its name if there is one.
+func (e *Editor) nameRemoved(in *Instance) {
+	if e.byName[in.Name] != in {
+		return
+	}
+	delete(e.byName, in.Name)
+	for _, x := range e.Cell.Instances {
+		if x.Name == in.Name {
+			e.byName[x.Name] = x
+			return
+		}
+	}
 }
 
 // touch records that the cell under edit changed: it advances the edit
@@ -113,6 +158,7 @@ func (e *Editor) touch() {
 // state derived from the old content.
 func (e *Editor) Invalidate() {
 	e.touch()
+	e.indexNames()
 	marked := map[*Cell]bool{e.Cell: true}
 	for _, in := range e.Cell.Instances {
 		markSubtree(in.Cell, e.gen, marked)
@@ -190,7 +236,7 @@ func (e *Editor) CreateInstance(cellName, instName string, tr geom.Transform, nx
 		e.nextInst++
 		instName = fmt.Sprintf("%s_%d", cellName, e.nextInst)
 	}
-	if _, dup := e.Cell.InstanceByName(instName); dup {
+	if _, dup := e.byName[instName]; dup {
 		return nil, fmt.Errorf("core: instance name %q already used in %q", instName, e.Cell.Name)
 	}
 	in := &Instance{Name: instName, Cell: cell, Tr: tr, Nx: nx, Ny: ny, Sx: sx, Sy: sy}
@@ -199,6 +245,7 @@ func (e *Editor) CreateInstance(cellName, instName string, tr geom.Transform, nx
 	}
 	e.touch()
 	e.Cell.Instances = append(e.Cell.Instances, in)
+	e.nameAdded(in)
 	return in, nil
 }
 
@@ -217,6 +264,7 @@ func (e *Editor) DeleteInstance(in *Instance) error {
 	if !found {
 		return fmt.Errorf("core: instance %q is not in %q", in.Name, e.Cell.Name)
 	}
+	e.nameRemoved(in)
 	kept := e.Pending[:0]
 	for _, c := range e.Pending {
 		if c.From != in && c.To != in {

@@ -115,6 +115,7 @@ func (e *Editor) BringOut(in *Instance, connNames []string, side geom.Side) (*In
 	tr := channelTransform(side, base, edgeCoord)
 	routeInst := &Instance{Name: routeCell.Name, Cell: routeCell, Tr: tr, Nx: 1, Ny: 1}
 	e.Cell.Instances = append(e.Cell.Instances, routeInst)
+	e.nameAdded(routeInst)
 
 	// sanity: the route floor must meet the instance connectors
 	for i, ic := range ics {

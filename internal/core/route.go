@@ -148,6 +148,7 @@ func (e *Editor) RouteConnect(opt RouteOptions) (*RouteResult, error) {
 	tr := channelTransform(toSide, base, edgeCoord)
 	routeInst := &Instance{Name: routeCell.Name, Cell: routeCell, Tr: tr, Nx: 1, Ny: 1}
 	e.Cell.Instances = append(e.Cell.Instances, routeInst)
+	e.nameAdded(routeInst)
 
 	out := &RouteResult{RouteInst: routeInst, River: res}
 	if !opt.NoMove {

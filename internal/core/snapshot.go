@@ -19,43 +19,48 @@ package core
 //     memos) keeps hitting across generations and across sessions.
 //
 //   - Composition cells and their instances are cloned, but a clone is
-//     reused from the previous generation whenever the live cell's
-//     revision and children are unchanged. An edit to one cell re-clones
-//     only that cell and its ancestors; every untouched *Instance keeps
-//     its pointer, so instance-keyed memos (the LVS reference's) keep
-//     hitting across generations exactly as they did against a live
-//     editor.
+//     reused from the latest generation that cloned the cell whenever
+//     the live cell's revision and children are unchanged. An edit to
+//     one cell re-clones only that cell and its ancestors; every
+//     untouched *Instance keeps its pointer, so instance-keyed memos
+//     (the LVS reference's, the hier engine's retained composition)
+//     keep hitting across generations exactly as they did against a
+//     live editor — also when other cells were snapshotted in between.
 //
 // Clones carry src = the live cell they froze, surfaced as
 // Cell.Origin(), so caches can answer "is this the same design cell as
 // last run?" even though the pointer is new.
 
-// snapBuilder holds the clone state for one design generation, plus
-// the previous generation's clones for reuse.
+// snapBuilder holds the clone records for one design generation. A
+// record outlives the generation that made it: it carries forward
+// until its cell is cloned again or leaves the design, so a snapshot of
+// another cell in between costs no pointer stability.
 type snapBuilder struct {
-	prevClones map[*Cell]cloneRec
-	prevInsts  map[*Instance]*Instance
-	curClones  map[*Cell]cloneRec
-	curInsts   map[*Instance]*Instance // live instance -> current clone
-	byLive     map[*Cell]*Cell         // live cell -> current clone (memo for this gen)
+	prev map[*Cell]cloneRec // latest record of every cell cloned before
+	cur  map[*Cell]cloneRec // records (re)used this generation
 }
 
 type cloneRec struct {
 	clone *Cell
 	rev   uint64
+	live  []*Instance // the live instance each clone instance froze
 }
 
 func newSnapBuilder(prev *snapBuilder) *snapBuilder {
-	b := &snapBuilder{
-		curClones: map[*Cell]cloneRec{},
-		curInsts:  map[*Instance]*Instance{},
-		byLive:    map[*Cell]*Cell{},
-	}
+	b := &snapBuilder{prev: map[*Cell]cloneRec{}, cur: map[*Cell]cloneRec{}}
 	if prev != nil {
-		b.prevClones = prev.curClones
-		b.prevInsts = prev.curInsts
+		b.prev = prev.prev
+		for c, rec := range prev.cur {
+			b.prev[c] = rec
+		}
 	}
 	return b
+}
+
+// forget drops a cell's records (the cell left the design).
+func (b *snapBuilder) forget(c *Cell) {
+	delete(b.prev, c)
+	delete(b.cur, c)
 }
 
 // cell returns the frozen clone of live cell c for this generation.
@@ -64,11 +69,12 @@ func (b *snapBuilder) cell(c *Cell) *Cell {
 	if c == nil || c.Kind != Composition {
 		return c
 	}
-	if cl, ok := b.byLive[c]; ok {
-		return cl
+	if rec, ok := b.cur[c]; ok {
+		return rec.clone
 	}
 	rev := c.Revision()
-	if rec, ok := b.prevClones[c]; ok && rec.rev == rev && len(rec.clone.Instances) == len(c.Instances) {
+	rec, had := b.prev[c]
+	if had && rec.rev == rev && len(rec.clone.Instances) == len(c.Instances) {
 		stable := true
 		for i, in := range c.Instances {
 			if b.cell(in.Cell) != rec.clone.Instances[i].Cell {
@@ -77,12 +83,15 @@ func (b *snapBuilder) cell(c *Cell) *Cell {
 			}
 		}
 		if stable {
-			b.byLive[c] = rec.clone
-			b.curClones[c] = rec
-			for i, in := range c.Instances {
-				b.curInsts[in] = rec.clone.Instances[i]
-			}
+			b.cur[c] = rec
 			return rec.clone
+		}
+	}
+	var froze map[*Instance]*Instance
+	if had {
+		froze = make(map[*Instance]*Instance, len(rec.live))
+		for i, in := range rec.live {
+			froze[in] = rec.clone.Instances[i]
 		}
 	}
 	cl := &Cell{
@@ -95,23 +104,21 @@ func (b *snapBuilder) cell(c *Cell) *Cell {
 	}
 	for _, in := range c.Instances {
 		child := b.cell(in.Cell)
-		ni := b.prevInsts[in]
+		ni := froze[in]
 		if ni == nil || ni.Cell != child || ni.Name != in.Name || ni.Tr != in.Tr ||
 			ni.Nx != in.Nx || ni.Ny != in.Ny || ni.Sx != in.Sx || ni.Sy != in.Sy {
 			ni = &Instance{Name: in.Name, Cell: child, Tr: in.Tr,
 				Nx: in.Nx, Ny: in.Ny, Sx: in.Sx, Sy: in.Sy}
 		}
-		b.curInsts[in] = ni
 		cl.Instances = append(cl.Instances, ni)
 	}
-	b.byLive[c] = cl
-	b.curClones[c] = cloneRec{clone: cl, rev: rev}
+	b.cur[c] = cloneRec{clone: cl, rev: rev, live: append([]*Instance(nil), c.Instances...)}
 	return cl
 }
 
 // builder returns the copy-on-write builder for the design's current
-// generation, rotating (and thereby releasing the oldest generation's
-// clone maps) when the design has moved on. Caller holds d.snapMu.
+// generation, rotating when the design has moved on. Caller holds
+// d.snapMu.
 func (d *Design) builder() *snapBuilder {
 	g := d.Generation()
 	if d.snapB == nil || d.snapGen != g {
@@ -144,12 +151,17 @@ func (d *Design) snapshotEditor(c *Cell, declared []Connection) (*Cell, []Connec
 	cl := b.cell(c)
 	var decl []Connection
 	if len(declared) > 0 {
+		rec := b.cur[c]
+		froze := make(map[*Instance]*Instance, len(rec.live))
+		for i, in := range rec.live {
+			froze[in] = cl.Instances[i]
+		}
 		decl = make([]Connection, 0, len(declared))
 		for _, cn := range declared {
-			if from, ok := b.curInsts[cn.From]; ok {
+			if from, ok := froze[cn.From]; ok {
 				cn.From = from
 			}
-			if to, ok := b.curInsts[cn.To]; ok {
+			if to, ok := froze[cn.To]; ok {
 				cn.To = to
 			}
 			decl = append(decl, cn)

@@ -205,3 +205,94 @@ func TestGenerationsGloballyUnique(t *testing.T) {
 func instName(prefix string, i int) string {
 	return prefix + string(rune('0'+i))
 }
+
+// TestSnapshotInterleavedCellsKeepPointers pins pointer stability across
+// a snapshot of another cell: two editors share one design, and an edit
+// and snapshot of cell B between two edits of cell A must leave A's
+// untouched instance with the clone pointer it had before.
+func TestSnapshotInterleavedCellsKeepPointers(t *testing.T) {
+	d := NewDesign()
+	addLeaf(t, d, "L")
+	editorOf := func(name string) *Editor {
+		c := NewComposition(name)
+		if err := d.AddCell(c); err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEditor(d, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	ea, eb := editorOf("A"), editorOf("B")
+	a0, err := ea.CreateInstance("L", "a0", geom.Identity, 1, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ea.CreateInstance("L", "a1", geom.Translate(geom.Pt(40*L, 0)), 1, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	b0, err := eb.CreateInstance("L", "b0", geom.Identity, 1, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ea.MoveInstance(a0, geom.Pt(L, 0))
+	s1 := ea.Snapshot()
+	eb.MoveInstance(b0, geom.Pt(L, 0))
+	eb.Snapshot()
+	ea.MoveInstance(a0, geom.Pt(L, 0))
+	s2 := ea.Snapshot()
+	if s2.Cell.Instances[0] == s1.Cell.Instances[0] {
+		t.Fatal("the moved instance must get a fresh clone")
+	}
+	if s2.Cell.Instances[1] != s1.Cell.Instances[1] {
+		t.Fatal("an untouched instance lost its clone pointer to a snapshot of another cell in between")
+	}
+}
+
+// TestSnapshotDeleteCellReleasesRecord pins the builder's bound: the
+// clone record of a cell deleted from the design is dropped, however
+// many generations carry records forward.
+func TestSnapshotDeleteCellReleasesRecord(t *testing.T) {
+	d, e := newEditor(t)
+	addLeaf(t, d, "L")
+	sub := NewComposition("SUB")
+	if err := d.AddCell(sub); err != nil {
+		t.Fatal(err)
+	}
+	es, err := NewEditor(d, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := es.CreateInstance("L", "x", geom.Identity, 1, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	es.Snapshot()
+	in, err := e.CreateInstance("L", "a", geom.Identity, 1, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Snapshot()
+	recorded := func() bool {
+		d.snapMu.Lock()
+		defer d.snapMu.Unlock()
+		_, inPrev := d.snapB.prev[sub]
+		_, inCur := d.snapB.cur[sub]
+		return inPrev || inCur
+	}
+	if !recorded() {
+		t.Fatal("SUB's clone record was not carried forward to the next generation")
+	}
+	if err := d.DeleteCell("SUB"); err != nil {
+		t.Fatal(err)
+	}
+	if recorded() {
+		t.Fatal("DELCELL kept the deleted cell's clone record")
+	}
+	e.MoveInstance(in, geom.Pt(L, 0))
+	e.Snapshot()
+	if recorded() {
+		t.Fatal("a later generation revived the deleted cell's clone record")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 
+	"riot/internal/core"
 	"riot/internal/drc"
 	"riot/internal/faultinject"
 	"riot/internal/geom"
@@ -13,12 +14,12 @@ import (
 
 // genState is one exact composition: the placed occurrence list, the
 // composed net partition and numbering, and the composed violation
-// set. Everything downstream (materialization, labels) reads it.
+// set. Everything downstream (materialization, labels) reads it. A
+// state is immutable once composed, so a Result handed out earlier
+// stays valid whatever later generations carry from it.
 type genState struct {
-	occs   []placed
-	layers []geom.Layer
-	matIx  *geom.Index
-	pairs  []pairRef
+	retained
+	matIx *geom.Index
 
 	netOf    []int32 // dense net of each (occ netBase + local net) node
 	netCount int
@@ -29,9 +30,130 @@ type genState struct {
 	spacingCands int
 }
 
+// retained is the part of a composition the next generation of the
+// same frozen top carries (carry): the walked occurrences, the pairs
+// and the width composition. A published copy shares the state's
+// slices and is never written; the index, the net numbering and the
+// violations are not part of it, because every run recomputes them.
+type retained struct {
+	occs []placed
+	// top is the frozen top cell the occurrences were walked from (nil
+	// for a fast-path sample lattice); first[k] is where its instance
+	// k's occurrence block starts, first[len] = len(occs).
+	top    *core.Cell
+	first  []int
+	layers []geom.Layer
+	pairs  []pairRef
+	// wins and resid are the width composition per layer (indexed like
+	// layers): the interaction windows with residue pieces, and every
+	// occurrence's residues minus its windows.
+	wins  [][]window
+	resid []residue
+}
+
 type pairRef struct {
 	u, v int32
 	t    *template
+}
+
+// window is one pair's width-recomputation window on one layer with
+// residue pieces: rel holds them in doubled coordinates relative to
+// occurrence u (a windowPieces memo entry, shared and never written).
+// A window without pieces is not kept: only its rectangle matters,
+// and that is a function of the pair.
+type window struct {
+	u, v int32
+	rel  []geom.Rect
+}
+
+// residue is one layer's per-occurrence residue pieces in global
+// doubled coordinates: occurrence i's are pieces[lo[i]:lo[i+1]].
+type residue struct {
+	lo     []int32
+	pieces []geom.Rect
+}
+
+// carry is what one run takes over from a retained composition of the
+// same frozen top: where each surviving occurrence sits now, and the
+// material boxes the edit added or removed. A nil carry composes cold.
+type carry struct {
+	prev  *retained
+	remap []int32 // prev occurrence -> this run's, -1 when removed
+	back  []int32 // this run's occurrence -> prev's, -1 when added
+	// changed holds the old material box of every removed occurrence
+	// and the new one of every added occurrence.
+	changed []geom.Rect
+	// dirty marks the occurrences whose width-window set changed (an
+	// endpoint of a pair gained or lost); discover fills it.
+	dirty []bool
+}
+
+// added reports whether occurrence i is new this run. Cold, every
+// occurrence is.
+func (c *carry) added(i int) bool { return c == nil || c.back[i] < 0 }
+
+// diff maps a retained composition onto this run's occurrence list by
+// the top's *Instance pointers: a pointer both tops hold keeps its
+// occurrence block (a frozen instance never changes, and a leaf
+// mutation resets the retained state along with the memos), so only
+// the blocks of added and removed instances change.
+func diff(prev *retained, top *core.Cell, occs []placed, first []int) *carry {
+	c := &carry{prev: prev, remap: make([]int32, len(prev.occs)), back: make([]int32, len(occs))}
+	for i := range c.remap {
+		c.remap[i] = -1
+	}
+	for i := range c.back {
+		c.back[i] = -1
+	}
+	// Matching an equal pointer is always sound, and so is treating an
+	// instance as added, so the scan follows the old list, steps over
+	// one replaced or deleted instance, and consults a map of the old
+	// list only when neither explains the new one.
+	old, cur := prev.top.Instances, top.Instances
+	var at map[*core.Instance]int
+	j := 0 // the old instance the next new one most likely is
+	for k, in := range cur {
+		ko := -1
+		switch {
+		case j < len(old) && old[j] == in:
+			ko = j
+		case j+1 < len(old) && old[j+1] == in:
+			ko = j + 1
+		case j >= len(old):
+		case k+1 == len(cur) || (j+1 < len(old) && cur[k+1] == old[j+1]):
+			j++
+		default:
+			if at == nil {
+				at = make(map[*core.Instance]int, len(old))
+				for i, o := range old {
+					at[o] = i
+				}
+			}
+			if i, ok := at[in]; ok {
+				ko = i
+			}
+		}
+		if ko < 0 {
+			continue
+		}
+		j = ko + 1
+		lo, olo := first[k], prev.first[ko]
+		for x := 0; x < first[k+1]-lo; x++ {
+			c.remap[olo+x] = int32(lo + x)
+			c.back[lo+x] = int32(olo + x)
+		}
+	}
+	for i, n := range c.remap {
+		if n < 0 {
+			c.changed = append(c.changed, prev.occs[i].mat)
+		}
+	}
+	for i, o := range c.back {
+		if o < 0 {
+			c.changed = append(c.changed, occs[i].mat)
+		}
+	}
+	return c
 }
 
 func (st *genState) deviceCount() int {
@@ -44,47 +166,51 @@ func (st *genState) deviceCount() int {
 
 func neg(p geom.Point) geom.Point { return geom.Pt(-p.X, -p.Y) }
 
-// compose runs the exact composition over a placed occurrence list —
+// compose runs the exact composition over a walked occurrence list —
 // connectivity, then the composed DRC verdict — under one "compose"
-// span.
-func (e *Engine) compose(occs []placed) (*genState, error) {
+// span, carrying what c allows from a retained composition.
+func (e *Engine) compose(st *genState, c *carry) error {
 	csp := e.Trace.Begin("compose")
 	defer csp.End()
 	if csp != nil {
-		csp.Note("placements", strconv.Itoa(len(occs)))
+		csp.Note("placements", strconv.Itoa(len(st.occs)))
 	}
-	st, err := e.connect(occs)
-	if err != nil {
-		return nil, err
+	if err := e.connect(st, c); err != nil {
+		return err
 	}
-	e.check(st, csp)
-	return st, nil
+	e.check(st, c, csp)
+	return nil
 }
 
-// connect composes the connectivity half: interacting pairs via one
-// spatial query per occurrence, memoized pair templates, a global
-// union-find over local nets, context resolution for the certificates'
-// deferred joins, and the dense net renumbering. It is all a circuit
-// needs; the DRC half (check) reads the pairs it records.
+// connect composes the connectivity half: the interacting pairs
+// (discover), memoized pair templates, a global union-find over local
+// nets, context resolution for the certificates' deferred joins, and
+// the dense net renumbering. It is all a circuit needs; the DRC half
+// (check) reads the pairs it records. Only pair discovery carries; the
+// union-find, the joins and the renumbering rerun over every pair, so
+// a renumbering far from an edit stays exact.
 //
 // A pend certificate or a fragmentation-poison pair is a composition
 // the certificates cannot express: connect declines the run, always
 // with a *Decline, and the caller runs the scratch flat oracle.
-func (e *Engine) connect(occs []placed) (*genState, error) {
+func (e *Engine) connect(st *genState, c *carry) error {
 	if e.Faults.Hit(faultinject.ComposeBudget, "") {
-		return nil, &Decline{Cond: CondComposeBudget, Placement: -1}
+		return &Decline{Cond: CondComposeBudget, Placement: -1}
 	}
-	st := &genState{occs: occs}
+	occs := st.occs
 	total := 0
 	for i := range occs {
 		if occs[i].cert.X.Pend || e.Faults.Hit(faultinject.CertPend, occs[i].cert.Cell.Name) {
-			return nil, &Decline{Cond: CondPend, Cell: occs[i].cert.Cell.Name, Placement: i}
+			return &Decline{Cond: CondPend, Cell: occs[i].cert.Cell.Name, Placement: i}
 		}
 		occs[i].netBase = int32(total)
 		total += occs[i].cert.X.NetCount
 	}
-	st.layers = layersOf(occs)
-	reach := pairReach(st.layers)
+	if c != nil {
+		st.layers = c.prev.layers
+	} else {
+		st.layers = layersOf(occs)
+	}
 
 	ix := geom.NewIndex()
 	for i := range occs {
@@ -93,32 +219,14 @@ func (e *Engine) connect(occs []placed) (*genState, error) {
 	ix.Build()
 	st.matIx = ix
 
+	if err := e.discover(st, c); err != nil {
+		return err
+	}
 	uf := geom.NewUnionFind(total)
-	var cand []int
-	for u := range occs {
-		cand = cand[:0]
-		ix.QueryRect(occs[u].mat.Inset(-reach), func(v int) bool {
-			if v > u {
-				cand = append(cand, v)
-			}
-			return true
-		})
-		sort.Ints(cand)
-		for _, v := range cand {
-			t := e.template(occs[u].cert, occs[v].cert, occs[v].d.Sub(occs[u].d))
-			poison := t.poison
-			if !poison && e.Faults != nil {
-				poison = e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(u)) ||
-					e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(v))
-			}
-			if poison {
-				return nil, &Decline{Cond: CondPoison, Cell: occs[u].cert.Cell.Name, Placement: u}
-			}
-			ub, vb := occs[u].netBase, occs[v].netBase
-			for _, p := range t.unions {
-				uf.Union(int(ub+p[0]), int(vb+p[1]))
-			}
-			st.pairs = append(st.pairs, pairRef{int32(u), int32(v), t})
+	for _, pr := range st.pairs {
+		ub, vb := occs[pr.u].netBase, occs[pr.v].netBase
+		for _, p := range pr.t.unions {
+			uf.Union(int(ub+p[0]), int(vb+p[1]))
 		}
 	}
 
@@ -156,7 +264,103 @@ func (e *Engine) connect(occs []placed) (*genState, error) {
 		netOf[node] = rootID[r]
 	}
 	st.netOf, st.netCount = netOf, n
-	return st, nil
+	return nil
+}
+
+// discover records the run's interacting pairs in (u, v) order, u < v.
+// A pair of two surviving occurrences carries from the retained
+// composition with its template: pair existence is a function of the
+// two material boxes and the layer set's reach, all unchanged. Every
+// pair with an added occurrence is found by one spatial query from
+// that occurrence and gets its template here. Poison and the
+// template-poison fault are checked pair by pair in (u, v) order,
+// carried pairs included, so a decline names the placement a cold
+// run would.
+func (e *Engine) discover(st *genState, c *carry) error {
+	occs := st.occs
+	reach := pairReach(st.layers)
+	var fresh []pairRef
+	var cand []int
+	for u := range occs {
+		if !c.added(u) {
+			continue
+		}
+		cand = cand[:0]
+		st.matIx.QueryRect(occs[u].mat.Inset(-reach), func(v int) bool {
+			if v > u || (v < u && !c.added(v)) {
+				cand = append(cand, v)
+			}
+			return true
+		})
+		sort.Ints(cand)
+		for _, v := range cand {
+			fresh = append(fresh, pairRef{u: int32(min(u, v)), v: int32(max(u, v))})
+		}
+	}
+	sortPairs(fresh)
+	e.stats.PairsComposed += len(fresh)
+
+	ps := fresh
+	if c != nil {
+		c.dirty = make([]bool, len(occs))
+		ps = make([]pairRef, 0, len(c.prev.pairs)+len(fresh))
+		for _, pr := range c.prev.pairs {
+			u, v := c.remap[pr.u], c.remap[pr.v]
+			switch {
+			case u >= 0 && v >= 0:
+				if u > v {
+					u, v = v, u
+					pr.t = e.template(occs[u].cert, occs[v].cert, occs[v].d.Sub(occs[u].d))
+				}
+				ps = append(ps, pairRef{u, v, pr.t})
+			case u >= 0:
+				c.dirty[u] = true
+			case v >= 0:
+				c.dirty[v] = true
+			}
+		}
+		sortPairs(ps)
+		// merge the fresh pairs in from the back, in place
+		i, n := len(ps)-1, len(ps)+len(fresh)
+		ps = ps[:n]
+		for k, j := n-1, len(fresh)-1; j >= 0; k-- {
+			if i >= 0 && pairLess(fresh[j], ps[i]) {
+				ps[k], i = ps[i], i-1
+			} else {
+				ps[k], j = fresh[j], j-1
+			}
+		}
+		for _, pr := range fresh {
+			c.dirty[pr.u], c.dirty[pr.v] = true, true
+		}
+	}
+
+	for k := range ps {
+		pr := &ps[k]
+		if pr.t == nil {
+			pr.t = e.template(occs[pr.u].cert, occs[pr.v].cert, occs[pr.v].d.Sub(occs[pr.u].d))
+		}
+		poison := pr.t.poison
+		if !poison && e.Faults != nil {
+			poison = e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(int(pr.u))) ||
+				e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(int(pr.v)))
+		}
+		if poison {
+			return &Decline{Cond: CondPoison, Cell: occs[pr.u].cert.Cell.Name, Placement: int(pr.u)}
+		}
+	}
+	st.pairs = ps
+	return nil
+}
+
+func pairLess(a, b pairRef) bool { return a.u < b.u || (a.u == b.u && a.v < b.v) }
+
+// sortPairs puts pairs in (u, v) order; the lists discover builds
+// usually are already.
+func sortPairs(ps []pairRef) {
+	if !sort.SliceIsSorted(ps, func(i, j int) bool { return pairLess(ps[i], ps[j]) }) {
+		sort.Slice(ps, func(i, j int) bool { return pairLess(ps[i], ps[j]) })
+	}
 }
 
 // nodeAt finds the composed net NODE at a point under a contact-join
@@ -197,10 +401,11 @@ func (st *genState) locate(p geom.Point, l geom.Layer, belowCut bool) int32 {
 
 // check composes the DRC half — width residues, cross-placement
 // spacing, contact surround — into the run's violation set, recording
-// its stages as children of sp.
-func (e *Engine) check(st *genState, sp *obs.Span) {
+// its stages as children of sp. Only width work carries; spacing,
+// surround and the final merges rerun over the whole design.
+func (e *Engine) check(st *genState, c *carry, sp *obs.Span) {
 	wsp := sp.Child("width")
-	e.composeWidth(st)
+	e.composeWidth(st, c)
 	wsp.End()
 	ssp := sp.Child("spacing")
 	e.composeSpacing(st)
@@ -217,91 +422,183 @@ func (e *Engine) check(st *genState, sp *obs.Span) {
 // occupant's material, clipped two interaction radii beyond the window
 // so clipping artifacts fall outside it. regionMerge canonicalizes, so
 // the slabs — and with them the violations — equal a flat run's.
-func (e *Engine) composeWidth(st *genState) {
-	for _, l := range st.layers {
+//
+// With a carry, a surviving pair's window keeps its pieces unless its
+// clip touches a changed material box (its occupant set may differ),
+// and a surviving occurrence keeps its residues minus windows unless
+// its window set changed. The per-layer merge reruns over everything.
+func (e *Engine) composeWidth(st *genState, c *carry) {
+	st.wins = make([][]window, len(st.layers))
+	st.resid = make([]residue, len(st.layers))
+	stale := c.staleWindows(st)
+	for li, l := range st.layers {
 		minW := rules.Of(l).MinWidth * rules.Lambda
 		if minW <= 0 {
 			continue
 		}
 		rho := rhoOf(l)
-		hasResid := false
-		for i := range st.occs {
-			if len(st.occs[i].cert.D.Resid[l]) > 0 {
-				hasResid = true
-				break
+		var wins []window
+		if c != nil {
+			for _, w := range c.prev.wins[li] {
+				if u, v := c.remap[w.u], c.remap[w.v]; u >= 0 && v >= 0 && !stale(u, v, rho) {
+					wins = append(wins, window{u, v, w.rel})
+				}
 			}
 		}
-		var winOf map[int32][]geom.Rect
-		if hasResid {
-			winOf = map[int32][]geom.Rect{}
-		}
-		var pieces []geom.Rect
-		var wocc []int
 		for _, pr := range st.pairs {
-			if !pr.t.widthNear[l] {
+			if !c.added(int(pr.u)) && !c.added(int(pr.v)) && !stale(pr.u, pr.v, rho) || !pr.t.widthNear[l] {
 				continue
 			}
-			u, v := &st.occs[pr.u], &st.occs[pr.v]
-			win := u.mat.Inset(-rho).Intersect(v.mat.Inset(-rho))
+			win, clip := st.window(pr.u, pr.v, rho)
 			if win.Empty() {
 				continue
 			}
-			dwin := geom.R(2*win.Min.X, 2*win.Min.Y, 2*win.Max.X, 2*win.Max.Y)
-			if winOf != nil {
-				winOf[pr.u] = append(winOf[pr.u], dwin)
-				winOf[pr.v] = append(winOf[pr.v], dwin)
+			if rel := e.windowPieces(st, l, minW, win, clip, pr.u); len(rel) > 0 {
+				wins = append(wins, window{pr.u, pr.v, rel})
 			}
-			clip := win.Inset(-2 * rho)
+		}
+		st.wins[li] = wins
+		res := e.residues(st, c, li, rho)
+		st.resid[li] = res
 
-			// Everything inside the window is translation-invariant given
-			// the occupant pattern relative to u — memoize in u's frame.
-			wocc = wocc[:0]
-			st.matIx.QueryRect(clip, func(w int) bool {
-				if len(st.occs[w].cert.D.Rects[l]) > 0 {
-					wocc = append(wocc, w)
-				}
-				return true
-			})
-			sort.Ints(wocc)
-			du2 := geom.Pt(2*u.d.X, 2*u.d.Y)
-			for _, r := range e.windowPieces(st, l, minW, win, clip, u.d, wocc) {
+		var pieces []geom.Rect
+		for _, w := range wins {
+			d := st.occs[w.u].d
+			du2 := geom.Pt(2*d.X, 2*d.Y)
+			for _, r := range w.rel {
 				pieces = append(pieces, r.Translate(du2))
 			}
 		}
-		for i := range st.occs {
-			o := &st.occs[i]
-			resid := o.cert.D.Resid[l]
-			if len(resid) == 0 {
-				continue
-			}
-			dd := geom.Pt(2*o.d.X, 2*o.d.Y)
-			translated := make([]geom.Rect, len(resid))
-			for k, r := range resid {
-				translated[k] = r.Translate(dd)
-			}
-			// Any residue point whose verdict could change under
-			// composition has foreign material within the interaction
-			// radius, which puts it inside one of THIS occurrence's
-			// windows — subtracting them (and re-adding the windows'
-			// globally-computed pieces) is exact.
-			if ws := winOf[int32(i)]; len(ws) > 0 {
-				translated = drc.SubtractRegion(translated, drc.MergeRegion(ws))
-			}
-			pieces = append(pieces, translated...)
-		}
-		for _, r := range drc.MergeRegion(pieces) {
+		for _, r := range drc.MergeRegion(append(pieces, res.pieces...)) {
 			st.violations = append(st.violations, drc.WidthViolationFrom(l, r, minW))
 		}
 	}
 }
 
+// window returns the width window of the pair (u, v) on a layer of
+// interaction radius rho, and the clip its occupants' material is read
+// through (two radii beyond it).
+func (st *genState) window(u, v int32, rho int) (win, clip geom.Rect) {
+	win = st.occs[u].mat.Inset(-rho).Intersect(st.occs[v].mat.Inset(-rho))
+	return win, win.Inset(-2 * rho)
+}
+
+// staleWindows returns the test for a surviving pair's window on a
+// layer of radius rho: stale when its clip touches a changed material
+// box, the occupant query's predicate. A clip lies within the largest
+// clip reach of both its occurrences, so one index query per changed
+// box marks the occurrences that can own a stale window, and every
+// other window passes on two slice reads. Cold, nothing is stale:
+// every window is fresh.
+func (c *carry) staleWindows(st *genState) func(u, v int32, rho int) bool {
+	if c == nil {
+		return func(int32, int32, int) bool { return false }
+	}
+	reach := 0
+	for _, l := range st.layers {
+		reach = max(reach, 3*rhoOf(l))
+	}
+	near := make([]bool, len(st.occs))
+	boxes := geom.NewIndex()
+	for _, b := range c.changed {
+		boxes.Insert(b)
+		st.matIx.QueryRect(b.Inset(-reach), func(i int) bool {
+			near[i] = true
+			return true
+		})
+	}
+	boxes.Build()
+	return func(u, v int32, rho int) bool {
+		if !near[u] || !near[v] {
+			return false
+		}
+		_, clip := st.window(u, v, rho)
+		hit := false
+		boxes.QueryRect(clip, func(int) bool {
+			hit = true
+			return false
+		})
+		return hit
+	}
+}
+
+// residues composes one layer's per-occurrence residues minus their
+// windows. Any residue point whose verdict could change under
+// composition has foreign material within the interaction radius,
+// which puts it inside one of its occurrence's windows — subtracting
+// them (the windows' globally computed pieces are merged back in) is
+// exact. A surviving occurrence whose window set is unchanged copies
+// its retained pieces.
+func (e *Engine) residues(st *genState, c *carry, li, rho int) residue {
+	l := st.layers[li]
+	hasResid := false
+	for i := range st.occs {
+		if len(st.occs[i].cert.D.Resid[l]) > 0 {
+			hasResid = true
+			break
+		}
+	}
+	if !hasResid {
+		return residue{}
+	}
+	redo := func(i int32) bool { return c == nil || c.dirty[i] }
+	winOf := map[int32][]geom.Rect{}
+	for _, pr := range st.pairs {
+		if !redo(pr.u) && !redo(pr.v) || !pr.t.widthNear[l] {
+			continue
+		}
+		win, _ := st.window(pr.u, pr.v, rho)
+		if win.Empty() {
+			continue
+		}
+		dwin := geom.R(2*win.Min.X, 2*win.Min.Y, 2*win.Max.X, 2*win.Max.Y)
+		for _, i := range [2]int32{pr.u, pr.v} {
+			if redo(i) {
+				winOf[i] = append(winOf[i], dwin)
+			}
+		}
+	}
+	res := residue{lo: make([]int32, len(st.occs)+1)}
+	for i := range st.occs {
+		if !redo(int32(i)) {
+			if old := c.prev.resid[li]; old.lo != nil {
+				o := c.back[i]
+				res.pieces = append(res.pieces, old.pieces[old.lo[o]:old.lo[o+1]]...)
+			}
+		} else if resid := st.occs[i].cert.D.Resid[l]; len(resid) > 0 {
+			d := st.occs[i].d
+			dd := geom.Pt(2*d.X, 2*d.Y)
+			translated := make([]geom.Rect, len(resid))
+			for k, r := range resid {
+				translated[k] = r.Translate(dd)
+			}
+			if ws := winOf[int32(i)]; len(ws) > 0 {
+				translated = drc.SubtractRegion(translated, drc.MergeRegion(ws))
+			}
+			res.pieces = append(res.pieces, translated...)
+		}
+		res.lo[i+1] = int32(len(res.pieces))
+	}
+	return res
+}
+
 // windowPieces returns one width window's residue pieces in doubled
-// coordinates RELATIVE to du (the pair's first occurrence), clipped to
+// coordinates RELATIVE to occurrence u (the pair's first), clipped to
 // the window. The result is a pure function of the layer, the window's
-// relative rectangle and the occupant pattern relative to du, so it
+// relative rectangle and the occupant pattern relative to u, so it
 // memoizes on that signature — a lattice repeats a handful of
 // signatures across thousands of windows.
-func (e *Engine) windowPieces(st *genState, l geom.Layer, minW int, win, clip geom.Rect, du geom.Point, wocc []int) []geom.Rect {
+func (e *Engine) windowPieces(st *genState, l geom.Layer, minW int, win, clip geom.Rect, u int32) []geom.Rect {
+	wocc := e.wocc[:0]
+	st.matIx.QueryRect(clip, func(w int) bool {
+		if len(st.occs[w].cert.D.Rects[l]) > 0 {
+			wocc = append(wocc, w)
+		}
+		return true
+	})
+	sort.Ints(wocc)
+	e.wocc = wocc
+	du := st.occs[u].d
 	winRel := win.Translate(neg(du))
 	key := appendInts(e.winKey[:0], len(l))
 	key = append(key, l...)
@@ -354,10 +651,13 @@ func appendInts(b []byte, vs ...int) []byte {
 func (e *Engine) composeSpacing(st *genState) {
 	needed := map[geom.Layer]bool{}
 	for _, pr := range st.pairs {
+		if pr.t.cands == 0 {
+			continue
+		}
+		st.spacingCands += pr.t.cands
 		for l, cs := range pr.t.spacingCands {
 			if len(cs) > 0 {
 				needed[l] = true
-				st.spacingCands += len(cs)
 			}
 		}
 	}

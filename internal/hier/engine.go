@@ -39,6 +39,42 @@
 //     context ("pend"): the engine composes exactly or declines the
 //     whole run, never part of it.
 //
+// Retention. The engine keeps the last exact general composition it
+// published for a frozen snapshot top, keyed by the top's lineage
+// (Cell.Origin), and the next generation of that lineage carries from
+// it instead of composing cold:
+//
+//   - A top-level *Instance both tops hold keeps its occurrence block:
+//     a frozen instance never changes, and a leaf whose revision moved
+//     (resetMemo) drops the retained state with the memos. Every other
+//     block is removed (the old top's) or added (the new top's).
+//   - A pair of two surviving occurrences keeps its template, since
+//     pair existence and the template are functions of the two
+//     certificates, their relative placement and the layer set's
+//     reach. Only pairs with an added occurrence are discovered again;
+//     a different layer set composes cold.
+//   - A surviving pair's width window keeps its pieces when its clip
+//     misses the material box of every added occurrence (its new box)
+//     and every removed one (its old box): the pieces read only the
+//     material of occurrences whose box meets the clip, and that set
+//     is unchanged. A surviving occurrence that gained and lost no pair
+//     has an unchanged window set, so it keeps its residues minus
+//     windows.
+//   - What reads the whole design reruns every generation over the
+//     carried pairs, in integers: the union-find, the deferred joins
+//     and the dense renumbering (so a renumbering far from an edit
+//     stays exact), the spacing touch partition and its candidate
+//     checks, surround, the per-layer width merge and the final
+//     violation sort.
+//
+// So a carried result is reused only where its read region misses
+// every added or removed occurrence's old and new material box, and
+// the carried composition equals a cold one. Live tops never retain
+// (their instances mutate in place), and neither do fast-path samples,
+// a fast-path result's Circuit or a declined run: a decline leaves the
+// last exact state as the next run's base. There is one compose path;
+// a cold run is that path with nothing carried.
+//
 // Certificates persist in the content-addressed store under the
 // "hiercert" namespace, so a warm restart re-extracts zero certified
 // cells.
@@ -46,6 +82,7 @@ package hier
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"riot/internal/castore"
@@ -76,6 +113,11 @@ type Engine struct {
 	// lattice repeats a handful of patterns across thousands of pairs.
 	winMemo map[string][]geom.Rect
 	winKey  []byte // scratch buffer for winMemo keys
+	wocc    []int  // scratch buffer for window occupants
+	// kept is the last exact general composition published for a
+	// frozen top: the next generation of the same lineage carries from
+	// it. resetMemo drops it with the memos.
+	kept *retained
 	// lastDecline records why the most recent Verify declined (nil when
 	// it succeeded): fallback diagnostics for -stats and tests.
 	lastDecline *Decline
@@ -145,6 +187,12 @@ type Stats struct {
 	// port table; LabelsContext those that took a spatial query (whether
 	// or not it found a net).
 	LabelsLocal, LabelsContext int
+	// Retained counts runs that started from a retained composition.
+	// PairsComposed counts pairs discovered afresh, their templates
+	// resolved and (in a full compose) their width windows composed: a
+	// cold compose counts every pair, a retained one only the pairs of
+	// added occurrences.
+	Retained, PairsComposed int
 }
 
 // Cert pairs one distinct (cell, orientation)'s extraction and DRC
@@ -218,6 +266,7 @@ func (e *Engine) resetMemo() {
 	e.memo = map[certKey]*Cert{}
 	e.tmpl = map[tmplKey]*template{}
 	e.winMemo = map[string][]geom.Rect{}
+	e.kept = nil
 }
 
 // Verify runs the hierarchical verdict for a composition top. ok is
@@ -245,14 +294,17 @@ func (e *Engine) Verify(top *core.Cell) (*Result, bool) {
 		e.stats.FastRuns++
 		return r, true
 	}
-	occs, err := e.placements(top)
-	var st *genState
+	st, err := e.placements(top)
 	if err == nil {
-		st, err = e.compose(occs)
+		err = e.compose(st, e.carryFor(st))
 	}
 	if err != nil {
 		e.declined(declineOf(err))
 		return nil, false
+	}
+	if top.Origin() != top {
+		kept := st.retained
+		e.kept = &kept
 	}
 	return &Result{
 		NetCount:    st.netCount,
@@ -354,7 +406,6 @@ func (e *Engine) admit(k certKey, ct *Cert) {
 type placed struct {
 	cert    *Cert
 	d       geom.Point // local -> global translation
-	box     geom.Rect  // placed declared bounding box (trust frame)
 	mat     geom.Rect  // placed material bounding box
 	netBase int32
 }
@@ -370,12 +421,21 @@ func (e *Engine) walk(c *core.Cell, tr geom.Transform, occs []placed) ([]placed,
 	}
 	var err error
 	for _, in := range c.Instances {
-		for i := 0; i < in.Nx; i++ {
-			for j := 0; j < in.Ny; j++ {
-				occs, err = e.walk(in.Cell, in.CopyTransform(i, j).Then(tr), occs)
-				if err != nil {
-					return nil, err
-				}
+		if occs, err = e.walkInstance(in, tr, occs); err != nil {
+			return nil, err
+		}
+	}
+	return occs, nil
+}
+
+// walkInstance appends the occurrences of every copy of one instance.
+func (e *Engine) walkInstance(in *core.Instance, tr geom.Transform, occs []placed) ([]placed, error) {
+	var err error
+	for i := 0; i < in.Nx; i++ {
+		for j := 0; j < in.Ny; j++ {
+			occs, err = e.walk(in.Cell, in.CopyTransform(i, j).Then(tr), occs)
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -383,24 +443,45 @@ func (e *Engine) walk(c *core.Cell, tr geom.Transform, occs []placed) ([]placed,
 }
 
 func placedAt(ct *Cert, d geom.Point) placed {
-	return placed{
-		cert: ct,
-		d:    d,
-		box:  ct.X.Box.Translate(d),
-		mat:  ct.X.MatBox.Translate(d),
-	}
+	return placed{cert: ct, d: d, mat: ct.X.MatBox.Translate(d)}
 }
 
 // placements collects a top cell's leaf occurrences, building or
-// loading each distinct certificate on first sight.
-func (e *Engine) placements(top *core.Cell) ([]placed, error) {
+// loading each distinct certificate on first sight, into an
+// uncomposed state that records where each top-level instance's
+// occurrence block starts.
+func (e *Engine) placements(top *core.Cell) (*genState, error) {
 	wsp := e.Trace.Begin("certs")
-	occs, err := e.walk(top, geom.Identity, nil)
-	wsp.End()
-	if err != nil {
-		return nil, &Decline{Cond: CondCertBuild, Placement: -1, Err: err}
+	defer wsp.End()
+	st := &genState{retained: retained{top: top, first: make([]int, len(top.Instances)+1)}}
+	if k := e.kept; k != nil && k.top.Origin() == top.Origin() {
+		st.occs = make([]placed, 0, len(k.occs))
 	}
-	return occs, nil
+	var err error
+	for k, in := range top.Instances {
+		st.first[k] = len(st.occs)
+		if st.occs, err = e.walkInstance(in, geom.Identity, st.occs); err != nil {
+			return nil, &Decline{Cond: CondCertBuild, Placement: -1, Err: err}
+		}
+	}
+	st.first[len(top.Instances)] = len(st.occs)
+	return st, nil
+}
+
+// carryFor returns what a run over a frozen top's walked occurrences
+// may carry from the retained composition: nil (compose cold) for a
+// live top, whose instances mutate in place; for another lineage than
+// the retained one; or for a different layer set, which moves the
+// pair reach.
+func (e *Engine) carryFor(w *genState) *carry {
+	k := e.kept
+	top := w.top
+	if k == nil || top.Origin() == top || k.top.Origin() != top.Origin() ||
+		!slices.Equal(k.layers, layersOf(w.occs)) {
+		return nil
+	}
+	e.stats.Retained++
+	return diff(k, top, w.occs, w.first)
 }
 
 // layersOf returns the union of the occurrences' checked layers in
@@ -409,6 +490,9 @@ func layersOf(occs []placed) []geom.Layer {
 	seen := map[geom.Layer]bool{}
 	var out []geom.Layer
 	for i := range occs {
+		if i > 0 && occs[i].cert == occs[i-1].cert {
+			continue
+		}
 		for _, l := range occs[i].cert.D.Layers {
 			if !seen[l] {
 				seen[l] = true
@@ -442,9 +526,9 @@ func pairReach(layers []geom.Layer) int {
 
 // String renders engine statistics for -stats reports.
 func (s Stats) String() string {
-	return fmt.Sprintf("hier: %d run(s), %d fast, %d fallback(s); certs %d built, %d memo, %d disk, %d stored; templates %d built, %d hits; labels %d local, %d context",
-		s.Runs, s.FastRuns, s.Fallbacks,
+	return fmt.Sprintf("hier: %d run(s), %d fast, %d fallback(s), %d retained; certs %d built, %d memo, %d disk, %d stored; templates %d built, %d hits; %d pair(s) composed; labels %d local, %d context",
+		s.Runs, s.FastRuns, s.Fallbacks, s.Retained,
 		s.CertBuilt, s.CertMemoHits, s.CertDiskHits, s.CertStored,
-		s.TemplateBuilt, s.TemplateHits,
+		s.TemplateBuilt, s.TemplateHits, s.PairsComposed,
 		s.LabelsLocal, s.LabelsContext)
 }

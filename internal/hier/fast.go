@@ -133,7 +133,8 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 				occs = append(occs, placedAt(ct, d))
 			}
 		}
-		return e.compose(occs)
+		st := &genState{retained: retained{occs: occs}}
+		return st, e.compose(st, nil)
 	}
 	sampleErr := func(err error) (bool, error) {
 		if d, ok := err.(*Decline); ok && (d.Cond == CondPend || d.Cond == CondPoison) {

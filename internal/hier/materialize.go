@@ -24,10 +24,11 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 	}
 	st := r.gen
 	if st == nil {
-		occs, err := r.e.placements(r.top)
+		var err error
+		st, err = r.e.placements(r.top)
 		if err == nil {
 			csp := r.e.Trace.Begin("compose")
-			st, err = r.e.connect(occs)
+			err = r.e.connect(st, nil)
 			csp.End()
 		}
 		if err != nil {
@@ -82,18 +83,12 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 // (no material on its layer, or no layer) and the connectors of a
 // composition instance.
 func (r *Result) labels(st *genState) map[string]int {
-	top := r.top
-	// each top-level instance's first occurrence, and a size hint
-	first := make([]int, len(top.Instances)+1)
+	top, first := r.top, st.first
 	hint := len(top.ExtraConnectors)
 	for k, in := range top.Instances {
-		span := in.Nx * in.Ny
-		if in.Cell.Kind == core.Composition {
-			span *= leafCount(in.Cell)
-		} else {
+		if in.Cell.Kind != core.Composition {
 			hint += len(st.occs[first[k]].cert.ports) * max(in.Nx, in.Ny)
 		}
-		first[k+1] = first[k] + span
 	}
 	netOf := make(map[string]int, hint)
 	local, context := 0, 0
@@ -149,18 +144,6 @@ func (r *Result) labels(st *genState) map[string]int {
 	r.e.stats.LabelsLocal += local
 	r.e.stats.LabelsContext += context
 	return netOf
-}
-
-// leafCount counts a cell's leaf occurrences: the walk's span per copy.
-func leafCount(c *core.Cell) int {
-	if c.Kind != core.Composition {
-		return 1
-	}
-	n := 0
-	for _, in := range c.Instances {
-		n += in.Nx * in.Ny * leafCount(in.Cell)
-	}
-	return n
 }
 
 // labelNet resolves a label point to its dense composed net. Labels

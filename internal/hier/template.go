@@ -33,8 +33,10 @@ type template struct {
 	// spacing component partition.
 	compTouch map[geom.Layer][][2]int32
 	// spacingCands: candidate spacing pairs per layer (gap below the
-	// rule), only recorded for untrusted (non-touching-box) pairs.
+	// rule), only recorded for untrusted (non-touching-box) pairs;
+	// cands counts them over all layers.
 	spacingCands map[geom.Layer][][2]int32
+	cands        int
 	// widthNear: layers on which the pair's material comes within the
 	// width-interaction radius, i.e. needs a recomputation window.
 	widthNear map[geom.Layer]bool
@@ -115,6 +117,7 @@ func buildTemplate(cu, cv *Cert, delta geom.Point) *template {
 				ru := uRects[ui].Canon().Translate(back).Inset(-(minS - 1))
 				vIx.QueryRect(ru, func(vj int) bool {
 					t.spacingCands[l] = append(t.spacingCands[l], [2]int32{int32(ui), int32(vj)})
+					t.cands++
 					return true
 				})
 				return true

@@ -174,8 +174,12 @@ type Reference struct {
 	lastID uint64
 	memo   map[*core.Cell]*refEntry
 	conns  map[*core.Instance]cachedConns
-	certs  map[uint64]*certificate // by leaf signature
-	stats  RefStats
+	// cellConns memoizes each defining cell's connector list for the
+	// single placements instConns places; connBuf is its scratch.
+	cellConns map[*core.Cell]cachedCellConns
+	connBuf   []core.InstConn
+	certs     map[uint64]*certificate // by leaf signature
+	stats     RefStats
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.
@@ -200,16 +204,44 @@ func (rf *Reference) keyOf(in *core.Instance) instKey {
 		nx: in.Nx, ny: in.Ny, sx: in.Sx, sy: in.Sy}
 }
 
-// cachedConns memoizes an instance's resolved connector list for the
-// label pass; it only changes when the placement does.
+// cachedCellConns memoizes a cell's connector list, valid while its
+// signature holds.
+type cachedCellConns struct {
+	sig  uint64
+	list []core.Connector
+}
+
+// cachedConns memoizes an array instance's resolved connector list for
+// the label pass; it only changes when the placement does.
 type cachedConns struct {
 	key  instKey
 	list []core.InstConn
 }
 
-// instConns is the memoized connector provider shared by the label
-// pass and the composition-connector assembly.
+// instConns is the connector provider shared by the label pass and the
+// composition-connector assembly. An array instance's list is memoized
+// (its copies' names carry suffixes); a single placement's is its
+// cell's memoized connector list placed by the instance transform,
+// written into a scratch buffer that holds until the next call — both
+// callers consume one instance's list before asking for the next.
 func (rf *Reference) instConns(in *core.Instance) []core.InstConn {
+	if !in.IsArray() {
+		cc, ok := rf.cellConns[in.Cell]
+		if sig := rf.sigOf(in.Cell); !ok || cc.sig != sig {
+			cc = cachedCellConns{sig: sig, list: in.Cell.Connectors()}
+			if rf.cellConns == nil {
+				rf.cellConns = map[*core.Cell]cachedCellConns{}
+			}
+			rf.cellConns[in.Cell] = cc
+		}
+		tr := in.CopyTransform(0, 0)
+		rf.connBuf = rf.connBuf[:0]
+		for _, cn := range cc.list {
+			rf.connBuf = append(rf.connBuf, core.InstConn{Inst: in, Name: cn.Name, At: tr.Apply(cn.At),
+				Layer: cn.Layer, Width: cn.Width, Side: cn.Side.Transform(in.Tr.O)})
+		}
+		return rf.connBuf
+	}
 	key := rf.keyOf(in)
 	if ent, ok := rf.conns[in]; ok && ent.key == key {
 		return ent.list
@@ -499,11 +531,13 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 }
 
 // supersede retires what a new entry replaced: a superseded clone's
-// cell id, and the instance-level memos of every instance the old
-// entry was stitched from that the new one no longer has.
+// cell id and connector list, and the instance-level memos of every
+// instance the old entry was stitched from that the new one no longer
+// has.
 func (rf *Reference) supersede(old, e *refEntry) {
 	if old.cell != e.cell {
 		delete(rf.ids, old.cell)
+		delete(rf.cellConns, old.cell)
 	}
 	kept := make(map[*core.Instance]bool, len(e.insts))
 	for _, in := range e.insts {

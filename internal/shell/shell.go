@@ -43,8 +43,11 @@ type Shell struct {
 	// Verifier caches whole-design verification (EXTRACT, DRC, LVS)
 	// across edits, keyed on the editor's generation: re-running any of
 	// the commands on an unchanged generation returns the previous
-	// report, and after a small edit the hierarchical engine re-derives
-	// only what the edited placements touch.
+	// report. After an edit the hierarchical engine carries its last
+	// composition of the edited cell's snapshot: it re-discovers only
+	// the pairs of added or removed placements and recomputes only the
+	// width windows within their reach, while the net renumbering,
+	// spacing, surround and circuit rerun over the whole design.
 	Verifier verify.Verifier
 
 	// LVS holds the netlist-comparison caches (memoized leaf-cell
@@ -319,7 +322,7 @@ func argInt(args []string, i int) (int, error) {
 }
 
 func (s *Shell) instance(name string) (*core.Instance, error) {
-	in, ok := s.Editor.Cell.InstanceByName(name)
+	in, ok := s.Editor.Instance(name)
 	if !ok {
 		return nil, fmt.Errorf("shell: no instance %q in %q", name, s.Editor.Cell.Name)
 	}

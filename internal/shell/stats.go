@@ -38,6 +38,8 @@ func (s *Shell) initRegistry() {
 			obs.N("cert_stored", hs.CertStored),
 			obs.N("template_built", hs.TemplateBuilt),
 			obs.N("template_hits", hs.TemplateHits),
+			obs.N("retained", hs.Retained),
+			obs.N("pairs_composed", hs.PairsComposed),
 			obs.N("labels_local", hs.LabelsLocal),
 			obs.N("labels_context", hs.LabelsContext),
 		}

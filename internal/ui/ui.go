@@ -323,7 +323,7 @@ func (u *UI) editClick(at geom.Point) error {
 			u.Status = "moving " + in.Name
 			return nil
 		}
-		inst, _ := u.Sh.Editor.Cell.InstanceByName(u.moveInst)
+		inst, _ := u.Sh.Editor.Instance(u.moveInst)
 		if inst == nil {
 			u.moveInst = ""
 			return nil

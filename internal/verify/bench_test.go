@@ -44,21 +44,27 @@ func gridEditorN(tb testing.TB, n int) *core.Editor {
 	return e
 }
 
-// BenchmarkIncrementalVerify measures the edit-verify loop on a 32x32
-// grid: per iteration, one cell moves and the whole design re-verifies
+// BenchmarkIncrementalVerify measures the edit-verify loop on n x n
+// grids: per iteration, one cell moves and the whole design re-verifies
 // (extract + DRC).
 //
 //   - hier: the shipped default, a Verifier with Hier set — certificates
-//     composed over placements, the circuit materialized;
+//     composed over placements, the circuit materialized — at 16², 32²,
+//     64² and 128², the series that shows what still grows with the
+//     design;
 //   - full: the zero Verifier, the scratch flat run that serves
-//     -hier=false and the engine's declines.
+//     -hier=false and the engine's declines, at 32² only.
 //
 // The edit alternates a one-lambda displacement of a mid-array cell,
 // so every iteration really dirties geometry (rails detach and
 // reattach) rather than hitting the unchanged-generation fast path.
 func BenchmarkIncrementalVerify(b *testing.B) {
-	const n = 32
-	for _, mode := range []string{"hier", "full"} {
+	type run struct {
+		n    int
+		mode string
+	}
+	for _, r := range []run{{16, "hier"}, {32, "hier"}, {64, "hier"}, {128, "hier"}, {32, "full"}} {
+		n, mode := r.n, r.mode
 		b.Run(fmt.Sprintf("%dx%d/%s", n, n, mode), func(b *testing.B) {
 			e := benchGrid(b, n)
 			in := e.Cell.Instances[n*n/2+n/2]

@@ -7,12 +7,18 @@
 // and check it (internal/drc), from scratch.
 //
 // The paper's workflow is edit, verify, edit. The engine extracts and
-// checks each distinct cell once and composes placements, so an edit
-// re-derives only what the edited placements touch. Either way the
-// report equals a from-scratch flat run — the engine is
-// differential-tested against it — and carries the circuit's
-// leaf-occurrence identity (Report.Occs) for LVS, so no path flattens
-// a design just to name its occurrences.
+// checks each distinct cell once and composes placements. A run on the
+// next snapshot of the same cell carries the engine's last
+// composition: only the pairs of added or removed placements are
+// discovered again, and only the width windows and residues within
+// their reach recompute. The walk over the placements, the net
+// union-find and renumbering, spacing, surround, the final merges and
+// the circuit materialization still rerun over the whole design, and a
+// live (unsnapshotted) cell, a changed layer set or a mutated leaf
+// composes cold. Either way the report equals a from-scratch flat run
+// — the engine is differential-tested against it — and carries the
+// circuit's leaf-occurrence identity (Report.Occs) for LVS, so no path
+// flattens a design just to name its occurrences.
 //
 // A Verifier serves one session at a time and is not safe for
 // concurrent use — but it consumes frozen snapshots
