@@ -225,23 +225,27 @@ func (c *Cell) Connectors() []Connector {
 		}
 		return out
 	default:
-		return CompositionConnectors(c, (*Instance).Connectors)
+		return CompositionConnectors(c, func(in *Instance, dst []InstConn) []InstConn {
+			return in.PlaceConnectors(in.Cell.Connectors(), dst)
+		})
 	}
 }
 
 // CompositionConnectors assembles a composition's exported connectors:
 // every instance connector on the cell's bounding-box edge, deduped by
-// name, plus the explicit extras. instConns supplies each instance's
-// connector list — Cell.Connectors passes the plain method; callers
-// that verify repeatedly (the LVS reference memo) pass a memoized
-// provider, since the per-instance lists only change when the instance
-// does.
-func CompositionConnectors(c *Cell, instConns func(*Instance) []InstConn) []Connector {
+// name, plus the explicit extras. place appends each instance's
+// connectors to the buffer it is given — Cell.Connectors places from
+// the defining cell's list; callers that verify repeatedly (the LVS
+// reference) place from a memoized one, since a cell's list only
+// changes when the cell does.
+func CompositionConnectors(c *Cell, place func(in *Instance, dst []InstConn) []InstConn) []Connector {
 	box := c.BBox()
 	var out []Connector
 	seen := map[string]bool{}
+	var ics []InstConn
 	for _, in := range c.Instances {
-		for _, ic := range instConns(in) {
+		ics = place(in, ics[:0])
+		for _, ic := range ics {
 			side := geom.SideOf(box, ic.At)
 			if side == geom.SideNone {
 				continue

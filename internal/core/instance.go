@@ -84,7 +84,14 @@ type InstConn struct {
 // hidden.
 func (in *Instance) Connectors() []InstConn {
 	cellConns := in.Cell.Connectors()
-	out := make([]InstConn, 0, len(cellConns))
+	return in.PlaceConnectors(cellConns, make([]InstConn, 0, len(cellConns)))
+}
+
+// PlaceConnectors appends the instance's visible connectors, placed
+// from cellConns (its defining cell's Connectors list), to dst: the one
+// placement rule behind Connectors, for callers that memoize the
+// cell's list.
+func (in *Instance) PlaceConnectors(cellConns []Connector, dst []InstConn) []InstConn {
 	for i := 0; i < in.Nx; i++ {
 		for j := 0; j < in.Ny; j++ {
 			// an interior copy of an array faces no outside edge
@@ -96,7 +103,7 @@ func (in *Instance) Connectors() []InstConn {
 				if !in.ConnVisible(cn.Side, i, j) {
 					continue
 				}
-				out = append(out, InstConn{
+				dst = append(dst, InstConn{
 					Inst:  in,
 					Name:  arrayName(cn.Name, i, j, in.Nx, in.Ny),
 					At:    ct.Apply(cn.At),
@@ -107,7 +114,7 @@ func (in *Instance) Connectors() []InstConn {
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // ConnVisible reports whether the connector on (untransformed) side s

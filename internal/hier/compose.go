@@ -105,38 +105,15 @@ func diff(prev *retained, top *core.Cell, occs []placed, first []int) *carry {
 	for i := range c.back {
 		c.back[i] = -1
 	}
-	// Matching an equal pointer is always sound, and so is treating an
-	// instance as added, so the scan follows the old list, steps over
-	// one replaced or deleted instance, and consults a map of the old
-	// list only when neither explains the new one.
-	old, cur := prev.top.Instances, top.Instances
-	var at map[*core.Instance]int
-	j := 0 // the old instance the next new one most likely is
-	for k, in := range cur {
-		ko := -1
-		switch {
-		case j < len(old) && old[j] == in:
-			ko = j
-		case j+1 < len(old) && old[j+1] == in:
-			ko = j + 1
-		case j >= len(old):
-		case k+1 == len(cur) || (j+1 < len(old) && cur[k+1] == old[j+1]):
-			j++
-		default:
-			if at == nil {
-				at = make(map[*core.Instance]int, len(old))
-				for i, o := range old {
-					at[o] = i
-				}
-			}
-			if i, ok := at[in]; ok {
-				ko = i
-			}
-		}
-		if ko < 0 {
+	at := make(map[*core.Instance]int, len(prev.top.Instances))
+	for k, in := range prev.top.Instances {
+		at[in] = k
+	}
+	for k, in := range top.Instances {
+		ko, ok := at[in]
+		if !ok {
 			continue
 		}
-		j = ko + 1
 		lo, olo := first[k], prev.first[ko]
 		for x := 0; x < first[k+1]-lo; x++ {
 			c.remap[olo+x] = int32(lo + x)
@@ -541,7 +518,9 @@ func (e *Engine) residues(st *genState, c *carry, li, rho int) residue {
 	if !hasResid {
 		return residue{}
 	}
-	redo := func(i int32) bool { return c == nil || c.dirty[i] }
+	// an added occurrence always redoes: it has no retained pieces,
+	// whether or not it gained a pair
+	redo := func(i int32) bool { return c.added(int(i)) || c.dirty[i] }
 	winOf := map[int32][]geom.Rect{}
 	for _, pr := range st.pairs {
 		if !redo(pr.u) && !redo(pr.v) || !pr.t.widthNear[l] {

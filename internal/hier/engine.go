@@ -59,7 +59,8 @@
 //     material of occurrences whose box meets the clip, and that set
 //     is unchanged. A surviving occurrence that gained and lost no pair
 //     has an unchanged window set, so it keeps its residues minus
-//     windows.
+//     windows; an added occurrence always subtracts its own, pairs or
+//     none.
 //   - What reads the whole design reruns every generation over the
 //     carried pairs, in integers: the union-find, the deferred joins
 //     and the dense renumbering (so a renumbering far from an edit

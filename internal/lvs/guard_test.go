@@ -36,8 +36,8 @@ func TestReferenceSingleSessionGuard(t *testing.T) {
 // generations of a 16x16 grid — every generation a fresh top clone,
 // the moved instance a fresh *Instance — and pins that the reference
 // memo keeps one entry per snapshot origin (the distinct cells plus at
-// most one superseded straggler), that the instance-level memos track
-// the live instances, and that the verdict stays clean throughout.
+// most one superseded straggler), that the connector memo holds one
+// list per placed cell, and that the verdict stays clean throughout.
 func TestReferencePruneStale(t *testing.T) {
 	const n = 16
 	e := gridEditor(t, n)
@@ -74,8 +74,8 @@ func TestReferencePruneStale(t *testing.T) {
 	if len(rf.memo) > distinct+1 || len(rf.ids) > distinct+1 {
 		t.Fatalf("memo grew across generations: %d entries, %d ids", len(rf.memo), len(rf.ids))
 	}
-	if len(rf.conns) > n*n {
-		t.Fatalf("instance memo grew across generations: %d conns", len(rf.conns))
+	if len(rf.conns) != 1 {
+		t.Fatalf("connector memo holds %d lists; the grid places one cell", len(rf.conns))
 	}
 	// each composition entry keeps only the templates its latest stitch
 	// replayed, so the memo holds no more than the live design has

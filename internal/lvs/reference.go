@@ -93,10 +93,8 @@ type refEntry struct {
 	bext     geom.Rect // extent of the boundary material
 	occs     []refOcc  // leaf occurrences in flatten walk order
 	// cell is the cell the entry derives (the memo is keyed by its
-	// snapshot origin); insts are the instances a composition entry was
-	// stitched from
-	cell  *core.Cell
-	insts []*core.Instance
+	// snapshot origin)
+	cell *core.Cell
 	// a composition entry keeps its copies (indexed by port box), the
 	// sub-entry of each instance and the dense net of every block net,
 	// so connector positions resolve lazily (netAt); tmpl holds the
@@ -165,21 +163,19 @@ type refOcc struct {
 // per leaf. Snapshot clones of one design cell are handled naturally:
 // unchanged subtrees keep their pointers, and the memo keys entries by
 // snapshot origin (Cell.Origin), so a newer clone's entry supersedes
-// the older one's — along with the instance-level memos of instances
-// the new clone no longer has. A long-lived session's memory is
-// bounded by the design, not by its history: each composition entry
-// carries only the pair templates its latest stitch replayed.
+// the older one's — along with the older clone's id and connector
+// list. A long-lived session's memory is bounded by the design, not by
+// its history: each composition entry carries only the pair templates
+// its latest stitch replayed.
 type Reference struct {
 	ids    map[*core.Cell]uint64
 	lastID uint64
 	memo   map[*core.Cell]*refEntry
-	conns  map[*core.Instance]cachedConns
-	// cellConns memoizes each defining cell's connector list for the
-	// single placements instConns places; connBuf is its scratch.
-	cellConns map[*core.Cell]cachedCellConns
-	connBuf   []core.InstConn
-	certs     map[uint64]*certificate // by leaf signature
-	stats     RefStats
+	// conns memoizes each defining cell's connector list, from which
+	// placeConns places every instance.
+	conns map[*core.Cell]cachedConns
+	certs map[uint64]*certificate // by leaf signature
+	stats RefStats
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.
@@ -189,69 +185,26 @@ type Reference struct {
 // Stats reports the memo's cumulative accounting.
 func (rf *Reference) Stats() RefStats { return rf.stats }
 
-// instKey is the placement snapshot instance-level caches are valid
-// for (mutations inside the defining cell swap the pointer or go
-// through Editor.Invalidate).
-type instKey struct {
-	cell           *core.Cell
-	sig            uint64
-	tr             geom.Transform
-	nx, ny, sx, sy int
-}
-
-func (rf *Reference) keyOf(in *core.Instance) instKey {
-	return instKey{cell: in.Cell, sig: rf.sigOf(in.Cell), tr: in.Tr,
-		nx: in.Nx, ny: in.Ny, sx: in.Sx, sy: in.Sy}
-}
-
-// cachedCellConns memoizes a cell's connector list, valid while its
+// cachedConns memoizes a cell's connector list, valid while its
 // signature holds.
-type cachedCellConns struct {
+type cachedConns struct {
 	sig  uint64
 	list []core.Connector
 }
 
-// cachedConns memoizes an array instance's resolved connector list for
-// the label pass; it only changes when the placement does.
-type cachedConns struct {
-	key  instKey
-	list []core.InstConn
-}
-
-// instConns is the connector provider shared by the label pass and the
-// composition-connector assembly. An array instance's list is memoized
-// (its copies' names carry suffixes); a single placement's is its
-// cell's memoized connector list placed by the instance transform,
-// written into a scratch buffer that holds until the next call — both
-// callers consume one instance's list before asking for the next.
-func (rf *Reference) instConns(in *core.Instance) []core.InstConn {
-	if !in.IsArray() {
-		cc, ok := rf.cellConns[in.Cell]
-		if sig := rf.sigOf(in.Cell); !ok || cc.sig != sig {
-			cc = cachedCellConns{sig: sig, list: in.Cell.Connectors()}
-			if rf.cellConns == nil {
-				rf.cellConns = map[*core.Cell]cachedCellConns{}
-			}
-			rf.cellConns[in.Cell] = cc
+// placeConns appends an instance's connectors to dst, placed from its
+// defining cell's memoized connector list: the connector provider
+// shared by the label pass and the composition-connector assembly.
+func (rf *Reference) placeConns(in *core.Instance, dst []core.InstConn) []core.InstConn {
+	cc, ok := rf.conns[in.Cell]
+	if sig := rf.sigOf(in.Cell); !ok || cc.sig != sig {
+		cc = cachedConns{sig: sig, list: in.Cell.Connectors()}
+		if rf.conns == nil {
+			rf.conns = map[*core.Cell]cachedConns{}
 		}
-		tr := in.CopyTransform(0, 0)
-		rf.connBuf = rf.connBuf[:0]
-		for _, cn := range cc.list {
-			rf.connBuf = append(rf.connBuf, core.InstConn{Inst: in, Name: cn.Name, At: tr.Apply(cn.At),
-				Layer: cn.Layer, Width: cn.Width, Side: cn.Side.Transform(in.Tr.O)})
-		}
-		return rf.connBuf
+		rf.conns[in.Cell] = cc
 	}
-	key := rf.keyOf(in)
-	if ent, ok := rf.conns[in]; ok && ent.key == key {
-		return ent.list
-	}
-	list := in.Connectors()
-	if rf.conns == nil {
-		rf.conns = map[*core.Instance]cachedConns{}
-	}
-	rf.conns[in] = cachedConns{key: key, list: list}
-	return list
+	return in.PlaceConnectors(cc.list, dst)
 }
 
 // Netlist derives the reference netlist of a cell. declared lists
@@ -364,9 +317,11 @@ func (rf *Reference) resolveLabels(c *core.Cell, e *refEntry) {
 	// an instance lists its connectors copy by copy, so the copy that
 	// resolved the previous one is tried first
 	first := 0
+	var ics []core.InstConn
 	for _, in := range c.Instances {
 		hint := first
-		for _, ic := range rf.instConns(in) {
+		ics = rf.placeConns(in, ics[:0])
+		for _, ic := range ics {
 			n, ok := e.copyNetAt(hint, ic.At, ic.Layer)
 			if !ok {
 				e.ix.QueryPoint(ic.At, func(ci int) bool {
@@ -531,22 +486,11 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 }
 
 // supersede retires what a new entry replaced: a superseded clone's
-// cell id and connector list, and the instance-level memos of every
-// instance the old entry was stitched from that the new one no longer
-// has.
+// cell id and connector list.
 func (rf *Reference) supersede(old, e *refEntry) {
 	if old.cell != e.cell {
 		delete(rf.ids, old.cell)
-		delete(rf.cellConns, old.cell)
-	}
-	kept := make(map[*core.Instance]bool, len(e.insts))
-	for _, in := range e.insts {
-		kept[in] = true
-	}
-	for _, in := range old.insts {
-		if !kept[in] {
-			delete(rf.conns, in)
-		}
+		delete(rf.conns, old.cell)
 	}
 }
 
@@ -605,7 +549,7 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 // entry being replaced, or nil: templates it holds carry over when
 // this stitch replays them again.
 func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
-	e := &refEntry{insts: append([]*core.Instance(nil), c.Instances...)}
+	e := &refEntry{}
 
 	// every copy's placed box and port box, from placement alone
 	type cellBoxes struct{ box, pbox geom.Rect }
@@ -711,7 +655,7 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 	rf.resolveLabels(c, e)
 
 	// the composition's own ports, for stitching one level up
-	for _, cn := range core.CompositionConnectors(c, rf.instConns) {
+	for _, cn := range core.CompositionConnectors(c, rf.placeConns) {
 		net, ok := e.netAt(cn.At, cn.Layer)
 		if !ok {
 			net = -1

@@ -11,7 +11,16 @@ import (
 	"riot/internal/lib"
 	"riot/internal/obs"
 	"riot/internal/rules"
+	"riot/internal/sticks"
 )
+
+// narrowSticks is a leaf whose only wire is 2λ metal, below the 3λ
+// minimum: every placement of it carries a width residue of its own.
+const narrowSticks = `STICKS NARROW
+BBOX 0 0 10 10
+WIRE NM 2 0 5 10 5
+END
+`
 
 // TestRetainedCompositionMatchesScratch drives one hierarchical
 // Verifier over editor snapshots through a seeded trace of at least 200
@@ -24,7 +33,10 @@ import (
 // far MOVE, a lone PIPEM top gaining SRCELLs (the layer set changes), a
 // poisoned R90 centre cell and its undo, Replicate of an ARRAY below the
 // fast-path size, a nested composition edited through a second editor,
-// and an in-place leaf mutation announced with Editor.Invalidate.
+// and an in-place leaf mutation announced with Editor.Invalidate. A
+// narrow-wire leaf beside the grid keeps width residues in the carried
+// state, so an isolated CREATE and a far MOVE of it (occurrences added
+// with no pairs) must compose their own residues, not read the carry's.
 func TestRetainedCompositionMatchesScratch(t *testing.T) {
 	const side = 4
 	d := core.NewDesign()
@@ -56,11 +68,23 @@ func TestRetainedCompositionMatchesScratch(t *testing.T) {
 		create(row, "SRCELL", fmt.Sprintf("r%d", i), at(20*i, 0), 1, 1)
 	}
 	ed := newEditor("TOP")
+	sc, err := sticks.ParseString(narrowSticks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := core.NewLeafFromSticks(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddCell(nc); err != nil {
+		t.Fatal(err)
+	}
 
 	v := &Verifier{Hier: true}
 	v.SetLog(obs.Discard)
 	gens := 0
-	check := func(what string) {
+	// check returns the generation's violation count
+	check := func(what string) int {
 		t.Helper()
 		gens++
 		snap := ed.Snapshot()
@@ -79,6 +103,7 @@ func TestRetainedCompositionMatchesScratch(t *testing.T) {
 			t.Fatalf("gen %d (%s): verdict differs from the scratch flat run\ngot:  %v, %d violations\nwant: %v, %d violations",
 				gens, what, got.CircuitErr, len(got.Violations), want.CircuitErr, len(want.Violations))
 		}
+		return len(got.Violations)
 	}
 	// cold runs check that a generation did not carry
 	cold := func(what string) {
@@ -106,6 +131,14 @@ func TestRetainedCompositionMatchesScratch(t *testing.T) {
 	check("nested row")
 	arr := create(ed, "SRCELL", "arr", at(20*side+60, 0), 2, 2)
 	check("array")
+	narrow := []*core.Instance{create(ed, "NARROW", "n0", at(-10, 0), 1, 1)}
+	before := check("narrow beside the grid")
+	narrow = append(narrow, create(ed, "NARROW", "n1", at(-40, 200), 1, 1))
+	if check("isolated create") <= before {
+		t.Fatal("the isolated narrow leaf added no width violation of its own")
+	}
+	ed.MoveInstance(narrow[1], geom.Pt(0, 300*rules.Lambda))
+	check("far move of the isolated leaf")
 
 	rng := rand.New(rand.NewSource(1982))
 	pick := func() int { return rng.Intn(len(cells)) }
@@ -141,6 +174,9 @@ func TestRetainedCompositionMatchesScratch(t *testing.T) {
 			check("re-create " + in.Name)
 		case op < 13:
 			in := cells[pick()]
+			if rng.Intn(3) == 0 {
+				in = narrow[rng.Intn(len(narrow))]
+			}
 			ed.MoveInstance(in, geom.Pt(0, 300*rules.Lambda))
 			check("far move " + in.Name)
 			ed.MoveInstance(in, geom.Pt(0, -300*rules.Lambda))
