@@ -225,7 +225,7 @@ func (c *Cell) Connectors() []Connector {
 		}
 		return out
 	default:
-		return CompositionConnectors(c, func(in *Instance, dst []InstConn) []InstConn {
+		return CompositionConnectors(c, func(_ int, in *Instance, dst []InstConn) []InstConn {
 			return in.PlaceConnectors(in.Cell.Connectors(), dst)
 		})
 	}
@@ -233,18 +233,18 @@ func (c *Cell) Connectors() []Connector {
 
 // CompositionConnectors assembles a composition's exported connectors:
 // every instance connector on the cell's bounding-box edge, deduped by
-// name, plus the explicit extras. place appends each instance's
-// connectors to the buffer it is given — Cell.Connectors places from
-// the defining cell's list; callers that verify repeatedly (the LVS
-// reference) place from a memoized one, since a cell's list only
+// name, plus the explicit extras. place appends the connectors of
+// c.Instances[k] to the buffer it is given — Cell.Connectors places
+// from the defining cell's list; the LVS reference places from the
+// list its memoized entry of that cell holds, since a cell's list only
 // changes when the cell does.
-func CompositionConnectors(c *Cell, place func(in *Instance, dst []InstConn) []InstConn) []Connector {
+func CompositionConnectors(c *Cell, place func(k int, in *Instance, dst []InstConn) []InstConn) []Connector {
 	box := c.BBox()
 	var out []Connector
 	seen := map[string]bool{}
 	var ics []InstConn
-	for _, in := range c.Instances {
-		ics = place(in, ics[:0])
+	for k, in := range c.Instances {
+		ics = place(k, in, ics[:0])
 		for _, ic := range ics {
 			side := geom.SideOf(box, ic.At)
 			if side == geom.SideNone {

@@ -36,21 +36,25 @@ func BenchmarkLVSScale(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalLVS measures the edit-verify loop on a 32x32
-// grid: per iteration one cell moves and the whole design re-verifies
-// against its declared structure, through the same entry point both
-// ways.
+// BenchmarkIncrementalLVS measures the edit-verify loop on grids of
+// individually placed SRCELLs: per iteration one cell moves and the
+// whole design re-verifies against its declared structure, through the
+// same entry point both ways.
 //
-//   - incremental: the generation-keyed path — the shared verifier's
-//     hierarchical composition (the shipped default), memoized leaf
-//     netlists, re-stitched composition entry;
-//   - full: cold caches every iteration (a fresh flat verifier and a
-//     fresh reference memo), the from-scratch comparison cost every
-//     re-verify would pay without them.
+//   - incremental (16², 32², 64²): the generation-keyed path — the
+//     shared verifier's hierarchical composition (the shipped default),
+//     memoized leaf netlists, the composition re-stitched with every
+//     unmoved instance's label names carried;
+//   - full (32²): cold caches every iteration (a fresh flat verifier
+//     and a fresh reference memo), the from-scratch comparison cost
+//     every re-verify would pay without them.
 func BenchmarkIncrementalLVS(b *testing.B) {
-	const n = 32
-	for _, mode := range []string{"incremental", "full"} {
-		b.Run(fmt.Sprintf("%dx%d/%s", n, n, mode), func(b *testing.B) {
+	for _, c := range []struct {
+		n    int
+		mode string
+	}{{16, "incremental"}, {32, "incremental"}, {64, "incremental"}, {32, "full"}} {
+		n := c.n
+		b.Run(fmt.Sprintf("%dx%d/%s", n, n, c.mode), func(b *testing.B) {
 			e := gridEditor(b, n)
 			in := e.Cell.Instances[n*n/2+n/2]
 			v := &verify.Verifier{Hier: true}
@@ -58,6 +62,7 @@ func BenchmarkIncrementalLVS(b *testing.B) {
 			if _, err := inc.Check(e, v); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := rules.Lambda
@@ -65,7 +70,7 @@ func BenchmarkIncrementalLVS(b *testing.B) {
 					d = -rules.Lambda
 				}
 				e.MoveInstance(in, geom.Pt(d, 0))
-				if mode == "incremental" {
+				if c.mode == "incremental" {
 					if _, err := inc.Check(e, v); err != nil {
 						b.Fatal(err)
 					}

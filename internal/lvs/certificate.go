@@ -113,9 +113,9 @@ func (rf *Reference) cert(oc refOcc) *certificate {
 		// occurrences whose deeper material really participates in a
 		// seam de-certify through the isolation check instead.
 		isB := make([]bool, e.nets)
-		for _, p := range e.ports {
-			if p.net >= 0 {
-				isB[p.net] = true
+		for _, n := range e.bind {
+			if n >= 0 {
+				isB[n] = true
 			}
 		}
 		inner := oc.cell.BBox().Inset(seamReach)
@@ -142,7 +142,7 @@ func (rf *Reference) cert(oc refOcc) *certificate {
 		// align on; its occurrences stay in the residual
 		ct.ok = len(ct.boundary) > 0 && len(ct.devs) > 0
 		// reduced-interior accounting for clean top-level net maps
-		rr := reduce(&Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labels})
+		rr := reduce(&Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labelMap(nil)})
 		ct.redDevices = len(rr.devs)
 		for n := 0; n < e.nets; n++ {
 			if rr.alive[n] && !isB[n] {
@@ -378,15 +378,17 @@ func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *ext
 	// give.
 	refLabels := map[string]int{}
 	layLabels := map[string]int{}
+	shared := 0
 	for name, r := range ref.Labels {
-		l, shared := lay.Labels[name]
-		if !shared {
+		l, ok := lay.Labels[name]
+		if !ok {
 			if bij[r] >= 0 {
 				return notClean, st // one-sided label on a covered net
 			}
 			refLabels[name] = r
 			continue
 		}
+		shared++
 		switch {
 		case bij[r] >= 0 && invB[l] >= 0:
 			if bij[r] != int32(l) {
@@ -399,12 +401,16 @@ func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *ext
 			return notClean, st // covered on one side only: crossed wiring
 		}
 	}
-	for name, l := range lay.Labels {
-		if _, shared := ref.Labels[name]; !shared {
-			if invB[l] >= 0 {
-				return notClean, st // one-sided label on a covered net
+	// layout-only labels; when every layout label is shared there are
+	// none to find
+	if shared < len(lay.Labels) {
+		for name, l := range lay.Labels {
+			if _, ok := ref.Labels[name]; !ok {
+				if invB[l] >= 0 {
+					return notClean, st // one-sided label on a covered net
+				}
+				layLabels[name] = l
 			}
-			layLabels[name] = l
 		}
 	}
 

@@ -15,15 +15,30 @@ import (
 // The layout side comes from the caller's verify.Verifier — the one
 // the DRC and EXTRACT commands use, which by default composes per-cell
 // certificates (internal/hier) and runs the scratch flat reference
-// only when the engine declines — so a one-cell edit re-extracts no
-// unchanged cell, re-stitches only the edited composition's entry
-// (every leaf netlist and certificate and every untouched sub-cell
-// entry is reused), and re-labels from there; an unchanged generation
-// returns the cached verdict outright. The memo lives in process only:
-// a fresh Incremental derives each distinct leaf once, whatever store
-// the verifier has attached. A fresh Incremental over a zero Verifier
-// is the from-scratch path (flatten, solve, certified compare); the
-// caches are invisible except as speed.
+// only when the engine declines. An unchanged generation returns the
+// cached verdict outright. After a one-cell edit:
+//
+//   - carried: every leaf netlist, leaf certificate and untouched
+//     sub-cell entry, each cell's port bindings (the net every
+//     connector's own position resolves to), the pair templates the
+//     re-stitch replays again, and the label names of every instance
+//     the new snapshot clone shares with the last one over an
+//     unchanged sub-entry — so the edit formats only the edited
+//     instances' names;
+//   - rerun over the whole design: the edited composition's pair
+//     discovery, template replay through one union-find, renumbering,
+//     device and occurrence copies, every label's net (an integer
+//     read, or a point query for a connector with no net of its own),
+//     the label map handed to the comparison and the certified match.
+//
+// A stitch formats every name cold in a fresh Incremental, for a live
+// (unsnapshotted) cell, whose instances mutate in place, and for an
+// instance whose cell changed — a leaf mutated in place included,
+// which Editor.Invalidate or Cell.MarkMutated announce. The memo lives
+// in process only: a fresh Incremental derives each distinct leaf once,
+// whatever store the verifier has attached. A fresh Incremental over a
+// zero Verifier is the from-scratch path (flatten, solve, certified
+// compare); the caches are invisible except as speed.
 type Incremental struct {
 	// Ref is the reference-netlist memo with its leaf certificates;
 	// usable directly when a caller wants the reference netlist itself.

@@ -18,11 +18,12 @@ import (
 // gets one memoized entry:
 //
 //   - a leaf entry extracts the leaf alone (flatten + solve of just
-//     that cell) and keeps its devices, its connector-to-net ports and
-//     its boundary material: every solved fragment within the entry's
-//     seam reach of the cell's bounding box (the base contract reach,
-//     deepened per seam when placed boxes overlap), tagged with the
-//     net it carries;
+//     that cell) and keeps its devices, its label namespace, its
+//     connectors each bound to the net its own position resolves to,
+//     and its boundary material: every solved fragment within the
+//     entry's seam reach of the cell's bounding box (the base contract
+//     reach, deepened per seam when placed boxes overlap), tagged with
+//     the net it carries;
 //   - a composition entry allocates a net block per instance copy and
 //     unions blocks where the declared structure connects them:
 //     connector points that coincide, and boundary material that
@@ -36,14 +37,29 @@ import (
 // that shares it — the same scheme internal/hier composes
 // certificates with. An array stitches from its leaf entry plus a
 // handful of templates; what still scales with copies is the device
-// copy, the occurrence maps and the renumbering. Connector positions
-// are resolved lazily, through the entry's copy index, instead of
-// from a map of every copy's ports.
+// copy, the occurrence maps, the renumbering and the label nets.
+//
+// Labels come from per-cell port bindings: connector k of a copy at
+// net block base names dense[base+bind[k]] of the copy's sub-entry,
+// with no placement and no lookup. Only a connector with no net of its
+// own (bind -1) point-queries the copy index, where a coincident
+// neighbour's port may answer for it. A composition keeps its label
+// namespace as parallel name and net slices. The next stitch of the
+// same frozen lineage (Cell.Origin) takes the names of every *Instance
+// both clones hold over a sub-entry of the same signature, since a
+// snapshot clone re-creates any instance whose name, cell or placement
+// changed; so a one-cell edit formats that instance's names only. A
+// live cell (its instances mutate in place), an instance whose cell
+// changed (a leaf mutated in place included) and a cold stitch format
+// every name. A composition derives the parts a parent reads
+// (connectors, bindings, port table, boundary) when a parent stitch
+// first reads them, so the top of a check never places its instances'
+// connectors.
 //
 // Entries are validated by a structural signature (instance
-// placements, recursively), so an edit rebuilds exactly the entries
-// whose cells changed: moving one instance re-stitches its composition
-// but re-extracts no leaf.
+// placements, recursively, and each leaf's revision), so an edit
+// rebuilds exactly the entries whose cells changed: moving one
+// instance re-stitches its composition but re-extracts no leaf.
 
 // seamReach is the base abutment-contract reach, shared with the
 // hierarchical extract/DRC certificate engine through internal/seam
@@ -61,15 +77,6 @@ type portKey struct {
 	layer geom.Layer
 }
 
-// port is one cell connector resolved against the cell's own netlist.
-type port struct {
-	name  string
-	at    geom.Point
-	layer geom.Layer
-	side  geom.Side
-	net   int32 // -1 when the connector resolved to no material
-}
-
 // bfrag is one piece of boundary material: its rectangle and the
 // placed bounding box of the leaf occurrence that drew it (both in
 // cell-local coordinates), and the net it carries.
@@ -82,27 +89,44 @@ type bfrag struct {
 
 // refEntry is one cell's memoized reference derivation.
 type refEntry struct {
-	sig      uint64
-	reach    int // boundary retention depth the entry was built with
-	nets     int
-	devices  []Device
-	ports    []port
-	portNet  map[portKey]int32 // ports that resolved to material, by position
-	labels   map[string]int    // the cell's full label namespace, resolved
-	boundary []bfrag
-	bext     geom.Rect // extent of the boundary material
-	occs     []refOcc  // leaf occurrences in flatten walk order
+	sig     uint64
+	reach   int // boundary retention depth the entry was built with
+	nets    int
+	devices []Device
+	// names and lnets are the cell's label namespace, resolved: name i
+	// lands on net lnets[i], -1 when no material lies under it. A later
+	// name overwrites an earlier one, as flatten's do.
+	names []string
+	lnets []int32
+	occs  []refOcc // leaf occurrences in flatten walk order
 	// cell is the cell the entry derives (the memo is keyed by its
 	// snapshot origin)
 	cell *core.Cell
+
+	// the parts a parent stitch reads (and a leaf's certificate): the
+	// cell's connectors, bind[k] the entry net conns[k]'s own position
+	// resolves to (-1: no material there), the resolved ones indexed by
+	// position, and the boundary material within reach with its extent.
+	// A leaf derives them with its entry, a composition on first read
+	// (face).
+	faced    bool
+	conns    []core.Connector
+	bind     []int32
+	portNet  map[portKey]int32
+	boundary []bfrag
+	bext     geom.Rect
+
 	// a composition entry keeps its copies (indexed by port box), the
-	// sub-entry of each instance and the dense net of every block net,
-	// so connector positions resolve lazily (netAt); tmpl holds the
-	// pair templates its last stitch replayed
+	// sub-entry of each instance, the dense net of every block net and
+	// where each instance's names start in names (nameLo[len] is where
+	// the explicit extras start), so connector positions resolve lazily
+	// (netAt) and the next stitch can carry names; tmpl holds the pair
+	// templates its last stitch replayed
 	copies []copySlot
 	subs   []*refEntry
 	ix     *geom.Index
 	dense  []int32
+	nameLo []int32
 	tmpl   map[tmplKey][][2]int32
 	err    error
 }
@@ -125,10 +149,12 @@ type tmplKey struct {
 }
 
 // RefStats is the reference memo's cumulative accounting: pair
-// templates and leaf certificates.
+// templates, instance connector labels and leaf certificates.
 type RefStats struct {
 	TemplatesBuilt int // pair templates derived
 	TemplateHits   int // copy pairs replayed from an existing template
+	LabelsBuilt    int // instance connector names formatted
+	LabelsCarried  int // instance connector names taken from the superseded entry
 	CertsBuilt     int // leaf certificates derived (LVS -stats "matched")
 	CertHits       int // occurrences served by an already-derived certificate
 }
@@ -163,19 +189,18 @@ type refOcc struct {
 // per leaf. Snapshot clones of one design cell are handled naturally:
 // unchanged subtrees keep their pointers, and the memo keys entries by
 // snapshot origin (Cell.Origin), so a newer clone's entry supersedes
-// the older one's — along with the older clone's id and connector
-// list. A long-lived session's memory is bounded by the design, not by
-// its history: each composition entry carries only the pair templates
-// its latest stitch replayed.
+// the older one's (taking its names and templates where they still
+// hold) along with the older clone's id. A long-lived session's memory
+// is bounded by the design, not by its history: each composition
+// entry carries only the pair templates its latest stitch replayed and
+// one name per label of its own cell, and a leaf mutated in place
+// retires its old certificate.
 type Reference struct {
 	ids    map[*core.Cell]uint64
 	lastID uint64
 	memo   map[*core.Cell]*refEntry
-	// conns memoizes each defining cell's connector list, from which
-	// placeConns places every instance.
-	conns map[*core.Cell]cachedConns
-	certs map[uint64]*certificate // by leaf signature
-	stats RefStats
+	certs  map[uint64]*certificate // by leaf signature
+	stats  RefStats
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.
@@ -184,28 +209,6 @@ type Reference struct {
 
 // Stats reports the memo's cumulative accounting.
 func (rf *Reference) Stats() RefStats { return rf.stats }
-
-// cachedConns memoizes a cell's connector list, valid while its
-// signature holds.
-type cachedConns struct {
-	sig  uint64
-	list []core.Connector
-}
-
-// placeConns appends an instance's connectors to dst, placed from its
-// defining cell's memoized connector list: the connector provider
-// shared by the label pass and the composition-connector assembly.
-func (rf *Reference) placeConns(in *core.Instance, dst []core.InstConn) []core.InstConn {
-	cc, ok := rf.conns[in.Cell]
-	if sig := rf.sigOf(in.Cell); !ok || cc.sig != sig {
-		cc = cachedConns{sig: sig, list: in.Cell.Connectors()}
-		if rf.conns == nil {
-			rf.conns = map[*core.Cell]cachedConns{}
-		}
-		rf.conns[in.Cell] = cc
-	}
-	return in.PlaceConnectors(cc.list, dst)
-}
 
 // Netlist derives the reference netlist of a cell. declared lists
 // connection records to honor on top of the cell's structure — the
@@ -231,9 +234,9 @@ func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Net
 		return nil, nil, e.err
 	}
 	if len(declared) == 0 {
-		// nothing to union on top: the entry IS the netlist. Devices,
-		// labels and occurrence maps are shared read-only with the memo.
-		return &Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labels}, e.occs, nil
+		// nothing to union on top: the entry IS the netlist. Devices and
+		// occurrence maps are shared read-only with the memo.
+		return &Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labelMap(nil)}, e.occs, nil
 	}
 
 	// apply the declared records on top of the entry's net space, then
@@ -242,13 +245,11 @@ func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Net
 	for _, conn := range declared {
 		rf.declareUnion(uf, e, conn)
 	}
-	out := &Netlist{Labels: make(map[string]int, len(e.labels))}
+	out := &Netlist{}
 	out.Devices = append([]Device(nil), e.devices...)
 	dense, nets := renumber(uf, e.nets, out.Devices)
 	out.NetCount = nets
-	for name, n := range e.labels {
-		out.Labels[name] = int(dense[n])
-	}
+	out.Labels = e.labelMap(dense)
 	// occurrence maps re-expressed in the declared-union numbering
 	occs, _ := appendOccs(make([]refOcc, 0, len(e.occs)), make([]int32, 0, occNets(e.occs)), e.occs, 0, dense)
 	return out, occs, nil
@@ -307,83 +308,190 @@ func appendOccs(dst []refOcc, backing []int32, src []refOcc, base int32, dense [
 	return dst, backing
 }
 
-// resolveLabels fills an entry's label map — the same namespace
-// flatten labels the layout with. For compositions, the instance
-// connectors (every exported "inst.CONN" name is also an instance
-// label at the same point) plus the explicit extras cover it; later
-// names overwrite earlier ones, as flatten's do.
-func (rf *Reference) resolveLabels(c *core.Cell, e *refEntry) {
-	e.labels = map[string]int{}
-	// an instance lists its connectors copy by copy, so the copy that
-	// resolved the previous one is tried first
+// labelMap builds the entry's label map at its final size, each net
+// read through dense when the caller renumbered (nil: the entry's own
+// numbering). Unresolved names drop; a repeated name's last resolution
+// wins.
+func (e *refEntry) labelMap(dense []int32) map[string]int {
+	m := make(map[string]int, len(e.names))
+	for i, name := range e.names {
+		n := e.lnets[i]
+		if n < 0 {
+			continue
+		}
+		if dense != nil {
+			n = dense[n]
+		}
+		m[name] = int(n)
+	}
+	return m
+}
+
+// label resolves a composition's label namespace, the one flatten
+// labels the layout with: every visible instance connector
+// ("inst.CONN", array copies suffixed) in placement order, then the
+// explicit extras. Connector k of a copy names dense[base+bind[k]] of
+// its sub-entry; a connector bound to no net point-queries the copy
+// index, where any copy holding a resolved port at the point answers
+// (the stitch unions coincident ports, so all such copies agree). The
+// names of an instance carry over from old, the superseded entry of
+// the same lineage, when both cells are frozen clones holding the
+// same *Instance over sub-entries of the same signature: the names are
+// a function of the instance and its sub-entry's connectors alone, and
+// a sub-entry rebuilt under the same signature (for a deeper seam
+// reach) lists the same connectors.
+func (rf *Reference) label(c *core.Cell, e, old *refEntry) {
+	// a live cell renames and re-arrays its instances in place, so only
+	// a frozen clone carries, and only from an entry that labelled
+	var oldAt map[*core.Instance]int
+	if c.Origin() != c && old != nil && len(old.nameLo) == len(old.cell.Instances)+1 {
+		oldAt = make(map[*core.Instance]int, len(old.cell.Instances))
+		for k, in := range old.cell.Instances {
+			oldAt[in] = k
+		}
+	}
+	carried := func(ii int, in *core.Instance) []string {
+		oi, ok := oldAt[in]
+		if !ok || old.subs[oi].sig != e.subs[ii].sig {
+			return nil
+		}
+		return old.names[old.nameLo[oi]:old.nameLo[oi+1]]
+	}
+
+	hint := len(c.ExtraConnectors)
+	for ii, in := range c.Instances {
+		hint += len(e.subs[ii].conns) * max(in.Nx, in.Ny)
+	}
+	e.names = make([]string, 0, hint)
+	e.lnets = make([]int32, 0, hint)
+	e.nameLo = make([]int32, len(c.Instances)+1)
+	var buf []byte
 	first := 0
-	var ics []core.InstConn
-	for _, in := range c.Instances {
-		hint := first
-		ics = rf.placeConns(in, ics[:0])
-		for _, ic := range ics {
-			n, ok := e.copyNetAt(hint, ic.At, ic.Layer)
-			if !ok {
-				e.ix.QueryPoint(ic.At, func(ci int) bool {
-					if n, ok = e.copyNetAt(ci, ic.At, ic.Layer); ok {
-						hint = ci
+	for ii, in := range c.Instances {
+		sub, from := e.subs[ii], len(e.names)
+		e.nameLo[ii] = int32(from)
+		names := carried(ii, in)
+		for i := 0; i < in.Nx; i++ {
+			for j := 0; j < in.Ny; j++ {
+				if in.IsArray() && i > 0 && i < in.Nx-1 && j > 0 && j < in.Ny-1 {
+					continue // an interior copy faces no outside edge
+				}
+				cr := e.copies[first+i*in.Ny+j]
+				for k, cn := range sub.conns {
+					if !in.ConnVisible(cn.Side, i, j) {
+						continue
 					}
-					return !ok
-				})
+					n := sub.bind[k]
+					if n >= 0 {
+						n = e.dense[cr.base+n]
+					} else {
+						n = e.netAt(cr.tr.Apply(cn.At), cn.Layer)
+					}
+					var name string
+					if names != nil {
+						name = names[len(e.names)-from]
+					} else {
+						buf = in.AppendLabel(buf[:0], cn.Name, i, j)
+						name = string(buf)
+					}
+					e.names = append(e.names, name)
+					e.lnets = append(e.lnets, n)
+				}
 			}
-			if ok {
-				e.labels[in.Name+"."+ic.Name] = int(n)
-			}
+		}
+		if names != nil {
+			rf.stats.LabelsCarried += len(e.names) - from
+		} else {
+			rf.stats.LabelsBuilt += len(e.names) - from
 		}
 		first += in.Nx * in.Ny
 	}
+	e.nameLo[len(c.Instances)] = int32(len(e.names))
 	for _, cn := range c.ExtraConnectors {
-		if n, ok := e.netAt(cn.At, cn.Layer); ok {
-			e.labels[cn.Name] = int(n)
-		}
+		e.names = append(e.names, cn.Name)
+		e.lnets = append(e.lnets, e.netAt(cn.At, cn.Layer))
 	}
 }
 
-// netAt resolves a connector position to the entry's net. A leaf reads
-// its port table; a composition point-queries its copy index, maps the
-// point into each candidate copy's frame and reads that sub-entry's
-// port table. The stitch unions coincident connectors of different
-// copies, so the first copy that resolves the point answers for all.
-func (e *refEntry) netAt(at geom.Point, layer geom.Layer) (int32, bool) {
+// netAt resolves a connector position to the entry's net, -1 when no
+// material lies there. A leaf reads its port table; a composition
+// point-queries its copy index, maps the point into each candidate
+// copy's frame and reads that sub-entry's port table. The stitch unions
+// coincident connectors of different copies, so the first copy that
+// resolves the point answers for all.
+func (e *refEntry) netAt(at geom.Point, layer geom.Layer) int32 {
 	if e.ix == nil {
-		n, ok := e.portNet[portKey{at.X, at.Y, layer}]
-		return n, ok
+		if n, ok := e.portNet[portKey{at.X, at.Y, layer}]; ok {
+			return n
+		}
+		return -1
 	}
-	net, found := int32(0), false
+	net := int32(-1)
 	e.ix.QueryPoint(at, func(ci int) bool {
-		net, found = e.copyNetAt(ci, at, layer)
-		return !found
+		cr := e.copies[ci]
+		p := cr.tr.Inverse().Apply(at)
+		n, ok := e.subs[cr.inst].portNet[portKey{p.X, p.Y, layer}]
+		if ok {
+			net = e.dense[cr.base+n]
+		}
+		return !ok
 	})
-	return net, found
+	return net
 }
 
-// copyNetAt resolves a connector position against one copy of a
-// composition entry: the point mapped into the copy's frame, looked up
-// in its sub-entry's port table.
-func (e *refEntry) copyNetAt(ci int, at geom.Point, layer geom.Layer) (int32, bool) {
-	cr := e.copies[ci]
-	p := cr.tr.Inverse().Apply(at)
-	if n, ok := e.subs[cr.inst].portNet[portKey{p.X, p.Y, layer}]; ok {
-		return e.dense[cr.base+n], true
+// face derives a composition entry's parent-facing parts on first
+// read (a leaf's come with its entry): its connectors, placed from the
+// sub-entries' connector lists, each bound through netAt; and its
+// boundary, every copy's boundary material still within the entry's
+// reach of the composition's box (a copy whose retained material lies
+// wholly inside contributes nothing).
+func (e *refEntry) face() *refEntry {
+	if e.faced {
+		return e
 	}
-	return 0, false
-}
-
-// portTable indexes the ports that resolved to material by position.
-func portTable(ports []port) map[portKey]int32 {
-	t := make(map[portKey]int32, len(ports))
-	for _, p := range ports {
-		key := portKey{p.at.X, p.at.Y, p.layer}
-		if _, dup := t[key]; !dup && p.net >= 0 {
-			t[key] = p.net
+	e.faced = true
+	c := e.cell
+	e.conns = core.CompositionConnectors(c, func(ii int, in *core.Instance, dst []core.InstConn) []core.InstConn {
+		return in.PlaceConnectors(e.subs[ii].conns, dst)
+	})
+	e.bind = make([]int32, len(e.conns))
+	for k, cn := range e.conns {
+		e.bind[k] = e.netAt(cn.At, cn.Layer)
+	}
+	inner := c.BBox().Inset(e.reach)
+	for _, cr := range e.copies {
+		sub := e.subs[cr.inst]
+		if len(sub.boundary) == 0 || inner.ContainsRect(cr.tr.ApplyRect(sub.bext)) {
+			continue
+		}
+		for _, bf := range sub.boundary {
+			r := cr.tr.ApplyRect(bf.r)
+			if inner.ContainsRect(r) {
+				continue
+			}
+			e.boundary = append(e.boundary, bfrag{layer: bf.layer, r: r, leafBox: cr.tr.ApplyRect(bf.leafBox), net: e.dense[cr.base+bf.net]})
 		}
 	}
-	return t
+	e.indexFace()
+	return e
+}
+
+// indexFace indexes the bound connectors by position and spans the
+// boundary material.
+func (e *refEntry) indexFace() {
+	e.portNet = make(map[portKey]int32, len(e.conns))
+	for k, cn := range e.conns {
+		key := portKey{cn.At.X, cn.At.Y, cn.Layer}
+		if _, dup := e.portNet[key]; !dup && e.bind[k] >= 0 {
+			e.portNet[key] = e.bind[k]
+		}
+	}
+	for i, bf := range e.boundary {
+		if i == 0 {
+			e.bext = bf.r
+		}
+		e.bext = span(e.bext, bf.r)
+	}
 }
 
 // declareUnion applies one declared connection record: both connector
@@ -399,9 +507,8 @@ func (rf *Reference) declareUnion(uf *geom.UnionFind, e *refEntry, conn core.Con
 	if err != nil {
 		return
 	}
-	fn, okF := e.netAt(fc.At, fc.Layer)
-	tn, okT := e.netAt(tc.At, tc.Layer)
-	if okF && okT {
+	fn, tn := e.netAt(fc.At, fc.Layer), e.netAt(tc.At, tc.Layer)
+	if fn >= 0 && tn >= 0 {
 		uf.Union(int(fn), int(tn))
 	}
 }
@@ -423,15 +530,16 @@ func (rf *Reference) cellID(c *core.Cell) uint64 {
 }
 
 // sigOf computes a cell's structural signature: for leaves the cell
-// identity (leaf payloads are immutable under the editor contract —
-// STRETCH swaps the cell pointer), for compositions a hash of every
-// instance's defining-cell signature and placement. An entry whose
-// signature still matches is current.
+// identity and revision (STRETCH swaps the cell pointer; a payload
+// changed in place is announced through Editor.Invalidate or
+// Cell.MarkMutated, which stamp a new revision), for compositions a
+// hash of every instance's defining-cell signature and placement. An
+// entry whose signature still matches is current.
 func (rf *Reference) sigOf(c *core.Cell) uint64 {
 	h := fnvInit()
 	h = fnvMix(h, rf.cellID(c))
 	if c.Kind != core.Composition {
-		return h
+		return fnvMix(h, c.Revision())
 	}
 	for _, in := range c.Instances {
 		h = fnvMix(h, rf.sigOf(in.Cell))
@@ -468,13 +576,6 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 		e = rf.leafEntry(c, minReach)
 	}
 	e.sig, e.cell, e.reach = sig, c, minReach
-	e.portNet = portTable(e.ports)
-	for i, bf := range e.boundary {
-		if i == 0 {
-			e.bext = bf.r
-		}
-		e.bext = span(e.bext, bf.r)
-	}
 	if rf.memo == nil {
 		rf.memo = map[*core.Cell]*refEntry{}
 	}
@@ -486,11 +587,13 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 }
 
 // supersede retires what a new entry replaced: a superseded clone's
-// cell id and connector list.
+// cell id, and the certificate of a leaf whose revision moved.
 func (rf *Reference) supersede(old, e *refEntry) {
 	if old.cell != e.cell {
 		delete(rf.ids, old.cell)
-		delete(rf.conns, old.cell)
+	}
+	if old.sig != e.sig && e.cell.Kind != core.Composition {
+		delete(rf.certs, old.sig)
 	}
 }
 
@@ -509,17 +612,20 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 	if err != nil {
 		return &refEntry{err: fmt.Errorf("lvs: leaf %s: %w", c.Name, err)}
 	}
-	e := &refEntry{nets: ckt.NetCount}
+	e := &refEntry{nets: ckt.NetCount, faced: true}
 	e.devices = make([]Device, len(ckt.Transistors))
 	for i, t := range ckt.Transistors {
 		e.devices[i] = Device{Kind: t.Kind, Gate: t.Gate, A: t.A, B: t.B}
 	}
-	for _, cn := range c.Connectors() {
-		net := int32(-1)
+	// the extraction resolved each connector label at its position, so
+	// the net a connector's name carries is the one its position binds
+	e.conns = c.Connectors()
+	e.bind = make([]int32, len(e.conns))
+	for k, cn := range e.conns {
+		e.bind[k] = -1
 		if n, ok := ckt.NetOf[cn.Name]; ok {
-			net = int32(n)
+			e.bind[k] = int32(n)
 		}
-		e.ports = append(e.ports, port{name: cn.Name, at: cn.At, layer: cn.Layer, side: cn.Side, net: net})
 	}
 	inner := c.BBox().Inset(reach)
 	for _, f := range frags {
@@ -528,7 +634,11 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 		}
 		e.boundary = append(e.boundary, bfrag{layer: f.Layer, r: f.R, leafBox: c.BBox(), net: f.Net})
 	}
-	e.labels = ckt.NetOf
+	e.indexFace()
+	for name, n := range ckt.NetOf {
+		e.names = append(e.names, name)
+		e.lnets = append(e.lnets, int32(n))
+	}
 	// the leaf is its own single occurrence; its standalone nets map
 	// identically
 	ident := make([]int32, e.nets)
@@ -547,7 +657,8 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 // seams need (seamDepth over the touching copy-box pairs), so ABUT
 // OVERLAPs deeper than the base contract stitch correctly. old is the
 // entry being replaced, or nil: templates it holds carry over when
-// this stitch replays them again.
+// this stitch replays them again, and so do its names (label). The
+// parts a parent reads come later, from face.
 func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 	e := &refEntry{}
 
@@ -601,7 +712,7 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 			e.err = sub.err
 			return e
 		}
-		e.subs[ii] = sub
+		e.subs[ii] = sub.face()
 	}
 
 	// a net block per copy, its devices in block numbering
@@ -652,34 +763,7 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 		e.occs, backing = appendOccs(e.occs, backing, e.subs[cr.inst].occs, cr.base, e.dense)
 	}
 
-	rf.resolveLabels(c, e)
-
-	// the composition's own ports, for stitching one level up
-	for _, cn := range core.CompositionConnectors(c, rf.placeConns) {
-		net, ok := e.netAt(cn.At, cn.Layer)
-		if !ok {
-			net = -1
-		}
-		e.ports = append(e.ports, port{name: cn.Name, at: cn.At, layer: cn.Layer, side: cn.Side, net: net})
-	}
-
-	// the composition's boundary: every copy's boundary material still
-	// within the requested reach of the composition's box (a copy whose
-	// retained material lies wholly inside contributes nothing)
-	inner := c.BBox().Inset(reach)
-	for _, cr := range e.copies {
-		sub := e.subs[cr.inst]
-		if len(sub.boundary) == 0 || inner.ContainsRect(cr.tr.ApplyRect(sub.bext)) {
-			continue
-		}
-		for _, bf := range sub.boundary {
-			r := cr.tr.ApplyRect(bf.r)
-			if inner.ContainsRect(r) {
-				continue
-			}
-			e.boundary = append(e.boundary, bfrag{layer: bf.layer, r: r, leafBox: cr.tr.ApplyRect(bf.leafBox), net: e.dense[cr.base+bf.net]})
-		}
-	}
+	rf.label(c, e, old)
 	return e
 }
 
@@ -712,12 +796,15 @@ func buildTemplate(k tmplKey) [][2]int32 {
 	tv := geom.Transform{O: k.ov, D: geom.Pt(k.dx, k.dy)}
 	var unions [][2]int32
 
-	// coincident connectors: U's ports mapped into V's frame
+	// coincident connectors: U's bound ports mapped into V's frame
 	toV := tu.Then(tv.Inverse())
-	for _, p := range k.u.ports {
-		at := toV.Apply(p.at)
-		if n, ok := k.v.portNet[portKey{at.X, at.Y, p.layer}]; ok && p.net >= 0 {
-			unions = append(unions, [2]int32{p.net, n})
+	for i, cn := range k.u.conns {
+		if k.u.bind[i] < 0 {
+			continue
+		}
+		at := toV.Apply(cn.At)
+		if n, ok := k.v.portNet[portKey{at.X, at.Y, cn.Layer}]; ok {
+			unions = append(unions, [2]int32{k.u.bind[i], n})
 		}
 	}
 

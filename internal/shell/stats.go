@@ -55,6 +55,8 @@ func (s *Shell) initRegistry() {
 			obs.N("hits", rs.CertHits),
 			obs.N("ref_templates_built", rs.TemplatesBuilt),
 			obs.N("ref_template_hits", rs.TemplateHits),
+			obs.N("ref_labels_built", rs.LabelsBuilt),
+			obs.N("ref_labels_carried", rs.LabelsCarried),
 		}
 		if last := s.LVS.Last(); last != nil {
 			ct := last.Cert
