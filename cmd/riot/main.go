@@ -265,8 +265,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "riot: extract %s: %v\n", *extractCell, err)
 			code = exitVerify
 		} else {
+			cell, _ := s.Design().Cell(*extractCell)
 			fmt.Fprintf(stdout, "%s: %d net(s), %d transistor(s), %d label(s)\n",
-				*extractCell, ckt.NetCount, len(ckt.Transistors), len(ckt.NetOf))
+				*extractCell, ckt.NetCount, len(ckt.Transistors), len(ckt.NetOf(cell)))
 		}
 	}
 	if *lvsCell != "" {

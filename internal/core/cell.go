@@ -233,11 +233,11 @@ func (c *Cell) Connectors() []Connector {
 
 // CompositionConnectors assembles a composition's exported connectors:
 // every instance connector on the cell's bounding-box edge, deduped by
-// name, plus the explicit extras. place appends the connectors of
-// c.Instances[k] to the buffer it is given — Cell.Connectors places
-// from the defining cell's list; the LVS reference places from the
-// list its memoized entry of that cell holds, since a cell's list only
-// changes when the cell does.
+// name, plus the explicit extras LabelHead keeps. place appends the
+// connectors of c.Instances[k] to the buffer it is given —
+// Cell.Connectors places from the defining cell's list; the LVS
+// reference places from the list its memoized entry of that cell
+// holds, since a cell's list only changes when the cell does.
 func CompositionConnectors(c *Cell, place func(k int, in *Instance, dst []InstConn) []InstConn) []Connector {
 	box := c.BBox()
 	var out []Connector
@@ -264,12 +264,9 @@ func CompositionConnectors(c *Cell, place func(k int, in *Instance, dst []InstCo
 			})
 		}
 	}
-	for _, cn := range c.ExtraConnectors {
-		if !seen[cn.Name] {
-			seen[cn.Name] = true
-			cn.Side = geom.SideOf(box, cn.At)
-			out = append(out, cn)
-		}
+	for _, cn := range LabelHead(c) {
+		cn.Side = geom.SideOf(box, cn.At)
+		out = append(out, cn)
 	}
 	return out
 }

@@ -92,44 +92,42 @@ func (in *Instance) Connectors() []InstConn {
 // placement rule behind Connectors, for callers that memoize the
 // cell's list.
 func (in *Instance) PlaceConnectors(cellConns []Connector, dst []InstConn) []InstConn {
-	for i := 0; i < in.Nx; i++ {
-		for j := 0; j < in.Ny; j++ {
-			// an interior copy of an array faces no outside edge
-			if in.IsArray() && i > 0 && i < in.Nx-1 && j > 0 && j < in.Ny-1 {
-				continue
-			}
-			ct := in.copyTransform(i, j)
-			for _, cn := range cellConns {
-				if !in.ConnVisible(cn.Side, i, j) {
-					continue
-				}
-				dst = append(dst, InstConn{
-					Inst:  in,
-					Name:  arrayName(cn.Name, i, j, in.Nx, in.Ny),
-					At:    ct.Apply(cn.At),
-					Layer: cn.Layer,
-					Width: cn.Width,
-					Side:  cn.Side.Transform(in.Tr.O),
-				})
-			}
-		}
-	}
+	in.Sites(cellConns, func(i, j, k int) {
+		cn := cellConns[k]
+		dst = append(dst, InstConn{
+			Inst:  in,
+			Name:  arrayName(cn.Name, i, j, in.Nx, in.Ny),
+			At:    in.copyTransform(i, j).Apply(cn.At),
+			Layer: cn.Layer,
+			Width: cn.Width,
+			Side:  cn.Side.Transform(in.Tr.O),
+		})
+	})
 	return dst
 }
 
-// ConnVisible reports whether the connector on (untransformed) side s
-// of copy (i,j) is visible in the parent: every connector of a 1x1
-// instance is, an array copy's only where it faces the array's outside.
-func (in *Instance) ConnVisible(s geom.Side, i, j int) bool {
-	return !in.IsArray() || onArrayEdge(s, i, j, in.Nx, in.Ny)
-}
-
-// AppendLabel appends the parent-space label of cell connector base on
-// copy (i,j): "inst.base" with the copy's array suffix, the name a
-// flatten of the parent gives the connector.
-func (in *Instance) AppendLabel(b []byte, base string, i, j int) []byte {
-	b = append(append(b, in.Name...), '.')
-	return appendArrayName(b, base, i, j, in.Nx, in.Ny)
+// Sites calls fn(i, j, k) for every visible connector of the
+// instance: copies in grid order (i outer, j inner), then conns (the
+// defining cell's connectors, in Cell.Connectors order, or a memoized
+// copy of them) in order. Every connector of a 1x1 instance is
+// visible; an array copy shows only the connectors that face the
+// array's outside, so interior copies show none. It is the one
+// enumeration of instance connectors: placement and every label table
+// walk it.
+func (in *Instance) Sites(conns []Connector, fn func(i, j, k int)) {
+	arr := in.IsArray()
+	for i := 0; i < in.Nx; i++ {
+		for j := 0; j < in.Ny; j++ {
+			if arr && i > 0 && i < in.Nx-1 && j > 0 && j < in.Ny-1 {
+				continue
+			}
+			for k := range conns {
+				if !arr || onArrayEdge(conns[k].Side, i, j, in.Nx, in.Ny) {
+					fn(i, j, k)
+				}
+			}
+		}
+	}
 }
 
 // onArrayEdge reports whether the connector on (untransformed) side s

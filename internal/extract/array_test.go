@@ -38,7 +38,8 @@ func srArray(t testing.TB, nx, ny int) *core.Cell {
 // N+1's ground rail (the cells abut at y=24 lambda where both rails'
 // edges meet), and every copy contributes its transistors.
 func TestExtractArraySeams(t *testing.T) {
-	ckt, err := FromCell(srArray(t, 3, 2))
+	top := srArray(t, 3, 2)
+	ckt, err := FromCell(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +60,16 @@ func TestExtractArraySeams(t *testing.T) {
 		// row 1's ground rail (bottom edge y=24)
 		{"a.PWRL[0,0]", "a.GNDL[0,1]"},
 	} {
-		if !ckt.SameNet(pair[0], pair[1]) {
+		if !ckt.SameNet(top, pair[0], pair[1]) {
 			t.Errorf("%s and %s should be one net across the array seam", pair[0], pair[1])
 		}
 	}
 	// row 1's power rail tops the array and touches nothing above
-	if ckt.SameNet("a.PWRL[0,1]", "a.PWRL[0,0]") {
+	if ckt.SameNet(top, "a.PWRL[0,1]", "a.PWRL[0,0]") {
 		t.Error("top row's power rail should not short into the row below")
 	}
 	for _, lbl := range []string{"a.PWRL[0,0]", "a.GNDR[2,1]", "a.IN[0,0]", "a.TAP[1,0]"} {
-		if _, ok := ckt.Net(lbl); !ok {
+		if _, ok := ckt.Net(top, lbl); !ok {
 			t.Errorf("label %s did not resolve to material", lbl)
 		}
 	}
@@ -79,7 +80,8 @@ func TestExtractArraySeams(t *testing.T) {
 // elements abut, making the shift register chain connections as well
 // as power and ground connections").
 func TestExtractArrayRow(t *testing.T) {
-	ckt, err := FromCell(srArray(t, 4, 1))
+	top := srArray(t, 4, 1)
+	ckt, err := FromCell(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +93,11 @@ func TestExtractArrayRow(t *testing.T) {
 		{"a.GNDL[0]", "a.GNDR[3]"},
 		{"a.IN[0]", "a.OUT[3]"},
 	} {
-		if !ckt.SameNet(pair[0], pair[1]) {
+		if !ckt.SameNet(top, pair[0], pair[1]) {
 			t.Errorf("%s and %s should be one net", pair[0], pair[1])
 		}
 	}
-	if ckt.SameNet("a.PWRL[0]", "a.GNDL[0]") {
+	if ckt.SameNet(top, "a.PWRL[0]", "a.GNDL[0]") {
 		t.Error("rails shorted")
 	}
 }

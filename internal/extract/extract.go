@@ -49,33 +49,44 @@ type Transistor struct {
 	A, B int // source/drain (interchangeable in MOS)
 }
 
-// Circuit is the extracted netlist. Nets are dense integers; NetOf
-// maps connector labels ("OUT" on the cell itself, "inst.CONN" for
-// instance connectors) to nets.
+// Circuit is the extracted netlist. Nets are dense integers. Sites is
+// the label table: one net per label site of the extracted cell (core's
+// site order: the connectors core.LabelHead returns, then every
+// instance connector), -1 where the site lies on no material of its
+// layer. Labels carry names only through the cell: NetOf, Net and
+// SameNet take it.
 type Circuit struct {
 	NetCount    int
 	Transistors []Transistor
-	NetOf       map[string]int
+	Sites       []int32
 }
 
-// SameNet reports whether two labelled connectors are electrically
-// connected.
-func (c *Circuit) SameNet(a, b string) bool {
-	na, okA := c.NetOf[a]
-	nb, okB := c.NetOf[b]
+// NetOf maps the labels of cell, the cell the circuit was extracted
+// from, to nets: the cell's own connectors ("OUT") and, for a
+// composition, every instance connector ("inst.CONN", array copies
+// suffixed). A name repeated across sites keeps its last resolved
+// site's net; unresolved labels are absent.
+func (c *Circuit) NetOf(cell *core.Cell) map[string]int {
+	return core.LabelMap(cell, c.Sites)
+}
+
+// SameNet reports whether two labelled connectors of cell are
+// electrically connected.
+func (c *Circuit) SameNet(cell *core.Cell, a, b string) bool {
+	m := c.NetOf(cell)
+	na, okA := m[a]
+	nb, okB := m[b]
 	return okA && okB && na == nb
 }
 
-// Net returns the net of a label and whether the label resolved to any
-// material.
-func (c *Circuit) Net(label string) (int, bool) {
-	n, ok := c.NetOf[label]
+// Net returns the net of a label of cell and whether the label
+// resolved to any material.
+func (c *Circuit) Net(cell *core.Cell, label string) (int, bool) {
+	n, ok := c.NetOf(cell)[label]
 	return n, ok
 }
 
-// FromCell extracts the circuit of a cell. Labels cover the cell's own
-// connectors and, for composition cells, every instance connector
-// ("inst.CONN").
+// FromCell extracts the circuit of a cell.
 func FromCell(c *core.Cell) (*Circuit, error) {
 	fr, err := flatten.Cell(c)
 	if err != nil {

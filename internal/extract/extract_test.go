@@ -53,7 +53,7 @@ func TestExtractNANDStructure(t *testing.T) {
 		{"A", "B"}, {"A", "OUT"}, {"B", "OUT"},
 		{"PWRL", "GNDL"}, {"OUT", "PWRL"}, {"OUT", "GNDL"},
 	} {
-		if ckt.SameNet(pair[0], pair[1]) {
+		if ckt.SameNet(nand, pair[0], pair[1]) {
 			t.Errorf("%s and %s shorted", pair[0], pair[1])
 		}
 	}
@@ -67,8 +67,8 @@ func TestExtractSeriesChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gnd, _ := ckt.Net("GNDL")
-	out, _ := ckt.Net("OUT")
+	gnd, _ := ckt.Net(nand, "GNDL")
+	out, _ := ckt.Net(nand, "OUT")
 	var mid []int
 	for _, tr := range ckt.Transistors {
 		if tr.Kind != sticks.Enhancement {
@@ -109,13 +109,13 @@ func TestAbutmentConnectsElectrically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ckt.SameNet("a.OUT", "b.IN") {
+	if !ckt.SameNet(top, "a.OUT", "b.IN") {
 		t.Error("abutted data connectors are not one net")
 	}
-	if !ckt.SameNet("a.PWRL", "b.PWRR") {
+	if !ckt.SameNet(top, "a.PWRL", "b.PWRR") {
 		t.Error("abutted power rails are not one net")
 	}
-	if ckt.SameNet("a.PWRL", "a.GNDL") {
+	if ckt.SameNet(top, "a.PWRL", "a.GNDL") {
 		t.Error("rails shorted")
 	}
 }
@@ -141,7 +141,7 @@ func TestRouteConnectsElectrically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ckt.SameNet("g.A", "sr.TAP") {
+	if !ckt.SameNet(top, "g.A", "sr.TAP") {
 		t.Error("routed connectors are not one net")
 	}
 }
@@ -167,7 +167,7 @@ func TestStretchConnectsElectrically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ckt.SameNet("g.A", "sr.TAP") {
+	if !ckt.SameNet(top, "g.A", "sr.TAP") {
 		t.Error("stretch-connected connectors are not one net")
 	}
 	// the stretched gate is still a working NAND: 3 transistors with
@@ -208,7 +208,7 @@ func TestFilterLogicConnectivity(t *testing.T) {
 			}
 		}
 		for _, p := range pairs {
-			if !ckt.SameNet(p.a, p.b) {
+			if !ckt.SameNet(logic, p.a, p.b) {
 				t.Errorf("%v: %s and %s are not one net", variant, p.a, p.b)
 			}
 		}
@@ -221,7 +221,7 @@ func TestFilterLogicConnectivity(t *testing.T) {
 		} else {
 			out0, out1 = "n0.OUT", "n1.OUT"
 		}
-		if ckt.SameNet(out0, out1) {
+		if ckt.SameNet(logic, out0, out1) {
 			t.Errorf("%v: adjacent NAND outputs shorted", variant)
 		}
 	}
@@ -251,7 +251,7 @@ func TestExtractPad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ckt.Net("P"); !ok {
+	if _, ok := ckt.Net(pad, "P"); !ok {
 		t.Error("pad connector has no material")
 	}
 	if len(ckt.Transistors) != 0 {
@@ -313,7 +313,7 @@ func TestExtractRotatedGate(t *testing.T) {
 	if len(ckt.Transistors) != 3 {
 		t.Errorf("transistors = %d", len(ckt.Transistors))
 	}
-	if ckt.SameNet("g.A", "g.OUT") || ckt.SameNet("g.A", "g.B") {
+	if ckt.SameNet(top, "g.A", "g.OUT") || ckt.SameNet(top, "g.A", "g.B") {
 		t.Error("rotated gate shorted")
 	}
 }

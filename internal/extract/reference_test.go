@@ -1,7 +1,6 @@
 package extract
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -142,7 +141,7 @@ func soupResult(seed int64) *flatten.Result {
 		lay := layers[rng.Intn(len(layers))]
 		r := geom.R(x, y, x+w, y+h)
 		fr.Shapes = append(fr.Shapes, flatten.Shape{Layer: lay, R: r})
-		fr.Labels = append(fr.Labels, flatten.NamedLabel{Name: fmt.Sprintf("s%d", i), Label: flatten.Label{At: r.Center(), Layer: lay}})
+		fr.Labels = append(fr.Labels, flatten.Label{At: r.Center(), Layer: lay})
 		if rng.Intn(4) == 0 {
 			// contact join at this rect's center to a random layer (or
 			// the LayerNone wildcard)

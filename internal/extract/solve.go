@@ -61,7 +61,7 @@ func circuitAndNets(fr *flatten.Result, frags []flatten.Shape, uf *geom.UnionFin
 	}
 	netOfFrag, nets := denseNets(uf, len(frags))
 
-	ckt := &Circuit{NetCount: nets, NetOf: map[string]int{}}
+	ckt := &Circuit{NetCount: nets, Sites: make([]int32, len(fr.Labels))}
 	netAt := func(at geom.Point, layer geom.Layer) (int, bool) {
 		i := loc.findOnLayer(at, layer)
 		if i < 0 {
@@ -83,9 +83,10 @@ func circuitAndNets(fr *flatten.Result, frags []flatten.Shape, uf *geom.UnionFin
 		ckt.Transistors = append(ckt.Transistors, Transistor{Kind: d.Kind, Gate: gnet, A: anet, B: bnet})
 	}
 
-	for _, lb := range fr.Labels {
+	for s, lb := range fr.Labels {
+		ckt.Sites[s] = -1
 		if n, ok := netAt(lb.At, lb.Layer); ok {
-			ckt.NetOf[lb.Name] = n
+			ckt.Sites[s] = int32(n)
 		}
 	}
 	return ckt, netOfFrag, nil

@@ -19,9 +19,9 @@
 //   - Devices: every transistor's gate strip, channel extent and probe
 //     points;
 //   - Joins: every contact's layer-joining points;
-//   - Labels: connector names resolved to a point and layer (the
-//     cell's own connectors plus, for compositions, every instance
-//     connector as "inst.CONN").
+//   - Labels: the point and layer of each of the cell's label sites
+//     (core.LabelHead, then every instance connector), in site order,
+//     so a solve fills a label table by index.
 //
 // The walk is one sequential pass: replicated arrays — the paper's
 // Nx x Ny composition primitive — flatten copy by copy in grid order.
@@ -88,20 +88,14 @@ type Join struct {
 	Layers [2]geom.Layer
 }
 
-// Label resolves a connector name to a probe point and layer.
+// Label is one label site's probe point and layer.
 type Label struct {
 	At    geom.Point
 	Layer geom.Layer
 }
 
-// NamedLabel is one entry of a Result's label list.
-type NamedLabel struct {
-	Name string
-	Label
-}
-
 // Result is the flattened design: shape, device and join lists in
-// deterministic walk order, plus the label map. The per-layer views
+// deterministic walk order, plus the label sites. The per-layer views
 // (Layers, LayerRects, LayerIndex) are derived lazily and cached; a
 // Result is not safe for concurrent use once those accessors are
 // involved.
@@ -109,10 +103,11 @@ type Result struct {
 	Shapes  []Shape
 	Devices []Device
 	Joins   []Join
-	// Labels lists connector labels in walk order (the cell's own
-	// connectors, then every instance's, instance by instance). On
-	// duplicate names the last resolution wins, deterministically.
-	Labels []NamedLabel
+	// Labels holds the cell's label sites in core's site order: the
+	// connectors core.LabelHead returns, then every top-level
+	// instance's visible connectors (Instance.Sites). A site carries no
+	// name; core.LabelMap names a table of them.
+	Labels []Label
 
 	// SrcBoxes holds, indexed by Shape.Src, each leaf occurrence's
 	// declared bounding box placed into top-level coordinates — the
@@ -154,9 +149,7 @@ func (r *Result) Occurrences() *Occurrences {
 	return oc
 }
 
-// Cell flattens a cell hierarchy. Labels cover the cell's own
-// connectors and, for composition cells, every instance connector
-// ("inst.CONN").
+// Cell flattens a cell hierarchy.
 func Cell(c *core.Cell) (*Result, error) {
 	return CellAt(c, geom.Identity)
 }
@@ -173,28 +166,17 @@ func CellAt(c *core.Cell, tr geom.Transform) (*Result, error) {
 		return nil, err
 	}
 	res := b.result()
-	for _, cn := range c.Connectors() {
-		res.Labels = append(res.Labels, NamedLabel{cn.Name, Label{tr.Apply(cn.At), cn.Layer}})
+	for _, cn := range core.LabelHead(c) {
+		res.Labels = append(res.Labels, Label{tr.Apply(cn.At), cn.Layer})
 	}
-	if c.Kind == core.Composition {
-		for _, in := range c.Instances {
-			for _, nl := range instanceLabels(in) {
-				nl.At = tr.Apply(nl.At)
-				res.Labels = append(res.Labels, nl)
-			}
-		}
+	for _, in := range c.Instances {
+		conns := in.Cell.Connectors()
+		in.Sites(conns, func(i, j, k int) {
+			at := in.CopyTransform(i, j).Then(tr).Apply(conns[k].At)
+			res.Labels = append(res.Labels, Label{at, conns[k].Layer})
+		})
 	}
 	return res, nil
-}
-
-// instanceLabels resolves one instance's connectors to labels.
-func instanceLabels(in *core.Instance) []NamedLabel {
-	ics := in.Connectors()
-	out := make([]NamedLabel, 0, len(ics))
-	for _, ic := range ics {
-		out = append(out, NamedLabel{in.Name + "." + ic.Name, Label{ic.At, ic.Layer}})
-	}
-	return out
 }
 
 // Layers returns the layers present in the flattened design, sorted by

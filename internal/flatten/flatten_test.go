@@ -114,8 +114,10 @@ func TestPerLayerViews(t *testing.T) {
 	}
 }
 
-// TestLabels: composition labels include the cell's own connectors
-// and instance connectors.
+// TestLabels: a composition's label sites are its instance connectors,
+// each at its placed point: naming a table that holds every site's own
+// index finds each wanted label at the site whose point is the
+// instance connector's.
 func TestLabels(t *testing.T) {
 	d := libDesign(t)
 	top := srArray(t, d, 2, 1)
@@ -123,13 +125,26 @@ func TestLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	have := map[string]bool{}
-	for _, lb := range fr.Labels {
-		have[lb.Name] = true
+	tab := make([]int32, len(fr.Labels))
+	for s := range tab {
+		tab[s] = int32(s)
+	}
+	names := core.LabelMap(top, tab)
+	if len(names) != len(fr.Labels) {
+		t.Errorf("%d names over %d sites", len(names), len(fr.Labels))
 	}
 	for _, want := range []string{"a.IN[0]", "a.OUT[1]", "a.PWRL[0]", "a.TAP[0]"} {
-		if !have[want] {
+		s, ok := names[want]
+		if !ok {
 			t.Errorf("label %s missing", want)
+			continue
+		}
+		ic, err := top.Instances[0].Connector(want[len("a."):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fr.Labels[s]; got.At != ic.At || got.Layer != ic.Layer {
+			t.Errorf("label %s at site %d is %v, connector at %v on %v", want, s, got, ic.At, ic.Layer)
 		}
 	}
 }

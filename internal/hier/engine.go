@@ -184,8 +184,8 @@ type Stats struct {
 	CertBuilt, CertMemoHits, CertDiskHits, CertStored int
 	// TemplateBuilt / TemplateHits count pair-interaction templates.
 	TemplateBuilt, TemplateHits int
-	// LabelsLocal counts materialized labels read from a certificate's
-	// port table; LabelsContext those that took a spatial query (whether
+	// LabelsLocal counts label sites materialized from a certificate's
+	// port nets; LabelsContext those that took a spatial query (whether
 	// or not it found a net).
 	LabelsLocal, LabelsContext int
 	// Retained counts runs that started from a retained composition.
@@ -204,24 +204,18 @@ type Cert struct {
 	X      *extract.CellCert
 	D      *drc.CellDRC
 
-	id    int    // engine-local sequence number for memo keys
-	rev   uint64 // Cell.Revision() when the memo admitted the cert
-	ports []port // the cell's connectors, in Cell.Connectors order
-}
-
-// port is one cell connector in a certificate's oriented local frame,
-// with the local net its label names: the lowest fragment on the
-// connector's own layer at its point (CellCert.FindOnLayer, the flat
-// label rule), or -1 when the cell has no material there on that layer
-// — including every connector with no layer, since no fragment has
-// none. Side is the untransformed cell side that decides array-edge
-// visibility.
-type port struct {
-	name  string
-	at    geom.Point
-	layer geom.Layer
-	side  geom.Side
-	net   int32
+	id  int    // engine-local sequence number for memo keys
+	rev uint64 // Cell.Revision() when the memo admitted the cert
+	// conns is the cell's connector list (Cell.Connectors order) with
+	// each point in the oriented local frame; Side stays the
+	// untransformed cell side that decides array-edge visibility.
+	// portNet[k] is the local net conns[k]'s label names: the lowest
+	// fragment on the connector's own layer at its point
+	// (CellCert.FindOnLayer, the flat label rule), or -1 when the cell
+	// has no material there on that layer, which includes every
+	// connector with no layer, since no fragment has none.
+	conns   []core.Connector
+	portNet []int32
 }
 
 type certKey struct {
@@ -387,16 +381,18 @@ func (e *Engine) cert(c *core.Cell, o geom.Orient) (*Cert, error) {
 }
 
 // admit enters a built or loaded certificate into the memo with its
-// sequence id, its cell's revision and its port table.
+// sequence id, its cell's revision and its oriented connectors with
+// their local nets.
 func (e *Engine) admit(k certKey, ct *Cert) {
 	e.certSeq++
 	ct.id = e.certSeq
 	ct.rev = ct.Cell.Revision()
-	cns := ct.Cell.Connectors()
-	ct.ports = make([]port, len(cns))
-	for i, cn := range cns {
-		at := ct.Orient.Apply(cn.At)
-		ct.ports[i] = port{name: cn.Name, at: at, layer: cn.Layer, side: cn.Side, net: ct.X.FindOnLayer(at, cn.Layer)}
+	ct.conns = ct.Cell.Connectors()
+	ct.portNet = make([]int32, len(ct.conns))
+	for i := range ct.conns {
+		cn := &ct.conns[i]
+		cn.At = ct.Orient.Apply(cn.At)
+		ct.portNet[i] = ct.X.FindOnLayer(cn.At, cn.Layer)
 	}
 	e.memo[k] = ct
 }

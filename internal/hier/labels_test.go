@@ -213,14 +213,15 @@ func TestCircuitLabelsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(ckt.NetOf, want.NetOf) {
-				for name, n := range want.NetOf {
-					if got, ok := ckt.NetOf[name]; !ok || got != n {
-						t.Errorf("label %s: hier %d (present %v), flat %d", name, got, ok, n)
+			got, wantNames := ckt.NetOf(tc.top), want.NetOf(tc.top)
+			if !reflect.DeepEqual(got, wantNames) {
+				for name, n := range wantNames {
+					if g, ok := got[name]; !ok || g != n {
+						t.Errorf("label %s: hier %d (present %v), flat %d", name, g, ok, n)
 					}
 				}
-				for name, n := range ckt.NetOf {
-					if _, ok := want.NetOf[name]; !ok {
+				for name, n := range got {
+					if _, ok := wantNames[name]; !ok {
 						t.Errorf("label %s: hier %d, flat leaves it unresolved", name, n)
 					}
 				}
@@ -229,12 +230,12 @@ func TestCircuitLabelsExact(t *testing.T) {
 				t.Fatalf("circuit differs from flat")
 			}
 			for _, name := range tc.has {
-				if _, ok := want.NetOf[name]; !ok {
+				if _, ok := wantNames[name]; !ok {
 					t.Errorf("flat leaves %s unresolved; the case misses its edge", name)
 				}
 			}
 			for _, name := range tc.lacks {
-				if _, ok := want.NetOf[name]; ok {
+				if _, ok := wantNames[name]; ok {
 					t.Errorf("flat resolves %s; the case misses its edge", name)
 				}
 			}
@@ -277,8 +278,8 @@ func TestLibraryPortsResolveLocally(t *testing.T) {
 			if want, err := extract.FromCell(top); err != nil || !reflect.DeepEqual(ckt, want) {
 				t.Fatalf("%s %s: circuit differs from flat (flat error %v)", cell, o, err)
 			}
-			if st := e.Stats(); st.LabelsContext != 0 || st.LabelsLocal != len(ckt.NetOf) {
-				t.Errorf("%s %s: labels %d local, %d context, %d resolved", cell, o, st.LabelsLocal, st.LabelsContext, len(ckt.NetOf))
+			if st, n := e.Stats(), len(ckt.NetOf(top)); st.LabelsContext != 0 || st.LabelsLocal != n {
+				t.Errorf("%s %s: labels %d local, %d context, %d resolved", cell, o, st.LabelsLocal, st.LabelsContext, n)
 			}
 		}
 	}

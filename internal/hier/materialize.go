@@ -9,14 +9,14 @@ import (
 
 // Circuit materializes the full netlist for a verdict: every
 // occurrence's devices renumbered into the composed dense net space,
-// plus the label map resolved in flat order, and the occurrence
+// plus the label table filled in site order, and the occurrence
 // identity (Occs) alongside. Materialization is O(placed copies) —
 // exactly the cost the fast path exists to avoid — so it only happens
 // when a caller needs the netlist. A fast-path verdict is exact already
 // (its violations stand), so it composes only the connectivity half of
 // the general path first, and a decline there is recorded as the
 // engine's last decline. The top must not have changed since Verify
-// (a snapshot never does): labels index the walked occurrences by the
+// (a snapshot never does): sites index the walked occurrences by the
 // top's instance list.
 func (r *Result) Circuit() (*extract.Circuit, error) {
 	if r.ckt != nil {
@@ -63,87 +63,63 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 	}
 	occ.DevLo[len(st.occs)] = int32(len(ckt.Transistors))
 
-	ckt.NetOf = r.labels(st)
+	ckt.Sites = r.sites(st)
 	r.ckt, r.Occs = ckt, occ
 	return ckt, nil
 }
 
-// labels resolves the label map in flat walk order: the top's own
-// connectors, then each top-level instance's connector labels (the
-// flat walk does not recurse labels either). Unresolved labels drop
-// silently; later resolutions of a repeated name win — both flat
-// conventions.
+// sites fills the label table in site order: the top's kept extras,
+// then each top-level instance's visible connectors, each resolved to
+// its dense composed net (-1: no material), as the flat solver's label
+// pass resolves them.
 //
 // Copy (i,j) of a leaf instance is occurrence first+i·Ny+j, so its
-// labels read the certificate's port table: a port with a local net
+// sites read the certificate's port nets: a port with a local net
 // names netOf[netBase+net], because same-layer fragments that share a
 // point share a composed net — the placement's own fragment answers
 // for the flat solver's lowest-fragment pick. The spatial query runs
 // only where the answer depends on context: a port with no local net
-// (no material on its layer, or no layer) and the connectors of a
-// composition instance.
-func (r *Result) labels(st *genState) map[string]int {
+// (no material on its layer, or no layer), an extra, and the
+// connectors of a composition instance.
+func (r *Result) sites(st *genState) []int32 {
 	top, first := r.top, st.first
-	hint := len(top.ExtraConnectors)
+	head := core.LabelHead(top)
+	hint := len(head)
 	for k, in := range top.Instances {
 		if in.Cell.Kind != core.Composition {
-			hint += len(st.occs[first[k]].cert.ports) * max(in.Nx, in.Ny)
+			hint += len(st.occs[first[k]].cert.conns) * max(in.Nx, in.Ny)
 		}
 	}
-	netOf := make(map[string]int, hint)
+	tab := make([]int32, 0, hint)
 	local, context := 0, 0
-	// The top's exported instance connectors are written again, to the
-	// same nets, by the instance pass; only its extras need this pass.
-	if len(top.ExtraConnectors) > 0 {
-		for _, cn := range top.Connectors() {
-			context++
-			if n := st.labelNet(cn.At, cn.Layer); n >= 0 {
-				netOf[cn.Name] = int(n)
-			}
-		}
+	for _, cn := range head {
+		context++
+		tab = append(tab, st.labelNet(cn.At, cn.Layer))
 	}
-	var name []byte
 	for k, in := range top.Instances {
 		if in.Cell.Kind == core.Composition {
-			for _, ic := range in.Connectors() {
+			conns := in.Cell.Connectors()
+			in.Sites(conns, func(i, j, p int) {
 				context++
-				if n := st.labelNet(ic.At, ic.Layer); n >= 0 {
-					netOf[in.Name+"."+ic.Name] = int(n)
-				}
-			}
+				tab = append(tab, st.labelNet(in.CopyTransform(i, j).Apply(conns[p].At), conns[p].Layer))
+			})
 			continue
 		}
-		ports := st.occs[first[k]].cert.ports
-		for i := 0; i < in.Nx; i++ {
-			for j := 0; j < in.Ny; j++ {
-				if in.IsArray() && i > 0 && i < in.Nx-1 && j > 0 && j < in.Ny-1 {
-					continue // an interior copy faces no outside edge
-				}
-				oi := first[k] + i*in.Ny + j
-				o := &st.occs[oi]
-				for _, p := range ports {
-					if !in.ConnVisible(p.side, i, j) {
-						continue
-					}
-					var n int32
-					if p.net >= 0 {
-						local++
-						n = st.netOf[o.netBase+p.net]
-					} else {
-						context++
-						n = st.labelNet(p.at.Add(o.d), p.layer)
-					}
-					if n >= 0 {
-						name = in.AppendLabel(name[:0], p.name, i, j)
-						netOf[string(name)] = int(n)
-					}
-				}
+		ct, fk := st.occs[first[k]].cert, first[k]
+		in.Sites(ct.conns, func(i, j, p int) {
+			o := &st.occs[fk+i*in.Ny+j]
+			if n := ct.portNet[p]; n >= 0 {
+				local++
+				tab = append(tab, st.netOf[o.netBase+n])
+			} else {
+				context++
+				tab = append(tab, st.labelNet(ct.conns[p].At.Add(o.d), ct.conns[p].Layer))
 			}
-		}
+		})
 	}
 	r.e.stats.LabelsLocal += local
 	r.e.stats.LabelsContext += context
-	return netOf
+	return tab
 }
 
 // labelNet resolves a label point to its dense composed net. Labels

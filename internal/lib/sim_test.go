@@ -45,14 +45,33 @@ func (l Level) String() string {
 
 // Simulator evaluates an extracted circuit.
 type Simulator struct {
-	ckt *extract.Circuit
+	ckt named
 	vdd int
 	gnd int
 }
 
+// named is an extracted circuit with its labels' name map.
+type named struct {
+	*extract.Circuit
+	nets map[string]int
+}
+
+// Net returns a label's net and whether it resolved.
+func (c named) Net(label string) (int, bool) {
+	n, ok := c.nets[label]
+	return n, ok
+}
+
+// SameNet reports whether two labels resolved to one net.
+func (c named) SameNet(a, b string) bool {
+	na, okA := c.nets[a]
+	nb, okB := c.nets[b]
+	return okA && okB && na == nb
+}
+
 // newSimulator builds a simulator; vddLabel and gndLabel name
 // connectors on the supply rails (e.g. "PWRL" and "GNDL").
-func newSimulator(ckt *extract.Circuit, vddLabel, gndLabel string) (*Simulator, error) {
+func newSimulator(ckt named, vddLabel, gndLabel string) (*Simulator, error) {
 	vdd, ok := ckt.Net(vddLabel)
 	if !ok {
 		return nil, fmt.Errorf("sim: no net for %q", vddLabel)
@@ -130,8 +149,7 @@ func (s *Simulator) Eval(inputs map[string]Level) (map[string]Level, error) {
 	}
 
 	out := map[string]Level{}
-	for name := range s.ckt.NetOf {
-		n, _ := s.ckt.Net(name)
+	for name, n := range s.ckt.nets {
 		out[name] = level[n]
 	}
 	return out, nil
@@ -201,7 +219,7 @@ func (s *Simulator) TruthTable(inputs []string, output string) ([]Level, error) 
 	return out, nil
 }
 
-func extractGate(t *testing.T, name string) *extract.Circuit {
+func extractGate(t *testing.T, name string) named {
 	t.Helper()
 	d := core.NewDesign()
 	if err := lib.Install(d); err != nil {
@@ -215,7 +233,7 @@ func extractGate(t *testing.T, name string) *extract.Circuit {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ckt
+	return named{ckt, ckt.NetOf(cell)}
 }
 
 // TestNANDTruthTable closes the loop: the symbolic NAND laid out "in

@@ -10,6 +10,7 @@ import (
 	"riot/internal/geom"
 	"riot/internal/lib"
 	"riot/internal/rules"
+	"riot/internal/seam"
 	"riot/internal/verify"
 )
 
@@ -43,8 +44,8 @@ func BenchmarkLVSScale(b *testing.B) {
 //
 //   - incremental (16², 32², 64²): the generation-keyed path — the
 //     shared verifier's hierarchical composition (the shipped default),
-//     memoized leaf netlists, the composition re-stitched with every
-//     unmoved instance's label names carried;
+//     memoized leaf netlists, the composition re-stitched and its
+//     label table filled by index;
 //   - full (32²): cold caches every iteration (a fresh flat verifier
 //     and a fresh reference memo), the from-scratch comparison cost
 //     every re-verify would pay without them.
@@ -109,10 +110,12 @@ func BenchmarkLVSHierMatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lay := FromCircuit(ckt)
+		named := *ref
+		named.Labels = core.LabelMap(e.Cell, ref.Sites)
+		lay := FromCircuit(ckt, e.Cell)
 		b.Run(fmt.Sprintf("%dx%d/flat", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if res := Compare(ref, lay); !res.Clean {
+				if res := Compare(&named, lay); !res.Clean {
 					b.Fatalf("flat not clean: %v", res.Mismatches)
 				}
 			}
@@ -120,7 +123,7 @@ func BenchmarkLVSHierMatch(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d/certified", n, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rf.certs = nil
-				res := compareHier(&rf, occs, ref, ckt, fr.Occurrences())
+				res := compareHier(&rf, e.Cell, occs, ref, ckt, fr.Occurrences())
 				if !res.Clean {
 					b.Fatalf("certified not clean: %v", res.Mismatches)
 				}
@@ -141,7 +144,7 @@ func BenchmarkLeafCertificate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var rf Reference
-		e := rf.entry(sr, seamReach)
+		e := rf.entry(sr, seam.Reach)
 		if e.err != nil {
 			b.Fatal(e.err)
 		}

@@ -3,8 +3,10 @@ package lvs
 import (
 	"strconv"
 
+	"riot/internal/core"
 	"riot/internal/extract"
 	"riot/internal/flatten"
+	"riot/internal/seam"
 )
 
 // Hierarchical matching certificates. Riot's whole premise is
@@ -31,8 +33,9 @@ import (
 //     layout net its material actually landed on), checked directly
 //     as a global bijection instead of being re-derived by partition
 //     refinement;
-//   - connector labels whose nets the bijection covers are verified by
-//     one lookup each and consumed;
+//   - the two label tables (one net per label site, the same sites on
+//     both sides) are walked site by site: a label on a covered net is
+//     verified against the bijection and consumed, no name formatted;
 //   - only what remains — the devices and labels of occurrences that
 //     could NOT be certified, with the bijection's pairs seeding their
 //     frontier as anchors — goes through the generic reduce/refine/
@@ -103,7 +106,7 @@ func (rf *Reference) cert(oc refOcc) *certificate {
 	}
 	rf.stats.CertsBuilt++
 	ct := &certificate{sig: oc.sig}
-	if e := rf.entry(oc.cell, seamReach); e.err == nil {
+	if e := rf.entry(oc.cell, seam.Reach); e.err == nil {
 		ct.nets, ct.devs = e.nets, e.devices
 		// boundary-visibility at the BASE contract reach, filtered from
 		// the entry's (possibly deeper) retained material: an entry's
@@ -118,7 +121,7 @@ func (rf *Reference) cert(oc refOcc) *certificate {
 				isB[n] = true
 			}
 		}
-		inner := oc.cell.BBox().Inset(seamReach)
+		inner := oc.cell.BBox().Inset(seam.Reach)
 		for _, bf := range e.boundary {
 			if bf.net >= 0 && !inner.ContainsRect(bf.r) {
 				isB[bf.net] = true
@@ -142,7 +145,7 @@ func (rf *Reference) cert(oc refOcc) *certificate {
 		// align on; its occurrences stay in the residual
 		ct.ok = len(ct.boundary) > 0 && len(ct.devs) > 0
 		// reduced-interior accounting for clean top-level net maps
-		rr := reduce(&Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labelMap(nil)})
+		rr := reduce(&Netlist{NetCount: e.nets, Devices: e.devices, Sites: e.bind})
 		ct.redDevices = len(rr.devs)
 		for n := 0; n < e.nets; n++ {
 			if rr.alive[n] && !isB[n] {
@@ -157,11 +160,17 @@ func (rf *Reference) cert(oc refOcc) *certificate {
 	return ct
 }
 
-// anchorLabel names the synthetic residual anchor of one bijection
-// pair, keyed by the reference net id (deterministic per design). The
-// NUL prefix keeps it out of any real connector namespace.
-func anchorLabel(refNet int32) string {
-	return "\x00a" + strconv.Itoa(int(refNet))
+// label adds a synthetic label to a residual netlist: kind 'a'
+// anchors one bijection pair by its reference net id (deterministic per
+// design), kind 's' carries an uncovered label by its site, which
+// indexes both sides' tables alike. The NUL prefix keeps both out of
+// any real connector namespace, and the name map starts nil, so a check
+// with no residual labels builds none.
+func (n *Netlist) label(kind byte, id, net int) {
+	if n.Labels == nil {
+		n.Labels = map[string]int{}
+	}
+	n.Labels["\x00"+string(rune(kind))+strconv.Itoa(id)] = net
 }
 
 // notClean is the sentinel result compareCertified returns when the
@@ -169,16 +178,18 @@ func anchorLabel(refNet int32) string {
 // reruns the flat comparison for diagnostics.
 var notClean = &Result{}
 
-// compareCertified runs the certificate-backed comparison. It returns
-// nil when the two sides' occurrence structure cannot be aligned or
-// nothing certifies (the caller compares flat), the notClean sentinel
-// or the residual's own non-clean result when a certified check fails
-// (the caller falls back to flat for diagnostics), or the composed
-// clean result.
-func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) (*Result, CertStats) {
+// compareCertified runs the certificate-backed comparison of cell's
+// reference against the circuit extracted from it. It returns nil when
+// the two sides' occurrence structure cannot be aligned, when two of
+// the cell's label sites share a name (the tables would compare sites
+// a name map shadows), or when nothing certifies (the caller compares
+// flat), the notClean sentinel or the residual's own non-clean result
+// when a certified check fails (the caller falls back to flat for
+// diagnostics), or the composed clean result.
+func (rf *Reference) compareCertified(cell *core.Cell, occs []refOcc, ref *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) (*Result, CertStats) {
 	var st CertStats
 	st.Occurrences = len(lo.Cells)
-	if len(occs) != len(lo.Cells) {
+	if len(occs) != len(lo.Cells) || len(ref.Sites) != len(ckt.Sites) || !core.LabelsUnique(cell) {
 		return nil, st
 	}
 	for i, oc := range occs {
@@ -275,8 +286,10 @@ func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *ext
 		flatPins[tr.B]++
 	}
 	flatLabeled := make([]bool, ckt.NetCount)
-	for _, n := range ckt.NetOf {
-		flatLabeled[n] = true
+	for _, n := range ckt.Sites {
+		if n >= 0 {
+			flatLabeled[n] = true
+		}
 	}
 	claimant := make([]int32, ckt.NetCount)
 	for i := range claimant {
@@ -368,49 +381,38 @@ func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *ext
 		}
 	}
 
-	// labels: one lookup each against the bijection; labels on
+	// labels: one comparison per site against the bijection; labels on
 	// un-covered nets pass through to the residual (keeping their
-	// aliveness semantics). Anything irregular on a covered net — a
-	// crossed pairing, or a label one side resolved and the other did
-	// not (flat comparison treats one-sided labels as aliveness marks,
-	// which can change that side's reduction) — hands the verdict to
-	// the flat rerun rather than risk a clean the flat path would not
-	// give.
-	refLabels := map[string]int{}
-	layLabels := map[string]int{}
-	shared := 0
-	for name, r := range ref.Labels {
-		l, ok := lay.Labels[name]
-		if !ok {
+	// aliveness semantics), keyed by site. Anything irregular on a
+	// covered net — a crossed pairing, or a label one side resolved and
+	// the other did not (flat comparison treats one-sided labels as
+	// aliveness marks, which can change that side's reduction) — hands
+	// the verdict to the flat rerun rather than risk a clean the flat
+	// path would not give.
+	refR := &Netlist{NetCount: ref.NetCount}
+	layR := &Netlist{NetCount: ckt.NetCount}
+	for s, r := range ref.Sites {
+		switch l := ckt.Sites[s]; {
+		case r < 0 && l < 0:
+		case l < 0:
 			if bij[r] >= 0 {
 				return notClean, st // one-sided label on a covered net
 			}
-			refLabels[name] = r
-			continue
-		}
-		shared++
-		switch {
+			refR.label('s', s, int(r))
+		case r < 0:
+			if invB[l] >= 0 {
+				return notClean, st // one-sided label on a covered net
+			}
+			layR.label('s', s, int(l))
 		case bij[r] >= 0 && invB[l] >= 0:
-			if bij[r] != int32(l) {
+			if bij[r] != l {
 				return notClean, st
 			}
 		case bij[r] < 0 && invB[l] < 0:
-			refLabels[name] = r
-			layLabels[name] = l
+			refR.label('s', s, int(r))
+			layR.label('s', s, int(l))
 		default:
 			return notClean, st // covered on one side only: crossed wiring
-		}
-	}
-	// layout-only labels; when every layout label is shared there are
-	// none to find
-	if shared < len(lay.Labels) {
-		for name, l := range lay.Labels {
-			if _, ok := ref.Labels[name]; !ok {
-				if invB[l] >= 0 {
-					return notClean, st // one-sided label on a covered net
-				}
-				layLabels[name] = l
-			}
 		}
 	}
 
@@ -418,8 +420,6 @@ func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *ext
 	// with anchor labels on every bijection net the residual touches
 	// (refinement warm-starts from them and the final isomorphism
 	// verification enforces them)
-	refR := &Netlist{NetCount: ref.NetCount, Labels: refLabels}
-	layR := &Netlist{NetCount: ckt.NetCount, Labels: layLabels}
 	for o := range occs {
 		if cand[o] {
 			continue
@@ -434,9 +434,8 @@ func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *ext
 	anchor := func(r int32) {
 		if !anchored[r] {
 			anchored[r] = true
-			lbl := anchorLabel(r)
-			refR.Labels[lbl] = int(r)
-			layR.Labels[lbl] = int(bij[r])
+			refR.label('a', int(r), int(r))
+			layR.label('a', int(r), int(bij[r]))
 		}
 	}
 	for _, d := range refR.Devices {
@@ -451,16 +450,6 @@ func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *ext
 			if r := invB[n]; r >= 0 {
 				anchor(r)
 			}
-		}
-	}
-	for _, r := range refLabels {
-		if bij[r] >= 0 {
-			anchor(int32(r))
-		}
-	}
-	for _, l := range layLabels {
-		if r := invB[l]; r >= 0 {
-			anchor(r)
 		}
 	}
 
@@ -506,21 +495,18 @@ func (rf *Reference) compareCertified(occs []refOcc, ref, lay *Netlist, ckt *ext
 	}, st
 }
 
-// compareHier is the certificate-backed comparison entry point: any
-// outcome other than clean reruns the flat comparison so diagnostics
-// name leaf-level nets and verdicts are identical to certificate-free
-// runs.
-func compareHier(rf *Reference, occs []refOcc, ref *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) *Result {
-	lay := FromCircuit(ckt)
-	res, st := rf.compareCertified(occs, ref, lay, ckt, lo)
-	if res == nil {
-		res = Compare(ref, lay)
-		res.Cert = st
-		return res
-	}
-	if !res.Clean {
-		st.Fallback = true
-		res = Compare(ref, lay)
+// compareHier is the certificate-backed comparison entry point for
+// cell: any outcome other than clean names both label tables and reruns
+// the flat comparison, so diagnostics name leaf-level nets and verdicts
+// are identical to certificate-free runs.
+func compareHier(rf *Reference, cell *core.Cell, occs []refOcc, ref *Netlist, ckt *extract.Circuit, lo *flatten.Occurrences) *Result {
+	res, st := rf.compareCertified(cell, occs, ref, ckt, lo)
+	if res == nil || !res.Clean {
+		st.Fallback = res != nil
+		named, lay := *ref, FromCircuit(ckt, cell)
+		named.Labels = core.LabelMap(cell, ref.Sites)
+		rf.stats.NamesFormatted += len(named.Labels) + len(lay.Labels)
+		res = Compare(&named, lay)
 	}
 	res.Cert = st
 	return res

@@ -10,6 +10,7 @@ import (
 	"riot/internal/filter"
 	"riot/internal/geom"
 	"riot/internal/lib"
+	"riot/internal/seam"
 	"riot/internal/sticks"
 	"riot/internal/verify"
 )
@@ -53,11 +54,11 @@ func TestLeafSelfMatchIsIdentity(t *testing.T) {
 			continue
 		}
 		var rf Reference
-		e := rf.entry(c, seamReach)
+		e := rf.entry(c, seam.Reach)
 		if e.err != nil {
 			t.Fatalf("%s: %v", c.Name, e.err)
 		}
-		side := &Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labelMap(nil)}
+		side := &Netlist{NetCount: e.nets, Devices: e.devices, Labels: core.LabelMap(c, e.bind)}
 		res := Compare(side, side)
 		if !res.Clean {
 			t.Fatalf("%s: self-match not clean: %v", c.Name, res.Mismatches)

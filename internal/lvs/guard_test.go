@@ -36,9 +36,9 @@ func TestReferenceSingleSessionGuard(t *testing.T) {
 // generations of a 16x16 grid — every generation a fresh top clone,
 // the moved instance a fresh *Instance — and pins that the reference
 // memo keeps one entry per snapshot origin (the distinct cells plus at
-// most one superseded straggler), that the label slices hold no more
-// names than the live design has labels, and that the verdict stays
-// clean throughout.
+// most one superseded straggler), that its pair templates stay within
+// the live design's relative placements, and that every restored grid
+// checks clean.
 func TestReferencePruneStale(t *testing.T) {
 	const n = 16
 	e := gridEditor(t, n)
@@ -74,21 +74,6 @@ func TestReferencePruneStale(t *testing.T) {
 	const distinct = 2 // the top and SRCELL
 	if len(rf.memo) > distinct+1 || len(rf.ids) > distinct+1 {
 		t.Fatalf("memo grew across generations: %d entries, %d ids", len(rf.memo), len(rf.ids))
-	}
-	// each entry holds one name per label of its own cell: the top's
-	// n*n placements times SRCELL's connectors, plus the leaf's own
-	// namespace
-	names := 0
-	for _, ent := range rf.memo {
-		names += len(ent.names)
-		if len(ent.names) != len(ent.lnets) {
-			t.Fatalf("%s: %d names but %d label nets", ent.cell.Name, len(ent.names), len(ent.lnets))
-		}
-	}
-	sr, _ := e.Design.Cell("SRCELL")
-	live := n*n*len(sr.Connectors()) + len(rf.memo[sr].names)
-	if names > live {
-		t.Fatalf("label slices hold %d names; the live design has %d labels", names, live)
 	}
 	// each composition entry keeps only the templates its latest stitch
 	// replayed, so the memo holds no more than the live design has

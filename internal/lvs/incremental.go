@@ -20,22 +20,20 @@ import (
 //
 //   - carried: every leaf netlist, leaf certificate and untouched
 //     sub-cell entry, each cell's port bindings (the net every
-//     connector's own position resolves to), the pair templates the
-//     re-stitch replays again, and the label names of every instance
-//     the new snapshot clone shares with the last one over an
-//     unchanged sub-entry — so the edit formats only the edited
-//     instances' names;
+//     connector's own position resolves to), and the pair templates
+//     the re-stitch replays again;
 //   - rerun over the whole design: the edited composition's pair
 //     discovery, template replay through one union-find, renumbering,
-//     device and occurrence copies, every label's net (an integer
-//     read, or a point query for a connector with no net of its own),
-//     the label map handed to the comparison and the certified match.
+//     device and occurrence copies, the label table (one integer read
+//     per label site, or a point query for a connector with no net of
+//     its own) and the certified match, which walks the reference's
+//     and the layout's tables site by site.
 //
-// A stitch formats every name cold in a fresh Incremental, for a live
-// (unsnapshotted) cell, whose instances mutate in place, and for an
-// instance whose cell changed — a leaf mutated in place included,
-// which Editor.Invalidate or Cell.MarkMutated announce. The memo lives
-// in process only: a fresh Incremental derives each distinct leaf once,
+// A clean certified check formats no label name: only a flat
+// comparison (a declined or failed certified match) names both tables.
+// A leaf mutated in place, which Editor.Invalidate or Cell.MarkMutated
+// announce, re-derives its entry and certificate. The memo lives in
+// process only: a fresh Incremental derives each distinct leaf once,
 // whatever store the verifier has attached. A fresh Incremental over a
 // zero Verifier is the from-scratch path (flatten, solve, certified
 // compare); the caches are invisible except as speed.
@@ -123,7 +121,7 @@ func (inc *Incremental) compare(cell *core.Cell, declared []core.Connection, rep
 		return nil, err
 	}
 	msp := inc.Trace.Begin("match")
-	res := compareHier(&inc.Ref, occs, ref, rep.Circuit, rep.Occs)
+	res := compareHier(&inc.Ref, cell, occs, ref, rep.Circuit, rep.Occs)
 	msp.End()
 	inc.last = res
 	return res, nil
@@ -153,5 +151,5 @@ func checkFlat(cell *core.Cell, declared []core.Connection) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Compare(ref, FromCircuit(ckt)), nil
+	return Compare(ref, FromCircuit(ckt, cell)), nil
 }

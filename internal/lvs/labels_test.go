@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"riot/internal/core"
+	"riot/internal/extract"
 	"riot/internal/geom"
 	"riot/internal/lib"
 	"riot/internal/sticks"
@@ -16,9 +16,9 @@ import (
 )
 
 // refDiff compares rf's reference netlist of cell against a fresh
-// Reference's: net count, devices, labels and occurrence maps (cell and
-// nets; an occurrence's signature is a per-Reference id). It returns ""
-// when the two agree.
+// Reference's: net count, devices, label tables and occurrence maps
+// (cell and nets; an occurrence's signature is a per-Reference id). It
+// returns "" when the two agree.
 func refDiff(rf *Reference, cell *core.Cell, declared []core.Connection) (string, error) {
 	got, gotOccs, err := rf.NetlistOccs(cell, declared)
 	if err != nil {
@@ -41,20 +41,14 @@ func refDiff(rf *Reference, cell *core.Cell, declared []core.Connection) (string
 			return fmt.Sprintf("occurrence %d differs", i), nil
 		}
 	}
-	if !reflect.DeepEqual(got.Labels, want.Labels) {
-		var names []string
-		for name, n := range got.Labels {
-			if m, ok := want.Labels[name]; !ok || m != n {
-				names = append(names, name)
+	if !slices.Equal(got.Sites, want.Sites) {
+		var sites []int
+		for i := range got.Sites {
+			if i >= len(want.Sites) || got.Sites[i] != want.Sites[i] {
+				sites = append(sites, i)
 			}
 		}
-		for name := range want.Labels {
-			if _, ok := got.Labels[name]; !ok {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		return fmt.Sprintf("%d labels, fresh %d; differing %v", len(got.Labels), len(want.Labels), names), nil
+		return fmt.Sprintf("%d label sites, fresh %d; differing %v", len(got.Sites), len(want.Sites), sites), nil
 	}
 	return "", nil
 }
@@ -88,13 +82,13 @@ func probeLeaf(t *testing.T) *core.Cell {
 	return c
 }
 
-// carryDesign builds the trace design: a 4x4 grid of placed SRCELLs,
+// labelDesign builds the trace design: a 4x4 grid of placed SRCELLs,
 // a 1x3 and a 3x3 SRCELL ARRAY, two stacked PROBEs (the upper one's X
 // resolves through the lower one's T), and SUB, a nested composition
 // of two abutting SRCELLs with an explicit extra connector, placed
 // once. The top declares an extra connector too. It returns the top's
 // editor and one on SUB.
-func carryDesign(t *testing.T) (top, sub *core.Editor) {
+func labelDesign(t *testing.T) (top, sub *core.Editor) {
 	t.Helper()
 	d := core.NewDesign()
 	if err := lib.Install(d); err != nil {
@@ -144,15 +138,16 @@ func carryDesign(t *testing.T) (top, sub *core.Editor) {
 	return top, sub
 }
 
-// TestCarriedLabelsMatchFresh is the carried-label differential: a
-// seeded trace of editor operations over the carry design, each
+// TestLabelTablesMatchFresh is the session label differential: a
+// seeded trace of editor operations over the label design, each
 // generation checked through one Incremental and one hierarchical
 // Verifier. At every generation the session's reference netlist — its
-// composition entry re-stitched with carried names — must equal a fresh
-// Reference's, with and without the declared records, and the LVS
-// verdict must equal the certificate-free flat comparison's.
-func TestCarriedLabelsMatchFresh(t *testing.T) {
-	top, sub := carryDesign(t)
+// memoized entries re-stitched and its label table refilled — must
+// equal a fresh Reference's, with and without the declared records,
+// and the LVS verdict must equal the certificate-free flat
+// comparison's.
+func TestLabelTablesMatchFresh(t *testing.T) {
+	top, sub := labelDesign(t)
 	v := &verify.Verifier{Hier: true}
 	var inc Incremental
 	rng := rand.New(rand.NewSource(2026))
@@ -259,16 +254,13 @@ func TestCarriedLabelsMatchFresh(t *testing.T) {
 			t.Errorf("the trace never ran %s", name)
 		}
 	}
-	if st := inc.Ref.Stats(); st.LabelsCarried <= st.LabelsBuilt {
-		t.Errorf("the trace carried %d names and formatted %d; the carry barely ran", st.LabelsCarried, st.LabelsBuilt)
-	}
 }
 
-// TestProbeLabelTakesPointQuery pins that the carry design exercises
+// TestProbeLabelTakesPointQuery pins that the label design exercises
 // the point-query path: PROBE's X binds no net of its own, and the
 // upper PROBE's X label still lands on the lower PROBE's T net.
 func TestProbeLabelTakesPointQuery(t *testing.T) {
-	top, _ := carryDesign(t)
+	top, _ := labelDesign(t)
 	var rf Reference
 	nl, err := rf.Netlist(top.Snapshot().Cell, nil)
 	if err != nil {
@@ -286,65 +278,7 @@ func TestProbeLabelTakesPointQuery(t *testing.T) {
 		t.Fatalf("p1.X = %d (%v), want p0.T's net %d", x, ok, nl.Labels["p0.T"])
 	}
 	res, err := CheckEditorFlat(top)
-	mustClean(t, res, err, "carry design")
-}
-
-// TestCarriedNamesCorruptionCaught is the carry's mutation check: hand
-// a surviving instance its neighbour's names in the memoized entry, and
-// the next generation, which carries them, must fail the differential.
-func TestCarriedNamesCorruptionCaught(t *testing.T) {
-	e := gridEditor(t, 4)
-	v := &verify.Verifier{Hier: true}
-	var inc Incremental
-	res, err := inc.Check(e, v)
-	mustClean(t, res, err, "grid")
-	ent := inc.Ref.memo[e.Cell]
-	copy(ent.names[ent.nameLo[0]:ent.nameLo[1]], ent.names[ent.nameLo[1]:ent.nameLo[2]])
-
-	e.MoveInstance(e.Cell.Instances[10], geom.Pt(lam, 0))
-	carried := inc.Ref.Stats().LabelsCarried
-	if _, err := inc.Check(e, v); err != nil {
-		t.Fatal(err)
-	}
-	if inc.Ref.Stats().LabelsCarried == carried {
-		t.Fatal("the nudge carried no names; the corruption was never read")
-	}
-	snap := e.Snapshot()
-	diff, err := refDiff(&inc.Ref, snap.Cell, snap.Declared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff == "" {
-		t.Fatal("carried names handed to the wrong instance passed the differential")
-	}
-}
-
-// TestNudgeFormatsOneCell pins the carry's count: a one-cell nudge of a
-// placed grid formats the moved SRCELL's names and carries every other
-// name, whatever the grid size.
-func TestNudgeFormatsOneCell(t *testing.T) {
-	for _, n := range []int{8, 16, 32} {
-		e := gridEditor(t, n)
-		sr, _ := e.Design.Cell("SRCELL")
-		per := len(sr.Connectors())
-		v := &verify.Verifier{Hier: true}
-		var inc Incremental
-		res, err := inc.Check(e, v)
-		mustClean(t, res, err, "grid")
-		cold := inc.Ref.Stats()
-		if cold.LabelsBuilt != n*n*per || cold.LabelsCarried != 0 {
-			t.Fatalf("%dx%d: cold stitch formatted %d and carried %d names, want %d and 0", n, n, cold.LabelsBuilt, cold.LabelsCarried, n*n*per)
-		}
-		e.MoveInstance(e.Cell.Instances[n*n/2+n/2], geom.Pt(lam, 0))
-		if _, err := inc.Check(e, v); err != nil {
-			t.Fatal(err)
-		}
-		st := inc.Ref.Stats()
-		built, carried := st.LabelsBuilt-cold.LabelsBuilt, st.LabelsCarried-cold.LabelsCarried
-		if built != per || carried != (n*n-1)*per {
-			t.Errorf("%dx%d: the nudge formatted %d and carried %d names, want %d and %d", n, n, built, carried, per, (n*n-1)*per)
-		}
-	}
+	mustClean(t, res, err, "label design")
 }
 
 // TestReferenceLeafMutatedInPlace is the LVS twin of the hier engine's
@@ -421,30 +355,156 @@ func TestReferenceLeafMutatedInPlace(t *testing.T) {
 	}
 }
 
-// TestLiveCellFormatsNames pins the carry's live-cell rule: a live
-// cell's instances mutate in place, so a re-stitch of it formats every
-// name. Replicating a placed instance in place keeps its pointer but
-// suffixes its names.
-func TestLiveCellFormatsNames(t *testing.T) {
-	e := gridEditor(t, 2)
-	v := &verify.Verifier{Hier: true}
-	var inc Incremental
-	res, err := inc.CheckCell(e.Cell, v)
-	mustClean(t, res, err, "grid")
-	if err := e.Replicate(e.Cell.Instances[0], 1, 2, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.CheckCell(e.Cell, v); err != nil {
-		t.Fatal(err)
-	}
-	if st := inc.Ref.Stats(); st.LabelsCarried != 0 {
-		t.Fatalf("a live cell's re-stitch carried %d names", st.LabelsCarried)
-	}
-	diff, err := refDiff(&inc.Ref, e.Cell, nil)
+// TestSiteShiftCaught is the label tables' mutation check: move one
+// site onto another site's net, in the layout table or in the
+// reference table, and the certified verdict must differ from the flat
+// comparison of the unmutated design. A table read one site off would
+// fail the session differentials the same way.
+func TestSiteShiftCaught(t *testing.T) {
+	e := gridEditor(t, 4)
+	cell := e.Snapshot().Cell
+	rep, err := (&verify.Verifier{Hier: true}).VerifyCell(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff != "" {
-		t.Fatalf("session reference differs from a fresh one: %s", diff)
+	want, err := CheckCellFlat(cell)
+	mustClean(t, want, err, "grid")
+	n := len(rep.Circuit.Sites)
+	for _, side := range []string{"layout", "reference"} {
+		for _, s := range []int{0, n / 2, n - 1} {
+			var rf Reference
+			ref, occs, err := rf.NetlistOccs(cell, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckt := *rep.Circuit
+			ckt.Sites = slices.Clone(ckt.Sites)
+			tab := ckt.Sites
+			if side == "reference" {
+				tab = ref.Sites
+			}
+			// the nearest site on another net
+			for d := 1; d < n; d++ {
+				if o := (s + d) % n; tab[o] != tab[s] {
+					tab[s] = tab[o]
+					break
+				}
+			}
+			got := compareHier(&rf, cell, occs, ref, &ckt, rep.Occs)
+			if got.Clean == want.Clean && reflect.DeepEqual(got.Mismatches, want.Mismatches) {
+				t.Errorf("site %d shifted on the %s side passed the differential", s, side)
+			}
+		}
+	}
+}
+
+// TestOneEditFormatsNoNames pins that label tables carry no names: a
+// cold check and a one-edit re-check of a placed grid, verify plus
+// LVS, both compare certified and clean without formatting one label
+// name, whatever the grid size.
+func TestOneEditFormatsNoNames(t *testing.T) {
+	for _, n := range []int{8, 16, 32} {
+		e := gridEditor(t, n)
+		v := &verify.Verifier{Hier: true}
+		var inc Incremental
+		res, err := inc.Check(e, v)
+		mustClean(t, res, err, "grid")
+		e.MoveInstance(e.Cell.Instances[n*n/2+n/2], geom.Pt(lam, 0))
+		res, err = inc.Check(e, v)
+		mustClean(t, res, err, "nudged grid")
+		if res.Cert.Certified != n*n {
+			t.Errorf("%dx%d: %d of %d occurrences certified", n, n, res.Cert.Certified, n*n)
+		}
+		if got := inc.Ref.Stats().NamesFormatted; got != 0 {
+			t.Errorf("%dx%d: verify plus LVS formatted %d label names", n, n, got)
+		}
+	}
+}
+
+// srRow places SRCELLs in a row, pitch lambda apart (20 abuts them),
+// one instance per name, in a fresh composition (no editor, so names
+// may repeat as composition files allow).
+func srRow(t *testing.T, pitch int, names ...string) *core.Cell {
+	t.Helper()
+	d := core.NewDesign()
+	if err := lib.Install(d); err != nil {
+		t.Fatal(err)
+	}
+	sr, _ := d.Cell("SRCELL")
+	top := core.NewComposition("ROW")
+	for i, name := range names {
+		top.Instances = append(top.Instances, core.NewInstance(name, sr, geom.MakeTransform(geom.R0, geom.Pt(pitch*lam*i, 0))))
+	}
+	return top
+}
+
+// TestExtraNamedLikeInstanceLabel pins one label order on both sides:
+// an extra connector named like an instance connector the composition
+// does not export (a.OUT faces b) opens the label sites, so the
+// instance's own a.OUT, later, names the net. A reference that listed
+// the extra after the instance labels put a.OUT on the ground rail the
+// extra sits on, and reported the correct layout as swapped.
+func TestExtraNamedLikeInstanceLabel(t *testing.T) {
+	top := srRow(t, 20, "a", "b")
+	top.ExtraConnectors = []core.Connector{{Name: "a.OUT", At: geom.Pt(0, 2*lam), Layer: geom.NM}}
+	res, err := CheckCellFlat(top)
+	mustClean(t, res, err, "flat")
+	res, err = new(Incremental).CheckCell(top, &verify.Verifier{Hier: true})
+	mustClean(t, res, err, "hier")
+	nl, err := new(Reference).Netlist(top, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nl.Labels["a.OUT"] != nl.Labels["b.IN"] {
+		t.Errorf("reference a.OUT on net %d, b.IN on %d", nl.Labels["a.OUT"], nl.Labels["b.IN"])
+	}
+}
+
+// TestDuplicateInstanceNames pins two instances of one name (a spaced
+// row a, a, b, so every copy's nets are its own): a.OUT names the later
+// a's OUT net on the flat, hier and reference sides alike, and the
+// certified path, which declines a label space whose names repeat,
+// gives the flat comparison's verdict.
+func TestDuplicateInstanceNames(t *testing.T) {
+	top := srRow(t, 40, "a", "a", "b")
+	flat, err := extract.FromCell(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := (&verify.Verifier{Hier: true}).VerifyCell(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Circuit, flat) {
+		t.Fatal("hier circuit differs from flat")
+	}
+	sr := top.Instances[0].Cell.Connectors()
+	out := slices.IndexFunc(sr, func(cn core.Connector) bool { return cn.Name == "OUT" })
+	first, second := flat.Sites[out], flat.Sites[len(sr)+out]
+	if first == second {
+		t.Fatal("both a.OUT sites share a net; the case proves nothing")
+	}
+	if got := flat.NetOf(top)["a.OUT"]; got != int(second) {
+		t.Errorf("a.OUT names net %d, want the later a's %d", got, second)
+	}
+	var rf Reference
+	ref, _, err := rf.NetlistOccs(top, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := core.LabelMap(top, ref.Sites)["a.OUT"]; got != int(ref.Sites[len(sr)+out]) || ref.Sites[out] == ref.Sites[len(sr)+out] {
+		t.Errorf("reference a.OUT names net %d, want the later a's %d (the first's %d)", got, ref.Sites[len(sr)+out], ref.Sites[out])
+	}
+	want, err := CheckCellFlat(top)
+	mustClean(t, want, err, "flat")
+	got, err := new(Incremental).CheckCell(top, &verify.Verifier{Hier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Clean != want.Clean || !reflect.DeepEqual(got.Mismatches, want.Mismatches) {
+		t.Fatalf("certified verdict differs from flat:\ngot:  %v\nwant: %v", got.Mismatches, want.Mismatches)
+	}
+	if got.Cert.Certified != 0 {
+		t.Errorf("%d occurrences certified; a space whose names repeat must compare flat", got.Cert.Certified)
 	}
 }

@@ -43,6 +43,11 @@
 // are stable: every tie-break follows net numbering, which both
 // derivations produce deterministically.
 //
+// Labels travel as tables on both sides: one net per label site, in
+// the order internal/core enumerates the sites. The certified path
+// compares the two tables site by site and formats no name; names are
+// built only where the flat comparison or a report reads them.
+//
 // Mismatch diagnostics are structural, not a bare fail: shorts (two
 // declared nets merged in the layout), opens (one declared net split),
 // swapped connector pairs, and unmatched net/device classes, each with
@@ -52,7 +57,7 @@
 // runs.
 //
 // The abutment seam trust reaches as deep into each occurrence as the
-// seam's own geometry requires: the base contract reach (seamReach)
+// seam's own geometry requires: the base contract reach (seam.Reach)
 // for plainly abutted boxes, the overlap depth for an ABUT OVERLAP —
 // derived per seam from the two placed boxes, so deliberate deep
 // overlaps verify clean. (Earlier revisions capped the reach at a
@@ -61,6 +66,7 @@
 package lvs
 
 import (
+	"riot/internal/core"
 	"riot/internal/extract"
 	"riot/internal/sticks"
 )
@@ -75,19 +81,23 @@ type Device struct {
 
 // Netlist is one side of a comparison: a dense net space, the device
 // list, and the connector labels that resolved to nets. Both the
-// layout side (FromCircuit) and the reference side
-// (Reference.Netlist) produce this form.
+// layout side (FromCircuit) and the reference side (Reference.Netlist)
+// produce this form. Sites is the label table over the cell's label
+// sites (core's site order, -1 where a site resolved to no net), which
+// the certified comparison walks site by site; Labels is its name map,
+// which the name-keyed Compare reads and which only callers that
+// compare by name derive (core.LabelMap).
 type Netlist struct {
 	NetCount int
 	Devices  []Device
+	Sites    []int32
 	Labels   map[string]int
 }
 
-// FromCircuit adapts an extracted circuit to the comparison form. The
-// label map is shared with the circuit, not copied — comparison only
-// reads it.
-func FromCircuit(c *extract.Circuit) *Netlist {
-	n := &Netlist{NetCount: c.NetCount, Labels: c.NetOf}
+// FromCircuit adapts a circuit extracted from cell to the comparison
+// form, its label table named through the cell.
+func FromCircuit(c *extract.Circuit, cell *core.Cell) *Netlist {
+	n := &Netlist{NetCount: c.NetCount, Sites: c.Sites, Labels: c.NetOf(cell)}
 	n.Devices = make([]Device, len(c.Transistors))
 	for i, t := range c.Transistors {
 		n.Devices[i] = Device{Kind: t.Kind, Gate: t.Gate, A: t.A, B: t.B}

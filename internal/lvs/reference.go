@@ -18,8 +18,8 @@ import (
 // gets one memoized entry:
 //
 //   - a leaf entry extracts the leaf alone (flatten + solve of just
-//     that cell) and keeps its devices, its label namespace, its
-//     connectors each bound to the net its own position resolves to,
+//     that cell) and keeps its devices, its connectors each bound to
+//     the net its own position resolves to (the leaf's label table),
 //     and its boundary material: every solved fragment within the
 //     entry's seam reach of the cell's bounding box (the base contract
 //     reach, deepened per seam when placed boxes overlap), tagged with
@@ -37,22 +37,16 @@ import (
 // that shares it — the same scheme internal/hier composes
 // certificates with. An array stitches from its leaf entry plus a
 // handful of templates; what still scales with copies is the device
-// copy, the occurrence maps, the renumbering and the label nets.
+// copy, the occurrence maps, the renumbering and the label table.
 //
-// Labels come from per-cell port bindings: connector k of a copy at
-// net block base names dense[base+bind[k]] of the copy's sub-entry,
-// with no placement and no lookup. Only a connector with no net of its
-// own (bind -1) point-queries the copy index, where a coincident
-// neighbour's port may answer for it. A composition keeps its label
-// namespace as parallel name and net slices. The next stitch of the
-// same frozen lineage (Cell.Origin) takes the names of every *Instance
-// both clones hold over a sub-entry of the same signature, since a
-// snapshot clone re-creates any instance whose name, cell or placement
-// changed; so a one-cell edit formats that instance's names only. A
-// live cell (its instances mutate in place), an instance whose cell
-// changed (a leaf mutated in place included) and a cold stitch format
-// every name. A composition derives the parts a parent reads
-// (connectors, bindings, port table, boundary) when a parent stitch
+// Labels come from per-cell port bindings and carry no names: the top's
+// label table (core's label sites, in order) is filled once per
+// netlist, and connector k of a copy at net block base reads
+// dense[base+bind[k]] of the copy's sub-entry, with no placement and no
+// lookup. Only a connector with no net of its own (bind -1)
+// point-queries the copy index, where a coincident neighbour's port may
+// answer for it. A composition derives the parts a parent reads
+// (connectors, bindings, port nets, boundary) when a parent stitch
 // first reads them, so the top of a check never places its instances'
 // connectors.
 //
@@ -60,15 +54,6 @@ import (
 // placements, recursively, and each leaf's revision), so an edit
 // rebuilds exactly the entries whose cells changed: moving one
 // instance re-stitches its composition but re-extracts no leaf.
-
-// seamReach is the base abutment-contract reach, shared with the
-// hierarchical extract/DRC certificate engine through internal/seam
-// (see seam.Reach for the full contract). Each entry retains boundary
-// material to the deepest reach any seam it participates in actually
-// needs (seamDepth, computed from the overlap of the two placed
-// boxes), so a deep overlap stitches exactly like a shallow one
-// instead of mis-reporting its sanctioned contacts as shorts.
-const seamReach = seam.Reach
 
 // portKey identifies a connector position: connectors coincide when
 // they share a point and a layer.
@@ -93,22 +78,17 @@ type refEntry struct {
 	reach   int // boundary retention depth the entry was built with
 	nets    int
 	devices []Device
-	// names and lnets are the cell's label namespace, resolved: name i
-	// lands on net lnets[i], -1 when no material lies under it. A later
-	// name overwrites an earlier one, as flatten's do.
-	names []string
-	lnets []int32
-	occs  []refOcc // leaf occurrences in flatten walk order
+	occs    []refOcc // leaf occurrences in flatten walk order
 	// cell is the cell the entry derives (the memo is keyed by its
 	// snapshot origin)
 	cell *core.Cell
 
 	// the parts a parent stitch reads (and a leaf's certificate): the
 	// cell's connectors, bind[k] the entry net conns[k]'s own position
-	// resolves to (-1: no material there), the resolved ones indexed by
-	// position, and the boundary material within reach with its extent.
-	// A leaf derives them with its entry, a composition on first read
-	// (face).
+	// resolves to (-1: no material there; a leaf's bind is its label
+	// table), the resolved ones indexed by position, and the boundary
+	// material within reach with its extent. A leaf derives them with
+	// its entry, a composition on first read (face).
 	faced    bool
 	conns    []core.Connector
 	bind     []int32
@@ -117,16 +97,14 @@ type refEntry struct {
 	bext     geom.Rect
 
 	// a composition entry keeps its copies (indexed by port box), the
-	// sub-entry of each instance, the dense net of every block net and
-	// where each instance's names start in names (nameLo[len] is where
-	// the explicit extras start), so connector positions resolve lazily
-	// (netAt) and the next stitch can carry names; tmpl holds the pair
-	// templates its last stitch replayed
+	// sub-entry of each instance and the dense net of every block net,
+	// so connector positions resolve lazily (netAt) and label tables
+	// read nets by index; tmpl holds the pair templates its last stitch
+	// replayed
 	copies []copySlot
 	subs   []*refEntry
 	ix     *geom.Index
 	dense  []int32
-	nameLo []int32
 	tmpl   map[tmplKey][][2]int32
 	err    error
 }
@@ -149,14 +127,17 @@ type tmplKey struct {
 }
 
 // RefStats is the reference memo's cumulative accounting: pair
-// templates, instance connector labels and leaf certificates.
+// templates, leaf certificates, and the label names its comparisons
+// formatted.
 type RefStats struct {
 	TemplatesBuilt int // pair templates derived
 	TemplateHits   int // copy pairs replayed from an existing template
-	LabelsBuilt    int // instance connector names formatted
-	LabelsCarried  int // instance connector names taken from the superseded entry
 	CertsBuilt     int // leaf certificates derived (LVS -stats "matched")
 	CertHits       int // occurrences served by an already-derived certificate
+	// NamesFormatted counts the label names a check's name maps hold,
+	// on either side: only a name-keyed (flat) comparison names its
+	// tables.
+	NamesFormatted int
 }
 
 // refOcc is one leaf occurrence inside an entry's net space: which
@@ -189,12 +170,11 @@ type refOcc struct {
 // per leaf. Snapshot clones of one design cell are handled naturally:
 // unchanged subtrees keep their pointers, and the memo keys entries by
 // snapshot origin (Cell.Origin), so a newer clone's entry supersedes
-// the older one's (taking its names and templates where they still
-// hold) along with the older clone's id. A long-lived session's memory
-// is bounded by the design, not by its history: each composition
-// entry carries only the pair templates its latest stitch replayed and
-// one name per label of its own cell, and a leaf mutated in place
-// retires its old certificate.
+// the older one's (taking its templates where they still hold) along
+// with the older clone's id. A long-lived session's memory is bounded
+// by the design, not by its history: each composition entry carries
+// only the pair templates its latest stitch replayed, and a leaf
+// mutated in place retires its old certificate.
 type Reference struct {
 	ids    map[*core.Cell]uint64
 	lastID uint64
@@ -210,33 +190,40 @@ type Reference struct {
 // Stats reports the memo's cumulative accounting.
 func (rf *Reference) Stats() RefStats { return rf.stats }
 
-// Netlist derives the reference netlist of a cell. declared lists
-// connection records to honor on top of the cell's structure — the
-// editing session's retained Connection list; nil is valid and means
-// "structure only" (cells loaded from files carry no records).
+// Netlist derives the reference netlist of a cell, its label table
+// named (Labels). declared lists connection records to honor on top of
+// the cell's structure — the editing session's retained Connection
+// list; nil is valid and means "structure only" (cells loaded from
+// files carry no records).
 func (rf *Reference) Netlist(c *core.Cell, declared []core.Connection) (*Netlist, error) {
 	nl, _, err := rf.NetlistOccs(c, declared)
-	return nl, err
+	if err != nil {
+		return nil, err
+	}
+	nl.Labels = core.LabelMap(c, nl.Sites)
+	return nl, nil
 }
 
-// NetlistOccs is Netlist plus the leaf-occurrence map: for every leaf
-// occurrence of the flattened design (in flatten walk order), the cell
-// it instantiates and where each of that cell's standalone nets landed
-// in the returned netlist's numbering. The hierarchical-certificate
-// comparison uses the map to collapse repeated, already-matched cells.
+// NetlistOccs is Netlist without names (Labels nil, the label table in
+// Sites) plus the leaf-occurrence map: for every leaf occurrence of the
+// flattened design (in flatten walk order), the cell it instantiates
+// and where each of that cell's standalone nets landed in the returned
+// netlist's numbering. The hierarchical-certificate comparison uses the
+// map to collapse repeated, already-matched cells.
 func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Netlist, []refOcc, error) {
 	if !atomic.CompareAndSwapInt32(&rf.busy, 0, 1) {
 		return nil, nil, fmt.Errorf("lvs: Reference entered concurrently (a Reference serves one session)")
 	}
 	defer atomic.StoreInt32(&rf.busy, 0)
-	e := rf.entry(c, seamReach)
+	e := rf.entry(c, seam.Reach)
 	if e.err != nil {
 		return nil, nil, e.err
 	}
+	tab := e.table(c)
 	if len(declared) == 0 {
 		// nothing to union on top: the entry IS the netlist. Devices and
 		// occurrence maps are shared read-only with the memo.
-		return &Netlist{NetCount: e.nets, Devices: e.devices, Labels: e.labelMap(nil)}, e.occs, nil
+		return &Netlist{NetCount: e.nets, Devices: e.devices, Sites: tab}, e.occs, nil
 	}
 
 	// apply the declared records on top of the entry's net space, then
@@ -245,11 +232,15 @@ func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Net
 	for _, conn := range declared {
 		rf.declareUnion(uf, e, conn)
 	}
-	out := &Netlist{}
+	out := &Netlist{Sites: tab}
 	out.Devices = append([]Device(nil), e.devices...)
 	dense, nets := renumber(uf, e.nets, out.Devices)
 	out.NetCount = nets
-	out.Labels = e.labelMap(dense)
+	for s, n := range tab {
+		if n >= 0 {
+			tab[s] = dense[n]
+		}
+	}
 	// occurrence maps re-expressed in the declared-union numbering
 	occs, _ := appendOccs(make([]refOcc, 0, len(e.occs)), make([]int32, 0, occNets(e.occs)), e.occs, 0, dense)
 	return out, occs, nil
@@ -308,109 +299,43 @@ func appendOccs(dst []refOcc, backing []int32, src []refOcc, base int32, dense [
 	return dst, backing
 }
 
-// labelMap builds the entry's label map at its final size, each net
-// read through dense when the caller renumbered (nil: the entry's own
-// numbering). Unresolved names drop; a repeated name's last resolution
-// wins.
-func (e *refEntry) labelMap(dense []int32) map[string]int {
-	m := make(map[string]int, len(e.names))
-	for i, name := range e.names {
-		n := e.lnets[i]
-		if n < 0 {
-			continue
-		}
-		if dense != nil {
-			n = dense[n]
-		}
-		m[name] = int(n)
+// table fills the label table of c, a cell of the entry's signature,
+// in entry numbering: a leaf's is its bind (copied, as a caller may
+// renumber it), a composition's reads every kept extra through netAt,
+// then every instance site — connector k of a copy names
+// dense[base+bind[k]] of its sub-entry, and a connector bound to no net
+// point-queries the copy index, where any copy holding a resolved port
+// at the point answers (the stitch unions coincident ports, so all
+// such copies agree).
+func (e *refEntry) table(c *core.Cell) []int32 {
+	if c.Kind != core.Composition {
+		return append([]int32(nil), e.bind...)
 	}
-	return m
-}
-
-// label resolves a composition's label namespace, the one flatten
-// labels the layout with: every visible instance connector
-// ("inst.CONN", array copies suffixed) in placement order, then the
-// explicit extras. Connector k of a copy names dense[base+bind[k]] of
-// its sub-entry; a connector bound to no net point-queries the copy
-// index, where any copy holding a resolved port at the point answers
-// (the stitch unions coincident ports, so all such copies agree). The
-// names of an instance carry over from old, the superseded entry of
-// the same lineage, when both cells are frozen clones holding the
-// same *Instance over sub-entries of the same signature: the names are
-// a function of the instance and its sub-entry's connectors alone, and
-// a sub-entry rebuilt under the same signature (for a deeper seam
-// reach) lists the same connectors.
-func (rf *Reference) label(c *core.Cell, e, old *refEntry) {
-	// a live cell renames and re-arrays its instances in place, so only
-	// a frozen clone carries, and only from an entry that labelled
-	var oldAt map[*core.Instance]int
-	if c.Origin() != c && old != nil && len(old.nameLo) == len(old.cell.Instances)+1 {
-		oldAt = make(map[*core.Instance]int, len(old.cell.Instances))
-		for k, in := range old.cell.Instances {
-			oldAt[in] = k
-		}
-	}
-	carried := func(ii int, in *core.Instance) []string {
-		oi, ok := oldAt[in]
-		if !ok || old.subs[oi].sig != e.subs[ii].sig {
-			return nil
-		}
-		return old.names[old.nameLo[oi]:old.nameLo[oi+1]]
-	}
-
-	hint := len(c.ExtraConnectors)
+	head := core.LabelHead(c)
+	hint := len(head)
 	for ii, in := range c.Instances {
 		hint += len(e.subs[ii].conns) * max(in.Nx, in.Ny)
 	}
-	e.names = make([]string, 0, hint)
-	e.lnets = make([]int32, 0, hint)
-	e.nameLo = make([]int32, len(c.Instances)+1)
-	var buf []byte
+	tab := make([]int32, 0, hint)
+	for _, cn := range head {
+		tab = append(tab, e.netAt(cn.At, cn.Layer))
+	}
 	first := 0
 	for ii, in := range c.Instances {
-		sub, from := e.subs[ii], len(e.names)
-		e.nameLo[ii] = int32(from)
-		names := carried(ii, in)
-		for i := 0; i < in.Nx; i++ {
-			for j := 0; j < in.Ny; j++ {
-				if in.IsArray() && i > 0 && i < in.Nx-1 && j > 0 && j < in.Ny-1 {
-					continue // an interior copy faces no outside edge
-				}
-				cr := e.copies[first+i*in.Ny+j]
-				for k, cn := range sub.conns {
-					if !in.ConnVisible(cn.Side, i, j) {
-						continue
-					}
-					n := sub.bind[k]
-					if n >= 0 {
-						n = e.dense[cr.base+n]
-					} else {
-						n = e.netAt(cr.tr.Apply(cn.At), cn.Layer)
-					}
-					var name string
-					if names != nil {
-						name = names[len(e.names)-from]
-					} else {
-						buf = in.AppendLabel(buf[:0], cn.Name, i, j)
-						name = string(buf)
-					}
-					e.names = append(e.names, name)
-					e.lnets = append(e.lnets, n)
-				}
+		sub, fi := e.subs[ii], first
+		in.Sites(sub.conns, func(i, j, k int) {
+			cr := e.copies[fi+i*in.Ny+j]
+			n := sub.bind[k]
+			if n >= 0 {
+				n = e.dense[cr.base+n]
+			} else {
+				n = e.netAt(cr.tr.Apply(sub.conns[k].At), sub.conns[k].Layer)
 			}
-		}
-		if names != nil {
-			rf.stats.LabelsCarried += len(e.names) - from
-		} else {
-			rf.stats.LabelsBuilt += len(e.names) - from
-		}
+			tab = append(tab, n)
+		})
 		first += in.Nx * in.Ny
 	}
-	e.nameLo[len(c.Instances)] = int32(len(e.names))
-	for _, cn := range c.ExtraConnectors {
-		e.names = append(e.names, cn.Name)
-		e.lnets = append(e.lnets, e.netAt(cn.At, cn.Layer))
-	}
+	return tab
 }
 
 // netAt resolves a connector position to the entry's net, -1 when no
@@ -536,22 +461,20 @@ func (rf *Reference) cellID(c *core.Cell) uint64 {
 // hash of every instance's defining-cell signature and placement. An
 // entry whose signature still matches is current.
 func (rf *Reference) sigOf(c *core.Cell) uint64 {
-	h := fnvInit()
-	h = fnvMix(h, rf.cellID(c))
+	h := seam.FNVInit()
+	h = seam.FNVMix(h, rf.cellID(c))
 	if c.Kind != core.Composition {
-		return fnvMix(h, c.Revision())
+		return seam.FNVMix(h, c.Revision())
 	}
 	for _, in := range c.Instances {
-		h = fnvMix(h, rf.sigOf(in.Cell))
-		h = fnvMix(h, uint64(uint32(in.Tr.O)))
-		h = fnvMix(h, pack32(in.Tr.D.X, in.Tr.D.Y))
-		h = fnvMix(h, pack32(in.Nx, in.Ny))
-		h = fnvMix(h, pack32(in.Sx, in.Sy))
+		h = seam.FNVMix(h, rf.sigOf(in.Cell))
+		h = seam.FNVMix(h, uint64(uint32(in.Tr.O)))
+		h = seam.FNVMix(h, seam.Pack32(in.Tr.D.X, in.Tr.D.Y))
+		h = seam.FNVMix(h, seam.Pack32(in.Nx, in.Ny))
+		h = seam.FNVMix(h, seam.Pack32(in.Sx, in.Sy))
 	}
 	return h
 }
-
-func pack32(a, b int) uint64 { return seam.Pack32(a, b) }
 
 // entry returns the cell's current derivation, rebuilding it when the
 // structural signature says the memoized one is stale or when a seam
@@ -597,10 +520,6 @@ func (rf *Reference) supersede(old, e *refEntry) {
 	}
 }
 
-// seamDepth bounds how deep sanctioned seam contact against bv can
-// reach into bu; see seam.Depth for the full contract.
-func seamDepth(bu, bv geom.Rect) int { return seam.Depth(bu, bv) }
-
 // leafEntry extracts a leaf cell alone and packages its netlist,
 // ports and boundary material within reach of its bounding box.
 func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
@@ -617,16 +536,10 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 	for i, t := range ckt.Transistors {
 		e.devices[i] = Device{Kind: t.Kind, Gate: t.Gate, A: t.A, B: t.B}
 	}
-	// the extraction resolved each connector label at its position, so
-	// the net a connector's name carries is the one its position binds
-	e.conns = c.Connectors()
-	e.bind = make([]int32, len(e.conns))
-	for k, cn := range e.conns {
-		e.bind[k] = -1
-		if n, ok := ckt.NetOf[cn.Name]; ok {
-			e.bind[k] = int32(n)
-		}
-	}
+	// a leaf's label sites are its connectors, so the extraction's
+	// label table binds each connector to the net its position resolves
+	// to
+	e.conns, e.bind = c.Connectors(), ckt.Sites
 	inner := c.BBox().Inset(reach)
 	for _, f := range frags {
 		if inner.ContainsRect(f.R) {
@@ -635,10 +548,6 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 		e.boundary = append(e.boundary, bfrag{layer: f.Layer, r: f.R, leafBox: c.BBox(), net: f.Net})
 	}
 	e.indexFace()
-	for name, n := range ckt.NetOf {
-		e.names = append(e.names, name)
-		e.lnets = append(e.lnets, int32(n))
-	}
 	// the leaf is its own single occurrence; its standalone nets map
 	// identically
 	ident := make([]int32, e.nets)
@@ -654,11 +563,11 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 // across sanctioned abutment seams, both replayed from pair templates.
 // reach is the boundary retention depth requested of this entry; each
 // child entry is additionally asked for the deepest reach its own
-// seams need (seamDepth over the touching copy-box pairs), so ABUT
+// seams need (seam.Depth over the touching copy-box pairs), so ABUT
 // OVERLAPs deeper than the base contract stitch correctly. old is the
 // entry being replaced, or nil: templates it holds carry over when
-// this stitch replays them again, and so do its names (label). The
-// parts a parent reads come later, from face.
+// this stitch replays them again. The parts a parent reads come later,
+// from face.
 func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 	e := &refEntry{}
 
@@ -687,7 +596,7 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 	// before its entry is built
 	need := make([]int, len(c.Instances))
 	for ii := range need {
-		need[ii] = max(seamReach, reach)
+		need[ii] = max(seam.Reach, reach)
 	}
 	e.ix = geom.NewIndexFrom(pboxes)
 	e.ix.Build()
@@ -699,8 +608,8 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 			}
 			pairs = append(pairs, [2]int32{int32(u), int32(v)})
 			iu, iv := e.copies[u].inst, e.copies[v].inst
-			need[iu] = max(need[iu], seamDepth(boxes[u], boxes[v]))
-			need[iv] = max(need[iv], seamDepth(boxes[v], boxes[u]))
+			need[iu] = max(need[iu], seam.Depth(boxes[u], boxes[v]))
+			need[iv] = max(need[iv], seam.Depth(boxes[v], boxes[u]))
 			return true
 		})
 	}
@@ -762,8 +671,6 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 	for _, cr := range e.copies {
 		e.occs, backing = appendOccs(e.occs, backing, e.subs[cr.inst].occs, cr.base, e.dense)
 	}
-
-	rf.label(c, e, old)
 	return e
 }
 
@@ -815,14 +722,14 @@ func buildTemplate(k tmplKey) [][2]int32 {
 	sx0, sy0 := max(bu.Min.X, bv.Min.X), max(bu.Min.Y, bv.Min.Y)
 	sx1, sy1 := min(bu.Max.X, bv.Max.X), min(bu.Max.Y, bv.Max.Y)
 	if sx0 <= sx1 && sy0 <= sy1 {
-		win := geom.R(sx0-seamReach, sy0-seamReach, sx1+seamReach, sy1+seamReach)
+		win := geom.R(sx0-seam.Reach, sy0-seam.Reach, sx1+seam.Reach, sy1+seam.Reach)
 		// per-pair trust depth: only material within this seam's own
 		// reach of its copy's box participates. The filter makes the
 		// union set a function of the placement alone — entries retain
 		// material to the deepest reach they have ever needed, and
 		// deeper-than-needed retention must not union more than a
 		// freshly derived entry would.
-		innerU, innerV := bu.Inset(seamDepth(bu, bv)), bv.Inset(seamDepth(bv, bu))
+		innerU, innerV := bu.Inset(seam.Depth(bu, bv)), bv.Inset(seam.Depth(bv, bu))
 		var mine []bfrag // U's seam material, placed
 		for _, bf := range k.u.boundary {
 			if r := tu.ApplyRect(bf.r); r.Touches(win) && !innerU.ContainsRect(r) {
@@ -880,9 +787,3 @@ func span(r, s geom.Rect) geom.Rect {
 		Max: geom.Pt(max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)),
 	}
 }
-
-// fnv-1a, the hash behind signatures and refinement colors (shared
-// with the hierarchical certificate engine through internal/seam).
-func fnvInit() uint64 { return seam.FNVInit() }
-
-func fnvMix(h, v uint64) uint64 { return seam.FNVMix(h, v) }

@@ -80,12 +80,13 @@ func TestReferenceDeterministic(t *testing.T) {
 			t.Fatalf("declared=%d: two fresh derivations differ:\n%+v\n%+v", len(decl), na, nb)
 		}
 		// the rows are one net each, joined by the declared record
-		rows := na.Labels["w.L[0]"] == na.Labels["v.L[0]"]
+		labels := core.LabelMap(cell, na.Sites)
+		rows := labels["w.L[0]"] == labels["v.L[0]"]
 		if rows != (len(decl) > 0) {
 			t.Errorf("declared=%d: rows joined = %v", len(decl), rows)
 		}
-		if na.Labels["w.L[0]"] != na.Labels["w.R[2]"] {
-			t.Errorf("declared=%d: row w not stitched into one net: %v", len(decl), na.Labels)
+		if labels["w.L[0]"] != labels["w.R[2]"] {
+			t.Errorf("declared=%d: row w not stitched into one net: %v", len(decl), labels)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package lvs
 
-import "slices"
+import (
+	"slices"
+
+	"riot/internal/seam"
+)
 
 // Partition-refinement canonical labeling, the comparison core. Both
 // reduced netlists are colored in ONE shared class space: a class is a
@@ -163,23 +167,23 @@ func dedupSorted(ids []int32) []int32 {
 // devSigOf computes a device's current signature.
 func (sd *mside) devSigOf(di int32, scratch *[]int32) uint64 {
 	d := sd.r.devs[di]
-	h := fnvInit()
-	h = fnvMix(h, uint64(uint32(sd.devClass[di])))
-	h = fnvMix(h, uint64(d.kind))
-	h = fnvMix(h, uint64(uint32(d.mult)))
+	h := seam.FNVInit()
+	h = seam.FNVMix(h, uint64(uint32(sd.devClass[di])))
+	h = seam.FNVMix(h, uint64(d.kind))
+	h = seam.FNVMix(h, uint64(uint32(d.mult)))
 	ca, cb := sd.netClass[d.a], sd.netClass[d.b]
 	if cb < ca {
 		ca, cb = cb, ca
 	}
-	h = fnvMix(h, uint64(uint32(ca)))
-	h = fnvMix(h, uint64(uint32(cb)))
+	h = seam.FNVMix(h, uint64(uint32(ca)))
+	h = seam.FNVMix(h, uint64(uint32(cb)))
 	g := (*scratch)[:0]
 	for _, gn := range d.gates {
 		g = append(g, sd.netClass[gn])
 	}
 	slices.Sort(g)
 	for _, c := range g {
-		h = fnvMix(h, uint64(uint32(c)))
+		h = seam.FNVMix(h, uint64(uint32(c)))
 	}
 	*scratch = g
 	return h
@@ -187,15 +191,15 @@ func (sd *mside) devSigOf(di int32, scratch *[]int32) uint64 {
 
 // netSigOf computes a net's current signature.
 func (sd *mside) netSigOf(n int32, scratch *[]uint64) uint64 {
-	h := fnvInit()
-	h = fnvMix(h, uint64(uint32(sd.netClass[n])))
+	h := seam.FNVInit()
+	h = seam.FNVMix(h, uint64(uint32(sd.netClass[n])))
 	inc := (*scratch)[:0]
 	for _, p := range sd.netAdj[n] {
 		inc = append(inc, uint64(uint32(sd.devClass[p.dev]))<<1|uint64(p.role))
 	}
 	slices.Sort(inc)
 	for _, v := range inc {
-		h = fnvMix(h, v)
+		h = seam.FNVMix(h, v)
 	}
 	*scratch = inc
 	return h

@@ -1,12 +1,10 @@
 // Package seam holds the placement-signature and abutment-seam
-// primitives shared by the hierarchical verifiers: the LVS reference
-// derivation (internal/lvs) introduced them in PR 4/5, and the
-// hierarchical extraction/DRC certificate engine (internal/hier) reuses
-// them rather than duplicating the contract. The constants and
-// formulas here are load-bearing for persisted cache entries — the
-// castore fingerprints of LVS leaf entries and hierarchical cell
-// certificates embed Reach, so changing it re-keys every on-disk
-// namespace that depends on seam semantics.
+// primitives of the hierarchical verifiers. The LVS reference
+// derivation (internal/lvs) stitches seams with Reach and Depth and
+// hashes signatures with the fnv helpers; the hierarchical
+// extraction/DRC certificate engine (internal/hier) reads only Reach,
+// which its store fingerprint embeds, so changing Reach re-keys every
+// persisted hier certificate. LVS persists nothing.
 package seam
 
 import (

@@ -764,9 +764,12 @@ func cmdExtract(s *Shell, args []string) error {
 	if rep.CircuitErr != nil {
 		return rep.CircuitErr
 	}
-	ckt := rep.Circuit
+	ckt, target := rep.Circuit, cell
+	if snap != nil {
+		target = snap.Cell
+	}
 	s.printf("%s: %d net(s), %d transistor(s), %d label(s)\n",
-		name, ckt.NetCount, len(ckt.Transistors), len(ckt.NetOf))
+		name, ckt.NetCount, len(ckt.Transistors), len(ckt.NetOf(target)))
 	return nil
 }
 

@@ -61,7 +61,7 @@ func TestShellVerifierAcrossEditorSessions(t *testing.T) {
 	if rep.CircuitErr != nil {
 		t.Fatal(rep.CircuitErr)
 	}
-	if len(rep.Circuit.NetOf) == 0 {
+	if len(rep.Circuit.Sites) == 0 {
 		t.Fatal("stale pre-edit report served after editor recreation")
 	}
 }
@@ -96,7 +96,7 @@ func TestShellVerifierReuse(t *testing.T) {
 		t.Error("unchanged cell: verifier must return the cached report")
 	}
 	ckt1 := rep1.Circuit
-	if ckt1 == nil || !ckt1.SameNet("a.OUT", "b.IN") {
+	if ckt1 == nil || !ckt1.SameNet(sh.Editor.Cell, "a.OUT", "b.IN") {
 		t.Fatal("abutted gates must share a net")
 	}
 
@@ -111,7 +111,7 @@ func TestShellVerifierReuse(t *testing.T) {
 	if rep3 == rep2 {
 		t.Error("edit must invalidate the cached report")
 	}
-	if rep3.Circuit.SameNet("a.OUT", "b.IN") {
+	if rep3.Circuit.SameNet(sh.Editor.Cell, "a.OUT", "b.IN") {
 		t.Error("moved gate still shares a net")
 	}
 }

@@ -55,8 +55,7 @@ func (s *Shell) initRegistry() {
 			obs.N("hits", rs.CertHits),
 			obs.N("ref_templates_built", rs.TemplatesBuilt),
 			obs.N("ref_template_hits", rs.TemplateHits),
-			obs.N("ref_labels_built", rs.LabelsBuilt),
-			obs.N("ref_labels_carried", rs.LabelsCarried),
+			obs.N("names_formatted", rs.NamesFormatted),
 		}
 		if last := s.LVS.Last(); last != nil {
 			ct := last.Cert

@@ -15,7 +15,9 @@
 // union-find and renumbering, spacing, surround, the final merges and
 // the circuit materialization still rerun over the whole design, and a
 // live (unsnapshotted) cell, a changed layer set or a mutated leaf
-// composes cold. Either way the report equals a from-scratch flat run
+// composes cold. The circuit carries its labels as a table, one net per
+// label site (extract.Circuit.Sites), so a verify formats no label
+// name. Either way the report equals a from-scratch flat run
 // — the engine is differential-tested against it — and carries the
 // circuit's leaf-occurrence identity (Report.Occs) for LVS, so no path
 // flattens a design just to name its occurrences.

@@ -258,7 +258,9 @@ func (s *Session) CheckDRC(cellName string) ([]Violation, error) {
 }
 
 // Extract recovers a cell's transistor-level circuit, reusing the
-// session's incremental verifier for the cell under edit.
+// session's incremental verifier for the cell under edit. Its labels
+// are a positional table; name them through the cell
+// (Circuit.NetOf, Net, SameNet with Design().Cell(cellName)).
 func (s *Session) Extract(cellName string) (*Circuit, error) {
 	rep, err := s.VerifyCell(cellName)
 	if err != nil {
