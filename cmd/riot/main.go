@@ -18,11 +18,11 @@
 //	riot -lvs CHIP            after the script, compare the named
 //	                          cell's extracted netlist against its
 //	                          declared composition
-//	riot -cache DIR           persist verification caches (leaf
-//	                          netlists, LVS and per-cell
-//	                          hierarchical certificates) under DIR
-//	                          across invocations; defaults to
-//	                          $RIOT_CACHE when set
+//	riot -cache DIR           persist the hierarchical engine's
+//	                          per-cell certificates under DIR across
+//	                          invocations (LVS keeps its memos in
+//	                          process); defaults to $RIOT_CACHE when
+//	                          set
 //	riot -stats               after the run, print the unified
 //	                          verification statistics (every mode:
 //	                          -drc, -extract, -lvs, scripts)
@@ -32,11 +32,6 @@
 //	                          tree and write it as Chrome trace-event
 //	                          JSON (load in chrome://tracing or
 //	                          ui.perfetto.dev)
-//	riot -hier=false          verify with the scratch flat reference
-//	                          only, bypassing the hierarchical
-//	                          per-cell certificate path (verdicts are
-//	                          identical; this is the slow reference
-//	                          mode)
 //	riot -faults SPEC         arm deterministic fault-injection points
 //	                          (e.g. "cert-pend=SRCELL,store-corrupt:1")
 //	                          to exercise the pipeline's degradation
@@ -121,7 +116,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("riot", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	fl.Usage = func() {
-		fmt.Fprintln(stderr, `usage: riot [-f script | -c "CMD; ..."] [-drc CELL] [-extract CELL] [-lvs CELL] [-stats[=json]] [-trace FILE] [-cache DIR] [-screenshot FILE [-workstation charles|gigi]]`)
+		fmt.Fprintln(stderr, `usage: riot [-f script | -c "CMD; ..."] [-drc CELL] [-extract CELL] [-lvs CELL] [-stats[=json]] [-trace FILE] [-cache DIR] [-faults SPEC] [-screenshot FILE [-workstation charles|gigi]]
+       riot -serve [-cache DIR] [-stats[=json]]`)
 	}
 	script := fl.String("f", "", "command script to run")
 	cmds := fl.String("c", "", "semicolon-separated commands to run")
@@ -134,7 +130,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var stats statsFlag
 	fl.Var(&stats, "stats", "print unified verification statistics after the run (=json: machine-readable)")
 	traceFile := fl.String("trace", "", "write the pipeline's span tree as Chrome trace-event JSON to FILE")
-	hier := fl.Bool("hier", true, "verify through hierarchical per-cell certificates (=false: the scratch flat reference only)")
 	faults := fl.String("faults", os.Getenv("RIOT_FAULTS"), "arm fault-injection points, e.g. \"cert-pend=SRCELL,store-corrupt:1\" (default $RIOT_FAULTS)")
 	srv := fl.Bool("serve", false, "run the multi-session design server over stdin (OPEN/ON/CLOSE/SESSIONS/STATS/QUIT)")
 	if err := fl.Parse(args); err != nil {
@@ -189,7 +184,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	s.Shell.CreateFile = func(name string) (io.WriteCloser, error) {
 		return os.Create(name)
 	}
-	s.Shell.Verifier.Hier = *hier
 	if *faults != "" {
 		set, err := faultinject.Parse(*faults)
 		if err != nil {

@@ -125,10 +125,9 @@ func counter(t *testing.T, snap map[string]map[string]any, section, key string) 
 // TestCacheWarmStart runs the same -lvs check twice over one cache
 // directory and asserts the second invocation loads the hier
 // certificate from the persistent store and writes nothing, that LVS
-// derives its one leaf certificate in process on both runs, that the
-// store holds the hier family alone, and that neither run takes a flat
-// run — the CLI-level shape the CI warm-start job checks through
-// -stats=json.
+// extracts its one leaf in process on both runs, that the store holds
+// the hier family alone, and that neither run takes a flat run — the
+// CLI-level shape the CI warm-start job checks through -stats=json.
 func TestCacheWarmStart(t *testing.T) {
 	t.Chdir(t.TempDir())
 	cache := filepath.Join(t.TempDir(), "cache")
@@ -138,8 +137,8 @@ func TestCacheWarmStart(t *testing.T) {
 		t.Fatalf("cold run exit = %d", code)
 	}
 	snap := statsJSON(t, out)
-	if got := counter(t, snap, "lvs", "matched"); got != 1 {
-		t.Fatalf("cold run matched = %v, want 1:\n%s", got, out)
+	if got := counter(t, snap, "lvs", "leaves_extracted"); got != 1 {
+		t.Fatalf("cold run extracted %v leaves, want 1:\n%s", got, out)
 	}
 	if got := counter(t, snap, "castore", "puts"); got != 1 {
 		t.Errorf("cold run stored %v entries, want 1 (the leaf's hier certificate):\n%s", got, out)
@@ -152,8 +151,8 @@ func TestCacheWarmStart(t *testing.T) {
 		t.Fatalf("warm run exit = %d", code)
 	}
 	snap = statsJSON(t, out)
-	if got := counter(t, snap, "lvs", "matched"); got != 1 {
-		t.Errorf("warm run derived %v leaf certificates, want 1 (LVS derives in process):\n%s", got, out)
+	if got := counter(t, snap, "lvs", "leaves_extracted"); got != 1 {
+		t.Errorf("warm run extracted %v leaves, want 1 (LVS derives in process):\n%s", got, out)
 	}
 	if got := counter(t, snap, "castore", "puts"); got != 0 {
 		t.Errorf("warm run stored %v entries, want 0:\n%s", got, out)

@@ -46,11 +46,13 @@
 // (or no entry) intact and at worst some tmp debris. Concurrent
 // processes sharing one directory are safe the same way — rename is
 // atomic within the filesystem, and the last writer of a key wins with
-// a whole file. The MANIFEST file is the store's advisory-lock target:
-// Open takes a shared flock to validate it and trades up to an
-// exclusive flock only to create or recover it (a manifest with a
-// different format version quarantines the entry tree and
-// re-initializes). No lock outlives Open — holding one for the store's
+// a whole file. The MANIFEST file is the store's advisory-lock target.
+// A Put holds a shared flock on it from creating its temp file to
+// renaming it. Open takes the exclusive flock to validate, create or
+// recover the manifest (a manifest with a different format version
+// quarantines the entry tree and re-initializes) and to sweep tmp/, so
+// a sweep never removes another handle's or process's in-flight write.
+// No lock outlives the call that took it — holding one for the store's
 // lifetime would make every later Open on the directory block behind a
 // long-running process, which is exactly the concurrent-invocation
 // shape the store exists to support.
@@ -122,7 +124,8 @@ type Store struct {
 // written by an incompatible store version is treated as total skew:
 // under an exclusive lock the existing entry tree is quarantined and
 // the store re-initialized empty — a cold start, never a misread.
-// Crash debris under tmp/ is swept.
+// Crash debris under tmp/ is swept. Both run under the exclusive flock
+// on the manifest.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("castore: %w", err)
@@ -131,12 +134,15 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("castore: %w", err)
 	}
+	defer mf.Close()
+	if err := flock(mf, true); err != nil {
+		return nil, fmt.Errorf("castore: lock %s: %w", mf.Name(), err)
+	}
+	defer flock(mf, false)
 	s := &Store{dir: dir}
 	if err := s.ensureManifest(mf); err != nil {
-		mf.Close()
 		return nil, err
 	}
-	mf.Close()
 	s.sweepTmp()
 	return s, nil
 }
@@ -178,28 +184,12 @@ func (s *Store) count(f func(*Stats)) {
 	s.mu.Unlock()
 }
 
-// ensureManifest validates the manifest under a shared flock and, only
-// when it is missing or skewed, trades up to the exclusive flock to
-// create or recover it. The upgrade releases the shared lock before
-// taking the exclusive one — an in-place upgrade between two openers
-// deadlocks — so the state is re-read after the exclusive lock lands:
-// another process may have initialized the store while we waited.
+// ensureManifest validates the manifest and, when it is missing or
+// skewed, creates or recovers it. The caller holds the exclusive flock.
 func (s *Store) ensureManifest(mf *os.File) error {
 	want := fmt.Sprintf("riot-castore %d\n", Version)
-	if err := flockShared(mf); err != nil {
-		return fmt.Errorf("castore: lock %s: %w", mf.Name(), err)
-	}
 	data, err := readManifest(mf)
-	if err == nil && string(data) == want {
-		flock(mf, false)
-		return nil
-	}
-	flock(mf, false)
-	if err := flock(mf, true); err != nil {
-		return fmt.Errorf("castore: lock %s: %w", mf.Name(), err)
-	}
-	defer flock(mf, false)
-	if data, err = readManifest(mf); err != nil {
+	if err != nil {
 		return fmt.Errorf("castore: manifest: %w", err)
 	}
 	switch {
@@ -261,7 +251,8 @@ func (s *Store) quarantineTree() {
 
 // sweepTmp removes in-flight write debris left by crashed processes.
 // Entries under tmp were never renamed into place, so removing them
-// cannot lose committed data.
+// cannot lose committed data; the caller holds the exclusive flock, so
+// no live Put has a temp file there.
 func (s *Store) sweepTmp() {
 	tmp := filepath.Join(s.dir, "tmp")
 	entries, err := os.ReadDir(tmp)
@@ -397,6 +388,16 @@ func (s *Store) put(ns string, key Key, fingerprint uint64, payload []byte) erro
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[24:28], crc32.Checksum(payload, castagnoli))
 
+	// the shared flock keeps Open's sweep off the temp file until the
+	// rename; closing the manifest releases it
+	mf, err := os.Open(filepath.Join(s.dir, manifest))
+	if err != nil {
+		return err
+	}
+	defer mf.Close()
+	if err := flockShared(mf); err != nil {
+		return fmt.Errorf("lock %s: %w", mf.Name(), err)
+	}
 	tmpDir := filepath.Join(s.dir, "tmp")
 	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
 		return err

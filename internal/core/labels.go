@@ -30,7 +30,7 @@ func LabelHead(c *Cell) []Connector {
 	var out []Connector
 	for k, cn := range c.ExtraConnectors {
 		named := func(p Connector) bool { return p.Name == cn.Name }
-		if !slices.ContainsFunc(c.ExtraConnectors[:k], named) && !c.namesSite(cn.Name, true) {
+		if !slices.ContainsFunc(c.ExtraConnectors[:k], named) && !c.namesSite(cn.Name) {
 			out = append(out, cn)
 		}
 	}
@@ -68,40 +68,10 @@ func LabelMap(c *Cell, tab []int32) map[string]int {
 	return m
 }
 
-// LabelsUnique reports whether no two label sites of c share a name,
-// so a table and its name map carry the same labels. A cell's own
-// connector names are distinct (leaf loaders reject duplicates,
-// CompositionConnectors drops them), so names repeat only across two
-// instances of one name, across instances whose names extend one
-// another past a '.' ("a" and "a.b" both name a.b.C), or where a kept
-// extra repeats an instance site's name.
-func LabelsUnique(c *Cell) bool {
-	names := make(map[string]bool, len(c.Instances))
-	for _, in := range c.Instances {
-		if names[in.Name] {
-			return false
-		}
-		names[in.Name] = true
-	}
-	for _, in := range c.Instances {
-		for p := range in.Name {
-			if in.Name[p] == '.' && names[in.Name[:p]] {
-				return false
-			}
-		}
-	}
-	for _, cn := range LabelHead(c) {
-		if c.namesSite(cn.Name, false) {
-			return false
-		}
-	}
-	return true
-}
-
 // namesSite reports whether a visible connector of one of c's
-// instances, on c's box edge when onEdge, carries the label name. Only
-// instances whose name prefixes it are walked, and no name is built.
-func (c *Cell) namesSite(name string, onEdge bool) bool {
+// instances, on c's box edge, carries the label name. Only instances
+// whose name prefixes it are walked, and no name is built.
+func (c *Cell) namesSite(name string) bool {
 	for _, in := range c.Instances {
 		n := len(in.Name)
 		if len(name) <= n || name[n] != '.' || name[:n] != in.Name {
@@ -111,7 +81,7 @@ func (c *Cell) namesSite(name string, onEdge bool) bool {
 		var buf [64]byte
 		in.Sites(conns, func(i, j, k int) {
 			if !found && string(appendArrayName(buf[:0], conns[k].Name, i, j, in.Nx, in.Ny)) == name[n+1:] {
-				found = !onEdge || geom.SideOf(c.BBox(), in.copyTransform(i, j).Apply(conns[k].At)) != geom.SideNone
+				found = geom.SideOf(c.BBox(), in.copyTransform(i, j).Apply(conns[k].At)) != geom.SideNone
 			}
 		})
 		if found {

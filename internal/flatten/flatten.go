@@ -65,11 +65,9 @@ type Shape struct {
 // Device is a transistor's geometry in flattened (centimicron) space:
 // the gate poly strip, the diffusion channel extent, and probe points
 // just beyond the gate on either channel end plus one on the gate.
-// Src is the leaf occurrence that drew the device, in the same id
-// space as Shape.Src — devices of one occurrence are contiguous and in
-// the leaf's source order, which is what lets consumers (the LVS
-// certificate check) align an occurrence's devices with the same
-// cell's standalone flatten one-to-one.
+// Devices come in walk order, each leaf occurrence's contiguous and in
+// the leaf's source order, which is the order the LVS reference lists
+// its devices in.
 type Device struct {
 	Kind    sticks.DeviceKind
 	Gate    geom.Rect
@@ -77,7 +75,6 @@ type Device struct {
 	ProbeA  geom.Point
 	ProbeB  geom.Point
 	ProbeG  geom.Point
-	Src     int
 }
 
 // Join is a contact: two points (usually coincident) whose material is
@@ -115,38 +112,10 @@ type Result struct {
 	// deliberate abutment (boxes touching) from accidental proximity.
 	SrcBoxes []geom.Rect
 
-	// SrcCells holds, indexed by Shape.Src, the leaf cell each
-	// occurrence instantiates — the occurrence's identity. Repeated
-	// placements of one cell share the pointer, which is what lets
-	// consumers recognize "the same pre-designed cell again" (the LVS
-	// hierarchical certificates key on it).
-	SrcCells []*core.Cell
-
 	byLayer map[geom.Layer][]geom.Rect
 	bySrc   map[geom.Layer][]int
 	indexes map[geom.Layer]*geom.Index
 	layers  []geom.Layer
-}
-
-// Occurrences is a design's leaf-occurrence identity in flat walk
-// order: each occurrence's leaf cell and the index of its first device
-// (DevLo ends with the device total) — what LVS aligns against.
-type Occurrences struct {
-	Cells []*core.Cell
-	DevLo []int32
-}
-
-// Occurrences derives the result's occurrence identity (the walk emits
-// each occurrence's devices contiguously).
-func (r *Result) Occurrences() *Occurrences {
-	oc := &Occurrences{Cells: r.SrcCells, DevLo: make([]int32, len(r.SrcCells)+1)}
-	for _, d := range r.Devices {
-		oc.DevLo[d.Src+1]++
-	}
-	for o := range r.SrcCells {
-		oc.DevLo[o+1] += oc.DevLo[o]
-	}
-	return oc
 }
 
 // Cell flattens a cell hierarchy.
@@ -245,14 +214,12 @@ func (r *Result) buildLayers() {
 
 // builder accumulates flattened geometry during the walk.
 type builder struct {
-	shapes   []Shape
-	devices  []Device
-	joins    []Join
+	shapes  []Shape
+	devices []Device
+	joins   []Join
+	// srcBoxes holds one box per leaf occurrence entered so far; the
+	// current leaf's shapes carry the last one's index as their Src id.
 	srcBoxes []geom.Rect
-	srcCells []*core.Cell
-	// srcN counts leaf-cell occurrences entered so far; the current
-	// leaf's shapes carry srcN-1 as their Src id.
-	srcN int
 }
 
 // result wraps the walk's lists, without labels, as a Result.
@@ -262,7 +229,6 @@ func (b *builder) result() *Result {
 		Devices:  b.devices,
 		Joins:    b.joins,
 		SrcBoxes: b.srcBoxes,
-		SrcCells: b.srcCells,
 	}
 }
 
@@ -287,13 +253,11 @@ func (b *builder) cell(c *core.Cell, tr geom.Transform) error {
 // enterLeaf opens the next leaf occurrence: allocates its id and
 // records its placed bounding box.
 func (b *builder) enterLeaf(c *core.Cell, tr geom.Transform) {
-	b.srcN++
 	b.srcBoxes = append(b.srcBoxes, tr.ApplyRect(c.BBox()))
-	b.srcCells = append(b.srcCells, c)
 }
 
 // src is the occurrence id of the leaf currently being flattened.
-func (b *builder) src() int { return b.srcN - 1 }
+func (b *builder) src() int { return len(b.srcBoxes) - 1 }
 
 // instance flattens every array copy of an instance in grid order
 // (i outer, j inner).
@@ -359,7 +323,6 @@ func (b *builder) sticksLeaf(sc *sticks.Cell, tr geom.Transform) error {
 			ProbeA:  sp(pa),
 			ProbeB:  sp(pb),
 			ProbeG:  sp(d.At),
-			Src:     b.src(),
 		}
 		b.devices = append(b.devices, dev)
 		// the gate strip is poly material connected to whatever poly

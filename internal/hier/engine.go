@@ -319,10 +319,6 @@ type Result struct {
 	NetCount    int
 	DeviceCount int
 	Violations  []drc.Violation
-	// Occs is the leaf-occurrence identity of the materialized circuit,
-	// equal to what a flat walk derives (flatten.Result.Occurrences);
-	// Circuit fills it in.
-	Occs *flatten.Occurrences
 
 	e   *Engine
 	top *core.Cell

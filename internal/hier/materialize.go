@@ -3,21 +3,20 @@ package hier
 import (
 	"riot/internal/core"
 	"riot/internal/extract"
-	"riot/internal/flatten"
 	"riot/internal/geom"
 )
 
 // Circuit materializes the full netlist for a verdict: every
-// occurrence's devices renumbered into the composed dense net space,
-// plus the label table filled in site order, and the occurrence
-// identity (Occs) alongside. Materialization is O(placed copies) —
-// exactly the cost the fast path exists to avoid — so it only happens
-// when a caller needs the netlist. A fast-path verdict is exact already
-// (its violations stand), so it composes only the connectivity half of
-// the general path first, and a decline there is recorded as the
-// engine's last decline. The top must not have changed since Verify
-// (a snapshot never does): sites index the walked occurrences by the
-// top's instance list.
+// occurrence's devices renumbered into the composed dense net space, in
+// flatten's walk order (the order LVS aligns its reference against),
+// plus the label table filled in site order. Materialization is
+// O(placed copies) — exactly the cost the fast path exists to avoid —
+// so it only happens when a caller needs the netlist. A fast-path
+// verdict is exact already (its violations stand), so it composes only
+// the connectivity half of the general path first, and a decline there
+// is recorded as the engine's last decline. The top must not have
+// changed since Verify (a snapshot never does): sites index the walked
+// occurrences by the top's instance list.
 func (r *Result) Circuit() (*extract.Circuit, error) {
 	if r.ckt != nil {
 		return r.ckt, nil
@@ -47,11 +46,8 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 	if n := st.deviceCount(); n > 0 {
 		ckt.Transistors = make([]extract.Transistor, 0, n)
 	}
-	occ := &flatten.Occurrences{Cells: make([]*core.Cell, len(st.occs)), DevLo: make([]int32, len(st.occs)+1)}
 	for i := range st.occs {
 		o := &st.occs[i]
-		occ.Cells[i] = o.cert.Cell
-		occ.DevLo[i] = int32(len(ckt.Transistors))
 		for _, dv := range o.cert.X.Devices {
 			ckt.Transistors = append(ckt.Transistors, extract.Transistor{
 				Kind: dv.Kind,
@@ -61,10 +57,9 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 			})
 		}
 	}
-	occ.DevLo[len(st.occs)] = int32(len(ckt.Transistors))
 
 	ckt.Sites = r.sites(st)
-	r.ckt, r.Occs = ckt, occ
+	r.ckt = ckt
 	return ckt, nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"riot/internal/core"
 	"riot/internal/extract"
-	"riot/internal/flatten"
 	"riot/internal/geom"
 	"riot/internal/lib"
 	"riot/internal/rules"
@@ -86,27 +85,19 @@ func BenchmarkIncrementalLVS(b *testing.B) {
 	}
 }
 
-// BenchmarkLVSHierMatch isolates the matching stage (reference,
-// circuit and flattened geometry prebuilt and shared): the flat
-// comparison against the certificate-backed path, cold — every
-// certified iteration drops the reference's certificates, re-derives
-// the leaf's from its memoized entry and re-certifies all
-// occurrences. The copies settle by device alignment and the forced
-// boundary bijection, so the certified cost is the flat cost of the
-// un-certified residual (here: nothing) plus linear bookkeeping.
+// BenchmarkLVSHierMatch isolates the matching stage (reference and
+// circuit prebuilt and shared): the flat comparison against the
+// certified path, the walk-order witness over both device lists and
+// both label tables.
 func BenchmarkLVSHierMatch(b *testing.B) {
 	for _, n := range []int{32, 64} {
 		e := gridEditor(b, n)
-		fr, err := flatten.Cell(e.Cell)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ckt, _, err := extract.SolveNets(fr)
+		ckt, err := extract.FromCell(e.Cell)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var rf Reference
-		ref, occs, err := rf.NetlistOccs(e.Cell, nil)
+		ref, leaves, err := rf.unnamed(e.Cell, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,9 +112,9 @@ func BenchmarkLVSHierMatch(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("%dx%d/certified", n, n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rf.certs = nil
-				res := compareHier(&rf, e.Cell, occs, ref, ckt, fr.Occurrences())
+				res := rf.compare(e.Cell, ref, leaves, ckt)
 				if !res.Clean {
 					b.Fatalf("certified not clean: %v", res.Mismatches)
 				}
@@ -135,21 +126,17 @@ func BenchmarkLVSHierMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafCertificate measures what each session pays per
-// distinct leaf, in process: a fresh Reference extracts SRCELL alone
-// for its entry and derives the leaf's certificate from it.
-func BenchmarkLeafCertificate(b *testing.B) {
+// BenchmarkLeafEntry measures what each session pays per distinct
+// leaf, in process: a fresh Reference extracts SRCELL alone for its
+// entry.
+func BenchmarkLeafEntry(b *testing.B) {
 	sr := arrayEditor(b, 1).Cell.Instances[0].Cell
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var rf Reference
-		e := rf.entry(sr, seam.Reach)
-		if e.err != nil {
+		if e := rf.entry(sr, seam.Reach); e.err != nil {
 			b.Fatal(e.err)
-		}
-		if ct := rf.cert(e.occs[0]); !ct.ok {
-			b.Fatal("SRCELL did not certify")
 		}
 	}
 }
@@ -179,21 +166,21 @@ func arrayEditor(tb testing.TB, n int) *core.Editor {
 // BenchmarkReferenceArray measures the reference derivation of a
 // single ARRAY instance as every sign-off session pays it: each
 // iteration is a fresh Reference, so the time is one standalone leaf
-// extraction plus the array stitch — template replay, device and
-// occurrence copy, renumbering, labels.
+// extraction plus the array stitch — template replay, device copy,
+// renumbering, labels.
 func BenchmarkReferenceArray(b *testing.B) {
 	for _, n := range []int{32, 128} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			cell := arrayEditor(b, n).Cell
 			var warm Reference
-			if _, _, err := warm.NetlistOccs(cell, nil); err != nil {
+			if _, _, err := warm.unnamed(cell, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var rf Reference
-				nl, _, err := rf.NetlistOccs(cell, nil)
+				nl, _, err := rf.unnamed(cell, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -62,23 +62,24 @@ func (mm Mismatch) String() string {
 	return s
 }
 
-// Result is one comparison's outcome. Clean means the reduced
-// netlists were proven isomorphic with an explicit net matching.
+// Result is one comparison's outcome. Clean means the netlists were
+// proven isomorphic: by the walk-order witness, or on the reduced
+// netlists with an explicit net matching.
 type Result struct {
 	Clean      bool
 	Mismatches []Mismatch
 	// RefNets/LayNets count the electrically meaningful (pruned,
 	// reduced) nets per side; RefDevices/LayDevices the reduced
-	// devices.
+	// devices. A result the witness settled counts unreduced: the nets
+	// it bound and the devices it walked, the same on both sides.
 	RefNets, LayNets       int
 	RefDevices, LayDevices int
-	// NetMap maps reference nets to layout nets when Clean (reduced
-	// net id spaces; interior series nets are absent). Under a
-	// certificate-collapsed comparison the spaces are the collapsed
-	// ones: certified interiors are absent and hub nets appended.
+	// NetMap maps reference nets to layout nets when a flat comparison
+	// is Clean (reduced net id spaces; interior series nets are
+	// absent). A result the witness settled carries none.
 	NetMap map[int]int
-	// Cert is the hierarchical-certificate accounting of the run (zero
-	// on a plain flat comparison).
+	// Cert is the witness accounting of an Incremental check (zero on a
+	// plain flat comparison).
 	Cert CertStats
 }
 

@@ -18,16 +18,16 @@ import (
 func TestReferenceSingleSessionGuard(t *testing.T) {
 	e := gridEditor(t, 2)
 	var rf Reference
-	if _, _, err := rf.NetlistOccs(e.Cell, nil); err != nil {
+	if _, _, err := rf.unnamed(e.Cell, nil); err != nil {
 		t.Fatal(err)
 	}
 	rf.busy = 1
-	_, _, err := rf.NetlistOccs(e.Cell, nil)
+	_, _, err := rf.unnamed(e.Cell, nil)
 	if err == nil || !strings.Contains(err.Error(), "concurrently") {
 		t.Fatalf("concurrent entry not refused: %v", err)
 	}
 	rf.busy = 0
-	if _, _, err := rf.NetlistOccs(e.Cell, nil); err != nil {
+	if _, _, err := rf.unnamed(e.Cell, nil); err != nil {
 		t.Fatalf("reference did not recover after the guard cleared: %v", err)
 	}
 }

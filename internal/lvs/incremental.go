@@ -10,40 +10,36 @@ import (
 )
 
 // Incremental is the LVS entry point: one Incremental holds the
-// reference memo (leaf extractions and certificates, per-cell
-// stitches) and the last verdict, keyed on the editor's generation.
+// reference memo (leaf extractions, per-cell stitches) and the last
+// verdict, keyed on the editor's generation.
 // The layout side comes from the caller's verify.Verifier — the one
 // the DRC and EXTRACT commands use, which by default composes per-cell
 // certificates (internal/hier) and runs the scratch flat reference
 // only when the engine declines. An unchanged generation returns the
 // cached verdict outright. After a one-cell edit:
 //
-//   - carried: every leaf netlist, leaf certificate and untouched
-//     sub-cell entry, each cell's port bindings (the net every
-//     connector's own position resolves to), and the pair templates
-//     the re-stitch replays again;
+//   - carried: every leaf netlist and untouched sub-cell entry, each
+//     cell's port bindings (the net every connector's own position
+//     resolves to), and the pair templates the re-stitch replays
+//     again;
 //   - rerun over the whole design: the edited composition's pair
 //     discovery, template replay through one union-find, renumbering,
-//     device and occurrence copies, the label table (one integer read
-//     per label site, or a point query for a connector with no net of
-//     its own) and the certified match, which walks the reference's
-//     and the layout's tables site by site.
+//     the device copy, the label table (one integer read per label
+//     site, or a point query for a connector with no net of its own)
+//     and the walk-order witness over both device lists and both
+//     tables.
 //
-// A clean certified check formats no label name: only a flat
-// comparison (a declined or failed certified match) names both tables.
-// A leaf mutated in place, which Editor.Invalidate or Cell.MarkMutated
-// announce, re-derives its entry and certificate. The memo lives in
-// process only: a fresh Incremental derives each distinct leaf once,
-// whatever store the verifier has attached. A fresh Incremental over a
-// zero Verifier is the from-scratch path (flatten, solve, certified
-// compare); the caches are invisible except as speed.
+// A check the witness settles formats no label name: only the flat
+// comparison names both tables. A leaf mutated in place, which
+// Editor.Invalidate or Cell.MarkMutated announce, re-derives its entry.
+// The memo lives in process only: a fresh Incremental extracts each
+// distinct leaf once, whatever store the verifier has attached. A
+// fresh Incremental over a zero Verifier is the from-scratch path
+// (flatten, solve, witness); the caches are invisible except as speed.
 type Incremental struct {
-	// Ref is the reference-netlist memo with its leaf certificates;
-	// usable directly when a caller wants the reference netlist itself.
-	// Because the memo persists across generations, an edit derives no
-	// certificate for an unchanged leaf and refinement warm-starts
-	// from the certified boundary anchors — only the un-certified
-	// region around the edit is re-refined.
+	// Ref is the reference-netlist memo; usable directly when a caller
+	// wants the reference netlist itself. Because the memo persists
+	// across generations, an edit extracts no unchanged leaf again.
 	Ref Reference
 	// Trace, when enabled, records an "lvs" span per Check with the
 	// verifier's span tree, a "reference" derivation span and a "match"
@@ -59,7 +55,7 @@ type Incremental struct {
 
 // Last reports the most recent comparison's Result (through either
 // Check or CheckCell), or nil before the first run. Stats surfaces read
-// the certificate accounting from it.
+// the witness accounting from it.
 func (inc *Incremental) Last() *Result { return inc.last }
 
 // Check runs LVS on the editor's cell through the shared verifier.
@@ -71,9 +67,8 @@ func (inc *Incremental) Check(ed *core.Editor, v *verify.Verifier) (*Result, err
 }
 
 // CheckSnapshot is Check against an explicit frozen generation. The
-// verifier must be the session's own (its report carries the occurrence
-// identity the comparison aligns against); generations are globally
-// unique, so the cached verdict can never alias another session's.
+// verifier must be the session's own; generations are globally unique,
+// so the cached verdict can never alias another session's.
 func (inc *Incremental) CheckSnapshot(snap *core.Snapshot, v *verify.Verifier) (*Result, error) {
 	sp := inc.Trace.Begin("lvs")
 	defer sp.End()
@@ -109,28 +104,28 @@ func (inc *Incremental) CheckCell(cell *core.Cell, v *verify.Verifier) (*Result,
 }
 
 // compare derives the reference and compares the verifier's circuit
-// against it, through the certificate collapse.
+// against it: the walk-order witness, else the flat comparison.
 func (inc *Incremental) compare(cell *core.Cell, declared []core.Connection, rep *verify.Report) (*Result, error) {
 	if rep.CircuitErr != nil {
 		return nil, fmt.Errorf("lvs: %s: layout extraction failed: %w", cell.Name, rep.CircuitErr)
 	}
 	rsp := inc.Trace.Begin("reference")
-	ref, occs, err := inc.Ref.NetlistOccs(cell, declared)
+	ref, leaves, err := inc.Ref.unnamed(cell, declared)
 	rsp.End()
 	if err != nil {
 		return nil, err
 	}
 	msp := inc.Trace.Begin("match")
-	res := compareHier(&inc.Ref, cell, occs, ref, rep.Circuit, rep.Occs)
+	res := inc.Ref.compare(cell, ref, leaves, rep.Circuit)
 	msp.End()
 	inc.last = res
 	return res, nil
 }
 
-// CheckCellFlat is the certificate-free baseline: a plain flat
-// comparison of a fresh reference derivation against a fresh
-// extraction. The differential tests pin that its verdict — Clean and
-// every Mismatch — is identical to the certified paths'.
+// CheckCellFlat is the witness-free baseline: a plain flat comparison
+// of a fresh reference derivation against a fresh extraction. The
+// differential tests pin that its verdict — Clean and every Mismatch —
+// is identical to the certified path's.
 func CheckCellFlat(cell *core.Cell) (*Result, error) {
 	return checkFlat(cell, nil)
 }

@@ -16,15 +16,14 @@ import (
 )
 
 // refDiff compares rf's reference netlist of cell against a fresh
-// Reference's: net count, devices, label tables and occurrence maps
-// (cell and nets; an occurrence's signature is a per-Reference id). It
+// Reference's: net count, devices, leaf count and label tables. It
 // returns "" when the two agree.
 func refDiff(rf *Reference, cell *core.Cell, declared []core.Connection) (string, error) {
-	got, gotOccs, err := rf.NetlistOccs(cell, declared)
+	got, gotLeaves, err := rf.unnamed(cell, declared)
 	if err != nil {
 		return "", err
 	}
-	want, wantOccs, err := new(Reference).NetlistOccs(cell, declared)
+	want, wantLeaves, err := new(Reference).unnamed(cell, declared)
 	if err != nil {
 		return "", err
 	}
@@ -33,13 +32,8 @@ func refDiff(rf *Reference, cell *core.Cell, declared []core.Connection) (string
 		return fmt.Sprintf("net count %d, fresh %d", got.NetCount, want.NetCount), nil
 	case !reflect.DeepEqual(got.Devices, want.Devices):
 		return "devices differ", nil
-	case len(gotOccs) != len(wantOccs):
-		return fmt.Sprintf("%d occurrences, fresh %d", len(gotOccs), len(wantOccs)), nil
-	}
-	for i := range gotOccs {
-		if gotOccs[i].cell != wantOccs[i].cell || !slices.Equal(gotOccs[i].nets, wantOccs[i].nets) {
-			return fmt.Sprintf("occurrence %d differs", i), nil
-		}
+	case gotLeaves != wantLeaves:
+		return fmt.Sprintf("%d leaf occurrences, fresh %d", gotLeaves, wantLeaves), nil
 	}
 	if !slices.Equal(got.Sites, want.Sites) {
 		var sites []int
@@ -144,8 +138,7 @@ func labelDesign(t *testing.T) (top, sub *core.Editor) {
 // Verifier. At every generation the session's reference netlist — its
 // memoized entries re-stitched and its label table refilled — must
 // equal a fresh Reference's, with and without the declared records,
-// and the LVS verdict must equal the certificate-free flat
-// comparison's.
+// and the LVS verdict must equal the witness-free flat comparison's.
 func TestLabelTablesMatchFresh(t *testing.T) {
 	top, sub := labelDesign(t)
 	v := &verify.Verifier{Hier: true}
@@ -282,8 +275,8 @@ func TestProbeLabelTakesPointQuery(t *testing.T) {
 }
 
 // TestReferenceLeafMutatedInPlace is the LVS twin of the hier engine's
-// in-place mutation contract: the reference memoizes leaf entries and
-// certificates by cell, so a leaf whose content changes under the same
+// in-place mutation contract: the reference memoizes leaf entries by
+// cell, so a leaf whose content changes under the same
 // pointer — announced through Editor.Invalidate or, outside any editor,
 // Cell.MarkMutated — must not be served from its old entry. Each case
 // drops the shared SRCELL's first sticks wire after a priming check;
@@ -357,7 +350,7 @@ func TestReferenceLeafMutatedInPlace(t *testing.T) {
 
 // TestSiteShiftCaught is the label tables' mutation check: move one
 // site onto another site's net, in the layout table or in the
-// reference table, and the certified verdict must differ from the flat
+// reference table, and the verdict must differ from the flat
 // comparison of the unmutated design. A table read one site off would
 // fail the session differentials the same way.
 func TestSiteShiftCaught(t *testing.T) {
@@ -373,7 +366,7 @@ func TestSiteShiftCaught(t *testing.T) {
 	for _, side := range []string{"layout", "reference"} {
 		for _, s := range []int{0, n / 2, n - 1} {
 			var rf Reference
-			ref, occs, err := rf.NetlistOccs(cell, nil)
+			ref, leaves, err := rf.unnamed(cell, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -390,7 +383,7 @@ func TestSiteShiftCaught(t *testing.T) {
 					break
 				}
 			}
-			got := compareHier(&rf, cell, occs, ref, &ckt, rep.Occs)
+			got := rf.compare(cell, ref, leaves, &ckt)
 			if got.Clean == want.Clean && reflect.DeepEqual(got.Mismatches, want.Mismatches) {
 				t.Errorf("site %d shifted on the %s side passed the differential", s, side)
 			}
@@ -463,8 +456,7 @@ func TestExtraNamedLikeInstanceLabel(t *testing.T) {
 // TestDuplicateInstanceNames pins two instances of one name (a spaced
 // row a, a, b, so every copy's nets are its own): a.OUT names the later
 // a's OUT net on the flat, hier and reference sides alike, and the
-// certified path, which declines a label space whose names repeat,
-// gives the flat comparison's verdict.
+// certified path gives the flat comparison's verdict.
 func TestDuplicateInstanceNames(t *testing.T) {
 	top := srRow(t, 40, "a", "a", "b")
 	flat, err := extract.FromCell(top)
@@ -488,7 +480,7 @@ func TestDuplicateInstanceNames(t *testing.T) {
 		t.Errorf("a.OUT names net %d, want the later a's %d", got, second)
 	}
 	var rf Reference
-	ref, _, err := rf.NetlistOccs(top, nil)
+	ref, _, err := rf.unnamed(top, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,8 +495,5 @@ func TestDuplicateInstanceNames(t *testing.T) {
 	}
 	if got.Clean != want.Clean || !reflect.DeepEqual(got.Mismatches, want.Mismatches) {
 		t.Fatalf("certified verdict differs from flat:\ngot:  %v\nwant: %v", got.Mismatches, want.Mismatches)
-	}
-	if got.Cert.Certified != 0 {
-		t.Errorf("%d occurrences certified; a space whose names repeat must compare flat", got.Cert.Certified)
 	}
 }

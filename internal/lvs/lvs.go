@@ -24,37 +24,61 @@
 //     realizes them, so a connection a later MOVE silently destroyed
 //     surfaces as an open instead of vanishing from both sides.
 //
-// Comparison is hierarchical. Each distinct leaf gets a certificate
-// derived once from its reference entry (certificate.go): for a leaf
-// the reference IS the standalone extraction, so the leaf matches
-// itself under the identity net map and no one-time match runs.
-// Occurrences of certified cells are settled by device alignment and
-// a directly-checked boundary bijection, and only the un-certified
-// residual enters the generic matcher. That matcher is Gemini-style
-// canonical labeling: both netlists are series/parallel-reduced
-// (stacked and paralleled transistors collapse into compound devices,
-// so device order and source/drain orientation never matter), then a
-// partition refinement iteratively colors the bipartite net/device
-// graph of both sides in one shared color space, seeded with the
-// connector labels the two sides share and the certificates' boundary
-// anchors. Classes whose member counts differ between the sides are
+// Comparison is one walk, with the flat matcher behind it. Both sides
+// list their devices in flatten's walk order (instances in declaration
+// order, array copies x-major, nested cells recursively) and fill one
+// label table over the same sites, so the certified path (witness.go)
+// walks the two device lists and the two tables index by index: device
+// kinds must match, every gate, A and B must bind into one net
+// bijection, and every site must be unresolved on both sides or
+// resolved on both onto a bound pair. When the walk fails, the flat
+// Compare decides. That matcher is Gemini-style canonical labeling:
+// both netlists are series/parallel-reduced (stacked and paralleled
+// transistors collapse into compound devices, so device order and
+// source/drain orientation never matter), then a partition refinement
+// iteratively colors the bipartite net/device graph of both sides in
+// one shared color space, seeded with the connector labels the two
+// sides share. Classes whose member counts differ between the sides are
 // mismatches; equal partitions are proven by an explicit net-to-net
 // matching produced through deterministic individualization. Reports
 // are stable: every tie-break follows net numbering, which both
 // derivations produce deterministically.
 //
+// Soundness of the witness, in three parts:
+//
+//   - If the witness holds, the netlists are isomorphic with their
+//     labels. The bijection maps device i of the reference onto device
+//     i of the layout, pin for pin, and every resolved site onto its
+//     twin; a net no device and no resolved site touches is dropped by
+//     the reduction on both sides alike. Reduction is a function of the
+//     abstract graph, so the flat Compare of the two sides would be
+//     clean as well. The one exception is Compare's matching budget: a
+//     balanced partition it cannot individualize within budget reports
+//     KindAmbiguous, where the witness reports clean.
+//   - A repeated label name cannot make the witness pass a layout the
+//     name-keyed comparison rejects. Each side's name map keeps, per
+//     name, the last resolved site of that name. The witness checks
+//     every site, shadowed ones included, and requires resolution
+//     status to agree site by site, so that last resolved site is the
+//     same site on both sides, and its nets are a bound pair. A
+//     repeated name can make the witness fail (a shadowed site that
+//     disagrees), and then the flat comparison decides.
+//   - The trade-off: the witness is all or nothing. A design whose walk
+//     order fails to align anywhere — one moved terminal, a reordered
+//     device list — compares flat whole; nothing certifies the parts
+//     that do align and matches only the rest.
+//
 // Labels travel as tables on both sides: one net per label site, in
-// the order internal/core enumerates the sites. The certified path
-// compares the two tables site by site and formats no name; names are
-// built only where the flat comparison or a report reads them.
+// the order internal/core enumerates the sites. The witness compares
+// the two tables site by site and formats no name; names are built
+// only where the flat comparison or a report reads them.
 //
 // Mismatch diagnostics are structural, not a bare fail: shorts (two
 // declared nets merged in the layout), opens (one declared net split),
 // swapped connector pairs, and unmatched net/device classes, each with
-// the labels and devices involved. A certified comparison that finds
-// any inconsistency reruns flat, so diagnostics always come in
-// leaf-level terms and verdicts are identical to certificate-free
-// runs.
+// the labels and devices involved. Every non-clean verdict comes from
+// the flat comparison, so diagnostics always come in leaf-level terms
+// and verdicts are identical to witness-free runs.
 //
 // The abutment seam trust reaches as deep into each occurrence as the
 // seam's own geometry requires: the base contract reach (seam.Reach)
@@ -84,9 +108,9 @@ type Device struct {
 // layout side (FromCircuit) and the reference side (Reference.Netlist)
 // produce this form. Sites is the label table over the cell's label
 // sites (core's site order, -1 where a site resolved to no net), which
-// the certified comparison walks site by site; Labels is its name map,
-// which the name-keyed Compare reads and which only callers that
-// compare by name derive (core.LabelMap).
+// the witness walks site by site; Labels is its name map, which the
+// name-keyed Compare reads and which only callers that compare by name
+// derive (core.LabelMap).
 type Netlist struct {
 	NetCount int
 	Devices  []Device

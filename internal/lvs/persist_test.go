@@ -14,7 +14,7 @@ import (
 // The persistence differential suite: the on-disk store must change
 // verdicts never and wall-time only. The store holds the hierarchical
 // engine's certificates; LVS keeps its memos in process, so every
-// session derives its one leaf certificate itself. Every test compares
+// session extracts its one leaf itself. Every test compares
 // a store-backed run against the cache-free flat baseline, both on a
 // warm store and under every corruption mode, and asserts the results
 // are deeply equal.
@@ -45,16 +45,16 @@ func warmSession(t *testing.T, dir string, logf func(string, ...any)) (*Result, 
 
 // TestPersistWarmRestart: a second process over the same store
 // directory must produce the identical verdict, loading the one hier
-// certificate instead of rebuilding it and writing nothing. LVS derives
-// its one leaf certificate in process on both runs.
+// certificate instead of rebuilding it and writing nothing. LVS
+// extracts its one leaf in process on both runs.
 func TestPersistWarmRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 
 	cold, coldStats, coldLoads, st1 := warmSession(t, dir, t.Logf)
 	mustClean(t, cold, nil, "cold store-backed run")
-	if coldStats.CertsBuilt != 1 || coldLoads != 0 {
-		t.Fatalf("cold run derived %d leaf certificates and loaded %d hier certificates; want 1 and 0",
-			coldStats.CertsBuilt, coldLoads)
+	if coldStats.LeavesExtracted != 1 || coldLoads != 0 {
+		t.Fatalf("cold run extracted %d leaves and loaded %d hier certificates; want 1 and 0",
+			coldStats.LeavesExtracted, coldLoads)
 	}
 	if got := st1.Stats(); got.Puts != 1 {
 		t.Fatalf("cold run stored %d entries, want 1 (the leaf's hier certificate): %+v", got.Puts, got)
@@ -63,8 +63,8 @@ func TestPersistWarmRestart(t *testing.T) {
 
 	warm, warmStats, warmLoads, st2 := warmSession(t, dir, t.Logf)
 	defer st2.Close()
-	if warmStats.CertsBuilt != 1 {
-		t.Errorf("warm restart derived %d leaf certificates, want 1 (LVS memos live in process)", warmStats.CertsBuilt)
+	if warmStats.LeavesExtracted != 1 {
+		t.Errorf("warm restart extracted %d leaves, want 1 (LVS memos live in process)", warmStats.LeavesExtracted)
 	}
 	if warmLoads != 1 {
 		t.Errorf("warm restart loaded %d hier certificates from disk, want 1 (the one distinct leaf)", warmLoads)
@@ -76,7 +76,7 @@ func TestPersistWarmRestart(t *testing.T) {
 		t.Errorf("warm-restart verdict diverged:\ncold: %+v\nwarm: %+v", cold, warm)
 	}
 
-	// and both agree with the certificate-free flat baseline
+	// and both agree with the witness-free flat baseline
 	flat, err := CheckEditorFlat(gridEditor(t, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +124,8 @@ func TestPersistTamperMatrix(t *testing.T) {
 			if loads != 0 {
 				t.Errorf("%d hier certificates loaded from a fully corrupted store", loads)
 			}
-			if stats.CertsBuilt != 1 {
-				t.Errorf("leaf certificates derived = %d after corruption, want 1", stats.CertsBuilt)
+			if stats.LeavesExtracted != 1 {
+				t.Errorf("leaves extracted = %d after corruption, want 1", stats.LeavesExtracted)
 			}
 			sst := st2.Stats()
 			if sst.Corrupt == 0 {
@@ -137,9 +137,9 @@ func TestPersistTamperMatrix(t *testing.T) {
 			// recovery re-populates: a third session is warm again
 			_, stats3, loads3, st3 := warmSession(t, dir, t.Logf)
 			defer st3.Close()
-			if loads3 != 1 || stats3.CertsBuilt != 1 {
-				t.Errorf("store did not recover after corruption: %d hier loads, %d leaf certificates derived; want 1 and 1",
-					loads3, stats3.CertsBuilt)
+			if loads3 != 1 || stats3.LeavesExtracted != 1 {
+				t.Errorf("store did not recover after corruption: %d hier loads, %d leaves extracted; want 1 and 1",
+					loads3, stats3.LeavesExtracted)
 			}
 		})
 	}

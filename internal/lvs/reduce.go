@@ -69,18 +69,8 @@ func reduce(n *Netlist) *rnetlist {
 		labeled:  make([]bool, n.NetCount),
 		labelNet: n.Labels, // shared read-only with the input netlist
 	}
-	// a netlist's labels are its name map, or, with no name map (a
-	// leaf's connectors, whose names are distinct), its table's
-	// resolved sites
 	for _, net := range n.Labels {
 		r.labeled[net] = true
-	}
-	if n.Labels == nil {
-		for _, net := range n.Sites {
-			if net >= 0 {
-				r.labeled[net] = true
-			}
-		}
 	}
 	r.devs = make([]rdev, 0, len(n.Devices))
 	for _, d := range n.Devices {

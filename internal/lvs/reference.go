@@ -37,7 +37,7 @@ import (
 // that shares it — the same scheme internal/hier composes
 // certificates with. An array stitches from its leaf entry plus a
 // handful of templates; what still scales with copies is the device
-// copy, the occurrence maps, the renumbering and the label table.
+// copy, the renumbering and the label table.
 //
 // Labels come from per-cell port bindings and carry no names: the top's
 // label table (core's label sites, in order) is filled once per
@@ -78,17 +78,17 @@ type refEntry struct {
 	reach   int // boundary retention depth the entry was built with
 	nets    int
 	devices []Device
-	occs    []refOcc // leaf occurrences in flatten walk order
+	leaves  int // leaf occurrences under the entry (1 for a leaf)
 	// cell is the cell the entry derives (the memo is keyed by its
 	// snapshot origin)
 	cell *core.Cell
 
-	// the parts a parent stitch reads (and a leaf's certificate): the
-	// cell's connectors, bind[k] the entry net conns[k]'s own position
-	// resolves to (-1: no material there; a leaf's bind is its label
-	// table), the resolved ones indexed by position, and the boundary
-	// material within reach with its extent. A leaf derives them with
-	// its entry, a composition on first read (face).
+	// the parts a parent stitch reads: the cell's connectors, bind[k]
+	// the entry net conns[k]'s own position resolves to (-1: no
+	// material there; a leaf's bind is its label table), the resolved
+	// ones indexed by position, and the boundary material within reach
+	// with its extent. A leaf derives them with its entry, a
+	// composition on first read (face).
 	faced    bool
 	conns    []core.Connector
 	bind     []int32
@@ -126,30 +126,17 @@ type tmplKey struct {
 	dx, dy int
 }
 
-// RefStats is the reference memo's cumulative accounting: pair
-// templates, leaf certificates, and the label names its comparisons
-// formatted.
+// RefStats is the reference memo's cumulative accounting: standalone
+// leaf extractions, pair templates, and the label names its
+// comparisons formatted.
 type RefStats struct {
-	TemplatesBuilt int // pair templates derived
-	TemplateHits   int // copy pairs replayed from an existing template
-	CertsBuilt     int // leaf certificates derived (LVS -stats "matched")
-	CertHits       int // occurrences served by an already-derived certificate
+	LeavesExtracted int // standalone leaf extractions (-stats "leaves_extracted")
+	TemplatesBuilt  int // pair templates derived
+	TemplateHits    int // copy pairs replayed from an existing template
 	// NamesFormatted counts the label names a check's name maps hold,
 	// on either side: only a name-keyed (flat) comparison names its
 	// tables.
 	NamesFormatted int
-}
-
-// refOcc is one leaf occurrence inside an entry's net space: which
-// cell it instantiates and where each of the cell's standalone
-// (cell-local) nets landed in the entry's dense numbering. Interior
-// nets stay distinct per occurrence — nothing outside a cell unions
-// into material the seam contract cannot reach — which is what the
-// hierarchical certificates rely on to collapse certified occurrences.
-type refOcc struct {
-	cell *core.Cell
-	sig  uint64
-	nets []int32
 }
 
 // Reference derives and memoizes reference netlists. The zero value is
@@ -158,13 +145,8 @@ type refOcc struct {
 // edited compositions re-stitch while untouched cells and all leaf
 // extractions are reused).
 //
-// The memo also holds one certificate per distinct leaf signature
-// (certificate.go), derived from the leaf's entry the first time a
-// comparison meets the leaf; later occurrences, runs and generations
-// read it with one map lookup.
-//
 // A Reference belongs to one session: its memos are keyed by *Cell /
-// *Instance pointer, so NetlistOccs asserts single-threaded entry
+// *Instance pointer, so a derivation asserts single-threaded entry
 // rather than corrupt them. Nothing in it persists: a fresh session
 // re-derives each distinct leaf in process, one standalone extraction
 // per leaf. Snapshot clones of one design cell are handled naturally:
@@ -173,13 +155,11 @@ type refOcc struct {
 // the older one's (taking its templates where they still hold) along
 // with the older clone's id. A long-lived session's memory is bounded
 // by the design, not by its history: each composition entry carries
-// only the pair templates its latest stitch replayed, and a leaf
-// mutated in place retires its old certificate.
+// only the pair templates its latest stitch replayed.
 type Reference struct {
 	ids    map[*core.Cell]uint64
 	lastID uint64
 	memo   map[*core.Cell]*refEntry
-	certs  map[uint64]*certificate // by leaf signature
 	stats  RefStats
 
 	// busy asserts single-session use of the pointer-keyed memos; a
@@ -196,7 +176,7 @@ func (rf *Reference) Stats() RefStats { return rf.stats }
 // list; nil is valid and means "structure only" (cells loaded from
 // files carry no records).
 func (rf *Reference) Netlist(c *core.Cell, declared []core.Connection) (*Netlist, error) {
-	nl, _, err := rf.NetlistOccs(c, declared)
+	nl, _, err := rf.unnamed(c, declared)
 	if err != nil {
 		return nil, err
 	}
@@ -204,26 +184,22 @@ func (rf *Reference) Netlist(c *core.Cell, declared []core.Connection) (*Netlist
 	return nl, nil
 }
 
-// NetlistOccs is Netlist without names (Labels nil, the label table in
-// Sites) plus the leaf-occurrence map: for every leaf occurrence of the
-// flattened design (in flatten walk order), the cell it instantiates
-// and where each of that cell's standalone nets landed in the returned
-// netlist's numbering. The hierarchical-certificate comparison uses the
-// map to collapse repeated, already-matched cells.
-func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Netlist, []refOcc, error) {
+// unnamed is Netlist without names (Labels nil, the label table in
+// Sites), plus the count of the cell's leaf occurrences.
+func (rf *Reference) unnamed(c *core.Cell, declared []core.Connection) (*Netlist, int, error) {
 	if !atomic.CompareAndSwapInt32(&rf.busy, 0, 1) {
-		return nil, nil, fmt.Errorf("lvs: Reference entered concurrently (a Reference serves one session)")
+		return nil, 0, fmt.Errorf("lvs: Reference entered concurrently (a Reference serves one session)")
 	}
 	defer atomic.StoreInt32(&rf.busy, 0)
 	e := rf.entry(c, seam.Reach)
 	if e.err != nil {
-		return nil, nil, e.err
+		return nil, 0, e.err
 	}
 	tab := e.table(c)
 	if len(declared) == 0 {
-		// nothing to union on top: the entry IS the netlist. Devices and
-		// occurrence maps are shared read-only with the memo.
-		return &Netlist{NetCount: e.nets, Devices: e.devices, Sites: tab}, e.occs, nil
+		// nothing to union on top: the entry IS the netlist. Devices are
+		// shared read-only with the memo.
+		return &Netlist{NetCount: e.nets, Devices: e.devices, Sites: tab}, e.leaves, nil
 	}
 
 	// apply the declared records on top of the entry's net space, then
@@ -241,9 +217,7 @@ func (rf *Reference) NetlistOccs(c *core.Cell, declared []core.Connection) (*Net
 			tab[s] = dense[n]
 		}
 	}
-	// occurrence maps re-expressed in the declared-union numbering
-	occs, _ := appendOccs(make([]refOcc, 0, len(e.occs)), make([]int32, 0, occNets(e.occs)), e.occs, 0, dense)
-	return out, occs, nil
+	return out, e.leaves, nil
 }
 
 // renumber compresses a union-find over n block nets to dense nets,
@@ -274,29 +248,6 @@ func renumber(uf *geom.UnionFind, n int, devs []Device) ([]int32, int) {
 		dense[x] = int32(id(x))
 	}
 	return dense, nets
-}
-
-// occNets counts the net slots of a set of occurrence maps.
-func occNets(occs []refOcc) int {
-	n := 0
-	for _, oc := range occs {
-		n += len(oc.nets)
-	}
-	return n
-}
-
-// appendOccs appends src's occurrence maps re-expressed through dense
-// (local net n of a block at base lands on dense[base+n]), carving every
-// map from one backing slice.
-func appendOccs(dst []refOcc, backing []int32, src []refOcc, base int32, dense []int32) ([]refOcc, []int32) {
-	for _, oc := range src {
-		at := len(backing)
-		for _, n := range oc.nets {
-			backing = append(backing, dense[base+n])
-		}
-		dst = append(dst, refOcc{cell: oc.cell, sig: oc.sig, nets: backing[at:len(backing):len(backing)]})
-	}
-	return dst, backing
 }
 
 // table fills the label table of c, a cell of the entry's signature,
@@ -503,26 +454,16 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 		rf.memo = map[*core.Cell]*refEntry{}
 	}
 	rf.memo[c.Origin()] = e
-	if old != nil {
-		rf.supersede(old, e)
+	if old != nil && old.cell != c {
+		delete(rf.ids, old.cell) // a superseded clone's id
 	}
 	return e
-}
-
-// supersede retires what a new entry replaced: a superseded clone's
-// cell id, and the certificate of a leaf whose revision moved.
-func (rf *Reference) supersede(old, e *refEntry) {
-	if old.cell != e.cell {
-		delete(rf.ids, old.cell)
-	}
-	if old.sig != e.sig && e.cell.Kind != core.Composition {
-		delete(rf.certs, old.sig)
-	}
 }
 
 // leafEntry extracts a leaf cell alone and packages its netlist,
 // ports and boundary material within reach of its bounding box.
 func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
+	rf.stats.LeavesExtracted++
 	fr, err := flatten.Cell(c)
 	if err != nil {
 		return &refEntry{err: fmt.Errorf("lvs: leaf %s: %w", c.Name, err)}
@@ -531,7 +472,7 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 	if err != nil {
 		return &refEntry{err: fmt.Errorf("lvs: leaf %s: %w", c.Name, err)}
 	}
-	e := &refEntry{nets: ckt.NetCount, faced: true}
+	e := &refEntry{nets: ckt.NetCount, leaves: 1, faced: true}
 	e.devices = make([]Device, len(ckt.Transistors))
 	for i, t := range ckt.Transistors {
 		e.devices[i] = Device{Kind: t.Kind, Gate: t.Gate, A: t.A, B: t.B}
@@ -548,13 +489,6 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 		e.boundary = append(e.boundary, bfrag{layer: f.Layer, r: f.R, leafBox: c.BBox(), net: f.Net})
 	}
 	e.indexFace()
-	// the leaf is its own single occurrence; its standalone nets map
-	// identically
-	ident := make([]int32, e.nets)
-	for n := range ident {
-		ident[n] = int32(n)
-	}
-	e.occs = []refOcc{{cell: c, sig: rf.sigOf(c), nets: ident}}
 	return e
 }
 
@@ -624,13 +558,16 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 		e.subs[ii] = sub.face()
 	}
 
-	// a net block per copy, its devices in block numbering
+	// a net block per copy, its devices in block numbering: flatten
+	// walk order (instances in declaration order, copies x-major, each
+	// sub-entry's devices in its own walk order)
 	total, ndev := 0, 0
 	for ci := range e.copies {
 		sub := e.subs[e.copies[ci].inst]
 		e.copies[ci].base = int32(total)
 		total += sub.nets
 		ndev += len(sub.devices)
+		e.leaves += sub.leaves
 	}
 	e.devices = make([]Device, 0, ndev)
 	for _, cr := range e.copies {
@@ -656,21 +593,6 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 		}
 	}
 	e.dense, e.nets = renumber(uf, total, e.devices)
-
-	// the copies' leaf occurrences in dense numbering — flatten walk
-	// order: instances in declaration order, copies x-major,
-	// sub-occurrences recursively
-	nocc, slots := 0, 0
-	for ii, sub := range e.subs {
-		n := c.Instances[ii].Nx * c.Instances[ii].Ny
-		nocc += n * len(sub.occs)
-		slots += n * occNets(sub.occs)
-	}
-	e.occs = make([]refOcc, 0, nocc)
-	backing := make([]int32, 0, slots)
-	for _, cr := range e.copies {
-		e.occs, backing = appendOccs(e.occs, backing, e.subs[cr.inst].occs, cr.base, e.dense)
-	}
 	return e
 }
 

@@ -20,7 +20,7 @@
 //     shared revision-checked Signer: the first session to verify a
 //     cell warms every other, and a new session joining mid-flight
 //     starts warm. LVS memos stay per session: each session derives
-//     its leaves' LVS entries and certificates in process.
+//     its leaves' LVS entries in process.
 //
 // Cell-level write conflicts resolve by lease: EDIT claims the cell
 // for the session and a second session's EDIT of the same cell is

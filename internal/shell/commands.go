@@ -778,11 +778,11 @@ func cmdExtract(s *Shell, args []string) error {
 // triad. The layout side shares the incremental verifier cache with
 // DRC and EXTRACT; for the cell under edit, the session's retained
 // connection records participate in the reference. -stats additionally
-// prints the hierarchical-certificate accounting: how many occurrences
-// compared pre-collapsed, how many leaf certificates the session
-// derived in process and how often one answered an occurrence, and
-// the hierarchical verification engine's run counters (fast runs,
-// fallbacks, per-cell certificates built vs reloaded from the store).
+// prints the witness accounting (how many leaf occurrences the
+// walk-order witness certified, how many leaves the session extracted
+// standalone) and the hierarchical verification engine's run counters
+// (fast runs, fallbacks, per-cell certificates built vs reloaded from
+// the store).
 func cmdLVS(s *Shell, args []string) error {
 	stats := false
 	if len(args) > 0 && args[0] == "-stats" {
@@ -805,10 +805,8 @@ func cmdLVS(s *Shell, args []string) error {
 	}
 	if stats {
 		st, rs := res.Cert, s.LVS.Ref.Stats()
-		s.printf("%s: certificates: %d/%d occurrence(s) certified under %d distinct cell(s)\n",
-			name, st.Certified, st.Occurrences, st.Cells)
-		s.printf("%s: leaf certificates: %d derived in process, %d hit(s)\n",
-			name, rs.CertsBuilt, rs.CertHits)
+		s.printf("%s: witness: %d/%d leaf occurrence(s) certified; %d leaf extraction(s) this session\n",
+			name, st.Certified, st.Occurrences, rs.LeavesExtracted)
 		s.printf("%s: %s\n", name, s.Verifier.HierStats())
 		if d := s.Verifier.HierDeclineInfo(); d != nil {
 			s.printf("%s: hier declined: condition=%s cell=%q placement=%d: %v\n",
@@ -823,7 +821,7 @@ func cmdLVS(s *Shell, args []string) error {
 			s.printf("%s: faults: %s\n", name, s.Faults)
 		}
 		if st.Fallback {
-			s.printf("%s: certified comparison fell back to the flat diagnosis\n", name)
+			s.printf("%s: the witness failed; the flat comparison decided\n", name)
 		}
 	}
 	if res.Clean {

@@ -72,7 +72,7 @@ func TestShellVerifierAcrossEditorSessions(t *testing.T) {
 func TestShellVerifierReuse(t *testing.T) {
 	env := newEnv(t)
 	sh := env.sh
-	// this test pins the scratch flat run riot -hier=false selects
+	// this test pins the scratch flat run the engine's declines take
 	sh.Verifier.Hier = false
 	if err := sh.ExecAll(
 		"READ gate.sticks",

@@ -99,8 +99,8 @@ func TestLVSCommandSharesVerifierCache(t *testing.T) {
 }
 
 // TestLVSCommandStats pins the -stats surface: an array design reports
-// its certificate coverage and the leaf-certificate accounting — one
-// certificate derived in process, every further occurrence a hit.
+// its witness coverage, every occurrence certified, and one leaf
+// extracted in process.
 func TestLVSCommandStats(t *testing.T) {
 	s, out := lvsShell(t)
 	if err := s.ExecAll(
@@ -112,10 +112,7 @@ func TestLVSCommandStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "8/8 occurrence(s) certified under 1 distinct cell(s)") {
-		t.Fatalf("LVS -stats output = %q", got)
-	}
-	if !strings.Contains(got, "leaf certificates: 1 derived in process, 7 hit(s)") {
+	if !strings.Contains(got, "witness: 8/8 leaf occurrence(s) certified; 1 leaf extraction(s) this session") {
 		t.Fatalf("LVS -stats output = %q", got)
 	}
 	if !strings.Contains(got, "netlists match") {

@@ -51,7 +51,7 @@ type Shell struct {
 	Verifier verify.Verifier
 
 	// LVS holds the netlist-comparison caches (memoized leaf-cell
-	// reference netlists and certificates, the last verdict), in
+	// reference netlists, per-cell stitches, the last verdict), in
 	// process only; the layout side comes from the shared Verifier, so
 	// LVS after DRC re-extracts nothing.
 	LVS lvs.Incremental
@@ -281,7 +281,7 @@ func init() {
 		"STATS":       {usage: "STATS [JSON]", help: "print unified verification statistics (JSON: machine-readable)", concurrent: true, run: cmdStats},
 		"DRC":         {usage: "DRC [<cell>]", help: "check width and spacing design rules on a cell", concurrent: true, run: cmdDRC},
 		"EXTRACT":     {usage: "EXTRACT [<cell>]", help: "extract a cell's transistor-level circuit", concurrent: true, run: cmdExtract},
-		"LVS":         {usage: "LVS [-stats] [<cell>]", help: "compare the extracted netlist against the declared composition (-stats: certificate accounting)", concurrent: true, run: cmdLVS},
+		"LVS":         {usage: "LVS [-stats] [<cell>]", help: "compare the extracted netlist against the declared composition (-stats: witness accounting)", concurrent: true, run: cmdLVS},
 		"PLOT":        {usage: "PLOT <file> [<cell>]", help: "produce a hardcopy plot", run: cmdPlot},
 		"REPLAY":      {usage: "REPLAY <file>", help: "re-run a saved journal", run: cmdReplay},
 		"SAVEJOURNAL": {usage: "SAVEJOURNAL <file>", help: "save the session journal", run: cmdSaveJournal},

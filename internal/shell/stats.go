@@ -51,8 +51,7 @@ func (s *Shell) initRegistry() {
 	r.Register("lvs", func() []obs.Item {
 		rs := s.LVS.Ref.Stats()
 		items := []obs.Item{
-			obs.N("matched", rs.CertsBuilt),
-			obs.N("hits", rs.CertHits),
+			obs.N("leaves_extracted", rs.LeavesExtracted),
 			obs.N("ref_templates_built", rs.TemplatesBuilt),
 			obs.N("ref_template_hits", rs.TemplateHits),
 			obs.N("names_formatted", rs.NamesFormatted),
@@ -66,7 +65,6 @@ func (s *Shell) initRegistry() {
 			items = append(items,
 				obs.N("occurrences", ct.Occurrences),
 				obs.N("certified", ct.Certified),
-				obs.N("cells", ct.Cells),
 				obs.N("fallback", fallback),
 			)
 		}

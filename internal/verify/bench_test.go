@@ -52,8 +52,8 @@ func gridEditorN(tb testing.TB, n int) *core.Editor {
 //     composed over placements, the circuit materialized — at 16², 32²,
 //     64² and 128², the series that shows what still grows with the
 //     design;
-//   - full: the zero Verifier, the scratch flat run that serves
-//     -hier=false and the engine's declines, at 32² only.
+//   - full: the zero Verifier, the scratch flat run that serves the
+//     engine's declines, at 32² only.
 //
 // The edit alternates a one-lambda displacement of a mid-array cell,
 // so every iteration really dirties geometry (rails detach and

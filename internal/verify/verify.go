@@ -17,10 +17,10 @@
 // live (unsnapshotted) cell, a changed layer set or a mutated leaf
 // composes cold. The circuit carries its labels as a table, one net per
 // label site (extract.Circuit.Sites), so a verify formats no label
-// name. Either way the report equals a from-scratch flat run
-// — the engine is differential-tested against it — and carries the
-// circuit's leaf-occurrence identity (Report.Occs) for LVS, so no path
-// flattens a design just to name its occurrences.
+// name. Either way the report equals a from-scratch flat run — the
+// engine is differential-tested against it — down to the circuit's
+// device order, flatten's walk order, which LVS aligns its reference
+// against.
 //
 // A Verifier serves one session at a time and is not safe for
 // concurrent use — but it consumes frozen snapshots
@@ -54,12 +54,6 @@ type Report struct {
 	Violations []drc.Violation
 	// Gen is the editor generation the report describes.
 	Gen uint64
-	// Occs is the circuit's leaf-occurrence identity in flat walk
-	// order: each occurrence's leaf cell and the start of its devices in
-	// Circuit.Transistors. LVS aligns certified sub-cells against it.
-	// The hierarchical path records it while materializing the circuit;
-	// the flat path derives it from the geometry it flattened anyway.
-	Occs *flatten.Occurrences
 }
 
 // Clean reports whether the design extracted successfully and checked
@@ -205,7 +199,6 @@ func (v *Verifier) run(cell *core.Cell, gen uint64) (*Report, error) {
 		CircuitErr: cktErr,
 		Violations: vs,
 		Gen:        gen,
-		Occs:       fr.Occurrences(),
 	}
 	return v.report, nil
 }
@@ -213,7 +206,7 @@ func (v *Verifier) run(cell *core.Cell, gen uint64) (*Report, error) {
 // runHier attempts the hierarchical path: per-distinct-cell
 // certificates composed over placements, verdict-identical to the
 // scratch flat run or declined. On success the circuit materializes
-// eagerly so the report is complete, occurrence identity included. Any
+// eagerly so the report is complete. Any
 // decline (engine-level or during materialization) reports ok=false
 // and the caller runs the scratch flat reference, which reproduces
 // whatever verdict or error the design deserves.
@@ -234,7 +227,6 @@ func (v *Verifier) runHier(cell *core.Cell, gen uint64) (*Report, bool) {
 		Circuit:    ckt,
 		Violations: res.Violations,
 		Gen:        gen,
-		Occs:       res.Occs,
 	}
 	return v.report, true
 }
