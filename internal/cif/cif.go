@@ -25,7 +25,6 @@ package cif
 
 import (
 	"fmt"
-	"sort"
 
 	"riot/internal/geom"
 )
@@ -172,17 +171,6 @@ func (f *File) SymbolByName(name string) *Symbol {
 		}
 	}
 	return nil
-}
-
-// SortedSymbolIDs returns the defined symbol numbers in increasing
-// order (useful for deterministic output and tests).
-func (f *File) SortedSymbolIDs() []int {
-	ids := make([]int, 0, len(f.Symbols))
-	for _, s := range f.Symbols {
-		ids = append(ids, s.ID)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // scaleElement returns e with all distances multiplied by a/b, the DS

@@ -34,9 +34,6 @@ func NewGraph(n int) *Graph { return &Graph{n: n} }
 // N returns the number of variables.
 func (g *Graph) N() int { return g.n }
 
-// NumEdges returns the number of constraints added so far.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // AddMin adds the constraint x[to] - x[from] >= min.
 func (g *Graph) AddMin(from, to, min int) {
 	g.edges = append(g.edges, edge{from, to, min})

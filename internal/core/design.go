@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -81,14 +80,6 @@ func (d *Design) Cell(name string) (*Cell, bool) {
 // CellNames returns the menu of defined cells, in definition order.
 func (d *Design) CellNames() []string {
 	return append([]string(nil), d.order...)
-}
-
-// SortedCellNames returns cell names sorted lexically (for
-// deterministic output).
-func (d *Design) SortedCellNames() []string {
-	names := d.CellNames()
-	sort.Strings(names)
-	return names
 }
 
 // DeleteCell removes a cell from the design. It refuses when another

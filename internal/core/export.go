@@ -87,7 +87,7 @@ func (ex *exporter) cell(c *Cell) (int, error) {
 				for j := 0; j < in.Ny; j++ {
 					sym.Elements = append(sym.Elements, cif.Call{
 						SymbolID:  childID,
-						Transform: in.copyTransform(i, j),
+						Transform: in.CopyTransform(i, j),
 					})
 				}
 			}

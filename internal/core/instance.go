@@ -32,18 +32,13 @@ func (in *Instance) CopyTransform(i, j int) geom.Transform {
 	return geom.Translate(geom.Pt(i*in.Sx, j*in.Sy)).Then(in.Tr)
 }
 
-// copyTransform is the internal alias used throughout the package.
-func (in *Instance) copyTransform(i, j int) geom.Transform {
-	return in.CopyTransform(i, j)
-}
-
 // BBox returns the instance's bounding box in parent coordinates,
 // covering every array copy.
 func (in *Instance) BBox() geom.Rect {
 	cb := in.Cell.BBox()
-	r := in.copyTransform(0, 0).ApplyRect(cb)
+	r := in.CopyTransform(0, 0).ApplyRect(cb)
 	if in.Nx > 1 || in.Ny > 1 {
-		r = r.Union(in.copyTransform(in.Nx-1, in.Ny-1).ApplyRect(cb))
+		r = r.Union(in.CopyTransform(in.Nx-1, in.Ny-1).ApplyRect(cb))
 	}
 	return r
 }
@@ -97,7 +92,7 @@ func (in *Instance) PlaceConnectors(cellConns []Connector, dst []InstConn) []Ins
 		dst = append(dst, InstConn{
 			Inst:  in,
 			Name:  arrayName(cn.Name, i, j, in.Nx, in.Ny),
-			At:    in.copyTransform(i, j).Apply(cn.At),
+			At:    in.CopyTransform(i, j).Apply(cn.At),
 			Layer: cn.Layer,
 			Width: cn.Width,
 			Side:  cn.Side.Transform(in.Tr.O),

@@ -81,7 +81,7 @@ func (c *Cell) namesSite(name string) bool {
 		var buf [64]byte
 		in.Sites(conns, func(i, j, k int) {
 			if !found && string(appendArrayName(buf[:0], conns[k].Name, i, j, in.Nx, in.Ny)) == name[n+1:] {
-				found = geom.SideOf(c.BBox(), in.copyTransform(i, j).Apply(conns[k].At)) != geom.SideNone
+				found = geom.SideOf(c.BBox(), in.CopyTransform(i, j).Apply(conns[k].At)) != geom.SideNone
 			}
 		})
 		if found {

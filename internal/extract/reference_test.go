@@ -215,7 +215,7 @@ func soupStack(rng *rand.Rand, fr *flatten.Result, span int) {
 		fr.Shapes = append(fr.Shapes, flatten.Shape{Layer: geom.NP, R: gate})
 		fr.Devices = append(fr.Devices, flatten.Device{
 			Kind: kind, Gate: gate, Channel: rect(diff),
-			ProbeA: pa, ProbeB: pb, ProbeG: gate.Center(),
+			ProbeA: pa, ProbeB: pb,
 		})
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"riot/internal/geom"
 	"riot/internal/lib"
 	"riot/internal/rules"
-	"riot/internal/sticks"
 )
 
 const l = rules.Lambda
@@ -363,7 +362,3 @@ func findConn(in *core.Instance, side geom.Side, layer geom.Layer) (string, erro
 	}
 	return best, nil
 }
-
-// SticksOf is a small helper for tests: the symbolic cell behind a
-// leaf instance.
-func SticksOf(in *core.Instance) *sticks.Cell { return in.Cell.Sticks }

@@ -64,7 +64,7 @@ type Shape struct {
 
 // Device is a transistor's geometry in flattened (centimicron) space:
 // the gate poly strip, the diffusion channel extent, and probe points
-// just beyond the gate on either channel end plus one on the gate.
+// just beyond the gate on either channel end.
 // Devices come in walk order, each leaf occurrence's contiguous and in
 // the leaf's source order, which is the order the LVS reference lists
 // its devices in.
@@ -74,7 +74,6 @@ type Device struct {
 	Channel geom.Rect
 	ProbeA  geom.Point
 	ProbeB  geom.Point
-	ProbeG  geom.Point
 }
 
 // Join is a contact: two points (usually coincident) whose material is
@@ -322,7 +321,6 @@ func (b *builder) sticksLeaf(sc *sticks.Cell, tr geom.Transform) error {
 			Channel: sr(channel),
 			ProbeA:  sp(pa),
 			ProbeB:  sp(pb),
-			ProbeG:  sp(d.At),
 		}
 		b.devices = append(b.devices, dev)
 		// the gate strip is poly material connected to whatever poly

@@ -44,9 +44,6 @@ func (p Point) Scale(k int) Point { return Point{p.X * k, p.Y * k} }
 // Div returns p with both coordinates divided by k (integer division).
 func (p Point) Div(k int) Point { return Point{p.X / k, p.Y / k} }
 
-// Eq reports whether p and q are the same point.
-func (p Point) Eq(q Point) bool { return p == q }
-
 // ManhattanDist returns |p.X-q.X| + |p.Y-q.Y|, the wire-length metric
 // used by the river router.
 func (p Point) ManhattanDist(q Point) int {

@@ -26,7 +26,7 @@ type genState struct {
 
 	violations []drc.Violation
 	// spacingCands counts candidate spacing pairs before the component
-	// exemption — the fast path requires zero across its samples.
+	// exemption — the fast path requires zero on its lattice.
 	spacingCands int
 }
 
@@ -38,7 +38,7 @@ type genState struct {
 type retained struct {
 	occs []placed
 	// top is the frozen top cell the occurrences were walked from (nil
-	// for a fast-path sample lattice); first[k] is where its instance
+	// for the fast path's lattice); first[k] is where its instance
 	// k's occurrence block starts, first[len] = len(occs).
 	top    *core.Cell
 	first  []int

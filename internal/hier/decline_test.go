@@ -12,7 +12,7 @@ import (
 )
 
 // placedGrid builds a composition of nx x ny individually placed
-// SRCELLs at abutting pitch (no array instance, so the sampling fast
+// SRCELLs at abutting pitch (no array instance, so the array fast
 // path never applies). shove, when non-nil, overrides the transform of
 // one placement by index.
 func placedGrid(t testing.TB, name string, nx, ny int, shove map[int]geom.Transform) (*core.Design, *core.Cell) {
@@ -43,9 +43,6 @@ func mustDecline(t *testing.T, e *Engine, c *core.Cell, cond Cond) *Decline {
 	if d == nil || d.Cond != cond {
 		t.Fatalf("%s: decline = %+v, want condition %s", c.Name, d, cond)
 	}
-	if e.LastDecline() == nil {
-		t.Fatalf("%s: LastDecline lost the structured record", c.Name)
-	}
 	if got := e.Stats().Fallbacks - before; got != 1 {
 		t.Fatalf("%s: decline counted %d fallback(s), want 1", c.Name, got)
 	}
@@ -58,7 +55,7 @@ func mustDecline(t *testing.T, e *Engine, c *core.Cell, cond Cond) *Decline {
 // TestHierPendDecline forces a pend certificate through fault
 // injection: a run placing the pend cell declines whole, naming the
 // cell and its first placement, and the flat reference decides. On an
-// array the fast path's samples see the pend certificate too and leave
+// array the fast path's lattice sees the pend certificate too and leaves
 // the decline to the general path.
 func TestHierPendDecline(t *testing.T) {
 	d, grid := placedGrid(t, "PEND", 3, 3, nil)
@@ -152,7 +149,7 @@ func TestHierRealPoisonDecline(t *testing.T) {
 
 // TestHierComposeBudgetDecline pins the compose-budget fault: the
 // general path declines before pairing placements, and so does the
-// array fast path, whose samples compose through the same code.
+// array fast path, whose lattice composes through the same code.
 func TestHierComposeBudgetDecline(t *testing.T) {
 	_, grid := placedGrid(t, "NOBUDGET", 3, 3, nil)
 	for _, top := range []*core.Cell{grid, srArray(t, 16, 16, geom.R0)} {

@@ -3,8 +3,10 @@
 // into certificates (extract.CellCert, drc.CellDRC), then composes
 // placements of those certificates into the whole-design verdict.
 // Work scales with the number of distinct cells plus the number of
-// placements, not with flattened geometry; for uniform arrays a
-// sampling fast path drops even the per-placement term.
+// placements, not with flattened geometry. For a uniform array, a
+// fast path proves the DRC verdict on one fixed 13×13 lattice and so
+// drops even the per-placement term; only the circuit, when a caller
+// asks for it, composes every placement's connectivity.
 //
 // The engine's contract is verdict identity: the composed circuit
 // (after the same canonical dense net renumbering) and the composed
@@ -71,10 +73,10 @@
 // So a carried result is reused only where its read region misses
 // every added or removed occurrence's old and new material box, and
 // the carried composition equals a cold one. Live tops never retain
-// (their instances mutate in place), and neither do fast-path samples,
-// a fast-path result's Circuit or a declined run: a decline leaves the
-// last exact state as the next run's base. There is one compose path;
-// a cold run is that path with nothing carried.
+// (their instances mutate in place), and neither do the fast path's
+// lattice, a fast-path result's Circuit or a declined run: a decline
+// leaves the last exact state as the next run's base. There is one
+// compose path; a cold run is that path with nothing carried.
 //
 // Certificates persist in the content-addressed store under the
 // "hiercert" namespace, so a warm restart re-extracts zero certified
@@ -160,14 +162,6 @@ func (e *Engine) declined(d *Decline) {
 	}
 }
 
-// LastDecline reports why the most recent Verify declined, or nil.
-func (e *Engine) LastDecline() error {
-	if e.lastDecline == nil {
-		return nil // avoid the typed-nil-in-interface trap
-	}
-	return e.lastDecline
-}
-
 // LastDeclineInfo reports the most recent Verify's structured decline
 // record, or nil when it succeeded.
 func (e *Engine) LastDeclineInfo() *Decline { return e.lastDecline }
@@ -176,7 +170,7 @@ func (e *Engine) LastDeclineInfo() *Decline { return e.lastDecline }
 // warm-restart tests.
 type Stats struct {
 	// Runs counts Verify calls; FastRuns those answered by the array
-	// sampling path; Fallbacks those declined to the flat engines.
+	// fast path; Fallbacks those declined to the flat engines.
 	Runs, FastRuns, Fallbacks int
 	// CertBuilt counts cold per-cell extract+DRC certificate builds;
 	// CertMemoHits and CertDiskHits count reuse; CertStored counts
@@ -301,24 +295,15 @@ func (e *Engine) Verify(top *core.Cell) (*Result, bool) {
 		kept := st.retained
 		e.kept = &kept
 	}
-	return &Result{
-		NetCount:    st.netCount,
-		DeviceCount: st.deviceCount(),
-		Violations:  st.violations,
-		e:           e,
-		top:         top,
-		gen:         st,
-	}, true
+	return &Result{Violations: st.violations, e: e, top: top, gen: st}, true
 }
 
-// Result is one hierarchical verdict. NetCount, DeviceCount and
-// Violations are exact (fast-path results verify their extrapolation
-// before claiming exactness); Circuit materializes the full netlist
-// on demand.
+// Result is one hierarchical verdict. Violations are exact (a
+// fast-path result proves its lattice clean for the whole array);
+// Circuit materializes the full netlist on demand and is the one place
+// the engine reports net and device counts.
 type Result struct {
-	NetCount    int
-	DeviceCount int
-	Violations  []drc.Violation
+	Violations []drc.Violation
 
 	e   *Engine
 	top *core.Cell

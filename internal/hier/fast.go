@@ -6,12 +6,11 @@ import (
 	"riot/internal/rules"
 )
 
-// The fast path answers uniform single-instance arrays in O(1) placed
-// copies: it runs the exact general composition on a handful of small
-// virtual lattices of the same cell, pitch and orientation, and
-// extrapolates.
+// The fast path proves a uniform single-instance array's DRC verdict
+// in O(1) placed copies: it runs the exact general composition on one
+// 13×13 lattice of the same cell, pitch and orientation.
 //
-// Why the extrapolation is sound:
+// Why one lattice proves the whole array:
 //
 //   - The offsets pre-check proves pairs form only between immediate
 //     lattice neighbors (ring-2 offsets clear the pair-discovery
@@ -20,28 +19,30 @@ import (
 //     clear it). Separations grow per axis with the offset, so larger
 //     offsets cannot interact either.
 //   - Everything the DRC verdict derives at a copy is then determined
-//     by the copy's ±2-step occupancy, a pure function of the copy's
-//     edge class (min(i,3), min(nx-1-i,3)) per axis. The 13×13 sample
-//     realizes every class combination, so all-samples-clean implies
-//     the full array is clean... EXCEPT that spacing's component
+//     by the copy's ±2-step occupancy, so a copy's verdict is a
+//     function of its edge class (min(i,3), min(n-1-i,3)) per axis.
+//     The 13×13 lattice realizes every class combination and every
+//     relative placement of the immediate ring, so a clean lattice
+//     proves the full array clean... EXCEPT that spacing's component
 //     exemption can, in principle, ride connectivity chains of
-//     unbounded length. The samples therefore also require ZERO
+//     unbounded length. The lattice therefore also requires ZERO
 //     spacing candidates — candidacy is a pure pair-template property
-//     and the full array's pair templates all appear among the
-//     samples' (all relative placements within the immediate ring),
+//     and the full array's pair templates all appear in the lattice,
 //     so zero candidates transfers exactly and the chain question
 //     never arises.
-//   - NetCount on a radius-1 uniform lattice is fitted as the bilinear
-//     form a + b·nx + c·ny + d·nx·ny from four corner samples and
-//     verified on three independent sizes; any mismatch falls back to
-//     the exact general path. DeviceCount is exactly per-copy times
-//     copies (certificates carry complete device lists).
 //
-// Declines (any violation, any spacing candidate, a fit mismatch, an
-// offsets-check failure, a sample pend/poison decline) run the general
-// path, which composes the full array or declines it; any other sample
-// decline declines the engine.
-const fastMinDim = 14
+// The verdict carries violations only. Result.Circuit composes the
+// whole array's connectivity when a caller needs the netlist, and the
+// circuit carries the exact net and device counts.
+//
+// Declines (any violation, any spacing candidate, an offsets-check
+// failure, a lattice pend/poison decline) run the general path, which
+// composes the full array or declines it; any other lattice decline
+// declines the engine.
+const (
+	fastMinDim  = 14 // smallest array side the fast path takes
+	fastLattice = 13 // side of the one lattice it composes
+)
 
 func abs2(x int) int {
 	if x < 0 {
@@ -50,21 +51,7 @@ func abs2(x int) int {
 	return x
 }
 
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-type fastSize struct{ nx, ny int }
-
-var (
-	fastFitSizes    = []fastSize{{8, 8}, {9, 8}, {8, 9}, {9, 9}}
-	fastVerifySizes = []fastSize{{10, 11}, {11, 10}, {13, 13}}
-)
-
-// fast attempts the sampling path. ok=false with nil error means "not
+// fast attempts the lattice path. ok=false with nil error means "not
 // eligible, run the general path"; a non-nil error declines the engine.
 func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	if len(top.Instances) != 1 {
@@ -104,7 +91,7 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	mat := ct.X.MatBox
 	for di := -3; di <= 3; di++ {
 		for dj := -3; dj <= 3; dj++ {
-			ring := max2(abs2(di), abs2(dj))
+			ring := max(abs2(di), abs2(dj))
 			if ring < 2 {
 				continue
 			}
@@ -122,64 +109,25 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	fsp := e.Trace.Begin("fast")
 	defer fsp.End()
 
-	// A pend or poison sample makes the fast path not eligible: the
-	// general path decides, so an injected fault keyed to a placement
-	// index fires where the full array puts that index.
-	run := func(s fastSize) (*genState, error) {
-		occs := make([]placed, 0, s.nx*s.ny)
-		for i := 0; i < s.nx; i++ {
-			for j := 0; j < s.ny; j++ {
-				d := o.Apply(geom.Pt(i*in.Sx, j*in.Sy)).Add(in.Tr.D)
-				occs = append(occs, placedAt(ct, d))
-			}
+	occs := make([]placed, 0, fastLattice*fastLattice)
+	for i := 0; i < fastLattice; i++ {
+		for j := 0; j < fastLattice; j++ {
+			d := o.Apply(geom.Pt(i*in.Sx, j*in.Sy)).Add(in.Tr.D)
+			occs = append(occs, placedAt(ct, d))
 		}
-		st := &genState{retained: retained{occs: occs}}
-		return st, e.compose(st, nil)
 	}
-	sampleErr := func(err error) (bool, error) {
+	st := &genState{retained: retained{occs: occs}}
+	if err := e.compose(st, nil); err != nil {
+		// A pend or poison lattice makes the fast path not eligible:
+		// the general path decides, so an injected fault keyed to a
+		// placement index fires where the full array puts that index.
 		if d, ok := err.(*Decline); ok && (d.Cond == CondPend || d.Cond == CondPoison) {
-			return false, nil
-		}
-		return false, err
-	}
-
-	var n [4]int
-	for k, s := range fastFitSizes {
-		st, err := run(s)
-		if err != nil {
-			ok, err := sampleErr(err)
-			return nil, ok, err
-		}
-		if len(st.violations) > 0 || st.spacingCands > 0 {
 			return nil, false, nil
 		}
-		n[k] = st.netCount
+		return nil, false, err
 	}
-	// N(nx,ny) = a + b·nx + c·ny + d·nx·ny through the four corners
-	d := n[3] - n[1] - n[2] + n[0]
-	b := (n[1] - n[0]) - 8*d
-	c := (n[2] - n[0]) - 8*d
-	a := n[0] - 8*b - 8*c - 64*d
-	predict := func(s fastSize) int { return a + b*s.nx + c*s.ny + d*s.nx*s.ny }
-	for _, s := range fastVerifySizes {
-		st, err := run(s)
-		if err != nil {
-			ok, err := sampleErr(err)
-			return nil, ok, err
-		}
-		if len(st.violations) > 0 || st.spacingCands > 0 {
-			return nil, false, nil
-		}
-		if st.netCount != predict(s) {
-			return nil, false, nil
-		}
+	if len(st.violations) > 0 || st.spacingCands > 0 {
+		return nil, false, nil
 	}
-
-	return &Result{
-		NetCount:    predict(fastSize{in.Nx, in.Ny}),
-		DeviceCount: in.Nx * in.Ny * len(ct.X.Devices),
-		Violations:  nil,
-		e:           e,
-		top:         top,
-	}, true, nil
+	return &Result{e: e, top: top}, true, nil
 }

@@ -202,7 +202,7 @@ func TestCircuitLabelsExact(t *testing.T) {
 			e.Log = obs.Discard
 			res, ok := e.Verify(tc.top)
 			if !ok {
-				t.Fatalf("engine declined: %v", e.LastDecline())
+				t.Fatalf("engine declined: %v", e.LastDeclineInfo())
 			}
 			ckt, err := res.Circuit()
 			if err != nil {
@@ -261,7 +261,7 @@ func TestLibraryPortsResolveLocally(t *testing.T) {
 			e := New()
 			res, ok := e.Verify(top)
 			if !ok {
-				t.Fatalf("%s %s: engine declined: %v", cell, o, e.LastDecline())
+				t.Fatalf("%s %s: engine declined: %v", cell, o, e.LastDeclineInfo())
 			}
 			ckt, err := res.Circuit()
 			if err != nil {

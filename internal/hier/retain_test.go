@@ -39,7 +39,7 @@ func TestRetainedDiffMutation(t *testing.T) {
 	ed := gridEditor(t, 6)
 	e := New()
 	if _, ok := e.Verify(ed.Snapshot().Cell); !ok {
-		t.Fatalf("engine declined the clean grid: %v", e.LastDecline())
+		t.Fatalf("engine declined the clean grid: %v", e.LastDeclineInfo())
 	}
 	// a vertical nudge breaks the row's abutment: spacing violations
 	ed.MoveInstance(ed.Cell.Instances[14], geom.Pt(0, rules.Lambda))
@@ -79,7 +79,7 @@ func TestRetainedDiffMutation(t *testing.T) {
 		if err := e.compose(st, c); err != nil {
 			t.Fatal(err)
 		}
-		r := &Result{NetCount: st.netCount, Violations: st.violations, e: e, top: top, gen: st}
+		r := &Result{Violations: st.violations, e: e, top: top, gen: st}
 		ckt, err := r.Circuit()
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestRetainedPairsFirePoisonFault(t *testing.T) {
 	ed := gridEditor(t, 6)
 	warm := New()
 	if _, ok := warm.Verify(ed.Snapshot().Cell); !ok {
-		t.Fatalf("engine declined the clean grid: %v", warm.LastDecline())
+		t.Fatalf("engine declined the clean grid: %v", warm.LastDeclineInfo())
 	}
 	ed.MoveInstance(ed.Cell.Instances[0], geom.Pt(0, rules.Lambda))
 	top := ed.Snapshot().Cell

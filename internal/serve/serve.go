@@ -185,25 +185,29 @@ func (sv *Server) Open(sid, designName string) error {
 // registry, so STATS inside any session (and the smoke tests outside)
 // can see the cross-session warming.
 func (sv *Server) registerStoreSection(sh *shell.Shell) {
-	sh.Registry().Register("store", func() []obs.Item {
-		ms := sv.mem.Stats()
-		items := []obs.Item{
-			obs.N("hits", ms.Hits),
-			obs.N("misses", ms.Misses),
-			obs.N("puts", ms.Puts),
-			obs.N("entries", ms.Entries),
-			obs.N("bytes", ms.Bytes),
-		}
-		if sv.disk != nil {
-			ds := sv.disk.Stats()
-			items = append(items,
-				obs.N("disk_hits", ds.Hits),
-				obs.N("disk_misses", ds.Misses),
-				obs.N("disk_puts", ds.Puts),
-			)
-		}
-		return items
-	})
+	sh.Registry().Register("store", sv.storeItems)
+}
+
+// storeItems reports the shared store's counters: the in-memory
+// store's, then the disk floor's when there is one.
+func (sv *Server) storeItems() []obs.Item {
+	ms := sv.mem.Stats()
+	items := []obs.Item{
+		obs.N("hits", ms.Hits),
+		obs.N("misses", ms.Misses),
+		obs.N("puts", ms.Puts),
+		obs.N("entries", ms.Entries),
+		obs.N("bytes", ms.Bytes),
+	}
+	if sv.disk != nil {
+		ds := sv.disk.Stats()
+		items = append(items,
+			obs.N("disk_hits", ds.Hits),
+			obs.N("disk_misses", ds.Misses),
+			obs.N("disk_puts", ds.Puts),
+		)
+	}
+	return items
 }
 
 // sessionFS resolves a session's READ/REPLAY names against its private
@@ -252,7 +256,9 @@ func (sv *Server) Shell(sid string) (*shell.Shell, bool) {
 // Do executes one shell command in a session and returns its printed
 // output. Commands for one session serialize; commands across sessions
 // run concurrently up to the server's bound. EDIT claims the target
-// cell's lease and is refused while another session holds it.
+// cell's lease and is refused while another session holds it; so are
+// DELCELL and RENAME of that cell, which would leave the holder editing
+// a cell gone from the design or shared under a new name.
 func (sv *Server) Do(sid, line string) (string, error) {
 	sv.mu.Lock()
 	s, ok := sv.sessions[sid]
@@ -266,10 +272,12 @@ func (sv *Server) Do(sid, line string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	fields := strings.Fields(line)
-	if len(fields) >= 2 && strings.EqualFold(fields[0], "EDIT") {
-		if err := sv.claim(s, fields[1]); err != nil {
-			return "", err
+	if fields := strings.Fields(line); len(fields) >= 2 {
+		switch verb := strings.ToUpper(fields[0]); verb {
+		case "EDIT", "DELCELL", "RENAME":
+			if err := sv.claim(s, fields[1], verb == "EDIT"); err != nil {
+				return "", err
+			}
 		}
 	}
 
@@ -283,15 +291,17 @@ func (sv *Server) Do(sid, line string) (string, error) {
 	return out, err
 }
 
-// claim reserves a cell for a session's editor, refusing when another
-// session holds it.
-func (sv *Server) claim(s *session, cell string) error {
+// claim refuses a command on a cell another session holds; with edit
+// it also reserves the cell for the session's editor.
+func (sv *Server) claim(s *session, cell string, edit bool) error {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	if owner, held := s.design.editing[cell]; held && owner != s.id {
 		return fmt.Errorf("serve: cell %q is under edit by session %q", cell, owner)
 	}
-	s.design.editing[cell] = s.id
+	if edit {
+		s.design.editing[cell] = s.id
+	}
 	return nil
 }
 
@@ -344,24 +354,7 @@ func (sv *Server) Snapshot() *obs.Snapshot {
 	sv.mu.Unlock()
 	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
 
-	snap := &obs.Snapshot{Sections: []obs.Section{serveSec}}
-	ms := sv.mem.Stats()
-	storeItems := []obs.Item{
-		obs.N("hits", ms.Hits),
-		obs.N("misses", ms.Misses),
-		obs.N("puts", ms.Puts),
-		obs.N("entries", ms.Entries),
-		obs.N("bytes", ms.Bytes),
-	}
-	if sv.disk != nil {
-		ds := sv.disk.Stats()
-		storeItems = append(storeItems,
-			obs.N("disk_hits", ds.Hits),
-			obs.N("disk_misses", ds.Misses),
-			obs.N("disk_puts", ds.Puts),
-		)
-	}
-	snap.Sections = append(snap.Sections, obs.Section{Name: "store", Items: storeItems})
+	snap := &obs.Snapshot{Sections: []obs.Section{serveSec, {Name: "store", Items: sv.storeItems()}}}
 
 	// Sum the numeric pipeline counters across sessions, keeping first
 	// appearance order of sections and keys so the aggregate's shape is

@@ -146,8 +146,9 @@ func TestConcurrentDifferential(t *testing.T) {
 }
 
 // TestEditLease pins cell-level write arbitration: EDIT claims the
-// cell, a second session's EDIT is refused while the lease is held and
-// admitted after ENDEDIT (or after the holder closes).
+// cell, a second session's EDIT, DELCELL or RENAME of it is refused
+// while the lease is held, and EDIT is admitted after ENDEDIT (or after
+// the holder closes).
 func TestEditLease(t *testing.T) {
 	sv, err := New(Options{})
 	if err != nil {
@@ -175,6 +176,23 @@ func TestEditLease(t *testing.T) {
 	mustDo(t, sv, "a", "ENDEDIT")
 	mustDo(t, sv, "b", "ENDEDIT")
 	mustDo(t, sv, "b", "EDIT CHIP")
+	// another session may neither delete nor rename the leased cell:
+	// the holder would edit a cell gone from the design, or share it
+	// with whoever edits the new name
+	for _, cmd := range []string{"DELCELL CHIP", "RENAME CHIP CHIP2"} {
+		if _, err := sv.Do("a", cmd); err == nil || !strings.Contains(err.Error(), `under edit by session "b"`) {
+			t.Fatalf("%s of a cell leased by another session not refused: %v", cmd, err)
+		}
+	}
+	if out := mustDo(t, sv, "a", "CELLS"); !strings.Contains(out, "CHIP ") {
+		t.Fatalf("a refused DELCELL removed the cell:\n%s", out)
+	}
+	// the holder may rename its own cell, and the lease follows it
+	mustDo(t, sv, "b", "RENAME CHIP CHIP2")
+	if _, err := sv.Do("a", "EDIT CHIP2"); err == nil || !strings.Contains(err.Error(), "under edit") {
+		t.Fatalf("EDIT of the holder's renamed cell not refused: %v", err)
+	}
+	mustDo(t, sv, "b", "RENAME CHIP2 CHIP")
 	// closing the holder releases its lease
 	if err := sv.Close("b"); err != nil {
 		t.Fatal(err)

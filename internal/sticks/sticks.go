@@ -26,7 +26,6 @@ package sticks
 
 import (
 	"fmt"
-	"sort"
 
 	"riot/internal/geom"
 	"riot/internal/rules"
@@ -269,17 +268,6 @@ func (c *Cell) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedConnectorNames returns connector names in lexical order, for
-// deterministic iteration.
-func (c *Cell) SortedConnectorNames() []string {
-	names := make([]string, len(c.Connectors))
-	for i, cn := range c.Connectors {
-		names[i] = cn.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 func max(a, b int) int {
