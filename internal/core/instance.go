@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"riot/internal/geom"
@@ -30,6 +32,72 @@ func NewInstance(name string, cell *Cell, tr geom.Transform) *Instance {
 // and the whole grid is placed by the instance transform.
 func (in *Instance) CopyTransform(i, j int) geom.Transform {
 	return geom.Translate(geom.Pt(i*in.Sx, j*in.Sy)).Then(in.Tr)
+}
+
+// Offset is the lattice step from array copy (i, j) to (i+DI, j+DJ).
+type Offset struct{ DI, DJ int }
+
+// PairOffsets returns the forward offsets (DI > 0, or DI == 0 < DJ)
+// within the array at which copies of b, one grown by r, touch, by
+// DI·Ny+DJ (then DI): the offsets that fit at any one copy reach
+// copies in walk order. Copy (i, j) holds
+// CopyTransform(i, j).ApplyRect(b), b in the cell's frame. It is
+// exact: in that frame the two copies differ by (DI·Sx, DJ·Sy), a box
+// grown by r touches its translate by (dx, dy) exactly when |dx| ≤ W+r
+// and |dy| ≤ H+r, and the instance transform keeps boxes touching.
+func (in *Instance) PairOffsets(b geom.Rect, r int) []Offset {
+	reach := func(ext, step, n int) int {
+		if step == 0 {
+			return n - 1
+		}
+		return min((ext+r)/max(step, -step), n-1)
+	}
+	ri, rj := reach(b.W(), in.Sx, in.Nx), reach(b.H(), in.Sy, in.Ny)
+	var out []Offset
+	for di := 0; di <= ri; di++ {
+		for dj := -rj; dj <= rj; dj++ {
+			if di > 0 || dj > 0 {
+				out = append(out, Offset{di, dj})
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, c Offset) int {
+		if d := cmp.Compare(a.DI*in.Ny+a.DJ, c.DI*in.Ny+c.DJ); d != 0 {
+			return d
+		}
+		return cmp.Compare(a.DI, c.DI)
+	})
+	return out
+}
+
+// CopiesTouching calls fn(i, j) in walk order for each copy of b (as
+// for PairOffsets) whose box touches q, boundary included: mapped into
+// the array's cell frame, copy (i, j)'s box touches q exactly when
+// i·Sx and j·Sy lie within q's extent less b's on each axis.
+func (in *Instance) CopiesTouching(b, q geom.Rect, fn func(i, j int)) {
+	q = in.Tr.Inverse().ApplyRect(q)
+	i0, i1 := stepRange(q.Min.X-b.Max.X, q.Max.X-b.Min.X, in.Sx, in.Nx)
+	j0, j1 := stepRange(q.Min.Y-b.Max.Y, q.Max.Y-b.Min.Y, in.Sy, in.Ny)
+	for i := i0; i <= i1; i++ {
+		for j := j0; j <= j1; j++ {
+			fn(i, j)
+		}
+	}
+}
+
+// stepRange returns the first and last k in [0, n) with k·s in
+// [lo, hi]; last < first when there is none.
+func stepRange(lo, hi, s, n int) (int, int) {
+	if s < 0 {
+		lo, hi, s = -hi, -lo, -s
+	}
+	switch {
+	case hi < 0 || s == 0 && lo > 0:
+		return 0, -1
+	case s == 0:
+		return 0, n - 1
+	}
+	return max(0, (lo+s-1)/s), min(n-1, hi/s)
 }
 
 // BBox returns the instance's bounding box in parent coordinates,

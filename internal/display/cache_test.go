@@ -8,7 +8,7 @@ import (
 )
 
 // TestDrawCellCachedReusesCullIndex: two successive DrawCellCached
-// calls at the same edit generation must reuse the copy-cull index
+// calls at the same edit generation must reuse the cull index
 // (no re-binning), render identical pixels across a pan, and drop the
 // cache when the generation moves.
 func TestDrawCellCachedReusesCullIndex(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 )
 
 // bigArray builds a composition with one 10x10 array of the test leaf
-// cell — enough copies to trip the cull index.
+// cell — enough copies to cull.
 func bigArray(t *testing.T) *core.Cell {
 	t.Helper()
 	cell := testCell(t)
@@ -23,7 +23,7 @@ func bigArray(t *testing.T) *core.Cell {
 }
 
 // TestCullFullViewUnchanged: a view that shows the whole array must
-// render exactly the same pixels whether or not the cull index runs —
+// render exactly the same pixels whether or not culling runs —
 // nothing is outside the window, so nothing may be skipped.
 func TestCullFullViewUnchanged(t *testing.T) {
 	top := bigArray(t)
@@ -129,7 +129,7 @@ func TestCullOverhangingGeometry(t *testing.T) {
 }
 
 // BenchmarkDrawCulledArray measures redrawing a 10x10 array zoomed
-// into one copy — the pan/zoom hot path the cull index accelerates.
+// into one copy — the pan/zoom hot path culling accelerates.
 func BenchmarkDrawCulledArray(b *testing.B) {
 	cell := testCell(b)
 	top := core.NewComposition("TOP")

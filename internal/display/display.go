@@ -139,11 +139,11 @@ func DrawCell(cv Canvas, v View, cell *core.Cell, opt Options) {
 }
 
 // DrawCellCached renders like DrawCell but keeps derived geometry —
-// most importantly the per-instance copy cull indexes — in a cache the
-// caller holds across frames, keyed on the editor's edit generation.
-// Pan and zoom only change the viewport query, so redrawing a static
-// design never re-bins an array; any editing operation bumps the
-// generation and drops the cache.
+// most importantly the per-composition instance cull indexes — in a
+// cache the caller holds across frames, keyed on the editor's edit
+// generation. Pan and zoom only change the viewport query, so
+// redrawing a static design never re-bins a composition; any editing
+// operation bumps the generation and drops the cache.
 func DrawCellCached(cv Canvas, v View, cell *core.Cell, opt Options, c *Cache, gen uint64) {
 	c.ensure(gen)
 	drawCell(cv, v, cell, geom.Identity, opt, true, c)
@@ -157,16 +157,16 @@ func DrawInstance(cv Canvas, v View, in *core.Instance, opt Options) {
 // Cache memoizes derived drawing geometry: called CIF symbols'
 // bounding boxes (keyed per file, since symbol ids are only unique
 // within a file), cells' worst-case mask overhang, and the viewport
-// cull indexes over instance and array-copy bounding boxes. The
-// symbol and overhang entries are transform-independent, so one
-// computation serves every instance copy in a frame; the cull indexes
-// live in design space, so across frames they are valid until the
-// design changes — holders pass the edit generation to DrawCellCached
-// and the cache clears itself when it moves.
+// cull indexes over a composition's instance bounding boxes (array
+// copies cull by arithmetic and need none). The symbol and overhang
+// entries are transform-independent, so one computation serves every
+// instance copy in a frame; the cull indexes live in design space, so
+// across frames they are valid until the design changes — holders pass
+// the edit generation to DrawCellCached and the cache clears itself
+// when it moves.
 type Cache struct {
 	symBox   map[symKey]geom.Rect
 	overhang map[*core.Cell]int
-	instCull map[instCullKey]*geom.Index
 	compCull map[compCullKey]*geom.Index
 
 	gen   uint64
@@ -182,14 +182,6 @@ type symKey struct {
 	id int
 }
 
-// instCullKey identifies one instance's copy-cull index: the instance
-// and the outer transform it was drawn under (the same array drawn
-// through two different parents culls separately).
-type instCullKey struct {
-	in    *core.Instance
-	outer geom.Transform
-}
-
 // compCullKey identifies a composition's instance-cull index.
 type compCullKey struct {
 	cell *core.Cell
@@ -201,7 +193,6 @@ func NewCache() *Cache {
 	return &Cache{
 		symBox:   map[symKey]geom.Rect{},
 		overhang: map[*core.Cell]int{},
-		instCull: map[instCullKey]*geom.Index{},
 		compCull: map[compCullKey]*geom.Index{},
 	}
 }
@@ -215,7 +206,6 @@ func (sb *Cache) ensure(gen uint64) {
 	sb.CullHits = 0
 	sb.symBox = map[symKey]geom.Rect{}
 	sb.overhang = map[*core.Cell]int{}
-	sb.instCull = map[instCullKey]*geom.Index{}
 	sb.compCull = map[compCullKey]*geom.Index{}
 	sb.gen, sb.keyed = gen, true
 }
@@ -237,9 +227,9 @@ func drawCell(cv Canvas, v View, cell *core.Cell, tr geom.Transform, opt Options
 	}
 }
 
-// cullMinCopies is the replication count below which an instance is
-// drawn without building a cull index; tiny arrays are cheaper to draw
-// outright.
+// cullMinCopies is the replication count below which an instance (or
+// a composition's instances) draws without culling; tiny arrays are
+// cheaper to draw outright.
 const cullMinCopies = 16
 
 // cullMargin returns the design-space slop added around the window when
@@ -349,54 +339,27 @@ func (sb *Cache) geomOverhang(c *core.Cell) int {
 
 // drawInstance renders every array copy of an instance. Replicated
 // instances — the Nx x Ny arrays the paper's composition primitives
-// produce — are culled against the viewport through a geom.Index over
-// the copies' bounding boxes, so panning around a large array redraws
-// only the visible copies instead of walking every one. Copies draw in
-// grid order, matching the plain loop, so output is deterministic.
-// Name labels can extend arbitrarily far past a box, so ShowNames (in
-// the box view, the only mode that renders text) disables culling.
+// produce — draw only the copies whose box touches the viewport, found
+// by arithmetic on the copy grid (core's CopiesTouching), so panning
+// around a large array never walks every copy. Copies draw in grid
+// order, matching the plain loop, so output is deterministic. Name
+// labels can extend arbitrarily far past a box, so ShowNames (in the
+// box view, the only mode that renders text) disables culling.
 func drawInstance(cv Canvas, v View, in *core.Instance, outer geom.Transform, opt Options, sb *Cache) {
-	n := in.Nx * in.Ny
-	if (opt.ShowNames && !opt.Geometry) || n < cullMinCopies {
+	draw := func(i, j int) { drawInstanceCopy(cv, v, in, i, j, outer, opt, sb) }
+	if (opt.ShowNames && !opt.Geometry) || in.Nx*in.Ny < cullMinCopies {
 		for i := 0; i < in.Nx; i++ {
 			for j := 0; j < in.Ny; j++ {
-				drawInstanceCopy(cv, v, in, i, j, outer, opt, sb)
+				draw(i, j)
 			}
 		}
 		return
 	}
 	// a sticks cell's mask geometry can overhang its declared bounding
-	// box (wires are centered on their path), so the cull rect grows by
+	// box (wires are centered on their path), so the cull box grows by
 	// the cell's worst-case overhang
-	key := instCullKey{in, outer}
-	ix, ok := sb.instCull[key]
-	if ok && ix.Len() == n {
-		sb.CullHits++
-	} else {
-		cb := in.Cell.BBox().Inset(-sb.cellOverhang(in.Cell))
-		ix = geom.NewIndex()
-		for i := 0; i < in.Nx; i++ {
-			for j := 0; j < in.Ny; j++ {
-				ix.Insert(in.CopyTransform(i, j).Then(outer).ApplyRect(cb))
-			}
-		}
-		ix.Build()
-		sb.instCull[key] = ix
-	}
-	visible := make([]bool, ix.Len())
-	ix.QueryRect(v.Window.Inset(-cullMargin(v)), func(id int) bool {
-		visible[id] = true
-		return true
-	})
-	k := 0
-	for i := 0; i < in.Nx; i++ {
-		for j := 0; j < in.Ny; j++ {
-			if visible[k] {
-				drawInstanceCopy(cv, v, in, i, j, outer, opt, sb)
-			}
-			k++
-		}
-	}
+	cb := in.Cell.BBox().Inset(-sb.cellOverhang(in.Cell))
+	in.CopiesTouching(cb, outer.Inverse().ApplyRect(v.Window.Inset(-cullMargin(v))), draw)
 }
 
 func drawInstanceCopy(cv Canvas, v View, in *core.Instance, i, j int, outer geom.Transform, opt Options, sb *Cache) {

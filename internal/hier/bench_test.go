@@ -70,7 +70,9 @@ func BenchmarkHierGeneralCompose(b *testing.B) {
 // is a fresh engine, as a new CLI run has, over a store that already
 // holds the certificate, then Verify and Circuit. Verify proves the
 // array on the fast path's lattice; Circuit composes the whole array's
-// connectivity.
+// connectivity by lattice arithmetic (integer work per copy: the
+// neighbour templates' unions, the renumbering, the device copy and
+// the label table).
 func BenchmarkHierSignoff(b *testing.B) {
 	for _, n := range []int{32, 128} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {

@@ -19,7 +19,12 @@ import (
 // stays valid whatever later generations carry from it.
 type genState struct {
 	retained
-	matIx *geom.Index
+	// matIx indexes the occurrences' material boxes; a fast-path
+	// circuit has none: lat is its array, whose copy (i, j) is
+	// occurrence i·Ny+j, and latBox the material box in the cell's frame.
+	matIx  *geom.Index
+	lat    *core.Instance
+	latBox geom.Rect
 
 	netOf    []int32 // dense net of each (occ netBase + local net) node
 	netCount int
@@ -171,18 +176,11 @@ func (e *Engine) compose(st *genState, c *carry) error {
 // the certificates cannot express: connect declines the run, always
 // with a *Decline, and the caller runs the scratch flat oracle.
 func (e *Engine) connect(st *genState, c *carry) error {
-	if e.Faults.Hit(faultinject.ComposeBudget, "") {
-		return &Decline{Cond: CondComposeBudget, Placement: -1}
+	total, err := e.number(st)
+	if err != nil {
+		return err
 	}
 	occs := st.occs
-	total := 0
-	for i := range occs {
-		if occs[i].cert.X.Pend || e.Faults.Hit(faultinject.CertPend, occs[i].cert.Cell.Name) {
-			return &Decline{Cond: CondPend, Cell: occs[i].cert.Cell.Name, Placement: i}
-		}
-		occs[i].netBase = int32(total)
-		total += occs[i].cert.X.NetCount
-	}
 	if c != nil {
 		st.layers = c.prev.layers
 	} else {
@@ -201,14 +199,45 @@ func (e *Engine) connect(st *genState, c *carry) error {
 	}
 	uf := geom.NewUnionFind(total)
 	for _, pr := range st.pairs {
-		ub, vb := occs[pr.u].netBase, occs[pr.v].netBase
-		for _, p := range pr.t.unions {
-			uf.Union(int(ub+p[0]), int(vb+p[1]))
-		}
+		st.unite(uf, pr.u, pr.v, pr.t)
 	}
+	st.link(uf, total)
+	return nil
+}
 
+// number opens a connectivity compose: the compose-budget fault, then
+// a pend check and a net base per occurrence. It returns the node
+// count.
+func (e *Engine) number(st *genState) (int, error) {
+	if e.Faults.Hit(faultinject.ComposeBudget, "") {
+		return 0, &Decline{Cond: CondComposeBudget, Placement: -1}
+	}
+	occs := st.occs
+	total := 0
+	for i := range occs {
+		if occs[i].cert.X.Pend || e.Faults.Hit(faultinject.CertPend, occs[i].cert.Cell.Name) {
+			return 0, &Decline{Cond: CondPend, Cell: occs[i].cert.Cell.Name, Placement: i}
+		}
+		occs[i].netBase = int32(total)
+		total += occs[i].cert.X.NetCount
+	}
+	return total, nil
+}
+
+// unite applies one pair's template unions.
+func (st *genState) unite(uf *geom.UnionFind, u, v int32, t *template) {
+	ub, vb := st.occs[u].netBase, st.occs[v].netBase
+	for _, p := range t.unions {
+		uf.Union(int(ub+p[0]), int(vb+p[1]))
+	}
+}
+
+// link closes a connectivity compose: the deferred joins, then the
+// dense renumbering of the total nodes.
+func (st *genState) link(uf *geom.UnionFind, total int) {
 	// deferred joins, resolved in placement context. Both-sides-found
 	// joins union; others drop, matching the flat solver.
+	occs := st.occs
 	for ui := range occs {
 		u := &occs[ui]
 		for _, j := range u.cert.X.Joins {
@@ -241,7 +270,6 @@ func (e *Engine) connect(st *genState, c *carry) error {
 		netOf[node] = rootID[r]
 	}
 	st.netOf, st.netCount = netOf, n
-	return nil
 }
 
 // discover records the run's interacting pairs in (u, v) order, u < v.
@@ -317,16 +345,25 @@ func (e *Engine) discover(st *genState, c *carry) error {
 		if pr.t == nil {
 			pr.t = e.template(occs[pr.u].cert, occs[pr.v].cert, occs[pr.v].d.Sub(occs[pr.u].d))
 		}
-		poison := pr.t.poison
-		if !poison && e.Faults != nil {
-			poison = e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(int(pr.u))) ||
-				e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(int(pr.v)))
-		}
-		if poison {
-			return &Decline{Cond: CondPoison, Cell: occs[pr.u].cert.Cell.Name, Placement: int(pr.u)}
+		if err := e.poisoned(st, pr.u, pr.v, pr.t); err != nil {
+			return err
 		}
 	}
 	st.pairs = ps
+	return nil
+}
+
+// poisoned declines a poison pair (or one the template-poison fault
+// hits), naming its first placement.
+func (e *Engine) poisoned(st *genState, u, v int32, t *template) error {
+	poison := t.poison
+	if !poison && e.Faults != nil {
+		poison = e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(int(u))) ||
+			e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(int(v)))
+	}
+	if poison {
+		return &Decline{Cond: CondPoison, Cell: st.occs[u].cert.Cell.Name, Placement: int(u)}
+	}
 	return nil
 }
 
@@ -354,13 +391,7 @@ func (st *genState) nodeAt(p geom.Point, l geom.Layer) int32 {
 // occurrence-major, so that reproduces the flat locator's
 // lowest-global-fragment pick.
 func (st *genState) locate(p geom.Point, l geom.Layer, belowCut bool) int32 {
-	var cand []int
-	st.matIx.QueryPoint(p, func(id int) bool {
-		cand = append(cand, id)
-		return true
-	})
-	sort.Ints(cand)
-	for _, id := range cand {
+	for _, id := range st.occupants(p) {
 		o := &st.occs[id]
 		lp := p.Sub(o.d)
 		var n int32
@@ -374,6 +405,23 @@ func (st *genState) locate(p geom.Point, l geom.Layer, belowCut bool) int32 {
 		}
 	}
 	return -1
+}
+
+// occupants returns the occurrences whose material box contains p, in
+// ascending order. A lattice state divides on the array's lattice,
+// which yields the index query's candidates in the same order.
+func (st *genState) occupants(p geom.Point) []int {
+	var occ []int
+	if in := st.lat; in != nil {
+		in.CopiesTouching(st.latBox, geom.Rect{Min: p, Max: p}, func(i, j int) { occ = append(occ, i*in.Ny+j) })
+		return occ
+	}
+	st.matIx.QueryPoint(p, func(id int) bool {
+		occ = append(occ, id)
+		return true
+	})
+	sort.Ints(occ)
+	return occ
 }
 
 // check composes the DRC half — width residues, cross-placement

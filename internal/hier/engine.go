@@ -6,7 +6,8 @@
 // placements, not with flattened geometry. For a uniform array, a
 // fast path proves the DRC verdict on one fixed 13×13 lattice and so
 // drops even the per-placement term; only the circuit, when a caller
-// asks for it, composes every placement's connectivity.
+// asks for it, composes every copy's connectivity, by lattice
+// arithmetic: integer work per copy, no spatial query.
 //
 // The engine's contract is verdict identity: the composed circuit
 // (after the same canonical dense net renumbering) and the composed

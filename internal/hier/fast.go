@@ -13,11 +13,11 @@ import (
 // Why one lattice proves the whole array:
 //
 //   - The offsets pre-check proves pairs form only between immediate
-//     lattice neighbors (ring-2 offsets clear the pair-discovery
-//     reach) and that material reads — window clips reach 3*rho past
-//     a copy — stay within the ±2-step neighborhood (ring-3 offsets
-//     clear it). Separations grow per axis with the offset, so larger
-//     offsets cannot interact either.
+//     lattice neighbors (no ring-2 offset comes within the
+//     pair-discovery reach) and that material reads — window clips
+//     reach 3*rho past a copy — stay within the ±2-step neighborhood
+//     (no ring-3 offset comes within that). core's PairOffsets lists
+//     every offset that does, whatever its ring, so the check is exact.
 //   - Everything the DRC verdict derives at a copy is then determined
 //     by the copy's ±2-step occupancy, so a copy's verdict is a
 //     function of its edge class (min(i,3), min(n-1-i,3)) per axis.
@@ -32,8 +32,22 @@ import (
 //     never arises.
 //
 // The verdict carries violations only. Result.Circuit composes the
-// whole array's connectivity when a caller needs the netlist, and the
-// circuit carries the exact net and device counts.
+// whole array's connectivity when a caller needs the netlist (lattice),
+// with no walk and no index, and equals the general connect because:
+//
+//   - Copy (i, j) is the walk's occurrence i·Ny+j, at CopyTransform(i,
+//     j).D, and every copy has the one certificate.
+//   - Pair existence (material boxes within pairReach) and the pair's
+//     template are functions of the copies' offset alone, so the pairs
+//     are exactly PairOffsets' offsets at every (i, j) they fit, each
+//     with one template. Once ring 2 clears the reach, they are ring 1.
+//   - The union-find's partition does not depend on union order, and
+//     the renumbering reads only that partition. The unions run in
+//     (u, v) order anyway, so declines, faults and the per-pair
+//     counters match the general path's.
+//   - Arithmetic occupancy (CopiesTouching) returns the copies whose
+//     material box holds a point, in ascending occurrence order: the
+//     index query's candidate set, in the order locate sorts it into.
 //
 // Declines (any violation, any spacing candidate, an offsets-check
 // failure, a lattice pend/poison decline) run the general path, which
@@ -43,13 +57,6 @@ const (
 	fastMinDim  = 14 // smallest array side the fast path takes
 	fastLattice = 13 // side of the one lattice it composes
 )
-
-func abs2(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 // fast attempts the lattice path. ok=false with nil error means "not
 // eligible, run the general path"; a non-nil error declines the engine.
@@ -68,10 +75,6 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	o := in.Tr.O
-	vx := o.Apply(geom.Pt(in.Sx, 0))
-	vy := o.Apply(geom.Pt(0, in.Sy))
-
 	// Locality proof, two radii. Ring 2 (offsets with max(|di|,|dj|)=2)
 	// must clear the pair-discovery reach: then templates — and with
 	// them unions, windows, spacing candidates — exist only between
@@ -79,8 +82,7 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	// radius (a width window extends rho beyond the pair's boxes and
 	// its clip another 2*rho): then everything the composition derives
 	// at a copy reads only the ±2-step neighborhood, which the edge
-	// classes determine. Separations grow per axis with the offset, so
-	// clearing ring 3 clears every farther ring too.
+	// classes determine.
 	reach2 := pairReach(ct.D.Layers) + rules.Lambda
 	reach3 := reach2
 	for _, l := range ct.D.Layers {
@@ -88,22 +90,9 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 			reach3 = r
 		}
 	}
-	mat := ct.X.MatBox
-	for di := -3; di <= 3; di++ {
-		for dj := -3; dj <= 3; dj++ {
-			ring := max(abs2(di), abs2(dj))
-			if ring < 2 {
-				continue
-			}
-			reach := reach2
-			if ring == 3 {
-				reach = reach3
-			}
-			off := geom.Pt(di*vx.X+dj*vy.X, di*vx.Y+dj*vy.Y)
-			if mat.Inset(-reach).Touches(mat.Translate(off)) {
-				return nil, false, nil
-			}
-		}
+	box := in.Tr.O.Inverse().ApplyRect(ct.X.MatBox) // in the cell's frame
+	if farthest(in.PairOffsets(box, reach2)) > 1 || farthest(in.PairOffsets(box, reach3)) > 2 {
+		return nil, false, nil
 	}
 
 	fsp := e.Trace.Begin("fast")
@@ -112,8 +101,7 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	occs := make([]placed, 0, fastLattice*fastLattice)
 	for i := 0; i < fastLattice; i++ {
 		for j := 0; j < fastLattice; j++ {
-			d := o.Apply(geom.Pt(i*in.Sx, j*in.Sy)).Add(in.Tr.D)
-			occs = append(occs, placedAt(ct, d))
+			occs = append(occs, placedAt(ct, in.CopyTransform(i, j).D))
 		}
 	}
 	st := &genState{retained: retained{occs: occs}}
@@ -130,4 +118,63 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 		return nil, false, nil
 	}
 	return &Result{e: e, top: top}, true, nil
+}
+
+// farthest returns the largest ring, max(|di|, |dj|), among forward
+// offsets.
+func farthest(offs []core.Offset) int {
+	n := 0
+	for _, o := range offs {
+		n = max(n, o.DI, o.DJ, -o.DJ)
+	}
+	return n
+}
+
+// lattice composes a fast-path array's connectivity by lattice
+// arithmetic (see the fast-path doc): each pairing offset resolves its
+// template once, replayed over the copies in (u, v) order into the
+// shared union/join/renumber tail.
+func (e *Engine) lattice(top *core.Cell) (*genState, error) {
+	in := top.Instances[0]
+	ct, err := e.cert(in.Cell, in.Tr.O)
+	if err != nil {
+		return nil, &Decline{Cond: CondCertBuild, Placement: -1, Err: err}
+	}
+	nx, ny := in.Nx, in.Ny
+	e.stats.CertMemoHits += nx*ny - 1 // every other copy reuses it, as a walk counts
+	st := &genState{retained: retained{top: top, first: []int{0, nx * ny}, occs: make([]placed, nx*ny)},
+		lat: in, latBox: in.Tr.O.Inverse().ApplyRect(ct.X.MatBox)}
+	for u := range st.occs {
+		st.occs[u] = placedAt(ct, in.CopyTransform(u/ny, u%ny).D)
+	}
+	total, err := e.number(st)
+	if err != nil {
+		return nil, err
+	}
+	st.layers = layersOf(st.occs[:1])
+	offs := in.PairOffsets(st.latBox, pairReach(st.layers))
+	for _, o := range offs {
+		e.stats.PairsComposed += (nx - o.DI) * (ny - max(o.DJ, -o.DJ))
+	}
+	tmpls := make([]*template, len(offs))
+	uf := geom.NewUnionFind(total)
+	for u := range st.occs {
+		for k, o := range offs {
+			if i, j := u/ny+o.DI, u%ny+o.DJ; i >= nx || j < 0 || j >= ny {
+				continue
+			}
+			v := u + o.DI*ny + o.DJ
+			if tmpls[k] == nil {
+				tmpls[k] = e.template(ct, ct, st.occs[v].d.Sub(st.occs[u].d))
+			} else {
+				e.stats.TemplateHits++
+			}
+			if err := e.poisoned(st, int32(u), int32(v), tmpls[k]); err != nil {
+				return nil, err
+			}
+			st.unite(uf, int32(u), int32(v), tmpls[k])
+		}
+	}
+	st.link(uf, total)
+	return st, nil
 }

@@ -13,23 +13,21 @@ import (
 // O(placed copies) — exactly the cost the fast path exists to avoid —
 // so it only happens when a caller needs the netlist. A fast-path
 // verdict is exact already (its violations stand), so it composes only
-// the connectivity half of the general path first, and a decline there
-// is recorded as the engine's last decline. The top must not have
-// changed since Verify (a snapshot never does): sites index the walked
-// occurrences by the top's instance list.
+// connectivity first, by lattice arithmetic over the array's one
+// certificate (lattice): no walk, no spatial index, integer work per
+// copy. A decline there is recorded as the engine's last decline. The
+// top must not have changed since Verify (a snapshot never does):
+// sites index the walked occurrences by the top's instance list.
 func (r *Result) Circuit() (*extract.Circuit, error) {
 	if r.ckt != nil {
 		return r.ckt, nil
 	}
 	st := r.gen
 	if st == nil {
+		csp := r.e.Trace.Begin("compose")
 		var err error
-		st, err = r.e.placements(r.top)
-		if err == nil {
-			csp := r.e.Trace.Begin("compose")
-			err = r.e.connect(st, nil)
-			csp.End()
-		}
+		st, err = r.e.lattice(r.top)
+		csp.End()
 		if err != nil {
 			// a decline this late is still a decline: counted, recorded
 			// and traced like one from Verify

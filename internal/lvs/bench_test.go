@@ -166,8 +166,9 @@ func arrayEditor(tb testing.TB, n int) *core.Editor {
 // BenchmarkReferenceArray measures the reference derivation of a
 // single ARRAY instance as every sign-off session pays it: each
 // iteration is a fresh Reference, so the time is one standalone leaf
-// extraction plus the array stitch — template replay, device copy,
-// renumbering, labels.
+// extraction plus the array stitch — the four neighbour templates
+// replayed by lattice arithmetic (no copy index), device copy,
+// union-find, renumbering, labels.
 func BenchmarkReferenceArray(b *testing.B) {
 	for _, n := range []int{32, 128} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {

@@ -35,9 +35,10 @@ import (
 // distinct (sub-entry, orientation, sub-entry, orientation,
 // translation) as a pair template and replayed for every copy pair
 // that shares it — the same scheme internal/hier composes
-// certificates with. An array stitches from its leaf entry plus a
-// handful of templates; what still scales with copies is the device
-// copy, the renumbering and the label table.
+// certificates with. An array stitches from its leaf entry plus one
+// template per touching (i, j) offset, by lattice arithmetic; what
+// scales with copies is integer work: the device copy, the union-find,
+// the renumbering and the label table.
 //
 // Labels come from per-cell port bindings and carry no names: the top's
 // label table (core's label sites, in order) is filled once per
@@ -96,13 +97,15 @@ type refEntry struct {
 	boundary []bfrag
 	bext     geom.Rect
 
-	// a composition entry keeps its copies (indexed by port box), the
-	// sub-entry of each instance and the dense net of every block net,
-	// so connector positions resolve lazily (netAt) and label tables
-	// read nets by index; tmpl holds the pair templates its last stitch
+	// a composition entry keeps its copies, the sub-entry and port box
+	// of each instance and the dense net of every block net, so
+	// connector positions resolve lazily (netAt) and label tables read
+	// nets by index; ix, the copies' port box index, is built on first
+	// need (index); tmpl holds the pair templates its last stitch
 	// replayed
 	copies []copySlot
 	subs   []*refEntry
+	pboxes []geom.Rect
 	ix     *geom.Index
 	dense  []int32
 	tmpl   map[tmplKey][][2]int32
@@ -296,14 +299,14 @@ func (e *refEntry) table(c *core.Cell) []int32 {
 // coincident connectors of different copies, so the first copy that
 // resolves the point answers for all.
 func (e *refEntry) netAt(at geom.Point, layer geom.Layer) int32 {
-	if e.ix == nil {
+	if e.cell.Kind != core.Composition {
 		if n, ok := e.portNet[portKey{at.X, at.Y, layer}]; ok {
 			return n
 		}
 		return -1
 	}
 	net := int32(-1)
-	e.ix.QueryPoint(at, func(ci int) bool {
+	e.index().QueryPoint(at, func(ci int) bool {
 		cr := e.copies[ci]
 		p := cr.tr.Inverse().Apply(at)
 		n, ok := e.subs[cr.inst].portNet[portKey{p.X, p.Y, layer}]
@@ -313,6 +316,21 @@ func (e *refEntry) netAt(at geom.Point, layer geom.Layer) int32 {
 		return !ok
 	})
 	return net
+}
+
+// index returns the copy index over placed port boxes, built on first
+// need: pairs across instances and netAt. An array's own pairs come
+// from lattice arithmetic, so a single-array top whose connectors all
+// bind builds none.
+func (e *refEntry) index() *geom.Index {
+	if e.ix == nil {
+		rects := make([]geom.Rect, len(e.copies))
+		for ci, cr := range e.copies {
+			rects[ci] = cr.tr.ApplyRect(e.pboxes[cr.inst])
+		}
+		e.ix = geom.NewIndexFrom(rects)
+	}
+	return e.ix
 }
 
 // face derives a composition entry's parent-facing parts on first
@@ -502,50 +520,68 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 // entry being replaced, or nil: templates it holds carry over when
 // this stitch replays them again. The parts a parent reads come later,
 // from face.
+//
+// Copies pair where their port boxes touch. Two copies of one ARRAY
+// pair by lattice arithmetic: touching, seam depth and template are
+// functions of their (i, j) offset alone, so each touching offset
+// resolves once and replays over the copies it joins. Copies of
+// different instances pair through the copy index.
 func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
-	e := &refEntry{}
+	e := &refEntry{pboxes: make([]geom.Rect, len(c.Instances))}
 
-	// every copy's placed box and port box, from placement alone
+	// every copy's placement, and each instance's boxes (cell frame)
 	type cellBoxes struct{ box, pbox geom.Rect }
 	known := map[*core.Cell]cellBoxes{}
-	var boxes, pboxes []geom.Rect
+	boxes := make([]geom.Rect, len(c.Instances))
 	for ii, in := range c.Instances {
 		cb, ok := known[in.Cell]
 		if !ok {
 			cb = cellBoxes{in.Cell.BBox(), portBox(in.Cell)}
 			known[in.Cell] = cb
 		}
+		boxes[ii], e.pboxes[ii] = cb.box, cb.pbox
 		for i := 0; i < in.Nx; i++ {
 			for j := 0; j < in.Ny; j++ {
-				tr := in.CopyTransform(i, j)
-				e.copies = append(e.copies, copySlot{tr: tr, inst: int32(ii)})
-				boxes = append(boxes, tr.ApplyRect(cb.box))
-				pboxes = append(pboxes, tr.ApplyRect(cb.pbox))
+				e.copies = append(e.copies, copySlot{tr: in.CopyTransform(i, j), inst: int32(ii)})
 			}
 		}
 	}
 
-	// one pass over the copy index yields the copy pairs that can
-	// interact (port boxes touch) and sizes each instance's seam reach
-	// before its entry is built
+	// the copy pairs that can interact (port boxes touch) size each
+	// instance's seam reach before its entry is built
 	need := make([]int, len(c.Instances))
 	for ii := range need {
 		need[ii] = max(seam.Reach, reach)
 	}
-	e.ix = geom.NewIndexFrom(pboxes)
-	e.ix.Build()
+	offs := make([][]core.Offset, len(c.Instances))
+	for ii, in := range c.Instances {
+		if !in.IsArray() {
+			continue
+		}
+		offs[ii] = in.PairOffsets(e.pboxes[ii], 0)
+		b0 := in.Tr.ApplyRect(boxes[ii])
+		for _, o := range offs[ii] {
+			b1 := in.CopyTransform(o.DI, o.DJ).ApplyRect(boxes[ii])
+			need[ii] = max(need[ii], seam.Depth(b0, b1), seam.Depth(b1, b0))
+		}
+	}
 	var pairs [][2]int32
-	for u := range e.copies {
-		e.ix.QueryRect(pboxes[u], func(v int) bool {
-			if v <= u {
+	if len(c.Instances) > 1 {
+		ix := e.index()
+		for u, cu := range e.copies {
+			bu := cu.tr.ApplyRect(boxes[cu.inst])
+			ix.QueryRect(ix.RectOf(u), func(v int) bool {
+				cv := e.copies[v]
+				if v <= u || cv.inst == cu.inst {
+					return true
+				}
+				pairs = append(pairs, [2]int32{int32(u), int32(v)})
+				bv := cv.tr.ApplyRect(boxes[cv.inst])
+				need[cu.inst] = max(need[cu.inst], seam.Depth(bu, bv))
+				need[cv.inst] = max(need[cv.inst], seam.Depth(bv, bu))
 				return true
-			}
-			pairs = append(pairs, [2]int32{int32(u), int32(v)})
-			iu, iv := e.copies[u].inst, e.copies[v].inst
-			need[iu] = max(need[iu], seam.Depth(boxes[u], boxes[v]))
-			need[iv] = max(need[iv], seam.Depth(boxes[v], boxes[u]))
-			return true
-		})
+			})
+		}
 	}
 
 	e.subs = make([]*refEntry, len(c.Instances))
@@ -583,6 +619,25 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 	var carry map[tmplKey][][2]int32
 	if old != nil {
 		carry = old.tmpl
+	}
+	first := 0
+	for ii, in := range c.Instances {
+		sub, o := e.subs[ii], in.Tr.O
+		for _, off := range offs[ii] {
+			d := in.CopyTransform(off.DI, off.DJ).D.Sub(in.Tr.D)
+			t := rf.template(e.tmpl, carry, tmplKey{u: sub, v: sub, ou: o, ov: o, dx: d.X, dy: d.Y})
+			rf.stats.TemplateHits += (in.Nx-off.DI)*(in.Ny-max(off.DJ, -off.DJ)) - 1 // the other copy pairs
+			for i := 0; i+off.DI < in.Nx; i++ {
+				for j := max(0, -off.DJ); j < in.Ny && j+off.DJ < in.Ny; j++ {
+					bu := e.copies[first+i*in.Ny+j].base
+					bv := e.copies[first+(i+off.DI)*in.Ny+j+off.DJ].base
+					for _, un := range t {
+						uf.Union(int(bu+un[0]), int(bv+un[1]))
+					}
+				}
+			}
+		}
+		first += in.Nx * in.Ny
 	}
 	for _, p := range pairs {
 		cu, cv := e.copies[p[0]], e.copies[p[1]]

@@ -1,6 +1,7 @@
 package lvs
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -158,5 +159,166 @@ func TestReferenceOutsideBoxConnectors(t *testing.T) {
 	}
 	if ref.NetCount != 1 {
 		t.Errorf("reference keeps %d nets; the coincident connectors join the copies into one", ref.NetCount)
+	}
+}
+
+// arrayCase builds one design of the array stitch differential: place
+// puts an array instance, or with explode its copies as 1x1 instances
+// at the array's copy transforms, in walk order.
+type arrayCase struct {
+	name  string
+	build func(t *testing.T, d *core.Design, place func(cell, name string, tr geom.Transform, nx, ny, sx, sy int))
+}
+
+// outsideLeaf adds TestReferenceOutsideBoxConnectors' leaf: connector P
+// lies outside its box, so neighbouring copies' port boxes overlap.
+func outsideLeaf(t *testing.T, d *core.Design) {
+	t.Helper()
+	f, err := cif.ParseString("DS 1; 9 LEAF; L NM; B 40 20 -30 0; W 0 0 0 -10 0; 94 P 0 0 NM 2; 94 Q -50 0 NM 2; DF; E")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := core.NewLeafFromCIF(f, f.SymbolByID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddCell(leaf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func arrayCases() []arrayCase {
+	var cases []arrayCase
+	for o := geom.R0; o <= geom.MXR270; o++ {
+		for _, sign := range []int{1, -1} {
+			cases = append(cases, arrayCase{fmt.Sprintf("srcell 4x3 %s pitch%+d", o, sign),
+				func(t *testing.T, d *core.Design, place func(string, string, geom.Transform, int, int, int, int)) {
+					place("SRCELL", "a", geom.MakeTransform(o, geom.Pt(0, 0)), 4, 3, sign*20*lam, sign*24*lam)
+				}})
+		}
+	}
+	cases = append(cases,
+		arrayCase{"srcell 1x6", func(t *testing.T, d *core.Design, place func(string, string, geom.Transform, int, int, int, int)) {
+			place("SRCELL", "a", geom.Identity, 1, 6, 0, 24*lam)
+		}},
+		arrayCase{"srcell 6x1", func(t *testing.T, d *core.Design, place func(string, string, geom.Transform, int, int, int, int)) {
+			place("SRCELL", "a", geom.Identity, 6, 1, 20*lam, 0)
+		}},
+		arrayCase{"arrays beside instances", func(t *testing.T, d *core.Design, place func(string, string, geom.Transform, int, int, int, int)) {
+			place("SRCELL", "a", geom.Identity, 3, 3, 20*lam, 24*lam)
+			place("SRCELL", "s", geom.MakeTransform(geom.R0, geom.Pt(60*lam, 0)), 1, 1, 0, 0)
+			place("SRCELL", "b", geom.MakeTransform(geom.R0, geom.Pt(0, 72*lam)), 2, 3, 20*lam, 24*lam)
+		}},
+		arrayCase{"array of a composition", func(t *testing.T, d *core.Design, place func(string, string, geom.Transform, int, int, int, int)) {
+			row := core.NewComposition("ROW")
+			if err := d.AddCell(row); err != nil {
+				t.Fatal(err)
+			}
+			sr, _ := d.Cell("SRCELL")
+			in := core.NewInstance("r", sr, geom.Identity)
+			in.Nx, in.Sx = 3, 20*lam
+			row.Instances = append(row.Instances, in)
+			place("ROW", "a", geom.MakeTransform(geom.R90, geom.Pt(0, 0)), 2, 3, 60*lam, 24*lam)
+		}},
+		arrayCase{"connectors outside the box", func(t *testing.T, d *core.Design, place func(string, string, geom.Transform, int, int, int, int)) {
+			outsideLeaf(t, d)
+			place("LEAF", "a", geom.Identity, 3, 1, 50, 0)
+			place("LEAF", "b", geom.MakeTransform(geom.R90, geom.Pt(0, 100)), 4, 2, 50, 40)
+		}},
+	)
+	return cases
+}
+
+// TestReferenceArrayMatchesCopies is the array stitch differential: an
+// ARRAY instance, whose copies pair by lattice offset, and the same
+// copies placed as 1x1 instances, which pair through the copy index,
+// stitch to identical devices and net counts, and both designs get the
+// flat comparison's verdict, as does the certified check of the array.
+func TestReferenceArrayMatchesCopies(t *testing.T) {
+	for _, tc := range arrayCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			var nl [2]*Netlist
+			var flat [2]*Result
+			for k, explode := range []bool{false, true} {
+				d := core.NewDesign()
+				if err := lib.Install(d); err != nil {
+					t.Fatal(err)
+				}
+				top := core.NewComposition("TOP")
+				if err := d.AddCell(top); err != nil {
+					t.Fatal(err)
+				}
+				ed, err := core.NewEditor(d, top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.build(t, d, func(cell, name string, tr geom.Transform, nx, ny, sx, sy int) {
+					in, err := ed.CreateInstance(cell, name, tr, nx, ny, sx, sy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !explode {
+						return
+					}
+					if err := ed.DeleteInstance(in); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < nx; i++ {
+						for j := 0; j < ny; j++ {
+							if _, err := ed.CreateInstance(cell, fmt.Sprintf("%s_%d_%d", name, i, j), in.CopyTransform(i, j), 1, 1, 0, 0); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				})
+				if nl[k], _, err = new(Reference).unnamed(top, nil); err != nil {
+					t.Fatal(err)
+				}
+				if flat[k], err = CheckEditorFlat(ed); err != nil {
+					t.Fatal(err)
+				}
+				if !explode {
+					var inc Incremental
+					res, err := inc.Check(ed, &verify.Verifier{Hier: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Clean != flat[k].Clean {
+						t.Errorf("certified verdict clean=%v, flat clean=%v", res.Clean, flat[k].Clean)
+					}
+				}
+			}
+			if nl[0].NetCount != nl[1].NetCount || !reflect.DeepEqual(nl[0].Devices, nl[1].Devices) {
+				t.Fatalf("array stitches %d nets, its copies %d (devices equal: %v)",
+					nl[0].NetCount, nl[1].NetCount, reflect.DeepEqual(nl[0].Devices, nl[1].Devices))
+			}
+			if !flat[0].Clean || !flat[1].Clean {
+				t.Fatalf("flat verdicts: array clean=%v %v, copies clean=%v %v", flat[0].Clean, flat[0].Mismatches, flat[1].Clean, flat[1].Mismatches)
+			}
+		})
+	}
+}
+
+// TestReferenceArrayBuildsNoIndex pins the sign-off shape: a single
+// ARRAY instance whose connectors all bind stitches by lattice
+// arithmetic and builds no copy index, while a second instance beside
+// it makes the stitch index the copies for the pairs across them.
+func TestReferenceArrayBuildsNoIndex(t *testing.T) {
+	ed := arrayEditor(t, 16)
+	var rf Reference
+	if _, _, err := rf.unnamed(ed.Cell, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e := rf.memo[ed.Cell]; e.ix != nil {
+		t.Fatal("a single-array stitch built a copy index")
+	}
+	if _, err := ed.CreateInstance("SRCELL", "s", geom.MakeTransform(geom.R0, geom.Pt(320*lam, 0)), 1, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rf.unnamed(ed.Cell, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e := rf.memo[ed.Cell]; e.ix == nil {
+		t.Fatal("a two-instance stitch found its cross-instance pairs without the copy index")
 	}
 }

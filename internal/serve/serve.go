@@ -173,6 +173,7 @@ func (sv *Server) Open(sid, designName string) error {
 		s.files[name] = data
 		return nil
 	}
+	sh.ReplayExec = func(line string) error { return sv.exec(s, line) }
 	sh.AttachStore(sv.blob, sv.signer)
 	sv.registerStoreSection(sh)
 	s.sh = sh
@@ -255,10 +256,8 @@ func (sv *Server) Shell(sid string) (*shell.Shell, bool) {
 
 // Do executes one shell command in a session and returns its printed
 // output. Commands for one session serialize; commands across sessions
-// run concurrently up to the server's bound. EDIT claims the target
-// cell's lease and is refused while another session holds it; so are
-// DELCELL and RENAME of that cell, which would leave the holder editing
-// a cell gone from the design or shared under a new name.
+// run concurrently up to the server's bound. Every line, and every
+// line a REPLAY re-runs, passes the session's lease rules (exec).
 func (sv *Server) Do(sid, line string) (string, error) {
 	sv.mu.Lock()
 	s, ok := sv.sessions[sid]
@@ -272,23 +271,32 @@ func (sv *Server) Do(sid, line string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	sv.sem <- struct{}{}
+	err := sv.exec(s, line)
+	<-sv.sem
+
+	out := s.out.String()
+	s.out.Reset()
+	return out, err
+}
+
+// exec runs one line under the session's lease rules, its caller
+// holding the session lock and a semaphore slot: EDIT claims the
+// cell's lease and is refused while another session holds it; so are
+// DELCELL and RENAME of that cell, which would leave the holder editing
+// a cell gone or renamed. The lease map then follows the editor.
+func (sv *Server) exec(s *session, line string) error {
 	if fields := strings.Fields(line); len(fields) >= 2 {
 		switch verb := strings.ToUpper(fields[0]); verb {
 		case "EDIT", "DELCELL", "RENAME":
 			if err := sv.claim(s, fields[1], verb == "EDIT"); err != nil {
-				return "", err
+				return err
 			}
 		}
 	}
-
-	sv.sem <- struct{}{}
 	err := s.sh.Exec(line)
-	<-sv.sem
-
 	sv.reconcileLeases(s)
-	out := s.out.String()
-	s.out.Reset()
-	return out, err
+	return err
 }
 
 // claim refuses a command on a cell another session holds; with edit

@@ -200,6 +200,126 @@ func TestEditLease(t *testing.T) {
 	mustDo(t, sv, "a", "EDIT CHIP")
 }
 
+// writeJournal stores a journal file in a session's private files.
+func writeJournal(t *testing.T, sv *Server, sid, name string, lines ...string) {
+	t.Helper()
+	sh, ok := sv.Shell(sid)
+	if !ok {
+		t.Fatalf("no session %q", sid)
+	}
+	if err := sh.WriteFile(name, []byte(strings.Join(lines, "\n")+"\n")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayInSession pins REPLAY inside a server session: the replayed
+// lines print what the same lines sent directly print, and each takes
+// only the lock its own command needs (a REPLAY holding the design's
+// exclusive lock while its lines take it again deadlocks the server).
+func TestReplayInSession(t *testing.T) {
+	sv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := []string{"EDIT CHIP", "CREATE SRCELL a ARRAY 3 2", "DRC CHIP", "LVS CHIP", "ENDEDIT"}
+	if err := sv.Open("direct", "d1"); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range script {
+		want.WriteString(mustDo(t, sv, "direct", line))
+	}
+	want.WriteString(fmt.Sprintf("replayed %d commands from j\n", len(script)))
+	if err := sv.Open("replay", "d2"); err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, sv, "replay", "j", script...)
+	if got := mustDo(t, sv, "replay", "REPLAY j"); got != want.String() {
+		t.Fatalf("replayed output differs from direct\n--- replay ---\n%s--- direct ---\n%s", got, want.String())
+	}
+	if !strings.Contains(want.String(), "netlists match") {
+		t.Fatalf("the script verified nothing:\n%s", want.String())
+	}
+}
+
+// TestReplayHonoursLeases pins that a replayed line passes the same
+// lease check as a client's: session b's replayed EDIT of the cell a
+// holds is refused, stops the replay, and leaves the lease with a.
+func TestReplayHonoursLeases(t *testing.T) {
+	sv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sid := range []string{"a", "b"} {
+		if err := sv.Open(sid, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustDo(t, sv, "a", "EDIT CHIP")
+	writeJournal(t, sv, "b", "j", "EDIT CHIP", "CREATE SRCELL x")
+	if _, err := sv.Do("b", "REPLAY j"); err == nil || !strings.Contains(err.Error(), `cell "CHIP" is under edit by session "a"`) {
+		t.Fatalf("replayed EDIT of a leased cell not refused: %v", err)
+	}
+	if sh, _ := sv.Shell("b"); sh.Editor != nil {
+		t.Fatalf("the refused replay left b editing %s", sh.Editor.Cell.Name)
+	}
+	if got := sv.Sessions(); len(got) != 2 || got[0] != "a main editing CHIP" || got[1] != "b main" {
+		t.Fatalf("sessions after the refused replay: %q", got)
+	}
+	// once a ends its edit, b's replay takes the cell
+	mustDo(t, sv, "a", "ENDEDIT")
+	mustDo(t, sv, "b", "REPLAY j")
+	if _, err := sv.Do("a", "EDIT CHIP"); err == nil || !strings.Contains(err.Error(), `under edit by session "b"`) {
+		t.Fatalf("b's replayed EDIT took no lease: %v", err)
+	}
+}
+
+// TestConcurrentReplay replays every session's differential script
+// through REPLAY, concurrently over one shared design and then
+// single-threaded on a fresh server: each session's output must be
+// identical, as each replayed line takes only its own command's lock.
+func TestConcurrentReplay(t *testing.T) {
+	const n = 4
+	run := func(concurrent bool) []string {
+		sv, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := make([]string, n)
+		for i := 0; i < n; i++ {
+			sid := fmt.Sprintf("s%d", i)
+			if err := sv.Open(sid, "shared"); err != nil {
+				t.Fatal(err)
+			}
+			writeJournal(t, sv, sid, "j", sessionScript(i)...)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			do := func(i int) {
+				out, err := sv.Do(fmt.Sprintf("s%d", i), "REPLAY j")
+				if err != nil {
+					t.Errorf("s%d: %v", i, err)
+				}
+				outs[i] = out
+			}
+			if !concurrent {
+				do(i)
+				continue
+			}
+			wg.Add(1)
+			go func(i int) { defer wg.Done(); do(i) }(i)
+		}
+		wg.Wait()
+		return outs
+	}
+	concurrent, sequential := run(true), run(false)
+	for i := range concurrent {
+		if concurrent[i] != sequential[i] {
+			t.Errorf("session %d replay diverged under concurrency:\n--- concurrent ---\n%s--- sequential ---\n%s", i, concurrent[i], sequential[i])
+		}
+	}
+}
+
 // TestServeProtocol drives the line protocol end to end: session
 // lifecycle, command routing, error reporting, stats.
 func TestServeProtocol(t *testing.T) {

@@ -850,7 +850,11 @@ func cmdReplay(s *Shell, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := j.Replay(s.Exec); err != nil {
+	run := s.Exec
+	if s.ReplayExec != nil {
+		run = s.ReplayExec
+	}
+	if err := j.Replay(run); err != nil {
 		return err
 	}
 	s.printf("replayed %d commands from %s\n", j.Len(), args[0])

@@ -90,6 +90,11 @@ type Shell struct {
 	// nil — the default, every single-user surface — costs nothing.
 	Guard *sync.RWMutex
 
+	// ReplayExec, when set, runs each line REPLAY re-executes instead
+	// of Exec (and calls Exec itself): a server applies its per-line
+	// rules (cell leases) there, without taking its session lock again.
+	ReplayExec func(line string) error
+
 	// reg is the unified stats registry every surface (STATS, riot
 	// -stats, Session.Snapshot) renders from; trace is the session's
 	// span recorder, nil unless SetTrace wired one.
@@ -240,7 +245,8 @@ type command struct {
 	needsEditor bool
 	// concurrent marks commands that manage the shared-design Guard
 	// themselves (verification: they freeze a snapshot under a brief
-	// read lock, then work lock-free) or touch only session-local state
+	// read lock, then work lock-free; REPLAY: each replayed line takes
+	// the lock its own command needs) or touch only session-local state
 	// (STATS). Exec runs everything else under the exclusive lock.
 	concurrent bool
 	run        func(s *Shell, args []string) error
@@ -283,7 +289,7 @@ func init() {
 		"EXTRACT":     {usage: "EXTRACT [<cell>]", help: "extract a cell's transistor-level circuit", concurrent: true, run: cmdExtract},
 		"LVS":         {usage: "LVS [-stats] [<cell>]", help: "compare the extracted netlist against the declared composition (-stats: witness accounting)", concurrent: true, run: cmdLVS},
 		"PLOT":        {usage: "PLOT <file> [<cell>]", help: "produce a hardcopy plot", run: cmdPlot},
-		"REPLAY":      {usage: "REPLAY <file>", help: "re-run a saved journal", run: cmdReplay},
+		"REPLAY":      {usage: "REPLAY <file>", help: "re-run a saved journal", concurrent: true, run: cmdReplay},
 		"SAVEJOURNAL": {usage: "SAVEJOURNAL <file>", help: "save the session journal", run: cmdSaveJournal},
 		"QUIT":        {usage: "QUIT", help: "leave riot", run: cmdQuit},
 	}
