@@ -30,27 +30,19 @@ var (
 	_ Blob = (*Tiered)(nil)
 )
 
-// memShardCount shards the map so concurrent sessions verifying
-// disjoint cells rarely contend; a power of two keyed off the first
-// signature byte spreads SHA-256 keys uniformly.
-const memShardCount = 16
-
 // Mem is a process-wide in-memory content-addressed store: the shared
 // tier a design server attaches under every session's caches, so any
-// session deriving a verification artifact (a leaf netlist, a
-// certificate) warms every other session. Entries live
-// until discarded; content addressing makes eviction a pure
+// session deriving a certificate warms every other session. Entries
+// live until discarded; content addressing makes eviction a pure
 // space/speed trade-off, never a correctness concern. The zero value
-// is not usable; call NewMem. Safe for concurrent use.
+// is not usable; call NewMem. Safe for concurrent use: one mutex
+// guards the map, which a session reaches once per distinct (cell,
+// orientation).
 type Mem struct {
-	shards [memShardCount]memShard
-
-	hits, misses, puts, discards atomic.Int64
-}
-
-type memShard struct {
 	mu sync.Mutex
 	m  map[memKey]memEntry
+
+	hits, misses, puts, discards atomic.Int64
 }
 
 type memKey struct {
@@ -64,15 +56,7 @@ type memEntry struct {
 }
 
 // NewMem returns an empty in-memory store.
-func NewMem() *Mem {
-	m := &Mem{}
-	for i := range m.shards {
-		m.shards[i].m = map[memKey]memEntry{}
-	}
-	return m
-}
-
-func (m *Mem) shard(key Key) *memShard { return &m.shards[key[0]%memShardCount] }
+func NewMem() *Mem { return &Mem{m: map[memKey]memEntry{}} }
 
 // Get returns the stored payload. The bytes are shared — callers must
 // not modify them (the codec layer above never does; it decodes).
@@ -80,10 +64,9 @@ func (m *Mem) Get(ns string, key Key, fingerprint uint64) ([]byte, bool) {
 	if m == nil {
 		return nil, false
 	}
-	sh := m.shard(key)
-	sh.mu.Lock()
-	e, ok := sh.m[memKey{ns, key}]
-	sh.mu.Unlock()
+	m.mu.Lock()
+	e, ok := m.m[memKey{ns, key}]
+	m.mu.Unlock()
 	if !ok || e.fp != fingerprint {
 		m.misses.Add(1)
 		return nil, false
@@ -98,10 +81,9 @@ func (m *Mem) Put(ns string, key Key, fingerprint uint64, payload []byte) {
 		return
 	}
 	p := append([]byte(nil), payload...)
-	sh := m.shard(key)
-	sh.mu.Lock()
-	sh.m[memKey{ns, key}] = memEntry{fp: fingerprint, payload: p}
-	sh.mu.Unlock()
+	m.mu.Lock()
+	m.m[memKey{ns, key}] = memEntry{fp: fingerprint, payload: p}
+	m.mu.Unlock()
 	m.puts.Add(1)
 }
 
@@ -111,11 +93,10 @@ func (m *Mem) Discard(ns string, key Key, reason string) {
 	if m == nil {
 		return
 	}
-	sh := m.shard(key)
-	sh.mu.Lock()
-	_, ok := sh.m[memKey{ns, key}]
-	delete(sh.m, memKey{ns, key})
-	sh.mu.Unlock()
+	m.mu.Lock()
+	_, ok := m.m[memKey{ns, key}]
+	delete(m.m, memKey{ns, key})
+	m.mu.Unlock()
 	if ok {
 		m.discards.Add(1)
 	}
@@ -139,15 +120,12 @@ func (m *Mem) Stats() MemStats {
 		Puts:     int(m.puts.Load()),
 		Discards: int(m.discards.Load()),
 	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		st.Entries += len(sh.m)
-		for _, e := range sh.m {
-			st.Bytes += len(e.payload)
-		}
-		sh.mu.Unlock()
+	m.mu.Lock()
+	st.Entries = len(m.m)
+	for _, e := range m.m {
+		st.Bytes += len(e.payload)
 	}
+	m.mu.Unlock()
 	return st
 }
 

@@ -170,7 +170,7 @@ func TestMemStore(t *testing.T) {
 }
 
 // TestMemConcurrent drives concurrent puts/gets/discards over the
-// sharded map; the assertions are minimal — the point is the -race run.
+// map; the assertions are minimal — the point is the -race run.
 func TestMemConcurrent(t *testing.T) {
 	m := NewMem()
 	var wg sync.WaitGroup

@@ -159,13 +159,13 @@ func CheckLayer(l geom.Layer, rects []geom.Rect, r rules.Rule) []Violation {
 // with a minW square.
 func widthViolations(l geom.Layer, rects []geom.Rect, minW int) []Violation {
 	var out []Violation
-	for _, r := range widthResidues(rects, minW) {
-		out = append(out, widthViolationFrom(l, r, minW))
+	for _, r := range WidthResidues(rects, minW) {
+		out = append(out, WidthViolationFrom(l, r, minW))
 	}
 	return out
 }
 
-// widthResidues computes the too-narrow material of a layer: the
+// WidthResidues computes the too-narrow material of a layer: the
 // merged region minus its morphological opening, as canonical slabs.
 // All region arithmetic runs in doubled coordinates with an opening
 // square of side 2*minW - 1 — strictly between the widest illegal
@@ -175,7 +175,7 @@ func widthViolations(l geom.Layer, rects []geom.Rect, minW int) []Violation {
 // material point set: the hierarchical engine relies on that to
 // compose residues computed in windows around placement seams with
 // translated per-cell ones outside them.
-func widthResidues(rects []geom.Rect, minW int) []geom.Rect {
+func WidthResidues(rects []geom.Rect, minW int) []geom.Rect {
 	if minW <= 0 {
 		return nil
 	}
@@ -187,7 +187,7 @@ func widthResidues(rects []geom.Rect, minW int) []geom.Rect {
 		}
 		doubled = append(doubled, geom.R(2*r.Min.X, 2*r.Min.Y, 2*r.Max.X, 2*r.Max.Y))
 	}
-	region := regionMerge(doubled)
+	region := MergeRegion(doubled)
 	if len(region) == 0 {
 		return nil
 	}
@@ -199,12 +199,12 @@ func widthResidues(rects []geom.Rect, minW int) []geom.Rect {
 	compDilated := regionDilate(comp, d2, d1) // Minkowski sum with reflected B
 	eroded := regionComplement(compDilated, frame)
 	opened := regionDilate(eroded, d1, d2)
-	return regionSubtract(region, opened)
+	return SubtractRegion(region, opened)
 }
 
-// widthViolationFrom renders one doubled-coordinate residue slab as a
+// WidthViolationFrom renders one doubled-coordinate residue slab as a
 // width violation.
-func widthViolationFrom(l geom.Layer, r geom.Rect, minW int) Violation {
+func WidthViolationFrom(l geom.Layer, r geom.Rect, minW int) Violation {
 	narrow := r.W()
 	if r.H() < narrow {
 		narrow = r.H()
@@ -220,10 +220,10 @@ func widthViolationFrom(l geom.Layer, r geom.Rect, minW int) Violation {
 	}
 }
 
-// spacingPair measures one pair of rectangles against the spacing
+// SpacingPair measures one pair of rectangles against the spacing
 // rule, returning the violation and whether the pair breaks it. The
 // measurement is symmetric in i and j.
-func spacingPair(l geom.Layer, ri, rj geom.Rect, minS int) (Violation, bool) {
+func SpacingPair(l geom.Layer, ri, rj geom.Rect, minS int) (Violation, bool) {
 	ri, rj = ri.Canon(), rj.Canon()
 	dx := gap(ri.Min.X, ri.Max.X, rj.Min.X, rj.Max.X)
 	dy := gap(ri.Min.Y, ri.Max.Y, rj.Min.Y, rj.Max.Y)

@@ -31,7 +31,7 @@ type layerEval struct {
 func (le *layerEval) appendViolations(out []Violation) []Violation {
 	minW := le.rule.MinWidth * rules.Lambda
 	for _, r := range le.widthResid {
-		out = append(out, widthViolationFrom(le.layer, r, minW))
+		out = append(out, WidthViolationFrom(le.layer, r, minW))
 	}
 	return append(out, le.spacing...)
 }
@@ -42,7 +42,7 @@ func (le *layerEval) appendViolations(out []Violation) []Violation {
 func evalLayer(l geom.Layer, rects, boxes []geom.Rect, ix *geom.Index, rule rules.Rule) *layerEval {
 	le := &layerEval{layer: l, rule: rule, rects: rects, boxes: boxes}
 	le.comp = touchComponents(rects, ix)
-	le.widthResid = widthResidues(rects, rule.MinWidth*rules.Lambda)
+	le.widthResid = WidthResidues(rects, rule.MinWidth*rules.Lambda)
 
 	minS := rule.MinSpacing * rules.Lambda
 	if minS > 0 && len(rects) >= 2 {
@@ -87,7 +87,7 @@ func (le *layerEval) scanSpacing(ix *geom.Index, i, minS int) {
 		if le.trusted(i, j) {
 			return true
 		}
-		if v, bad := spacingPair(le.layer, le.rects[i], le.rects[j], minS); bad {
+		if v, bad := SpacingPair(le.layer, le.rects[i], le.rects[j], minS); bad {
 			le.spacing = append(le.spacing, v)
 		}
 		return true

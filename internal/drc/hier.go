@@ -36,7 +36,7 @@ type CellDRC struct {
 	// Comp is the local touch-component root of each rectangle.
 	Comp map[geom.Layer][]int32
 	// Resid holds the layer's width residues as canonical slabs in
-	// DOUBLED local coordinates (widthResidues form).
+	// DOUBLED local coordinates (WidthResidues form).
 	Resid map[geom.Layer][]geom.Rect
 	// DirtyCuts lists the NC cuts (canonical, normal coordinates) whose
 	// metal surround the cell's own metal does not fully cover; their
@@ -59,26 +59,20 @@ func CellCheck(fr *flatten.Result) *CellDRC {
 		c.Layers = append(c.Layers, l)
 		c.Rects[l] = rects
 		c.Comp[l] = touchComponents(rects, fr.LayerIndex(l))
-		c.Resid[l] = widthResidues(rects, rules.Of(l).MinWidth*rules.Lambda)
+		c.Resid[l] = WidthResidues(rects, rules.Of(l).MinWidth*rules.Lambda)
 	}
 
 	metal := fr.LayerRects(geom.NM)
 	mix := fr.LayerIndex(geom.NM)
-	surround := ContactSurround * rules.Lambda
+	var near []geom.Rect
 	for _, cut := range fr.LayerRects(geom.NC) {
 		cut = cut.Canon()
-		if cut.Empty() {
-			continue
-		}
-		need := cut.Inset(-surround)
-		var cover []geom.Rect
-		mix.QueryRect(need, func(id int) bool {
-			if cv := metal[id].Canon().Intersect(need); !cv.Empty() {
-				cover = append(cover, cv)
-			}
+		near = near[:0]
+		mix.QueryRect(cut.Inset(-ContactSurround*rules.Lambda), func(id int) bool {
+			near = append(near, metal[id])
 			return true
 		})
-		if len(regionSubtract([]geom.Rect{need}, regionMerge(cover))) > 0 {
+		if len(CutSurround(cut, near)) > 0 {
 			c.DirtyCuts = append(c.DirtyCuts, cut)
 		}
 	}
@@ -120,27 +114,6 @@ func (c *CellDRC) Index(l geom.Layer) *geom.Index {
 	return ix
 }
 
-// The hierarchical engine recombines certificate pieces with the exact
-// primitives the flat checker uses; these exports are those primitives.
-
-// WidthResidues exposes the width-opening residue computation: the
-// merged region of rects minus its morphological opening at minW
-// centimicrons, as canonical slabs in doubled coordinates.
-func WidthResidues(rects []geom.Rect, minW int) []geom.Rect {
-	return widthResidues(rects, minW)
-}
-
-// WidthViolationFrom renders one doubled-coordinate residue slab as a
-// width violation, exactly as the flat checker would.
-func WidthViolationFrom(l geom.Layer, r geom.Rect, minW int) Violation {
-	return widthViolationFrom(l, r, minW)
-}
-
-// SpacingPair measures one rectangle pair against the spacing rule.
-func SpacingPair(l geom.Layer, ri, rj geom.Rect, minS int) (Violation, bool) {
-	return spacingPair(l, ri, rj, minS)
-}
-
 // CutSurround checks one contact cut's metal surround against the
 // given metal rectangles, exactly as the flat checker would.
 func CutSurround(cut geom.Rect, metal []geom.Rect) []Violation {
@@ -157,7 +130,7 @@ func CutSurround(cut geom.Rect, metal []geom.Rect) []Violation {
 		}
 	}
 	var out []Violation
-	for _, r := range regionSubtract([]geom.Rect{need}, regionMerge(cover)) {
+	for _, r := range SubtractRegion([]geom.Rect{need}, MergeRegion(cover)) {
 		out = append(out, Violation{
 			Layer: geom.NC,
 			Rect:  r,
@@ -168,13 +141,6 @@ func CutSurround(cut geom.Rect, metal []geom.Rect) []Violation {
 	}
 	return out
 }
-
-// MergeRegion canonicalizes rectangles into disjoint maximal slabs.
-func MergeRegion(rects []geom.Rect) []geom.Rect { return regionMerge(rects) }
-
-// SubtractRegion returns region a minus region b (canonical slabs in,
-// canonical slabs out; both operands in the same coordinate scale).
-func SubtractRegion(a, b []geom.Rect) []geom.Rect { return regionSubtract(a, b) }
 
 // FinishViolations canonicalizes a violation multiset the way every
 // flat check path does: deterministic sort, then adjacent dedupe.

@@ -56,7 +56,7 @@ func checkContactSurround(fr *flatten.Result) []Violation {
 			}
 			return true
 		})
-		for _, r := range regionSubtract([]geom.Rect{need}, regionMerge(cover)) {
+		for _, r := range SubtractRegion([]geom.Rect{need}, MergeRegion(cover)) {
 			out = append(out, Violation{
 				Layer: geom.NC,
 				Rect:  r,
@@ -76,7 +76,7 @@ func checkContactSurround(fr *flatten.Result) []Violation {
 func coveredSurround(cut geom.Rect, cover []geom.Rect) int {
 	for m := ContactSurround - 1; m >= 0; m-- {
 		need := cut.Inset(-m * rules.Lambda)
-		if len(regionSubtract([]geom.Rect{need}, regionMerge(cover))) == 0 {
+		if len(SubtractRegion([]geom.Rect{need}, MergeRegion(cover))) == 0 {
 			return m * rules.Lambda
 		}
 	}

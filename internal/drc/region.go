@@ -175,8 +175,8 @@ func (s *bandScanner) spans(y0, y1 int) []span {
 	return mergeSpans(s.buf)
 }
 
-// regionMerge returns the union of rects as disjoint slabs.
-func regionMerge(rects []geom.Rect) []geom.Rect {
+// MergeRegion returns the union of rects as disjoint slabs.
+func MergeRegion(rects []geom.Rect) []geom.Rect {
 	rects = dropEmpty(rects)
 	if len(rects) == 0 {
 		return nil
@@ -206,9 +206,9 @@ func regionComplement(rects []geom.Rect, frame geom.Rect) []geom.Rect {
 	})
 }
 
-// regionSubtract returns the union of a minus the union of b, as
+// SubtractRegion returns the union of a minus the union of b, as
 // disjoint slabs.
-func regionSubtract(a, b []geom.Rect) []geom.Rect {
+func SubtractRegion(a, b []geom.Rect) []geom.Rect {
 	a = dropEmpty(a)
 	if len(a) == 0 {
 		return nil

@@ -44,7 +44,7 @@ type CellCert struct {
 	// placement context.
 	Joins []CertJoin
 	// Box is the cell's declared bounding box in the oriented local
-	// frame — the seam-trust frame (drc "trusted" pairs, seam.Depth).
+	// frame — the seam-trust frame (drc "trusted" pairs).
 	Box geom.Rect
 	// MatBox bounds all raw material (shapes, gates, channels) in the
 	// oriented local frame; pair interaction tests use it.

@@ -445,7 +445,7 @@ func (e *Engine) check(st *genState, c *carry, sp *obs.Span) {
 // certificate's residues hold verbatim outside the pair interaction
 // windows; inside a window the residues recompute from every
 // occupant's material, clipped two interaction radii beyond the window
-// so clipping artifacts fall outside it. regionMerge canonicalizes, so
+// so clipping artifacts fall outside it. MergeRegion canonicalizes, so
 // the slabs — and with them the violations — equal a flat run's.
 //
 // With a carry, a surviving pair's window keeps its pieces unless its

@@ -12,7 +12,6 @@ import (
 	"riot/internal/flatten"
 	"riot/internal/geom"
 	"riot/internal/rules"
-	"riot/internal/seam"
 	"riot/internal/sticks"
 )
 
@@ -26,8 +25,7 @@ import (
 const certNamespace = "hiercert"
 
 func certFingerprint() uint64 {
-	return castore.Fingerprint("hier-cert", "enc-v1",
-		fmt.Sprintf("lambda=%d seam=%d", rules.Lambda, seam.Reach))
+	return castore.Fingerprint("hier-cert", "enc-v1", fmt.Sprintf("lambda=%d", rules.Lambda))
 }
 
 // certKeyFor derives the store key for one (cell, orientation): the

@@ -9,7 +9,6 @@ import (
 	"riot/internal/geom"
 	"riot/internal/lib"
 	"riot/internal/rules"
-	"riot/internal/seam"
 	"riot/internal/verify"
 )
 
@@ -135,7 +134,7 @@ func BenchmarkLeafEntry(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var rf Reference
-		if e := rf.entry(sr, seam.Reach); e.err != nil {
+		if e := rf.entry(sr); e.err != nil {
 			b.Fatal(e.err)
 		}
 	}

@@ -93,10 +93,10 @@ func TestDeepAbutOverlapShallowContactStaysClean(t *testing.T) {
 }
 
 // TestDeepAbutOverlapWasSpuriousShort documents the fixed failure
-// mode at the unit level: with the per-seam reach, the DEEP entry must
-// retain its interior stub as boundary material when the neighbor
-// overlaps 10 lambda deep, and the stitched reference must carry a.P
-// and b.Q on one net exactly like the layout.
+// mode at the unit level: with the per-seam reach, the seam must read
+// DEEP's interior stub when the neighbor overlaps 10 lambda deep, and
+// the stitched reference must carry a.P and b.Q on one net exactly
+// like the layout.
 func TestDeepAbutOverlapWasSpuriousShort(t *testing.T) {
 	e := deepPair(t, 8, 12)
 	var rf Reference

@@ -81,12 +81,12 @@
 // and verdicts are identical to witness-free runs.
 //
 // The abutment seam trust reaches as deep into each occurrence as the
-// seam's own geometry requires: the base contract reach (seam.Reach)
-// for plainly abutted boxes, the overlap depth for an ABUT OVERLAP —
-// derived per seam from the two placed boxes, so deliberate deep
-// overlaps verify clean. (Earlier revisions capped the reach at a
-// fixed 4 lambda and mis-reported deeper sanctioned contacts as
-// shorts.)
+// seam's own geometry requires: the base contract reach (4 lambda) for
+// plainly abutted boxes, the overlap depth for an ABUT OVERLAP —
+// derived per seam from the two placed boxes alone (seamDepth), so
+// deliberate deep overlaps verify clean. A seam reads the material it
+// trusts from the entries it joins, by window, so a seam of any depth
+// sees all of it, in a cell of any size.
 package lvs
 
 import (

@@ -185,8 +185,8 @@ func TestPersistConcurrentSessions(t *testing.T) {
 
 // TestPersistDeepOverlapMatchesFlat: a store primed by the plain grid
 // serves a second design that reuses the same leaf content at a deep
-// overlap. Moving a copy 6 lambda into its neighbour forces the
-// reference's boundary reach past the base contract; the store-backed
+// overlap. Moving a copy 6 lambda into its neighbour deepens the
+// reference's seam trust past the base contract; the store-backed
 // verdict must match the cache-free flat baseline.
 func TestPersistDeepOverlapMatchesFlat(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")

@@ -10,7 +10,7 @@ import (
 	"riot/internal/extract"
 	"riot/internal/flatten"
 	"riot/internal/geom"
-	"riot/internal/seam"
+	"riot/internal/rules"
 )
 
 // This file derives the reference netlist — what the composition
@@ -20,15 +20,20 @@ import (
 //   - a leaf entry extracts the leaf alone (flatten + solve of just
 //     that cell) and keeps its devices, its connectors each bound to
 //     the net its own position resolves to (the leaf's label table),
-//     and its boundary material: every solved fragment within the
-//     entry's seam reach of the cell's bounding box (the base contract
-//     reach, deepened per seam when placed boxes overlap), tagged with
-//     the net it carries;
+//     and every solved fragment, tagged with the net it carries, with
+//     the fragments' extent;
 //   - a composition entry allocates a net block per instance copy and
 //     unions blocks where the declared structure connects them:
-//     connector points that coincide, and boundary material that
-//     touches across a sanctioned seam (leaf occurrence boxes that
-//     touch — the abutment contract internal/drc also trusts).
+//     connector points that coincide, and material that touches across
+//     a sanctioned seam (leaf occurrence boxes that touch — the
+//     abutment contract internal/drc also trusts).
+//
+// A seam reads its material on demand, by window (material): a leaf
+// visits its fragments, a composition the fragments of those copies
+// whose material extent touches the window, found by lattice
+// arithmetic. How deep into each box a seam trusts material is decided
+// per pair, from the two placed boxes alone (seamDepth), so no entry
+// retains a boundary and no seam, however deep, rebuilds one.
 //
 // Which nets of two neighbouring copies union is a pure function of
 // their sub-entries and relative placement, so it is derived once per
@@ -47,9 +52,9 @@ import (
 // lookup. Only a connector with no net of its own (bind -1)
 // point-queries the copy index, where a coincident neighbour's port may
 // answer for it. A composition derives the parts a parent reads
-// (connectors, bindings, port nets, boundary) when a parent stitch
-// first reads them, so the top of a check never places its instances'
-// connectors.
+// (connectors, bindings, port nets, material extent) when a parent
+// stitch first reads them, so the top of a check never places its
+// instances' connectors.
 //
 // Entries are validated by a structural signature (instance
 // placements, recursively, and each leaf's revision), so an edit
@@ -63,10 +68,10 @@ type portKey struct {
 	layer geom.Layer
 }
 
-// bfrag is one piece of boundary material: its rectangle and the
-// placed bounding box of the leaf occurrence that drew it (both in
-// cell-local coordinates), and the net it carries.
-type bfrag struct {
+// mfrag is one placed piece of material: its rectangle and the
+// bounding box of the leaf occurrence that drew it, and the net it
+// carries.
+type mfrag struct {
 	layer   geom.Layer
 	r       geom.Rect
 	leafBox geom.Rect
@@ -76,7 +81,6 @@ type bfrag struct {
 // refEntry is one cell's memoized reference derivation.
 type refEntry struct {
 	sig     uint64
-	reach   int // boundary retention depth the entry was built with
 	nets    int
 	devices []Device
 	leaves  int // leaf occurrences under the entry (1 for a leaf)
@@ -87,15 +91,17 @@ type refEntry struct {
 	// the parts a parent stitch reads: the cell's connectors, bind[k]
 	// the entry net conns[k]'s own position resolves to (-1: no
 	// material there; a leaf's bind is its label table), the resolved
-	// ones indexed by position, and the boundary material within reach
-	// with its extent. A leaf derives them with its entry, a
-	// composition on first read (face).
-	faced    bool
-	conns    []core.Connector
-	bind     []int32
-	portNet  map[portKey]int32
-	boundary []bfrag
-	bext     geom.Rect
+	// ones indexed by position, and the extent of the cell's material.
+	// A leaf derives them with its entry, a composition on first read
+	// (face).
+	faced   bool
+	conns   []core.Connector
+	bind    []int32
+	portNet map[portKey]int32
+	mext    geom.Rect
+
+	// a leaf entry keeps every solved fragment with its net
+	frags []extract.NetShape
 
 	// a composition entry keeps its copies, the sub-entry and port box
 	// of each instance and the dense net of every block net, so
@@ -194,7 +200,7 @@ func (rf *Reference) unnamed(c *core.Cell, declared []core.Connection) (*Netlist
 		return nil, 0, fmt.Errorf("lvs: Reference entered concurrently (a Reference serves one session)")
 	}
 	defer atomic.StoreInt32(&rf.busy, 0)
-	e := rf.entry(c, seam.Reach)
+	e := rf.entry(c)
 	if e.err != nil {
 		return nil, 0, e.err
 	}
@@ -335,10 +341,8 @@ func (e *refEntry) index() *geom.Index {
 
 // face derives a composition entry's parent-facing parts on first
 // read (a leaf's come with its entry): its connectors, placed from the
-// sub-entries' connector lists, each bound through netAt; and its
-// boundary, every copy's boundary material still within the entry's
-// reach of the composition's box (a copy whose retained material lies
-// wholly inside contributes nothing).
+// sub-entries' connector lists, each bound through netAt, and its
+// material extent, spanned from each instance's corner copies.
 func (e *refEntry) face() *refEntry {
 	if e.faced {
 		return e
@@ -352,27 +356,20 @@ func (e *refEntry) face() *refEntry {
 	for k, cn := range e.conns {
 		e.bind[k] = e.netAt(cn.At, cn.Layer)
 	}
-	inner := c.BBox().Inset(e.reach)
-	for _, cr := range e.copies {
-		sub := e.subs[cr.inst]
-		if len(sub.boundary) == 0 || inner.ContainsRect(cr.tr.ApplyRect(sub.bext)) {
-			continue
+	for ii, in := range c.Instances {
+		m := e.subs[ii].mext
+		r := span(in.CopyTransform(0, 0).ApplyRect(m), in.CopyTransform(in.Nx-1, in.Ny-1).ApplyRect(m))
+		if ii == 0 {
+			e.mext = r
 		}
-		for _, bf := range sub.boundary {
-			r := cr.tr.ApplyRect(bf.r)
-			if inner.ContainsRect(r) {
-				continue
-			}
-			e.boundary = append(e.boundary, bfrag{layer: bf.layer, r: r, leafBox: cr.tr.ApplyRect(bf.leafBox), net: e.dense[cr.base+bf.net]})
-		}
+		e.mext = span(e.mext, r)
 	}
-	e.indexFace()
+	e.indexPorts()
 	return e
 }
 
-// indexFace indexes the bound connectors by position and spans the
-// boundary material.
-func (e *refEntry) indexFace() {
+// indexPorts indexes the bound connectors by position.
+func (e *refEntry) indexPorts() {
 	e.portNet = make(map[portKey]int32, len(e.conns))
 	for k, cn := range e.conns {
 		key := portKey{cn.At.X, cn.At.Y, cn.Layer}
@@ -380,11 +377,36 @@ func (e *refEntry) indexFace() {
 			e.portNet[key] = e.bind[k]
 		}
 	}
-	for i, bf := range e.boundary {
-		if i == 0 {
-			e.bext = bf.r
+}
+
+// material calls fn with each piece of the entry's material that
+// touches win, placed by tr (win is in the placed frame), its net in
+// the entry's numbering. A leaf visits its fragments; a composition
+// visits those of each copy whose material extent touches win, found
+// by lattice arithmetic, with the copy's net block mapped through the
+// entry's dense nets.
+func (e *refEntry) material(tr geom.Transform, win geom.Rect, fn func(mfrag)) {
+	if e.cell.Kind != core.Composition {
+		box := tr.ApplyRect(e.cell.BBox())
+		for _, f := range e.frags {
+			if r := tr.ApplyRect(f.R); r.Touches(win) {
+				fn(mfrag{layer: f.Layer, r: r, leafBox: box, net: f.Net})
+			}
 		}
-		e.bext = span(e.bext, bf.r)
+		return
+	}
+	q := tr.Inverse().ApplyRect(win)
+	first := 0
+	for ii, in := range e.cell.Instances {
+		sub := e.subs[ii]
+		in.CopiesTouching(sub.mext, q, func(i, j int) {
+			cr := e.copies[first+i*in.Ny+j]
+			sub.material(cr.tr.Then(tr), win, func(f mfrag) {
+				f.net = e.dense[cr.base+f.net]
+				fn(f)
+			})
+		})
+		first += in.Nx * in.Ny
 	}
 }
 
@@ -430,44 +452,54 @@ func (rf *Reference) cellID(c *core.Cell) uint64 {
 // hash of every instance's defining-cell signature and placement. An
 // entry whose signature still matches is current.
 func (rf *Reference) sigOf(c *core.Cell) uint64 {
-	h := seam.FNVInit()
-	h = seam.FNVMix(h, rf.cellID(c))
+	h := fnvMix(fnvOffset, rf.cellID(c))
 	if c.Kind != core.Composition {
-		return seam.FNVMix(h, c.Revision())
+		return fnvMix(h, c.Revision())
 	}
 	for _, in := range c.Instances {
-		h = seam.FNVMix(h, rf.sigOf(in.Cell))
-		h = seam.FNVMix(h, uint64(uint32(in.Tr.O)))
-		h = seam.FNVMix(h, seam.Pack32(in.Tr.D.X, in.Tr.D.Y))
-		h = seam.FNVMix(h, seam.Pack32(in.Nx, in.Ny))
-		h = seam.FNVMix(h, seam.Pack32(in.Sx, in.Sy))
+		h = fnvMix(h, rf.sigOf(in.Cell))
+		h = fnvMix(h, uint64(uint32(in.Tr.O)))
+		h = fnvMix(h, pack32(in.Tr.D.X, in.Tr.D.Y))
+		h = fnvMix(h, pack32(in.Nx, in.Ny))
+		h = fnvMix(h, pack32(in.Sx, in.Sy))
 	}
 	return h
 }
 
+// fnv-1a, the hash behind placement signatures and refinement colors.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvMix folds one 64-bit value into an fnv-1a hash, byte by byte.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+// pack32 packs two ints into one hashable word (low 32 bits each).
+func pack32(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
 // entry returns the cell's current derivation, rebuilding it when the
-// structural signature says the memoized one is stale or when a seam
-// needs boundary material deeper than the memoized entry retained.
-// Entries only ever grow their reach (the deepest any parent asked
-// for), so alternating parents cannot thrash the memo.
-func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
+// structural signature says the memoized one is stale.
+func (rf *Reference) entry(c *core.Cell) *refEntry {
 	sig := rf.sigOf(c)
 	old := rf.memo[c.Origin()]
-	if old != nil {
-		if old.sig == sig && old.reach >= minReach {
-			return old
-		}
-		if old.reach > minReach {
-			minReach = old.reach // never shrink: alternating parents must not thrash
-		}
+	if old != nil && old.sig == sig {
+		return old
 	}
 	var e *refEntry
 	if c.Kind == core.Composition {
-		e = rf.stitch(c, minReach, old)
+		e = rf.stitch(c, old)
 	} else {
-		e = rf.leafEntry(c, minReach)
+		e = rf.leafEntry(c)
 	}
-	e.sig, e.cell, e.reach = sig, c, minReach
+	e.sig, e.cell = sig, c
 	if rf.memo == nil {
 		rf.memo = map[*core.Cell]*refEntry{}
 	}
@@ -478,9 +510,9 @@ func (rf *Reference) entry(c *core.Cell, minReach int) *refEntry {
 	return e
 }
 
-// leafEntry extracts a leaf cell alone and packages its netlist,
-// ports and boundary material within reach of its bounding box.
-func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
+// leafEntry extracts a leaf cell alone and packages its netlist, ports
+// and solved fragments.
+func (rf *Reference) leafEntry(c *core.Cell) *refEntry {
 	rf.stats.LeavesExtracted++
 	fr, err := flatten.Cell(c)
 	if err != nil {
@@ -490,7 +522,7 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 	if err != nil {
 		return &refEntry{err: fmt.Errorf("lvs: leaf %s: %w", c.Name, err)}
 	}
-	e := &refEntry{nets: ckt.NetCount, leaves: 1, faced: true}
+	e := &refEntry{nets: ckt.NetCount, leaves: 1, faced: true, frags: frags}
 	e.devices = make([]Device, len(ckt.Transistors))
 	for i, t := range ckt.Transistors {
 		e.devices[i] = Device{Kind: t.Kind, Gate: t.Gate, A: t.A, B: t.B}
@@ -499,47 +531,40 @@ func (rf *Reference) leafEntry(c *core.Cell, reach int) *refEntry {
 	// label table binds each connector to the net its position resolves
 	// to
 	e.conns, e.bind = c.Connectors(), ckt.Sites
-	inner := c.BBox().Inset(reach)
-	for _, f := range frags {
-		if inner.ContainsRect(f.R) {
-			continue
+	for i, f := range frags {
+		if i == 0 {
+			e.mext = f.R
 		}
-		e.boundary = append(e.boundary, bfrag{layer: f.Layer, r: f.R, leafBox: c.BBox(), net: f.Net})
+		e.mext = span(e.mext, f.R)
 	}
-	e.indexFace()
+	e.indexPorts()
 	return e
 }
 
 // stitch derives a composition's entry from its instances' entries:
 // per-copy net blocks unioned at coincident connector points and
 // across sanctioned abutment seams, both replayed from pair templates.
-// reach is the boundary retention depth requested of this entry; each
-// child entry is additionally asked for the deepest reach its own
-// seams need (seam.Depth over the touching copy-box pairs), so ABUT
-// OVERLAPs deeper than the base contract stitch correctly. old is the
-// entry being replaced, or nil: templates it holds carry over when
-// this stitch replays them again. The parts a parent reads come later,
-// from face.
+// old is the entry being replaced, or nil: templates it holds carry
+// over when this stitch replays them again. The parts a parent reads
+// come later, from face.
 //
 // Copies pair where their port boxes touch. Two copies of one ARRAY
-// pair by lattice arithmetic: touching, seam depth and template are
-// functions of their (i, j) offset alone, so each touching offset
-// resolves once and replays over the copies it joins. Copies of
-// different instances pair through the copy index.
-func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
+// pair by lattice arithmetic: touching and template are functions of
+// their (i, j) offset alone, so each touching offset resolves once and
+// replays over the copies it joins. Copies of different instances pair
+// through the copy index.
+func (rf *Reference) stitch(c *core.Cell, old *refEntry) *refEntry {
 	e := &refEntry{pboxes: make([]geom.Rect, len(c.Instances))}
 
-	// every copy's placement, and each instance's boxes (cell frame)
-	type cellBoxes struct{ box, pbox geom.Rect }
-	known := map[*core.Cell]cellBoxes{}
-	boxes := make([]geom.Rect, len(c.Instances))
+	// every copy's placement, and each instance's port box (cell frame)
+	known := map[*core.Cell]geom.Rect{}
 	for ii, in := range c.Instances {
-		cb, ok := known[in.Cell]
+		pb, ok := known[in.Cell]
 		if !ok {
-			cb = cellBoxes{in.Cell.BBox(), portBox(in.Cell)}
-			known[in.Cell] = cb
+			pb = portBox(in.Cell)
+			known[in.Cell] = pb
 		}
-		boxes[ii], e.pboxes[ii] = cb.box, cb.pbox
+		e.pboxes[ii] = pb
 		for i := 0; i < in.Nx; i++ {
 			for j := 0; j < in.Ny; j++ {
 				e.copies = append(e.copies, copySlot{tr: in.CopyTransform(i, j), inst: int32(ii)})
@@ -547,46 +572,9 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 		}
 	}
 
-	// the copy pairs that can interact (port boxes touch) size each
-	// instance's seam reach before its entry is built
-	need := make([]int, len(c.Instances))
-	for ii := range need {
-		need[ii] = max(seam.Reach, reach)
-	}
-	offs := make([][]core.Offset, len(c.Instances))
-	for ii, in := range c.Instances {
-		if !in.IsArray() {
-			continue
-		}
-		offs[ii] = in.PairOffsets(e.pboxes[ii], 0)
-		b0 := in.Tr.ApplyRect(boxes[ii])
-		for _, o := range offs[ii] {
-			b1 := in.CopyTransform(o.DI, o.DJ).ApplyRect(boxes[ii])
-			need[ii] = max(need[ii], seam.Depth(b0, b1), seam.Depth(b1, b0))
-		}
-	}
-	var pairs [][2]int32
-	if len(c.Instances) > 1 {
-		ix := e.index()
-		for u, cu := range e.copies {
-			bu := cu.tr.ApplyRect(boxes[cu.inst])
-			ix.QueryRect(ix.RectOf(u), func(v int) bool {
-				cv := e.copies[v]
-				if v <= u || cv.inst == cu.inst {
-					return true
-				}
-				pairs = append(pairs, [2]int32{int32(u), int32(v)})
-				bv := cv.tr.ApplyRect(boxes[cv.inst])
-				need[cu.inst] = max(need[cu.inst], seam.Depth(bu, bv))
-				need[cv.inst] = max(need[cv.inst], seam.Depth(bv, bu))
-				return true
-			})
-		}
-	}
-
 	e.subs = make([]*refEntry, len(c.Instances))
 	for ii, in := range c.Instances {
-		sub := rf.entry(in.Cell, need[ii])
+		sub := rf.entry(in.Cell)
 		if sub.err != nil {
 			e.err = sub.err
 			return e
@@ -623,7 +611,7 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 	first := 0
 	for ii, in := range c.Instances {
 		sub, o := e.subs[ii], in.Tr.O
-		for _, off := range offs[ii] {
+		for _, off := range in.PairOffsets(e.pboxes[ii], 0) {
 			d := in.CopyTransform(off.DI, off.DJ).D.Sub(in.Tr.D)
 			t := rf.template(e.tmpl, carry, tmplKey{u: sub, v: sub, ou: o, ov: o, dx: d.X, dy: d.Y})
 			rf.stats.TemplateHits += (in.Nx-off.DI)*(in.Ny-max(off.DJ, -off.DJ)) - 1 // the other copy pairs
@@ -639,12 +627,21 @@ func (rf *Reference) stitch(c *core.Cell, reach int, old *refEntry) *refEntry {
 		}
 		first += in.Nx * in.Ny
 	}
-	for _, p := range pairs {
-		cu, cv := e.copies[p[0]], e.copies[p[1]]
-		d := cv.tr.D.Sub(cu.tr.D)
-		k := tmplKey{u: e.subs[cu.inst], v: e.subs[cv.inst], ou: cu.tr.O, ov: cv.tr.O, dx: d.X, dy: d.Y}
-		for _, un := range rf.template(e.tmpl, carry, k) {
-			uf.Union(int(cu.base+un[0]), int(cv.base+un[1]))
+	if len(c.Instances) > 1 {
+		ix := e.index()
+		for u, cu := range e.copies {
+			ix.QueryRect(ix.RectOf(u), func(v int) bool {
+				cv := e.copies[v]
+				if v <= u || cv.inst == cu.inst {
+					return true
+				}
+				d := cv.tr.D.Sub(cu.tr.D)
+				k := tmplKey{u: e.subs[cu.inst], v: e.subs[cv.inst], ou: cu.tr.O, ov: cv.tr.O, dx: d.X, dy: d.Y}
+				for _, un := range rf.template(e.tmpl, carry, k) {
+					uf.Union(int(cu.base+un[0]), int(cv.base+un[1]))
+				}
+				return true
+			})
 		}
 	}
 	e.dense, e.nets = renumber(uf, total, e.devices)
@@ -672,9 +669,12 @@ func (rf *Reference) template(memo, carry map[tmplKey][][2]int32, k tmplKey) [][
 
 // buildTemplate derives which nets of two placed sub-entries union, as
 // deduplicated (U net, V net) pairs: connectors that coincide, and —
-// when the placed boxes touch — boundary material on the same layer
-// that touches across the seam and whose drawing leaf occurrences'
-// boxes touch, the same provenance test the DRC trusts.
+// when the placed boxes touch — material on the same layer that
+// touches across the seam and whose drawing leaf occurrences' boxes
+// touch, the same provenance test the DRC trusts. Each side reads its
+// material in the seam window, trusted as deep into its box as the
+// seam's own geometry reaches (seamDepth): the union set is a function
+// of the two entries and their placement alone.
 func buildTemplate(k tmplKey) [][2]int32 {
 	tu := geom.Transform{O: k.ou}
 	tv := geom.Transform{O: k.ov, D: geom.Pt(k.dx, k.dy)}
@@ -699,32 +699,24 @@ func buildTemplate(k tmplKey) [][2]int32 {
 	sx0, sy0 := max(bu.Min.X, bv.Min.X), max(bu.Min.Y, bv.Min.Y)
 	sx1, sy1 := min(bu.Max.X, bv.Max.X), min(bu.Max.Y, bv.Max.Y)
 	if sx0 <= sx1 && sy0 <= sy1 {
-		win := geom.R(sx0-seam.Reach, sy0-seam.Reach, sx1+seam.Reach, sy1+seam.Reach)
-		// per-pair trust depth: only material within this seam's own
-		// reach of its copy's box participates. The filter makes the
-		// union set a function of the placement alone — entries retain
-		// material to the deepest reach they have ever needed, and
-		// deeper-than-needed retention must not union more than a
-		// freshly derived entry would.
-		innerU, innerV := bu.Inset(seam.Depth(bu, bv)), bv.Inset(seam.Depth(bv, bu))
-		var mine []bfrag // U's seam material, placed
-		for _, bf := range k.u.boundary {
-			if r := tu.ApplyRect(bf.r); r.Touches(win) && !innerU.ContainsRect(r) {
-				mine = append(mine, bfrag{layer: bf.layer, r: r, leafBox: tu.ApplyRect(bf.leafBox), net: bf.net})
+		win := geom.R(sx0-seamReach, sy0-seamReach, sx1+seamReach, sy1+seamReach)
+		innerU, innerV := bu.Inset(seamDepth(bu, bv)), bv.Inset(seamDepth(bv, bu))
+		var mine []mfrag // U's seam material, placed
+		k.u.material(tu, win, func(f mfrag) {
+			if !innerU.ContainsRect(f.r) {
+				mine = append(mine, f)
 			}
-		}
-		for _, bf := range k.v.boundary {
-			r := tv.ApplyRect(bf.r)
-			if !r.Touches(win) || innerV.ContainsRect(r) {
-				continue
+		})
+		k.v.material(tv, win, func(f mfrag) {
+			if innerV.ContainsRect(f.r) {
+				return
 			}
-			leafBox := tv.ApplyRect(bf.leafBox)
 			for _, fu := range mine {
-				if fu.layer == bf.layer && fu.leafBox.Touches(leafBox) && fu.r.Touches(r) {
-					unions = append(unions, [2]int32{fu.net, bf.net})
+				if fu.layer == f.layer && fu.leafBox.Touches(f.leafBox) && fu.r.Touches(f.r) {
+					unions = append(unions, [2]int32{fu.net, f.net})
 				}
 			}
-		}
+		})
 	}
 	slices.SortFunc(unions, func(a, b [2]int32) int {
 		if a[0] != b[0] {
@@ -733,6 +725,44 @@ func buildTemplate(k tmplKey) [][2]int32 {
 		return cmp.Compare(a[1], b[1])
 	})
 	return slices.Compact(unions)
+}
+
+// seamReach is the base distance the abutment contract reaches into a
+// cell, in centimicrons: for plainly abutted boxes (touching, not
+// overlapping), material within this distance of the cell's bounding
+// box participates in seam continuity. Wire end caps and rail halves
+// bleed at most half the widest library wire (2 lambda) past the box,
+// so 4 lambda covers every sanctioned contact point with margin. It is
+// not a cap on seam trust: an ABUT OVERLAP places the boxes
+// overlapping, and material as deep as the overlap reaches can
+// legitimately touch the neighbour's (seamDepth).
+const seamReach = 4 * rules.Lambda
+
+// seamDepth bounds how deep (in centimicrons, measured inward from
+// bu's boundary) sanctioned seam contact against bv can reach into bu:
+// the deepest point of the pair's seam window — the box intersection
+// inflated by seamReach — measured by inward L-infinity distance.
+// Plainly abutted boxes yield the base reach; an ABUT OVERLAP yields
+// overlap depth plus margin. The bound errs high (the margin absorbs
+// material bleeding past the boxes and exact-boundary contact), never
+// low, and never past half of bu's narrower side, so bu.Inset of it
+// cannot invert.
+func seamDepth(bu, bv geom.Rect) int {
+	sx0, sy0 := max(bu.Min.X, bv.Min.X), max(bu.Min.Y, bv.Min.Y)
+	sx1, sy1 := min(bu.Max.X, bv.Max.X), min(bu.Max.Y, bv.Max.Y)
+	if sx0 > sx1 || sy0 > sy1 {
+		return 0
+	}
+	dx := axisDepth(max(sx0-seamReach, bu.Min.X), min(sx1+seamReach, bu.Max.X), bu.Min.X, bu.Max.X)
+	dy := axisDepth(max(sy0-seamReach, bu.Min.Y), min(sy1+seamReach, bu.Max.Y), bu.Min.Y, bu.Max.Y)
+	return min(dx, dy)
+}
+
+// axisDepth is the maximum over x in [w0, w1] of min(x-b0, b1-x): the
+// deepest one-axis penetration of the window into the box span.
+func axisDepth(w0, w1, b0, b1 int) int {
+	x := min(max((b0+b1)/2, w0), w1)
+	return min(x-b0, b1-x)
 }
 
 // portBox is where a copy of c can hold connectors, in c's frame: its

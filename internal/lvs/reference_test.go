@@ -322,3 +322,135 @@ func TestReferenceArrayBuildsNoIndex(t *testing.T) {
 		t.Fatal("a two-instance stitch found its cross-instance pairs without the copy index")
 	}
 }
+
+// TestReferenceNarrowSeams: a seam trusts material as deep into each
+// box as its own geometry reaches, which can be all of a narrow leaf.
+// Each design joins its two labelled ends across such a seam in the
+// layout; it must check clean flat, certify every occurrence, and
+// carry the two ends on one reference net.
+func TestReferenceNarrowSeams(t *testing.T) {
+	leaf := func(t *testing.T, d *core.Design, src string) *core.Cell {
+		t.Helper()
+		f, err := cif.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := core.NewLeafFromCIF(f, f.SymbolByID(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.AddCell(c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	cases := []struct {
+		name  string
+		build func(t *testing.T, d *core.Design, place func(cell, name string, at geom.Point, nx, ny, sx, sy int))
+		ends  [2]string
+	}{
+		// a 40x20 cm leaf stacked at its own height: its metal meets the
+		// next copy's across a seam that trusts all of the leaf
+		{"40x20cm leaf arrayed 1x2", func(t *testing.T, d *core.Design, place func(string, string, geom.Point, int, int, int, int)) {
+			outsideLeaf(t, d)
+			place("LEAF", "a", geom.Pt(0, 0), 1, 2, 0, 20)
+		}, [2]string{"a.Q[0]", "a.Q[1]"}},
+		// a 4-lambda metal square tiled 2x2 at abutting pitch
+		{"4 lambda square arrayed 2x2", func(t *testing.T, d *core.Design, place func(string, string, geom.Point, int, int, int, int)) {
+			leaf(t, d, fmt.Sprintf("DS 1; 9 SQ; L NM; B %d %d %d %d; 94 P 0 %d NM; DF; E", 4*lam, 4*lam, 2*lam, 2*lam, 2*lam))
+			place("SQ", "a", geom.Pt(0, 0), 2, 2, 4*lam, 4*lam)
+		}, [2]string{"a.P[0,0]", "a.P[0,1]"}},
+		// two 10x30 lambda leaves, a metal bar across the middle third
+		// of each, abutted into a 20-lambda-wide composition that the
+		// parent places twice, overlapping by 8 lambda: that seam
+		// trusts 10 lambda of each copy, all of a leaf's width
+		{"composition overlapped 8 lambda", func(t *testing.T, d *core.Design, place func(string, string, geom.Point, int, int, int, int)) {
+			bar := leaf(t, d, fmt.Sprintf("DS 1; 9 BAR; L NM; B %d %d %d %d; 94 P 0 %d NM; 94 B %d 0 NM; 94 T %d %d NM; DF; E",
+				10*lam, 10*lam, 5*lam, 15*lam, 15*lam, 5*lam, 5*lam, 30*lam))
+			if b := bar.BBox(); b != geom.R(0, 0, 10*lam, 30*lam) {
+				t.Fatalf("BAR box %v; the test needs 10x30 lambda", b)
+			}
+			pair := core.NewComposition("PAIR")
+			if err := d.AddCell(pair); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 2; k++ {
+				pair.Instances = append(pair.Instances, core.NewInstance(fmt.Sprintf("l%d", k), bar, geom.MakeTransform(geom.R0, geom.Pt(10*lam*k, 0))))
+			}
+			place("PAIR", "c0", geom.Pt(0, 0), 1, 1, 0, 0)
+			place("PAIR", "c1", geom.Pt(12*lam, 0), 1, 1, 0, 0)
+		}, [2]string{"c0.l0.P", "c1.l0.P"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := core.NewDesign()
+			top := core.NewComposition("TOP")
+			if err := d.AddCell(top); err != nil {
+				t.Fatal(err)
+			}
+			ed, err := core.NewEditor(d, top)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.build(t, d, func(cell, name string, at geom.Point, nx, ny, sx, sy int) {
+				if _, err := ed.CreateInstance(cell, name, geom.MakeTransform(geom.R0, at), nx, ny, sx, sy); err != nil {
+					t.Fatal(err)
+				}
+			})
+			flat, err := CheckEditorFlat(ed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !flat.Clean {
+				t.Errorf("flat comparison not clean: %v", flat.Mismatches)
+			}
+			res, err := new(Incremental).Check(ed, &verify.Verifier{Hier: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Clean || res.Cert.Certified != res.Cert.Occurrences || res.Cert.Fallback {
+				t.Errorf("certified check: clean=%v, certified %d of %d occurrences (fallback %v)",
+					res.Clean, res.Cert.Certified, res.Cert.Occurrences, res.Cert.Fallback)
+			}
+			ref, err := new(Reference).Netlist(top, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, okA := ref.Labels[tc.ends[0]]
+			b, okB := ref.Labels[tc.ends[1]]
+			if !okA || !okB || a != b {
+				t.Errorf("reference nets of %s and %s: %d (%v) and %d (%v); the layout joins them", tc.ends[0], tc.ends[1], a, okA, b, okB)
+			}
+		})
+	}
+}
+
+// TestReferenceExtractsLeafOnce: however deep a seam reads into a
+// leaf, one standalone extraction serves it for the whole session.
+// Copies of an 8x8 grid are pushed 2 lambda into their neighbours,
+// then 2 lambda deeper; each netlist equals a fresh Reference's, and
+// SRCELL is extracted once.
+func TestReferenceExtractsLeafOnce(t *testing.T) {
+	ed := gridEditor(t, 8)
+	var rf Reference
+	for step := 0; step <= 2; step++ {
+		if step > 0 {
+			ed.MoveInstance(ed.Cell.Instances[27], geom.Pt(-2*lam, 0))
+			ed.MoveInstance(ed.Cell.Instances[44], geom.Pt(0, -2*lam))
+		}
+		got, _, err := rf.unnamed(ed.Cell, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := new(Reference).unnamed(ed.Cell, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("push %d: the session's netlist (%d nets) differs from a fresh derivation's (%d nets)", step, got.NetCount, want.NetCount)
+		}
+		if n := rf.Stats().LeavesExtracted; n != 1 {
+			t.Errorf("push %d: SRCELL extracted %d times, want once per session", step, n)
+		}
+	}
+}

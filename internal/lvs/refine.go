@@ -1,10 +1,6 @@
 package lvs
 
-import (
-	"slices"
-
-	"riot/internal/seam"
-)
+import "slices"
 
 // Partition-refinement canonical labeling, the comparison core. Both
 // reduced netlists are colored in ONE shared class space: a class is a
@@ -167,23 +163,22 @@ func dedupSorted(ids []int32) []int32 {
 // devSigOf computes a device's current signature.
 func (sd *mside) devSigOf(di int32, scratch *[]int32) uint64 {
 	d := sd.r.devs[di]
-	h := seam.FNVInit()
-	h = seam.FNVMix(h, uint64(uint32(sd.devClass[di])))
-	h = seam.FNVMix(h, uint64(d.kind))
-	h = seam.FNVMix(h, uint64(uint32(d.mult)))
+	h := fnvMix(fnvOffset, uint64(uint32(sd.devClass[di])))
+	h = fnvMix(h, uint64(d.kind))
+	h = fnvMix(h, uint64(uint32(d.mult)))
 	ca, cb := sd.netClass[d.a], sd.netClass[d.b]
 	if cb < ca {
 		ca, cb = cb, ca
 	}
-	h = seam.FNVMix(h, uint64(uint32(ca)))
-	h = seam.FNVMix(h, uint64(uint32(cb)))
+	h = fnvMix(h, uint64(uint32(ca)))
+	h = fnvMix(h, uint64(uint32(cb)))
 	g := (*scratch)[:0]
 	for _, gn := range d.gates {
 		g = append(g, sd.netClass[gn])
 	}
 	slices.Sort(g)
 	for _, c := range g {
-		h = seam.FNVMix(h, uint64(uint32(c)))
+		h = fnvMix(h, uint64(uint32(c)))
 	}
 	*scratch = g
 	return h
@@ -191,15 +186,14 @@ func (sd *mside) devSigOf(di int32, scratch *[]int32) uint64 {
 
 // netSigOf computes a net's current signature.
 func (sd *mside) netSigOf(n int32, scratch *[]uint64) uint64 {
-	h := seam.FNVInit()
-	h = seam.FNVMix(h, uint64(uint32(sd.netClass[n])))
+	h := fnvMix(fnvOffset, uint64(uint32(sd.netClass[n])))
 	inc := (*scratch)[:0]
 	for _, p := range sd.netAdj[n] {
 		inc = append(inc, uint64(uint32(sd.devClass[p.dev]))<<1|uint64(p.role))
 	}
 	slices.Sort(inc)
 	for _, v := range inc {
-		h = seam.FNVMix(h, v)
+		h = fnvMix(h, v)
 	}
 	*scratch = inc
 	return h

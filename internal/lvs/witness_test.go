@@ -12,7 +12,6 @@ import (
 	"riot/internal/filter"
 	"riot/internal/geom"
 	"riot/internal/lib"
-	"riot/internal/seam"
 	"riot/internal/sticks"
 	"riot/internal/verify"
 )
@@ -56,7 +55,7 @@ func TestLeafSelfMatchIsIdentity(t *testing.T) {
 			continue
 		}
 		var rf Reference
-		e := rf.entry(c, seam.Reach)
+		e := rf.entry(c)
 		if e.err != nil {
 			t.Fatalf("%s: %v", c.Name, e.err)
 		}
