@@ -19,13 +19,13 @@
 //     rectangles.
 //
 //   - Minimum spacing. Disconnected same-layer components closer than
-//     the rule are reported; candidate neighbors come from geom.Index
-//     halo queries (the rule distance, minus one unit, around each
-//     rectangle), and connected components are built by unioning
-//     touching rectangles — touching material is one electrical net
-//     and spacing rules do not apply inside it. Edge-to-edge
-//     separations are measured along the axis; corner-to-corner
-//     separations are Euclidean, the standard mask-rule convention.
+//     the rule are reported; candidate pairs come from the layer's
+//     geom.Index (Pairs within the rule distance, minus one unit), and
+//     connected components are built by unioning the index's touching
+//     pairs — touching material is one electrical net and spacing
+//     rules do not apply inside it. Edge-to-edge separations are
+//     measured along the axis; corner-to-corner separations are
+//     Euclidean, the standard mask-rule convention.
 //
 // Spacing follows the paper's division of responsibility: Riot
 // "assembles pre-designed cells", so geometry inside one leaf-cell

@@ -18,7 +18,6 @@ import (
 type layerEval struct {
 	layer geom.Layer
 	rule  rules.Rule
-	rects []geom.Rect
 	boxes []geom.Rect // per-rect occurrence boxes; nil = no trust, measure all
 	comp  []int32     // component root per rect
 
@@ -36,62 +35,43 @@ func (le *layerEval) appendViolations(out []Violation) []Violation {
 	return append(out, le.spacing...)
 }
 
-// evalLayer runs the full check over one layer: components from
-// per-rect index queries, whole-layer width residues, and the
-// all-pairs spacing scan.
+// evalLayer runs the full check over one layer: components from the
+// index's touching pairs, whole-layer width residues, and spacing over
+// the index's pairs within the rule distance.
 func evalLayer(l geom.Layer, rects, boxes []geom.Rect, ix *geom.Index, rule rules.Rule) *layerEval {
-	le := &layerEval{layer: l, rule: rule, rects: rects, boxes: boxes}
-	le.comp = touchComponents(rects, ix)
+	le := &layerEval{layer: l, rule: rule, boxes: boxes}
+	le.comp = touchComponents(ix)
 	le.widthResid = WidthResidues(rects, rule.MinWidth*rules.Lambda)
 
-	minS := rule.MinSpacing * rules.Lambda
-	if minS > 0 && len(rects) >= 2 {
-		for i := range rects {
-			le.scanSpacing(ix, i, minS)
-		}
+	// each pair is measured once: same-component and trust exemptions,
+	// then the symmetric pair measurement. A gap <= minS-1 is a gap <
+	// minS on the integer grid.
+	if minS := rule.MinSpacing * rules.Lambda; minS > 0 {
+		ix.Pairs(minS-1, func(i, j int) {
+			if le.comp[i] == le.comp[j] || le.trusted(i, j) {
+				return
+			}
+			if v, bad := SpacingPair(l, rects[i], rects[j], minS); bad {
+				le.spacing = append(le.spacing, v)
+			}
+		})
 	}
 	return le
 }
 
-// touchComponents labels each rectangle with the root of its touch
-// component, finding touching partners through the layer's index: the
-// component loop the flat check and the cell certificate share.
-func touchComponents(rects []geom.Rect, ix *geom.Index) []int32 {
-	uf := geom.NewUnionFind(len(rects))
-	for i, r := range rects {
-		ix.QueryRect(r, func(j int) bool {
-			if j > i {
-				uf.Union(i, j)
-			}
-			return true
-		})
-	}
-	comp := make([]int32, len(rects))
+// touchComponents labels each indexed rectangle with the root of its
+// touch component, unioning the index's touching pairs: the component
+// loop the flat check and the cell certificate share. Which element is
+// a root depends on the pair order; certificates store the roots, and
+// composition reads only the partition they name.
+func touchComponents(ix *geom.Index) []int32 {
+	uf := geom.NewUnionFind(ix.Len())
+	ix.Pairs(0, uf.Union)
+	comp := make([]int32, ix.Len())
 	for i := range comp {
 		comp[i] = int32(uf.Find(i))
 	}
 	return comp
-}
-
-// scanSpacing discovers spacing violations seen from rect i against
-// every higher-indexed partner, so each pair is measured once: halo
-// query, same-component and trust exemptions, then the symmetric pair
-// measurement.
-func (le *layerEval) scanSpacing(ix *geom.Index, i, minS int) {
-	halo := minS - 1 // gap <= minS-1 <=> gap < minS on the integer grid
-	grown := le.rects[i].Canon().Inset(-halo)
-	ix.QueryRect(grown, func(j int) bool {
-		if j <= i || le.comp[j] == le.comp[i] {
-			return true
-		}
-		if le.trusted(i, j) {
-			return true
-		}
-		if v, bad := SpacingPair(le.layer, le.rects[i], le.rects[j], minS); bad {
-			le.spacing = append(le.spacing, v)
-		}
-		return true
-	})
 }
 
 // trusted reports whether the pair is covered by the

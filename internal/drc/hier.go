@@ -58,7 +58,7 @@ func CellCheck(fr *flatten.Result) *CellDRC {
 		rects := fr.LayerRects(l)
 		c.Layers = append(c.Layers, l)
 		c.Rects[l] = rects
-		c.Comp[l] = touchComponents(rects, fr.LayerIndex(l))
+		c.Comp[l] = touchComponents(fr.LayerIndex(l))
 		c.Resid[l] = WidthResidues(rects, rules.Of(l).MinWidth*rules.Lambda)
 	}
 

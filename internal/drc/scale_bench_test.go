@@ -67,3 +67,21 @@ func BenchmarkDRCCheckOnly(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDRCOverlappingStrips checks one layer of 1000 mutually
+// overlapping 400-lambda strips through CheckLayer: every pair
+// touches, and every strip is far longer than a square grid's bin.
+// The strips merge into one region 1.6 lambda tall, so the report is
+// one width violation.
+func BenchmarkDRCOverlappingStrips(b *testing.B) {
+	rects := make([]geom.Rect, 1000)
+	for i := range rects {
+		rects[i] = geom.R(10*i, 0, 100000+10*i, 400)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs := CheckLayer(geom.NM, rects, rules.Of(geom.NM)); len(vs) != 1 || vs[0].Rule != RuleWidth {
+			b.Fatalf("want one width violation, got %v", vs)
+		}
+	}
+}

@@ -20,18 +20,20 @@
 //   - diffusion is fragmented at transistor gates, finding the gates
 //     that actually cut each diffusion shape through a spatial index
 //     (geom.Index) over the gate strips;
-//   - same-layer touching material is unioned into nets by a per-layer
-//     sweep-line over rectangle x-extents with a union-by-rank,
-//     path-compressing union-find — O(n log n + k) instead of the
-//     all-pairs O(n^2) touch test;
+//   - the fragments are indexed per layer (the locator), and every
+//     touching same-layer pair the layer's index reports
+//     (geom.Index.Pairs) is unioned into one net by a union-by-rank,
+//     path-compressing union-find, instead of the all-pairs O(n^2)
+//     touch test;
 //   - contacts, device probes and connector labels resolve points to
-//     fragments through per-layer geom.Index point location.
+//     fragments through the same per-layer indexes.
 //
-// The flat solver and the hierarchical engine's certificate builder
-// (CellSolve) run the same fragment-and-sweep pipeline. The
-// tests keep a quadratic reference (all-device fragmentation, the
-// all-pairs touch test, linear point scans) and require byte-identical
-// circuits and fragment lists from both.
+// Nets are numbered densely by first fragment, so the circuit does not
+// depend on the order the pairs are found in. The flat solver and the
+// hierarchical engine's certificate builder (CellSolve) run the same
+// pipeline. The tests keep a quadratic reference (all-device
+// fragmentation, the all-pairs touch test, linear point scans) and
+// require byte-identical circuits and fragment lists from both.
 package extract
 
 import (

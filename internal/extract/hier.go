@@ -107,7 +107,7 @@ func CellSolve(fr *flatten.Result) (*CellCert, error) {
 	// dense local net numbering in fragment order — the engine's
 	// (occurrence, local net) lexicographic renumbering reproduces the
 	// flat solver's first-fragment dense order from this
-	c.FragNet, c.NetCount = denseNets(uf, len(frags))
+	c.FragNet, c.NetCount = uf.Dense()
 
 	netAt := func(at geom.Point, layer geom.Layer) int32 {
 		i := loc.findOnLayer(at, layer)

@@ -1,8 +1,10 @@
 package extract
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"riot/internal/core"
@@ -44,7 +46,7 @@ func bruteSolve(fr *flatten.Result) (*Circuit, []flatten.Shape, []int32, error) 
 			}
 		}
 	}
-	ckt, nets, err := circuitAndNets(fr, frags, uf, scanLocator(frags))
+	ckt, nets, err := circuitAndNets(fr, uf, scanLocator(frags))
 	return ckt, frags, nets, err
 }
 
@@ -221,30 +223,37 @@ func soupStack(rng *rand.Rand, fr *flatten.Result, span int) {
 }
 
 // checkSolveMatchesBrute solves one seed's soup with the indexed solver
-// and the reference: the circuits, fragment lists and fragment nets
-// must be identical, or both solves must fail with the same error.
+// and the reference.
 func checkSolveMatchesBrute(t *testing.T, seed int64) {
 	t.Helper()
-	fr := soupResult(seed)
+	checkResultMatchesBrute(t, fmt.Sprintf("seed %d", seed), soupResult(seed))
+}
+
+// checkResultMatchesBrute solves one flattened design with the indexed
+// solver and the reference: the circuits, fragment lists and fragment
+// nets must be identical, or both solves must fail with the same
+// error.
+func checkResultMatchesBrute(t *testing.T, name string, fr *flatten.Result) {
+	t.Helper()
 	fast, fastFrags, fastNets, errF := solve(fr)
 	slow, slowFrags, slowNets, errB := bruteSolve(fr)
 	if errF != nil || errB != nil {
 		if errF == nil || errB == nil || errF.Error() != errB.Error() {
-			t.Fatalf("seed %d: indexed err=%v, brute err=%v", seed, errF, errB)
+			t.Fatalf("%s: indexed err=%v, brute err=%v", name, errF, errB)
 		}
 		return
 	}
 	if !reflect.DeepEqual(fast, slow) {
-		t.Fatalf("seed %d: indexed and brute circuits differ\nindexed: %+v\nbrute:   %+v", seed, fast, slow)
+		t.Fatalf("%s: indexed and brute circuits differ\nindexed: %+v\nbrute:   %+v", name, fast, slow)
 	}
 	if !reflect.DeepEqual(fastFrags, slowFrags) || !reflect.DeepEqual(fastNets, slowNets) {
-		t.Fatalf("seed %d: indexed and brute fragments differ", seed)
+		t.Fatalf("%s: indexed and brute fragments differ", name)
 	}
 }
 
-// TestExtractConnectivityFuzz cross-checks the sweep-line/indexed
-// solver against the reference on random soups: any divergence in
-// gate fragmentation, connectivity or point location shows up as a
+// TestExtractConnectivityFuzz cross-checks the indexed solver against
+// the reference on random soups: any divergence in gate
+// fragmentation, connectivity or point location shows up as a
 // circuit, fragment or error mismatch.
 func TestExtractConnectivityFuzz(t *testing.T) {
 	for s := int64(0); s < soupSeeds; s++ {
@@ -261,49 +270,78 @@ func FuzzSolveMatchesBrute(f *testing.F) {
 	f.Fuzz(checkSolveMatchesBrute)
 }
 
-// TestSweepSkipMatchesSlice runs both active-set structures over the
-// same event streams (random soups big and overlapping enough to make
-// the sweep work) and requires the identical union structure, pinning
-// the skip-list path that only engages above the active-set crossover.
-func TestSweepSkipMatchesSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
-		n := 20 + rng.Intn(800)
-		span := 100 + rng.Intn(600)
-		frags := make([]flatten.Shape, n)
-		idxs := make([]int, n)
-		for i := range frags {
-			x, y := rng.Intn(span), rng.Intn(span)
-			frags[i] = flatten.Shape{Layer: geom.ND,
-				R: geom.R(x, y, x+rng.Intn(span/2), y+rng.Intn(span/2))}
-			idxs[i] = i
+// wideBus is k mutually overlapping metal strips, so every pair of
+// strips touches, crossed by poly strips; every strip and every poly
+// crossing carries a label.
+func wideBus(k int) *flatten.Result {
+	fr := &flatten.Result{}
+	for i := 0; i < k; i++ {
+		fr.Shapes = append(fr.Shapes, flatten.Shape{Layer: geom.NM, R: geom.R(i, 0, 100000+i, 40)})
+		fr.Labels = append(fr.Labels, flatten.Label{At: geom.Pt(i, 20), Layer: geom.NM})
+	}
+	for x := 5000; x < 100000; x += 10000 {
+		fr.Shapes = append(fr.Shapes, flatten.Shape{Layer: geom.NP, R: geom.R(x, -20, x+4, 60)})
+		fr.Labels = append(fr.Labels, flatten.Label{At: geom.Pt(x+2, -10), Layer: geom.NP})
+	}
+	return fr
+}
+
+// strappedRails is k die-spanning metal rails, every one crossing
+// every vertical line of the die, each joined to the next by a short
+// strap at a scattered x. Every 50th strap is missing, so the rails
+// fall into several nets; every 100th rail carries a label.
+func strappedRails(k int) *flatten.Result {
+	fr := &flatten.Result{}
+	for i := 0; i < k; i++ {
+		fr.Shapes = append(fr.Shapes, flatten.Shape{Layer: geom.NM, R: geom.R(0, 10*i, 100000, 10*i+4)})
+		if i%50 != 49 {
+			x := 7919 * i % 100000
+			fr.Shapes = append(fr.Shapes, flatten.Shape{Layer: geom.NM, R: geom.R(x, 10*i, x+4, 10*i+10)})
 		}
-		ufSlice := geom.NewUnionFind(n)
-		ufSkip := geom.NewUnionFind(n)
-		events := sweepEvents(frags, idxs)
-		sweepSlice(frags, events, ufSlice)
-		sweepSkip(frags, events, ufSkip)
-		// same partition: equal root equivalence on every pair against
-		// a canonical relabeling
-		canon := func(uf *geom.UnionFind) []int {
-			label := map[int]int{}
-			out := make([]int, n)
-			for i := 0; i < n; i++ {
-				r := uf.Find(i)
-				id, ok := label[r]
-				if !ok {
-					id = len(label)
-					label[r] = id
-				}
-				out[i] = id
-			}
-			return out
+		if i%100 == 0 {
+			fr.Labels = append(fr.Labels, flatten.Label{At: geom.Pt(0, 10*i+2), Layer: geom.NM})
 		}
-		a, b := canon(ufSlice), canon(ufSkip)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d: partitions differ at %d", trial, i)
-			}
+	}
+	return fr
+}
+
+// soupWithRails is one soup seed with die-spanning rails, horizontal
+// and vertical on random layers, inserted at random places in its
+// shape list.
+func soupWithRails(seed int64, rails int) *flatten.Result {
+	fr := soupResult(seed)
+	rng := rand.New(rand.NewSource(seed))
+	die := fr.Shapes[0].R
+	for _, s := range fr.Shapes {
+		die = die.Union(s.R)
+	}
+	layers := []geom.Layer{geom.ND, geom.NP, geom.NM}
+	for k := 0; k < rails; k++ {
+		w := 1 + rng.Intn(4)
+		x, y := die.Min.X+rng.Intn(die.W()), die.Min.Y+rng.Intn(die.H())
+		rail := geom.R(die.Min.X, y, die.Max.X, y+w)
+		if k%2 == 1 {
+			rail = geom.R(x, die.Min.Y, x+w, die.Max.Y)
 		}
+		at := rng.Intn(len(fr.Shapes) + 1)
+		fr.Shapes = slices.Insert(fr.Shapes, at, flatten.Shape{Layer: layers[rng.Intn(len(layers))], R: rail})
+	}
+	return fr
+}
+
+// TestSolveLargeLayersMatchBrute differential-tests the solver on
+// layers far larger than the soups: a bus where all 1000 strips touch
+// each other, 5000 strapped die-spanning rails, and a soup with
+// die-spanning rails mixed in.
+func TestSolveLargeLayersMatchBrute(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fr   *flatten.Result
+	}{
+		{"overlapping-strips", wideBus(1000)},
+		{"strapped-rails", strappedRails(5000)},
+		{"soup-with-rails", soupWithRails(soupSeed0, 20)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkResultMatchesBrute(t, tc.name, tc.fr) })
 	}
 }

@@ -3,25 +3,30 @@ package geom
 import "math"
 
 // Index is a uniform-grid spatial index over integer rectangles. It
-// answers the two queries every hot geometry path in Riot needs —
-// "which rectangles touch this rectangle?" and "which rectangles
-// contain this point?" — in expected O(1 + answer) time instead of a
-// linear scan over the whole shape set.
+// answers the three questions every hot geometry path in Riot asks —
+// "which rectangles touch this rectangle?", "which rectangles contain
+// this point?" and "which pairs of rectangles touch, or come within a
+// halo of each other?" — from the bins a rectangle occupies instead
+// of a scan over the whole shape set.
 //
 // The index is built over a batch of rectangles: Insert rectangles
 // (each gets a dense integer id in insertion order), then query.
 // Building is lazy — the first query after an Insert rebins everything
-// — so the typical collect-then-query usage pays one O(n) build.
+// — so the typical collect-then-query usage pays one build.
 //
 // Geometry follows the package's closed-interval convention: a query
 // reports every rectangle that Touches the query rectangle (shared
 // edges and corners included), matching the electrical-connectivity
 // rule that edge-adjacent material on one mask layer is connected.
 //
-// The grid is sized so the expected occupancy is a few rectangles per
-// bin; degenerate distributions (everything in one bin) degrade to the
-// linear scan the index replaces, never worse. An Index is not safe
-// for concurrent use.
+// The grid aims at about one rectangle per bin, and a bin is never
+// smaller than the mean rectangle extent on either axis, so a
+// rectangle of mean size or less spans at most two bins a side and a
+// set of long strips fills a few bins each, not every bin it crosses.
+// Rectangles much larger than the mean still occupy one bin entry per
+// bin they cover, and material piled into one bin is scanned whole by
+// every query reaching that bin. An Index is not safe for concurrent
+// use.
 type Index struct {
 	rects []Rect
 
@@ -96,22 +101,23 @@ func (ix *Index) Build() {
 		return
 	}
 	b := ix.rects[0]
-	for _, r := range ix.rects[1:] {
+	sw, sh := 0, 0 // summed extents
+	for _, r := range ix.rects {
 		b = Rect{
 			Point{min(b.Min.X, r.Min.X), min(b.Min.Y, r.Min.Y)},
 			Point{max(b.Max.X, r.Max.X), max(b.Max.Y, r.Max.Y)},
 		}
+		sw += r.W()
+		sh += r.H()
 	}
 	ix.bounds = b
 	// Aim for about one rectangle per bin on a square-ish grid, capped
-	// so pathological counts cannot allocate an absurd grid.
-	side := int(math.Sqrt(float64(n))) + 1
-	if side > 2048 {
-		side = 2048
-	}
-	ix.nx, ix.ny = side, side
-	ix.cw = (b.W() / side) + 1
-	ix.ch = (b.H() / side) + 1
+	// so pathological counts cannot allocate an absurd grid, with bins
+	// no smaller than the mean rectangle extent on each axis.
+	side := min(int(math.Sqrt(float64(n)))+1, 2048)
+	ix.cw = max(b.W()/side, sw/n) + 1
+	ix.ch = max(b.H()/side, sh/n) + 1
+	ix.nx, ix.ny = b.W()/ix.cw+1, b.H()/ix.ch+1
 	if cap(ix.stamp) >= n {
 		ix.stamp = ix.stamp[:n]
 		for i := range ix.stamp {
@@ -120,9 +126,9 @@ func (ix *Index) Build() {
 	} else {
 		ix.stamp = make([]uint32, n)
 	}
-	// counting pass, then a prefix-sum fill: two O(n + bins) sweeps
-	// build the CSR layout without per-bin reallocation; the arrays
-	// are reused across rebuilds
+	// counting pass, then a prefix-sum fill: two passes over the bin
+	// entries build the CSR layout without per-bin reallocation; the
+	// arrays are reused across rebuilds
 	start := grownI32(ix.binStart, ix.nx*ix.ny+1)
 	for _, r := range ix.rects {
 		x0, y0 := ix.col(r.Min.X), ix.row(r.Min.Y)
@@ -202,6 +208,11 @@ func (ix *Index) nextEpoch() uint32 {
 // arrive in grid-scan order, not sorted; callers that need the lowest
 // id must track the minimum themselves.
 func (ix *Index) QueryRect(q Rect, fn func(id int) bool) {
+	ix.query(q, -1, fn)
+}
+
+// query is QueryRect restricted to the ids above after.
+func (ix *Index) query(q Rect, after int, fn func(id int) bool) {
 	if !ix.built {
 		ix.Build()
 	}
@@ -220,7 +231,7 @@ func (ix *Index) QueryRect(q Rect, fn func(id int) bool) {
 		for x := x0; x <= x1; x++ {
 			bin := row + x
 			for _, id := range ix.binIDs[ix.binStart[bin]:ix.binStart[bin+1]] {
-				if ix.stamp[id] == epoch {
+				if int(id) <= after || ix.stamp[id] == epoch {
 					continue
 				}
 				ix.stamp[id] = epoch
@@ -246,5 +257,21 @@ func (ix *Index) QueryPoint(p Point, fn func(id int) bool) {
 		if ix.rects[id].Contains(p) && !fn(int(id)) {
 			return
 		}
+	}
+}
+
+// Pairs calls fn(i, j), i < j, once for every unordered pair of
+// indexed rectangles within halo of each other: rectangle i grown by
+// halo on every side touches rectangle j, so halo 0 reports the
+// touching pairs (shared edges and corners count) and a positive halo
+// every pair whose gap is at most halo on both axes. Pairs arrive by
+// ascending i, each i's partners in grid-scan order; i's query skips
+// the ids up to i before testing, so each pair is tested once.
+func (ix *Index) Pairs(halo int, fn func(i, j int)) {
+	for i, r := range ix.rects {
+		ix.query(r.Inset(-halo), i, func(j int) bool {
+			fn(i, j)
+			return true
+		})
 	}
 }

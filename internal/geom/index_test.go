@@ -113,19 +113,32 @@ func TestIndexEarlyStop(t *testing.T) {
 	}
 }
 
+// soupRects returns n random rectangles: heavy overlap, degenerate
+// (zero-area) rects, negative coordinates, and one in eight a long
+// horizontal or vertical strip across most of the soup.
+func soupRects(rng *rand.Rand, n int) []Rect {
+	rects := make([]Rect, n)
+	for i := range rects {
+		x, y := rng.Intn(400)-200, rng.Intn(400)-200
+		w, h := rng.Intn(60), rng.Intn(60)
+		switch rng.Intn(16) {
+		case 0:
+			x, w = -200+rng.Intn(40), 300+rng.Intn(100)
+		case 1:
+			y, h = -200+rng.Intn(40), 300+rng.Intn(100)
+		}
+		rects[i] = R(x, y, x+w, y+h)
+	}
+	return rects
+}
+
 // TestIndexRandomized cross-checks the grid against the brute-force
-// scan it replaces, on rect soups with heavy overlap, degenerate
-// (zero-area) rects, and negative coordinates.
+// scan it replaces, on rect soups with heavy overlap, long strips,
+// degenerate (zero-area) rects, and negative coordinates.
 func TestIndexRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(200)
-		rects := make([]Rect, n)
-		for i := range rects {
-			x, y := rng.Intn(400)-200, rng.Intn(400)-200
-			w, h := rng.Intn(60), rng.Intn(60)
-			rects[i] = R(x, y, x+w, y+h)
-		}
+		rects := soupRects(rng, 1+rng.Intn(200))
 		ix := NewIndexFrom(rects)
 		for q := 0; q < 50; q++ {
 			x, y := rng.Intn(500)-250, rng.Intn(500)-250
@@ -138,6 +151,58 @@ func TestIndexRandomized(t *testing.T) {
 				t.Fatalf("trial %d: QueryPoint(%v) = %v, want %v", trial, p, got, want)
 			}
 		}
+	}
+}
+
+// TestIndexPairsMatchesAllPairs cross-checks Pairs against the
+// all-pairs scan, at halo 0 (touching pairs) and at positive halos:
+// every pair within the halo is reported exactly once, as (i, j) with
+// i < j, and no other pair is.
+func TestIndexPairsMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		rects := soupRects(rng, 1+rng.Intn(150))
+		ix := NewIndexFrom(rects)
+		for _, halo := range []int{0, 1, 7} {
+			seen := map[[2]int]int{}
+			ix.Pairs(halo, func(i, j int) { seen[[2]int{i, j}]++ })
+			want := 0
+			for i, a := range rects {
+				for j := i + 1; j < len(rects); j++ {
+					if !a.Inset(-halo).Touches(rects[j].Canon()) {
+						continue
+					}
+					want++
+					if seen[[2]int{i, j}] != 1 {
+						t.Fatalf("trial %d halo %d: pair (%d, %d) %v %v reported %d times",
+							trial, halo, i, j, a, rects[j], seen[[2]int{i, j}])
+					}
+				}
+			}
+			if len(seen) != want {
+				t.Fatalf("trial %d halo %d: %d pairs reported, want %d", trial, halo, len(seen), want)
+			}
+		}
+	}
+}
+
+// TestIndexLongStripsBins: long rectangles must not be copied into
+// every bin they cross. Bins sized from the bounding box alone put
+// each of these 1000 overlapping strips into some 930 bins (931,860
+// entries); bins no smaller than the mean extent keep it to two.
+func TestIndexLongStripsBins(t *testing.T) {
+	const n = 1000
+	rects := make([]Rect, n)
+	for i := range rects {
+		rects[i] = R(10*i, 0, 100000+10*i, 400)
+	}
+	ix := NewIndexFrom(rects)
+	ix.Build()
+	if got := len(ix.binIDs); got > 4*n {
+		t.Fatalf("%d strips fill %d bin entries, want at most %d", n, got, 4*n)
+	}
+	if got := collectRect(ix, R(50000, 200, 50000, 200)); len(got) != n {
+		t.Fatalf("a point inside every strip touches %d of them, want %d", len(got), n)
 	}
 }
 

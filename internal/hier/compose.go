@@ -201,7 +201,7 @@ func (e *Engine) connect(st *genState, c *carry) error {
 	for _, pr := range st.pairs {
 		st.unite(uf, pr.u, pr.v, pr.t)
 	}
-	st.link(uf, total)
+	st.link(uf)
 	return nil
 }
 
@@ -234,7 +234,7 @@ func (st *genState) unite(uf *geom.UnionFind, u, v int32, t *template) {
 
 // link closes a connectivity compose: the deferred joins, then the
 // dense renumbering of the total nodes.
-func (st *genState) link(uf *geom.UnionFind, total int) {
+func (st *genState) link(uf *geom.UnionFind) {
 	// deferred joins, resolved in placement context. Both-sides-found
 	// joins union; others drop, matching the flat solver.
 	occs := st.occs
@@ -251,25 +251,11 @@ func (st *genState) link(uf *geom.UnionFind, total int) {
 
 	// Dense renumbering: first appearance in global fragment order. The
 	// flat solver numbers by first fragment over its occurrence-major
-	// fragment list; iterating the nodes in order — occurrences in global
-	// order, each over its local net ids (themselves
+	// fragment list; numbering the nodes in order — occurrences in
+	// global order, each over its local net ids (themselves
 	// first-fragment-ordered) — visits every class exactly at its first
 	// flat fragment, so the two orders agree.
-	netOf := make([]int32, total)
-	rootID := make([]int32, total)
-	for i := range rootID {
-		rootID[i] = -1
-	}
-	n := 0
-	for node := range netOf {
-		r := uf.Find(node)
-		if rootID[r] < 0 {
-			rootID[r] = int32(n)
-			n++
-		}
-		netOf[node] = rootID[r]
-	}
-	st.netOf, st.netCount = netOf, n
+	st.netOf, st.netCount = uf.Dense()
 }
 
 // discover records the run's interacting pairs in (u, v) order, u < v.

@@ -175,6 +175,6 @@ func (e *Engine) lattice(top *core.Cell) (*genState, error) {
 			st.unite(uf, int32(u), int32(v), tmpls[k])
 		}
 	}
-	st.link(uf, total)
+	st.link(uf)
 	return st, nil
 }

@@ -628,21 +628,17 @@ func (rf *Reference) stitch(c *core.Cell, old *refEntry) *refEntry {
 		first += in.Nx * in.Ny
 	}
 	if len(c.Instances) > 1 {
-		ix := e.index()
-		for u, cu := range e.copies {
-			ix.QueryRect(ix.RectOf(u), func(v int) bool {
-				cv := e.copies[v]
-				if v <= u || cv.inst == cu.inst {
-					return true
-				}
-				d := cv.tr.D.Sub(cu.tr.D)
-				k := tmplKey{u: e.subs[cu.inst], v: e.subs[cv.inst], ou: cu.tr.O, ov: cv.tr.O, dx: d.X, dy: d.Y}
-				for _, un := range rf.template(e.tmpl, carry, k) {
-					uf.Union(int(cu.base+un[0]), int(cv.base+un[1]))
-				}
-				return true
-			})
-		}
+		e.index().Pairs(0, func(u, v int) {
+			cu, cv := e.copies[u], e.copies[v]
+			if cv.inst == cu.inst {
+				return
+			}
+			d := cv.tr.D.Sub(cu.tr.D)
+			k := tmplKey{u: e.subs[cu.inst], v: e.subs[cv.inst], ou: cu.tr.O, ov: cv.tr.O, dx: d.X, dy: d.Y}
+			for _, un := range rf.template(e.tmpl, carry, k) {
+				uf.Union(int(cu.base+un[0]), int(cv.base+un[1]))
+			}
+		})
 	}
 	e.dense, e.nets = renumber(uf, total, e.devices)
 	return e
