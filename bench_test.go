@@ -263,6 +263,29 @@ func BenchmarkFig10FullChip(b *testing.B) {
 	b.ReportMetric(float64(cst.PadCount), "pads")
 }
 
+// BenchmarkFig10Signoff is the in-process twin of riotbench's
+// assemble_fig10 op without its CIF export: each op builds one
+// figure-10 chip, the stretched and the routed variant in turn, opens
+// a fresh Session over its design, and signs the chip off with LVS and
+// the full verify (extract + DRC), both of which must come back clean.
+func BenchmarkFig10Signoff(b *testing.B) {
+	variants := []filter.Variant{filter.Stretched, filter.Routed}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d, chip, _, err := filter.BuildChip(variants[i%len(variants)])
+		mustNil(b, err)
+		s := newBenchSession(b)
+		s.Shell.Design = d
+		res, err := s.CheckLVS(chip.Name)
+		mustNil(b, err)
+		rep, err := s.VerifyCell(chip.Name)
+		mustNil(b, err)
+		if !res.Clean || !rep.Clean() {
+			b.Fatalf("%v chip not clean: LVS %v, verify %v", variants[i%len(variants)], res.Mismatches, rep.Violations)
+		}
+	}
+}
+
 // ---- Ablation: one-to-many vs the wrapper-cell workaround ----
 
 func BenchmarkOneToManyDirect(b *testing.B) {

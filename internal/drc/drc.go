@@ -16,7 +16,10 @@
 //     region pinches down — is reported. The computation runs in
 //     doubled coordinates so features at exactly the minimum width
 //     survive the erode/dilate round trip without degenerate
-//     rectangles.
+//     rectangles. The merge, the opening's two complements and the
+//     final difference share one band sweep whose buffers persist
+//     across bands and steps; no band allocates, sorts or hashes
+//     (region.go).
 //
 //   - Minimum spacing. Disconnected same-layer components closer than
 //     the rule are reported; candidate pairs come from the layer's
@@ -179,15 +182,14 @@ func WidthResidues(rects []geom.Rect, minW int) []geom.Rect {
 	if minW <= 0 {
 		return nil
 	}
-	doubled := make([]geom.Rect, 0, len(rects))
-	for _, r := range rects {
-		r = r.Canon()
-		if r.Empty() {
-			continue // zero-area material carries no width
-		}
-		doubled = append(doubled, geom.R(2*r.Min.X, 2*r.Min.Y, 2*r.Max.X, 2*r.Max.Y))
+	// the merge canonicalizes and drops zero-area material, which
+	// carries no width
+	doubled := make([]geom.Rect, len(rects))
+	for i, r := range rects {
+		doubled[i] = geom.Rect{Min: r.Min.Scale(2), Max: r.Max.Scale(2)}
 	}
-	region := MergeRegion(doubled)
+	var sw sweep // one set of sweep buffers serves every step
+	region := sw.merge(doubled)
 	if len(region) == 0 {
 		return nil
 	}
@@ -195,11 +197,9 @@ func WidthResidues(rects []geom.Rect, minW int) []geom.Rect {
 	side := 2*minW - 1
 	d1, d2 := minW-1, minW
 	frame := bbox(region).Inset(-2 * side)
-	comp := regionComplement(region, frame)
-	compDilated := regionDilate(comp, d2, d1) // Minkowski sum with reflected B
-	eroded := regionComplement(compDilated, frame)
-	opened := regionDilate(eroded, d1, d2)
-	return SubtractRegion(region, opened)
+	compDilated := regionDilate(sw.complement(region, frame), d2, d1) // Minkowski sum with reflected B
+	opened := regionDilate(sw.complement(compDilated, frame), d1, d2)
+	return sw.subtract(region, opened)
 }
 
 // WidthViolationFrom renders one doubled-coordinate residue slab as a

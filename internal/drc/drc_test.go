@@ -322,13 +322,17 @@ func TestDeterministicOrder(t *testing.T) {
 // checker against the definition: a point of the region violates
 // minimum width exactly when no minW x minW square containing it fits
 // inside the region. The reference rasterizes the region in doubled
-// coordinates and slides every square position with prefix sums.
+// coordinates and slides every square position with prefix sums. The
+// last four trials hold 40 rectangles each.
 func TestWidthFuzzAgainstRaster(t *testing.T) {
 	rng := rand.New(rand.NewSource(1982))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 64; trial++ {
 		span := 12 + rng.Intn(18)
 		minW := 2 + rng.Intn(4)
 		n := 1 + rng.Intn(8)
+		if trial >= 60 {
+			n = 40
+		}
 		rects := make([]geom.Rect, n)
 		for i := range rects {
 			x, y := rng.Intn(span), rng.Intn(span)

@@ -2,6 +2,7 @@ package drc
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"riot/internal/core"
@@ -83,5 +84,67 @@ func BenchmarkDRCOverlappingStrips(b *testing.B) {
 		if vs := CheckLayer(geom.NM, rects, rules.Of(geom.NM)); len(vs) != 1 || vs[0].Rule != RuleWidth {
 			b.Fatalf("want one width violation, got %v", vs)
 		}
+	}
+}
+
+// BenchmarkWidthResidues times the width kernel alone on fixed inputs:
+// every layer's material within two interaction radii (4 minimum
+// widths) of the centre copy and of an edge copy of a 3x3 SRCELL
+// array, the scale of a width window's clip in the hier engine, and a
+// 1000-rectangle seeded soup, whose bands are crossed by about 25
+// rectangles each.
+func BenchmarkWidthResidues(b *testing.B) {
+	type input struct {
+		rects []geom.Rect
+		minW  int
+	}
+	top := benchArray(b, 3)
+	fr, err := flatten.Cell(top)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arr := top.Instances[0]
+	window := func(i, j int) []input {
+		box := arr.CopyTransform(i, j).ApplyRect(arr.Cell.BBox())
+		var out []input
+		for _, l := range checkedLayers(fr) {
+			minW := rules.Of(l).MinWidth * rules.Lambda
+			clip := box.Inset(-4 * minW)
+			var rs []geom.Rect
+			for _, r := range fr.LayerRects(l) {
+				if c := r.Canon().Intersect(clip); !c.Empty() {
+					rs = append(rs, c)
+				}
+			}
+			if minW > 0 && len(rs) > 0 {
+				out = append(out, input{rs, minW})
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(1982))
+	soup := make([]geom.Rect, 1000)
+	for i := range soup {
+		x, y := rng.Intn(200*L), rng.Intn(200*L)
+		soup[i] = geom.R(x, y, x+L+rng.Intn(8*L), y+L+rng.Intn(8*L))
+	}
+	for _, c := range []struct {
+		name string
+		in   []input
+	}{
+		{"tile/centre", window(1, 1)},
+		{"tile/edge", window(0, 1)},
+		{"soup1000", []input{{soup, 3 * L}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			slabs := 0
+			for i := 0; i < b.N; i++ {
+				for _, in := range c.in {
+					slabs += len(WidthResidues(in.rects, in.minW))
+				}
+			}
+			b.ReportMetric(float64(slabs)/float64(b.N), "residues/op")
+		})
 	}
 }
