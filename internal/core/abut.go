@@ -20,59 +20,59 @@ import (
 //     common pair of connectors" (the shared power-rail trick).
 //
 // The pending list is consumed. Warnings report connections the final
-// position does not satisfy.
+// position does not satisfy. An abutment that fails moves nothing and
+// keeps the pending list.
 func (e *Editor) Abut(overlap bool) ([]string, error) {
 	e.touch()
 	from, conns, err := e.pendingFrom()
 	if err != nil {
 		return nil, err
 	}
-	warns, err := e.abut(from, conns, overlap)
-	if err == nil {
-		e.declareLinks(conns)
+	t, warns, err := abutShift(from, conns, overlap)
+	if err != nil {
+		return nil, err
 	}
-	return warns, err
+	e.MoveInstance(from, t)
+	e.made(conns)
+	return warns, nil
 }
 
-func (e *Editor) abut(from *Instance, conns []Connection, overlap bool) ([]string, error) {
-	var warnings []string
-
+// abutShift returns the translation that abuts from as conns ask, and
+// a warning for each connector link it leaves unmade. It resolves every
+// linked connector once, before anything moves: a translated
+// connector sits at its old point plus the translation.
+func abutShift(from *Instance, conns []Connection, overlap bool) (geom.Point, []string, error) {
 	// split connector links from pure abut links
-	var linked []Connection
+	var linked []connPair
 	for _, c := range conns {
-		if c.FromConn != "" {
-			linked = append(linked, c)
+		if c.FromConn == "" {
+			continue
 		}
+		fc, err := from.Connector(c.FromConn)
+		if err != nil {
+			return geom.Point{}, nil, err
+		}
+		tc, err := c.To.Connector(c.ToConn)
+		if err != nil {
+			return geom.Point{}, nil, err
+		}
+		linked = append(linked, connPair{fc, tc})
 	}
 
 	var t geom.Point
 	switch {
 	case len(linked) > 0 && overlap:
-		fc, err := from.Connector(linked[0].FromConn)
-		if err != nil {
-			return nil, err
-		}
-		tc, err := linked[0].To.Connector(linked[0].ToConn)
-		if err != nil {
-			return nil, err
-		}
-		t = tc.At.Sub(fc.At)
+		t = linked[0].tc.At.Sub(linked[0].fc.At)
 
 	case len(linked) > 0:
-		fc, err := from.Connector(linked[0].FromConn)
-		if err != nil {
-			return nil, err
-		}
-		tc, err := linked[0].To.Connector(linked[0].ToConn)
-		if err != nil {
-			return nil, err
-		}
+		fc, tc := linked[0].fc, linked[0].tc
 		// primary axis: the from connector's edge touches the to
 		// instance's opposing edge; perpendicular axis: the first
 		// connector pair aligns.
-		t, err = edgeTouch(from, linked[0].To, fc.Side)
+		var err error
+		t, err = edgeTouch(from, tc.Inst, fc.Side)
 		if err != nil {
-			return nil, err
+			return geom.Point{}, nil, err
 		}
 		if fc.Side.Horizontal() {
 			t.Y = tc.At.Y - fc.At.Y
@@ -85,12 +85,12 @@ func (e *Editor) abut(from *Instance, conns []Connection, overlap bool) ([]strin
 		to := conns[0].To
 		side := facingSide(from.BBox(), to.BBox())
 		if side == geom.SideNone {
-			return nil, fmt.Errorf("core: %q and %q coincide; move one before abutting", from.Name, to.Name)
+			return geom.Point{}, nil, fmt.Errorf("core: %q and %q coincide; move one before abutting", from.Name, to.Name)
 		}
 		var err error
 		t, err = edgeTouch(from, to, side)
 		if err != nil {
-			return nil, err
+			return geom.Point{}, nil, err
 		}
 		fb, tb := from.BBox(), to.BBox()
 		if side.Horizontal() {
@@ -100,26 +100,17 @@ func (e *Editor) abut(from *Instance, conns []Connection, overlap bool) ([]strin
 		}
 	}
 
-	e.MoveInstance(from, t)
-
 	// verify every requested connection; "if the connections cannot be
 	// made by the abutment, a warning message is produced."
-	for _, c := range linked {
-		fc, err := from.Connector(c.FromConn)
-		if err != nil {
-			return nil, err
-		}
-		tc, err := c.To.Connector(c.ToConn)
-		if err != nil {
-			return nil, err
-		}
-		if fc.At != tc.At {
+	var warnings []string
+	for _, p := range linked {
+		if at := p.fc.At.Add(t); at != p.tc.At {
 			warnings = append(warnings, fmt.Sprintf(
 				"connection %s.%s -> %s.%s not made by the abutment (off by %v)",
-				from.Name, c.FromConn, c.To.Name, c.ToConn, tc.At.Sub(fc.At)))
+				from.Name, p.fc.Name, p.tc.Inst.Name, p.tc.Name, p.tc.At.Sub(at)))
 		}
 	}
-	return warnings, nil
+	return t, warnings, nil
 }
 
 // edgeTouch computes the translation that brings the given edge of

@@ -141,6 +141,15 @@ func (d *Design) RenameCell(oldName, newName string) error {
 	return nil
 }
 
+// keepNames undoes the names GenName issued since the counter stood
+// at mark when *err is set: deferred by a command that generates a
+// cell, so a command that fails consumes no name.
+func (d *Design) keepNames(mark int, err *error) {
+	if *err != nil {
+		d.next = mark
+	}
+}
+
 // GenName produces a fresh cell name with the given prefix; Riot uses
 // it to name the route and stretch cells it creates.
 func (d *Design) GenName(prefix string) string {

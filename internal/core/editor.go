@@ -232,9 +232,10 @@ func (e *Editor) CreateInstance(cellName, instName string, tr geom.Transform, nx
 	if ny > 1 && sy == 0 {
 		sy = cb.H()
 	}
+	next := e.nextInst
 	if instName == "" {
-		e.nextInst++
-		instName = fmt.Sprintf("%s_%d", cellName, e.nextInst)
+		next++
+		instName = fmt.Sprintf("%s_%d", cellName, next)
 	}
 	if _, dup := e.byName[instName]; dup {
 		return nil, fmt.Errorf("core: instance name %q already used in %q", instName, e.Cell.Name)
@@ -243,6 +244,7 @@ func (e *Editor) CreateInstance(cellName, instName string, tr geom.Transform, nx
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	e.nextInst = next
 	e.touch()
 	e.Cell.Instances = append(e.Cell.Instances, in)
 	e.nameAdded(in)
@@ -301,9 +303,13 @@ func (e *Editor) Declare(from *Instance, fromConn string, to *Instance, toConn s
 	return nil
 }
 
-// declareLinks retains the connector links of an executed connection
-// command (pure abut links carry no connector intent and are skipped).
-func (e *Editor) declareLinks(conns []Connection) {
+// made closes a connection command that succeeded: "after the
+// connection specification command, the logical connection information
+// is thrown out", so the pending list clears, and the command's
+// connector links are retained as declared intent (pure abut links
+// carry none and are skipped).
+func (e *Editor) made(conns []Connection) {
+	e.Pending = nil
 	for _, c := range conns {
 		if c.FromConn != "" {
 			e.Declared = append(e.Declared, c)
@@ -336,7 +342,8 @@ func (e *Editor) OrientInstance(in *Instance, o geom.Orient) {
 	e.touch()
 }
 
-// Replicate sets an instance's array replication.
+// Replicate sets an instance's array replication. Replication that
+// does not validate leaves the instance as it was.
 func (e *Editor) Replicate(in *Instance, nx, ny, sx, sy int) error {
 	defer e.touch()
 	if nx < 1 {
@@ -352,8 +359,13 @@ func (e *Editor) Replicate(in *Instance, nx, ny, sx, sy int) error {
 	if ny > 1 && sy == 0 {
 		sy = cb.H()
 	}
+	next := *in
+	next.Nx, next.Ny, next.Sx, next.Sy = nx, ny, sx, sy
+	if err := next.Validate(); err != nil {
+		return err
+	}
 	in.Nx, in.Ny, in.Sx, in.Sy = nx, ny, sx, sy
-	return in.Validate()
+	return nil
 }
 
 // AddConnection appends a connector-to-connector link to the pending
@@ -463,18 +475,15 @@ func (e *Editor) DeleteConnection(i int) error {
 // ClearConnections empties the pending list.
 func (e *Editor) ClearConnections() { e.Pending = nil }
 
-// pendingFrom gathers the pending connections (all from one instance,
-// by the one-to-many rule) and clears the list: "after the connection
-// specification command, the logical connection information is thrown
-// out."
+// pendingFrom gathers the pending connections, all from one instance
+// by the one-to-many rule. The list stays until the command succeeds
+// (made): a connection command that fails leaves the design, the
+// pending list and the name counters as it found them.
 func (e *Editor) pendingFrom() (*Instance, []Connection, error) {
 	if len(e.Pending) == 0 {
 		return nil, nil, fmt.Errorf("core: the pending connection list is empty")
 	}
-	from := e.Pending[0].From
-	conns := e.Pending
-	e.Pending = nil
-	return from, conns, nil
+	return e.Pending[0].From, e.Pending, nil
 }
 
 // facingSide returns the side of box a that faces box b (by center

@@ -21,8 +21,10 @@ import (
 // facing the requested cell side. The generated straight-line route
 // cell reaches exactly to the current bounding-box edge, so the
 // brought-out connectors appear as connectors of the composition cell.
-func (e *Editor) BringOut(in *Instance, connNames []string, side geom.Side) (*Instance, error) {
+// A bring-out that fails changes nothing but the edit generation.
+func (e *Editor) BringOut(in *Instance, connNames []string, side geom.Side) (ri *Instance, err error) {
 	e.touch()
+	defer e.Design.keepNames(e.Design.next, &err)
 	if len(connNames) == 0 {
 		return nil, fmt.Errorf("core: BringOut needs at least one connector")
 	}
@@ -94,9 +96,6 @@ func (e *Editor) BringOut(in *Instance, connNames []string, side geom.Side) (*In
 	if err != nil {
 		return nil, err
 	}
-	if err := e.Design.AddCell(routeCell); err != nil {
-		return nil, err
-	}
 
 	// place the route with its floor on the instance edge, growing
 	// toward the cell edge — the floor side here is the instance's own
@@ -114,8 +113,6 @@ func (e *Editor) BringOut(in *Instance, connNames []string, side geom.Side) (*In
 	}
 	tr := channelTransform(side, base, edgeCoord)
 	routeInst := &Instance{Name: routeCell.Name, Cell: routeCell, Tr: tr, Nx: 1, Ny: 1}
-	e.Cell.Instances = append(e.Cell.Instances, routeInst)
-	e.nameAdded(routeInst)
 
 	// sanity: the route floor must meet the instance connectors
 	for i, ic := range ics {
@@ -128,5 +125,10 @@ func (e *Editor) BringOut(in *Instance, connNames []string, side geom.Side) (*In
 				i, bc.At, in.Name, ic.Name, ic.At)
 		}
 	}
+	if err := e.Design.AddCell(routeCell); err != nil {
+		return nil, err
+	}
+	e.Cell.Instances = append(e.Cell.Instances, routeInst)
+	e.nameAdded(routeInst)
 	return routeInst, nil
 }

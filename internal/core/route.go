@@ -35,9 +35,11 @@ type RouteResult struct {
 // moved to abut the other side of the river route instance, thereby
 // using the least amount of space possible for the route."
 //
-// The pending connection list is consumed.
-func (e *Editor) RouteConnect(opt RouteOptions) (*RouteResult, error) {
+// The pending connection list is consumed. A route that fails changes
+// nothing but the edit generation.
+func (e *Editor) RouteConnect(opt RouteOptions) (out *RouteResult, err error) {
 	e.touch()
+	defer e.Design.keepNames(e.Design.next, &err)
 	from, conns, err := e.pendingFrom()
 	if err != nil {
 		return nil, err
@@ -136,41 +138,29 @@ func (e *Editor) RouteConnect(opt RouteOptions) (*RouteResult, error) {
 		return nil, err
 	}
 
-	// register the route cell: "the routing cells made in Riot are
-	// treated just like other cells"
+	// the route cell: "the routing cells made in Riot are treated just
+	// like other cells"
 	routeCell, err := NewLeafFromSticks(res.Cell)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.Design.AddCell(routeCell); err != nil {
-		return nil, err
-	}
 	tr := channelTransform(toSide, base, edgeCoord)
 	routeInst := &Instance{Name: routeCell.Name, Cell: routeCell, Tr: tr, Nx: 1, Ny: 1}
-	e.Cell.Instances = append(e.Cell.Instances, routeInst)
-	e.nameAdded(routeInst)
 
-	out := &RouteResult{RouteInst: routeInst, River: res}
+	out = &RouteResult{RouteInst: routeInst, River: res}
 	if !opt.NoMove {
 		// move the from instance to abut the far side of the route:
-		// its first connector lands on the route's matching top
-		// connector
+		// its first connector (pairs[0] is terminal C0 after sorting)
+		// lands on the route's matching top connector
 		rc, err := routeInst.Connector("C0.t")
 		if err != nil {
 			return nil, err
 		}
-		// pairs[0] corresponds to terminal C0 after sorting
-		fc, err := from.Connector(pairs[0].fc.Name)
-		if err != nil {
-			return nil, err
-		}
-		d := rc.At.Sub(fc.At)
-		e.MoveInstance(from, d)
-		out.Moved = d
+		out.Moved = rc.At.Sub(pairs[0].fc.At)
 	}
 
-	// verify: every pair must now coincide with the route cell's
-	// connectors on both sides
+	// verify: every pair must coincide with the route cell's connectors
+	// on both sides once the from instance has moved
 	for i, p := range pairs {
 		bc, err := routeInst.Connector(fmt.Sprintf("C%d.b", i))
 		if err != nil {
@@ -185,17 +175,22 @@ func (e *Editor) RouteConnect(opt RouteOptions) (*RouteResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		fc, err := from.Connector(p.fc.Name)
-		if err != nil {
-			return nil, err
-		}
-		if tcTop.At != fc.At {
+		if fc := p.fc.At.Add(out.Moved); tcTop.At != fc {
 			out.Warnings = append(out.Warnings, fmt.Sprintf(
 				"route ceiling connector C%d does not meet %s.%s (off by %v)",
-				i, from.Name, p.fc.Name, fc.At.Sub(tcTop.At)))
+				i, from.Name, p.fc.Name, fc.Sub(tcTop.At)))
 		}
 	}
-	e.declareLinks(conns)
+
+	if err := e.Design.AddCell(routeCell); err != nil {
+		return nil, err
+	}
+	e.Cell.Instances = append(e.Cell.Instances, routeInst)
+	e.nameAdded(routeInst)
+	if !opt.NoMove {
+		e.MoveInstance(from, out.Moved)
+	}
+	e.made(conns)
 	return out, nil
 }
 

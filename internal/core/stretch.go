@@ -30,9 +30,11 @@ type StretchResult struct {
 // libraries "cannot be stretched by Riot and all connections to them
 // will have to be made by routing". After the stretch the instances
 // are abutted, completing the connection without routing. The pending
-// connection list is consumed.
-func (e *Editor) StretchConnect() (*StretchResult, error) {
+// connection list is consumed. A stretch that fails changes nothing
+// but the edit generation.
+func (e *Editor) StretchConnect() (res *StretchResult, err error) {
 	e.touch()
+	defer e.Design.keepNames(e.Design.next, &err)
 	from, conns, err := e.pendingFrom()
 	if err != nil {
 		return nil, err
@@ -146,27 +148,23 @@ func (e *Editor) StretchConnect() (*StretchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.Design.AddCell(newCell); err != nil {
-		return nil, err
-	}
 
-	// replace the instance's defining cell, keeping its placement
-	from.Cell = newCell
-
+	// replace the instance's defining cell, keeping its placement, and
 	// finish with an abutment so "the instances [are] abutted without
 	// routing"
-	res := &StretchResult{NewCell: newCell}
-	before := from.Tr.D
-	abutConns := make([]Connection, len(conns))
-	copy(abutConns, conns)
-	warnings, err := e.abut(from, abutConns, false)
+	next := *from
+	next.Cell = newCell
+	t, warnings, err := abutShift(&next, conns, false)
 	if err != nil {
 		return nil, err
 	}
-	res.Moved = from.Tr.D.Sub(before)
-	res.Warnings = warnings
-	e.declareLinks(conns)
-	return res, nil
+	if err := e.Design.AddCell(newCell); err != nil {
+		return nil, err
+	}
+	from.Cell = newCell
+	e.MoveInstance(from, t)
+	e.made(conns)
+	return &StretchResult{NewCell: newCell, Moved: t, Warnings: warnings}, nil
 }
 
 // baseConnName strips an array suffix from a connector name; stretch

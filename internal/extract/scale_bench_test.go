@@ -13,8 +13,8 @@ import (
 // same-layer touching pairs and point location) is timed up to 64x64;
 // the brute-force reference it replaced is timed only up to 16x16,
 // beyond which the quadratic algorithms are too slow to benchmark
-// honestly (the 16x16 brute case already runs ~300ms per op).
-// BENCH_extract.json records the trajectory.
+// honestly (the 16x16 brute case already runs ~300ms per op). Run it
+// with -bench BenchmarkExtractScale to regenerate the trajectory.
 func BenchmarkExtractScale(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
 		top := srArray(b, n, n)

@@ -37,9 +37,10 @@ type genState struct {
 
 // retained is the part of a composition the next generation of the
 // same frozen top carries (carry): the walked occurrences, the pairs
-// and the width composition. A published copy shares the state's
-// slices and is never written; the index, the net numbering and the
-// violations are not part of it, because every run recomputes them.
+// and the width windows. A published copy shares the state's slices
+// and is never written; the index, the net numbering, the residues and
+// the violations are not part of it, because every run recomputes
+// them.
 type retained struct {
 	occs []placed
 	// top is the frozen top cell the occurrences were walked from (nil
@@ -49,11 +50,9 @@ type retained struct {
 	first  []int
 	layers []geom.Layer
 	pairs  []pairRef
-	// wins and resid are the width composition per layer (indexed like
-	// layers): the interaction windows with residue pieces, and every
-	// occurrence's residues minus its windows.
-	wins  [][]window
-	resid []residue
+	// wins are the width interaction windows with residue pieces, per
+	// layer (indexed like layers).
+	wins [][]window
 }
 
 type pairRef struct {
@@ -71,13 +70,6 @@ type window struct {
 	rel  []geom.Rect
 }
 
-// residue is one layer's per-occurrence residue pieces in global
-// doubled coordinates: occurrence i's are pieces[lo[i]:lo[i+1]].
-type residue struct {
-	lo     []int32
-	pieces []geom.Rect
-}
-
 // carry is what one run takes over from a retained composition of the
 // same frozen top: where each surviving occurrence sits now, and the
 // material boxes the edit added or removed. A nil carry composes cold.
@@ -88,9 +80,6 @@ type carry struct {
 	// changed holds the old material box of every removed occurrence
 	// and the new one of every added occurrence.
 	changed []geom.Rect
-	// dirty marks the occurrences whose width-window set changed (an
-	// endpoint of a pair gained or lost); discover fills it.
-	dirty []bool
 }
 
 // added reports whether occurrence i is new this run. Cold, every
@@ -293,22 +282,17 @@ func (e *Engine) discover(st *genState, c *carry) error {
 
 	ps := fresh
 	if c != nil {
-		c.dirty = make([]bool, len(occs))
 		ps = make([]pairRef, 0, len(c.prev.pairs)+len(fresh))
 		for _, pr := range c.prev.pairs {
 			u, v := c.remap[pr.u], c.remap[pr.v]
-			switch {
-			case u >= 0 && v >= 0:
-				if u > v {
-					u, v = v, u
-					pr.t = e.template(occs[u].cert, occs[v].cert, occs[v].d.Sub(occs[u].d))
-				}
-				ps = append(ps, pairRef{u, v, pr.t})
-			case u >= 0:
-				c.dirty[u] = true
-			case v >= 0:
-				c.dirty[v] = true
+			if u < 0 || v < 0 {
+				continue
 			}
+			if u > v {
+				u, v = v, u
+				pr.t = e.template(occs[u].cert, occs[v].cert, occs[v].d.Sub(occs[u].d))
+			}
+			ps = append(ps, pairRef{u, v, pr.t})
 		}
 		sortPairs(ps)
 		// merge the fresh pairs in from the back, in place
@@ -320,9 +304,6 @@ func (e *Engine) discover(st *genState, c *carry) error {
 			} else {
 				ps[k], j = fresh[j], j-1
 			}
-		}
-		for _, pr := range fresh {
-			c.dirty[pr.u], c.dirty[pr.v] = true, true
 		}
 	}
 
@@ -435,12 +416,11 @@ func (e *Engine) check(st *genState, c *carry, sp *obs.Span) {
 // the slabs — and with them the violations — equal a flat run's.
 //
 // With a carry, a surviving pair's window keeps its pieces unless its
-// clip touches a changed material box (its occupant set may differ),
-// and a surviving occurrence keeps its residues minus windows unless
-// its window set changed. The per-layer merge reruns over everything.
+// clip touches a changed material box (its occupant set may differ).
+// Every occurrence's residues minus its windows and the per-layer merge
+// rerun over everything.
 func (e *Engine) composeWidth(st *genState, c *carry) {
 	st.wins = make([][]window, len(st.layers))
-	st.resid = make([]residue, len(st.layers))
 	stale := c.staleWindows(st)
 	for li, l := range st.layers {
 		minW := rules.Of(l).MinWidth * rules.Lambda
@@ -469,8 +449,6 @@ func (e *Engine) composeWidth(st *genState, c *carry) {
 			}
 		}
 		st.wins[li] = wins
-		res := e.residues(st, c, li, rho)
-		st.resid[li] = res
 
 		var pieces []geom.Rect
 		for _, w := range wins {
@@ -480,7 +458,7 @@ func (e *Engine) composeWidth(st *genState, c *carry) {
 				pieces = append(pieces, r.Translate(du2))
 			}
 		}
-		for _, r := range drc.MergeRegion(append(pieces, res.pieces...)) {
+		for _, r := range drc.MergeRegion(append(pieces, e.residues(st, li, rho)...)) {
 			st.violations = append(st.violations, drc.WidthViolationFrom(l, r, minW))
 		}
 	}
@@ -538,9 +516,8 @@ func (c *carry) staleWindows(st *genState) func(u, v int32, rho int) bool {
 // composition has foreign material within the interaction radius,
 // which puts it inside one of its occurrence's windows — subtracting
 // them (the windows' globally computed pieces are merged back in) is
-// exact. A surviving occurrence whose window set is unchanged copies
-// its retained pieces.
-func (e *Engine) residues(st *genState, c *carry, li, rho int) residue {
+// exact.
+func (e *Engine) residues(st *genState, li, rho int) []geom.Rect {
 	l := st.layers[li]
 	hasResid := false
 	for i := range st.occs {
@@ -550,14 +527,11 @@ func (e *Engine) residues(st *genState, c *carry, li, rho int) residue {
 		}
 	}
 	if !hasResid {
-		return residue{}
+		return nil
 	}
-	// an added occurrence always redoes: it has no retained pieces,
-	// whether or not it gained a pair
-	redo := func(i int32) bool { return c.added(int(i)) || c.dirty[i] }
 	winOf := map[int32][]geom.Rect{}
 	for _, pr := range st.pairs {
-		if !redo(pr.u) && !redo(pr.v) || !pr.t.widthNear[l] {
+		if !pr.t.widthNear[l] {
 			continue
 		}
 		win, _ := st.window(pr.u, pr.v, rho)
@@ -565,34 +539,27 @@ func (e *Engine) residues(st *genState, c *carry, li, rho int) residue {
 			continue
 		}
 		dwin := geom.R(2*win.Min.X, 2*win.Min.Y, 2*win.Max.X, 2*win.Max.Y)
-		for _, i := range [2]int32{pr.u, pr.v} {
-			if redo(i) {
-				winOf[i] = append(winOf[i], dwin)
-			}
-		}
+		winOf[pr.u] = append(winOf[pr.u], dwin)
+		winOf[pr.v] = append(winOf[pr.v], dwin)
 	}
-	res := residue{lo: make([]int32, len(st.occs)+1)}
+	var pieces []geom.Rect
 	for i := range st.occs {
-		if !redo(int32(i)) {
-			if old := c.prev.resid[li]; old.lo != nil {
-				o := c.back[i]
-				res.pieces = append(res.pieces, old.pieces[old.lo[o]:old.lo[o+1]]...)
-			}
-		} else if resid := st.occs[i].cert.D.Resid[l]; len(resid) > 0 {
-			d := st.occs[i].d
-			dd := geom.Pt(2*d.X, 2*d.Y)
-			translated := make([]geom.Rect, len(resid))
-			for k, r := range resid {
-				translated[k] = r.Translate(dd)
-			}
-			if ws := winOf[int32(i)]; len(ws) > 0 {
-				translated = drc.SubtractRegion(translated, drc.MergeRegion(ws))
-			}
-			res.pieces = append(res.pieces, translated...)
+		resid := st.occs[i].cert.D.Resid[l]
+		if len(resid) == 0 {
+			continue
 		}
-		res.lo[i+1] = int32(len(res.pieces))
+		d := st.occs[i].d
+		dd := geom.Pt(2*d.X, 2*d.Y)
+		translated := make([]geom.Rect, len(resid))
+		for k, r := range resid {
+			translated[k] = r.Translate(dd)
+		}
+		if ws := winOf[int32(i)]; len(ws) > 0 {
+			translated = drc.SubtractRegion(translated, drc.MergeRegion(ws))
+		}
+		pieces = append(pieces, translated...)
 	}
-	return res
+	return pieces
 }
 
 // windowPieces returns one width window's residue pieces in doubled

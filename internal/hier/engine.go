@@ -60,16 +60,13 @@
 //     misses the material box of every added occurrence (its new box)
 //     and every removed one (its old box): the pieces read only the
 //     material of occurrences whose box meets the clip, and that set
-//     is unchanged. A surviving occurrence that gained and lost no pair
-//     has an unchanged window set, so it keeps its residues minus
-//     windows; an added occurrence always subtracts its own, pairs or
-//     none.
+//     is unchanged.
 //   - What reads the whole design reruns every generation over the
-//     carried pairs, in integers: the union-find, the deferred joins
-//     and the dense renumbering (so a renumbering far from an edit
-//     stays exact), the spacing touch partition and its candidate
-//     checks, surround, the per-layer width merge and the final
-//     violation sort.
+//     carried pairs: the union-find, the deferred joins and the dense
+//     renumbering (so a renumbering far from an edit stays exact),
+//     every occurrence's residues minus its windows, the spacing touch
+//     partition and its candidate checks, surround, the per-layer
+//     width merge and the final violation sort.
 //
 // So a carried result is reused only where its read region misses
 // every added or removed occurrence's old and new material box, and

@@ -141,13 +141,19 @@ func Route(bottom, top []Terminal, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	// group by layer and check planarity (order preservation)
+	// group by layer, in order of first appearance, and check
+	// planarity (order preservation); layers share the track numbering,
+	// so their order must not be the map's
 	byLayer := map[geom.Layer][]*net{}
+	var layers []geom.Layer
 	for _, n := range nets {
+		if byLayer[n.layer] == nil {
+			layers = append(layers, n.layer)
+		}
 		byLayer[n.layer] = append(byLayer[n.layer], n)
 	}
-	for layer, group := range byLayer {
-		sorted := append([]*net(nil), group...)
+	for _, layer := range layers {
+		sorted := append([]*net(nil), byLayer[layer]...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].a < sorted[j].a })
 		for i := 1; i < len(sorted); i++ {
 			if sorted[i].a == sorted[i-1].a {
@@ -175,9 +181,9 @@ func Route(bottom, top []Terminal, opt Options) (*Result, error) {
 			pitch = p
 		}
 	}
-	for _, group := range byLayer {
+	for _, layer := range layers {
 		var rights, lefts []*net
-		for _, n := range group {
+		for _, n := range byLayer[layer] {
 			switch {
 			case n.b > n.a:
 				rights = append(rights, n)

@@ -2,6 +2,7 @@ package river
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -354,5 +355,22 @@ func TestExactHeightNegativeRejected(t *testing.T) {
 	res, err := Route(metalRow(0, 10), metalRow(0, 10), Options{ExactHeight: -4})
 	if err == nil {
 		t.Fatalf("negative forced height routed a %d-lambda-tall cell", res.Height)
+	}
+}
+
+// TestRouteMixedLayersDeterministic: the layers of one route share the
+// track numbering, so routing the same mixed-layer connections again
+// must build the same cell.
+func TestRouteMixedLayersDeterministic(t *testing.T) {
+	bottom := []Terminal{term("a", 0, geom.NM, 0), term("b", 10, geom.NP, 0), term("c", 20, geom.NM, 0)}
+	top := []Terminal{term("a", 30, geom.NM, 0), term("b", 40, geom.NP, 0), term("c", 50, geom.NM, 0)}
+	first, err := Route(bottom, top, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if res, err := Route(bottom, top, Options{}); err != nil || !reflect.DeepEqual(res, first) {
+			t.Fatalf("route %d differs from the first (%v)", i, err)
+		}
 	}
 }

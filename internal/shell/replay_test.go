@@ -1,9 +1,14 @@
 package shell
 
 import (
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"testing/fstest"
+
+	"riot/internal/compo"
+	"riot/internal/lib"
 )
 
 // narrowGate is the gate cell with its bottom connectors moved closer
@@ -187,5 +192,54 @@ func TestConnectionDestroyedByMove(t *testing.T) {
 	t1r, _ := a2.Connector("T1")
 	if b1r.At != t1r.At {
 		t.Error("prefix replay did not restore the connection")
+	}
+}
+
+// TestFailedCommandReplays: a command that fails (marked !) leaves the
+// instances, the pending list, the declared records, the cell menu and
+// both name counters as it found them, so the journal, which records
+// only the commands that succeed, replays to the same design.
+func TestFailedCommandReplays(t *testing.T) {
+	files, err := lib.Files()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(sh *Shell) string {
+		var b strings.Builder
+		if err := compo.Save(&b, sh.Design); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprint(&b, sh.Editor.Pending, sh.Editor.Declared)
+		return b.String()
+	}
+	for _, script := range []string{
+		// EDGE1 has no width: replicating it along x cannot validate
+		"READ pipep.sticks; READ srcell.sticks; EDIT TOP; CREATE PIPEP p AT 0 10; CREATE SRCELL s AT 0 0; CREATE SRCELL t AT 0 30; BRINGOUT p TOP B; !REPLICATE EDGE1 2 1; !CREATE EDGE1 ARRAY 2 1; CREATE PIPEP",
+		// c shows no GNDL once replicated: ABUT must fail before a moves
+		"READ srcell.sticks; EDIT TOP; CREATE SRCELL a AT 0 0; CREATE SRCELL b AT 40 0; CREATE SRCELL c AT 40 30; CONNECT a.PWRR b.PWRL; CONNECT a.GNDR c.GNDL; REPLICATE c 1 2; !ABUT",
+		// the gap does not fit the river route; ROUTE then still has its
+		// links and makes ROUTE1
+		"READ srcell.sticks; EDIT TOP; CREATE SRCELL a AT 0 0; CREATE SRCELL b AT 7 26; CONNECT b.PHI1B a.PHI1; CONNECT b.PHI2B a.PHI2; !ROUTE NOMOVE; ROUTE",
+	} {
+		envs := [2]*testEnv{newEnv(t), newEnv(t)}
+		for _, env := range envs {
+			maps.Copy(env.files, files)
+		}
+		for _, line := range strings.Split(script, "; ") {
+			cmd, fail := strings.CutPrefix(line, "!")
+			if err := envs[0].sh.Exec(cmd); (err != nil) != fail {
+				t.Fatalf("%s: %v", line, err)
+			}
+		}
+		if err := envs[0].sh.Exec("SAVEJOURNAL j"); err != nil {
+			t.Fatal(err)
+		}
+		envs[1].files["j"] = envs[0].files["j"]
+		if err := envs[1].sh.Exec("REPLAY j"); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := state(envs[0].sh), state(envs[1].sh); got != want {
+			t.Errorf("%s\nthe session:\n%s\nits replay:\n%s", script, got, want)
+		}
 	}
 }

@@ -170,41 +170,3 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		declinedFlat(t, v, hier.CondComposeBudget)
 	})
 }
-
-// TestVerifierFaultMatrixUnderEdits runs a short editing trace with
-// pend and poison faults both armed — the pend NAND declines the first
-// generations, the poisoned center the ones after the NAND's deletion,
-// and every generation's verdict must equal scratch.
-func TestVerifierFaultMatrixUnderEdits(t *testing.T) {
-	ed := gridEditor(t, 9)
-	nand, err := ed.CreateInstance("NAND", "n0",
-		geom.MakeTransform(geom.R0, geom.Pt(128*rules.Lambda, 0)), 1, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := &Verifier{Hier: true}
-	f := faultinject.New()
-	f.Enable(faultinject.CertPend, "NAND")
-	f.Enable(faultinject.TemplatePoison, "4")
-	v.InjectFaults(f)
-	for step := 0; step < 4; step++ {
-		faultCheck(t, v, ed)
-		want := hier.CondPend
-		if step >= 2 {
-			want = hier.CondPoison
-		}
-		declinedFlat(t, v, want)
-		if step == 1 {
-			if err := ed.DeleteInstance(nand); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ed.MoveInstance(ed.Cell.Instances[step], geom.Pt(rules.Lambda, 0))
-	}
-	if st := v.Stats(); st.Full != 4 {
-		t.Fatalf("every generation should run flat: %+v", st)
-	}
-	if f.Hits(faultinject.CertPend) == 0 || f.Hits(faultinject.TemplatePoison) == 0 {
-		t.Fatalf("faults armed but idle: %s", f)
-	}
-}

@@ -34,9 +34,9 @@ END
 // poisoned R90 centre cell and its undo, Replicate of an ARRAY below the
 // fast-path size, a nested composition edited through a second editor,
 // and an in-place leaf mutation announced with Editor.Invalidate. A
-// narrow-wire leaf beside the grid keeps width residues in the carried
-// state, so an isolated CREATE and a far MOVE of it (occurrences added
-// with no pairs) must compose their own residues, not read the carry's.
+// narrow-wire leaf beside the grid has width residues of its own, so an
+// isolated CREATE and a far MOVE of it (occurrences added with no pairs)
+// must still report them.
 func TestRetainedCompositionMatchesScratch(t *testing.T) {
 	const side = 4
 	d := core.NewDesign()

@@ -10,14 +10,14 @@
 // checks each distinct cell once and composes placements. A run on the
 // next snapshot of the same cell carries the engine's last
 // composition: only the pairs of added or removed placements are
-// discovered again, and only the width windows and residues within
-// their reach recompute. The walk over the placements, the net
-// union-find and renumbering, spacing, surround, the final merges and
-// the circuit materialization still rerun over the whole design, and a
-// live (unsnapshotted) cell, a changed layer set or a mutated leaf
-// composes cold. The circuit carries its labels as a table, one net per
-// label site (extract.Circuit.Sites), so a verify formats no label
-// name. Either way the report equals a from-scratch flat run — the
+// discovered again, and only the width windows within their reach
+// recompute. The walk over the placements, the net union-find and
+// renumbering, the width residues, spacing, surround, the final merges
+// and the circuit materialization still rerun over the whole design,
+// and a live (unsnapshotted) cell, a changed layer set or a mutated
+// leaf composes cold. The circuit carries its labels as a table, one
+// net per label site (extract.Circuit.Sites), so a verify formats no
+// label name. Either way the report equals a from-scratch flat run — the
 // engine is differential-tested against it — down to the circuit's
 // device order, flatten's walk order, which LVS aligns its reference
 // against.
