@@ -373,3 +373,72 @@ func TestWriteTopLevel(t *testing.T) {
 		t.Errorf("top level lost: %+v", f2.TopLevel)
 	}
 }
+
+// TestWriteElements pins the writer's text for every element kind: a
+// box with and without a direction, polygon, wire, round flash, a call
+// in all eight orientations and with a zero translation, a connector
+// with no layer, user extensions with and without text, and DS with a
+// scale.
+func TestWriteElements(t *testing.T) {
+	var calls []Element
+	for o := geom.R0; o <= geom.MXR270; o++ {
+		calls = append(calls, Call{SymbolID: 1, Transform: geom.MakeTransform(o, geom.Pt(-3, 4))})
+	}
+	calls = append(calls,
+		Call{SymbolID: 1, Transform: geom.Identity},
+		Call{SymbolID: 1, Transform: geom.MakeTransform(geom.R90, geom.Point{})})
+	f := &File{
+		Symbols: []*Symbol{
+			{ID: 1, A: 2, B: 3, Name: "LEAF", Elements: []Element{
+				Box{Layer: geom.NM, Length: 4, Width: 2, Center: geom.Pt(1, -1)},
+				Box{Layer: geom.NM, Length: 4, Width: 2, Center: geom.Pt(1, -1), Direction: geom.Pt(0, 1)},
+				Polygon{Layer: geom.NP, Points: []geom.Point{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 4, Y: 4}}},
+				Wire{Layer: geom.NP, Width: 2, Points: []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}}},
+				RoundFlash{Layer: geom.ND, Diameter: 6, Center: geom.Pt(3, 3)},
+				Connector{Name: "X", At: geom.Pt(1, 2)},
+				Connector{Name: "Y", At: geom.Pt(3, -4), Layer: geom.NM, Width: 2},
+				UserExt{Digit: 5},
+				UserExt{Digit: 7, Text: "hello world"},
+			}},
+			{ID: 2, Elements: calls},
+		},
+	}
+	want := `(CIF 2.0 written by riot);
+DS 1 2 3;
+9 LEAF;
+L NM;
+B 4 2 1 -1;
+B 4 2 1 -1 0 1;
+L NP;
+P 0 0 4 0 4 4;
+W 2 0 0 10 0;
+L ND;
+R 6 3 3;
+94 X 1 2 (none) 0;
+94 Y 3 -4 NM 2;
+5;
+7 hello world;
+DF;
+DS 2;
+C 1 T -3 4;
+C 1 R 0 1 T -3 4;
+C 1 R -1 0 T -3 4;
+C 1 R 0 -1 T -3 4;
+C 1 M X T -3 4;
+C 1 M X R 0 1 T -3 4;
+C 1 M X R -1 0 T -3 4;
+C 1 M X R 0 -1 T -3 4;
+C 1 T 0 0;
+C 1 R 0 1;
+DF;
+E
+`
+	var b strings.Builder
+	n, err := f.WriteTo(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != want || n != int64(len(want)) {
+		t.Errorf("wrote %d bytes:\n%s\nwant %d bytes:\n%s", n, got, len(want), want)
+	}
+}

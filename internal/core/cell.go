@@ -9,10 +9,20 @@
 // cells authored symbolically (Sticks, lambda units) are scaled on the
 // way in; their symbolic form is retained so the STRETCH operation can
 // re-solve them through the stick optimizer.
+//
+// Every cell memoizes its connector list, with an index by name
+// (connmemo.go), and every connector lookup in the package reads the
+// memo. A leaf's memo is valid while its Revision is; a composition's
+// while its revision, its ExtraConnectors, and each instance's
+// pointer, fields and child-cell memo are unchanged. The memo is never
+// handed out: Cell.Connectors returns a copy the caller owns, and
+// Instance.Connector and Cell.ConnectorByName resolve one name without
+// listing.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,12 +95,14 @@ type Cell struct {
 	sticksMu  sync.Mutex  // guards sticksCIF (leaves are shared across sessions)
 	sticksCIF *cif.Symbol // cached symbolic-to-CIF conversion
 
+	// memo is the published connector memo (connmemo.go).
+	memo atomic.Pointer[connMemo]
+
 	// rev is the cell's mutation revision, stamped from the global edit
 	// generation counter by the editor's touch paths (or MarkMutated for
-	// out-of-band changes). Snapshot builders and content signers read
-	// it to decide whether state memoized against this pointer is still
-	// current. Accessed atomically; a plain uint64 keeps the struct free
-	// of noCopy fields.
+	// out-of-band changes). Snapshot builders, content signers and the
+	// connector memo read it to decide whether state memoized against
+	// this pointer is still current. Accessed atomically.
 	rev uint64
 
 	// src, on a frozen snapshot clone, is the live cell the clone was
@@ -108,7 +120,9 @@ func (c *Cell) Revision() uint64 { return atomic.LoadUint64(&c.rev) }
 // MarkMutated stamps a fresh revision on the cell. Editors call it
 // implicitly on every mutation; callers that change a cell's payload
 // directly (tests, loaders rewriting geometry in place) must call it so
-// long-lived signers and snapshot builders notice.
+// long-lived signers and snapshot builders notice. A leaf whose payload
+// changes without it also keeps answering Connectors, ConnectorByName
+// and Instance.Connector from its stale connector memo.
 func (c *Cell) MarkMutated() { c.markRev(editorGen.Add(1)) }
 
 func (c *Cell) markRev(g uint64) { atomic.StoreUint64(&c.rev, g) }
@@ -193,90 +207,21 @@ func (c *Cell) BBox() geom.Rect {
 }
 
 // Connectors returns the cell's connectors in cell-local centimicron
-// coordinates. For a composition cell this implements cell finishing:
-// "a composition cell created by Riot includes those connectors from
-// its instances which lie on its bounding box", plus any connectors
-// added by bring-out routes.
+// coordinates, in a slice the caller owns. For a composition cell this
+// implements cell finishing: "a composition cell created by Riot
+// includes those connectors from its instances which lie on its
+// bounding box", plus any connectors added by bring-out routes. The
+// list comes from the cell's connector memo (see connmemo.go).
 func (c *Cell) Connectors() []Connector {
-	switch c.Kind {
-	case LeafCIF:
-		var out []Connector
-		for _, cn := range c.Symbol.Connectors() {
-			out = append(out, Connector{
-				Name:  cn.Name,
-				At:    cn.At,
-				Layer: cn.Layer,
-				Width: cn.Width,
-				Side:  geom.SideOf(c.CIFBox, cn.At),
-			})
-		}
-		return out
-	case LeafSticks:
-		u := c.Sticks.EffUnits()
-		out := make([]Connector, 0, len(c.Sticks.Connectors))
-		for _, cn := range c.Sticks.Connectors {
-			out = append(out, Connector{
-				Name:  cn.Name,
-				At:    geom.Pt(cn.At.X*u, cn.At.Y*u),
-				Layer: cn.Layer,
-				Width: cn.EffWidth() * u,
-				Side:  cn.Side,
-			})
-		}
-		return out
-	default:
-		return CompositionConnectors(c, func(_ int, in *Instance, dst []InstConn) []InstConn {
-			return in.PlaceConnectors(in.Cell.Connectors(), dst)
-		})
-	}
+	return slices.Clone(c.memoized().conns)
 }
 
-// CompositionConnectors assembles a composition's exported connectors:
-// every instance connector on the cell's bounding-box edge, deduped by
-// name, plus the explicit extras LabelHead keeps. place appends the
-// connectors of c.Instances[k] to the buffer it is given —
-// Cell.Connectors places from the defining cell's list; the LVS
-// reference places from the list its memoized entry of that cell
-// holds, since a cell's list only changes when the cell does.
-func CompositionConnectors(c *Cell, place func(k int, in *Instance, dst []InstConn) []InstConn) []Connector {
-	box := c.BBox()
-	var out []Connector
-	seen := map[string]bool{}
-	var ics []InstConn
-	for k, in := range c.Instances {
-		ics = place(k, in, ics[:0])
-		for _, ic := range ics {
-			side := geom.SideOf(box, ic.At)
-			if side == geom.SideNone {
-				continue
-			}
-			name := in.Name + "." + ic.Name
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			out = append(out, Connector{
-				Name:  name,
-				At:    ic.At,
-				Layer: ic.Layer,
-				Width: ic.Width,
-				Side:  side,
-			})
-		}
-	}
-	for _, cn := range LabelHead(c) {
-		cn.Side = geom.SideOf(box, cn.At)
-		out = append(out, cn)
-	}
-	return out
-}
-
-// ConnectorByName finds a cell connector.
+// ConnectorByName finds a cell connector: the first of its name in
+// Connectors order.
 func (c *Cell) ConnectorByName(name string) (Connector, bool) {
-	for _, cn := range c.Connectors() {
-		if cn.Name == name {
-			return cn, true
-		}
+	m := c.memoized()
+	if k := m.find(name, 0, 0, 1, 1); k >= 0 {
+		return m.conns[k], true
 	}
 	return Connector{}, false
 }

@@ -102,8 +102,10 @@ func stepRange(lo, hi, s, n int) (int, int) {
 
 // BBox returns the instance's bounding box in parent coordinates,
 // covering every array copy.
-func (in *Instance) BBox() geom.Rect {
-	cb := in.Cell.BBox()
+func (in *Instance) BBox() geom.Rect { return in.boxOf(in.Cell.BBox()) }
+
+// boxOf is the instance's box when its cell's box is cb.
+func (in *Instance) boxOf(cb geom.Rect) geom.Rect {
 	r := in.CopyTransform(0, 0).ApplyRect(cb)
 	if in.Nx > 1 || in.Ny > 1 {
 		r = r.Union(in.CopyTransform(in.Nx-1, in.Ny-1).ApplyRect(cb))
@@ -146,27 +148,25 @@ type InstConn struct {
 // array interiors (which connect copy-to-copy by abutment) stay
 // hidden.
 func (in *Instance) Connectors() []InstConn {
-	cellConns := in.Cell.Connectors()
-	return in.PlaceConnectors(cellConns, make([]InstConn, 0, len(cellConns)))
+	conns := in.Cell.memoized().conns
+	out := make([]InstConn, 0, len(conns))
+	in.Sites(conns, func(i, j, k int) {
+		out = append(out, in.place(&conns[k], arrayName(conns[k].Name, i, j, in.Nx, in.Ny), i, j))
+	})
+	return out
 }
 
-// PlaceConnectors appends the instance's visible connectors, placed
-// from cellConns (its defining cell's Connectors list), to dst: the one
-// placement rule behind Connectors, for callers that memoize the
-// cell's list.
-func (in *Instance) PlaceConnectors(cellConns []Connector, dst []InstConn) []InstConn {
-	in.Sites(cellConns, func(i, j, k int) {
-		cn := cellConns[k]
-		dst = append(dst, InstConn{
-			Inst:  in,
-			Name:  arrayName(cn.Name, i, j, in.Nx, in.Ny),
-			At:    in.CopyTransform(i, j).Apply(cn.At),
-			Layer: cn.Layer,
-			Width: cn.Width,
-			Side:  cn.Side.Transform(in.Tr.O),
-		})
-	})
-	return dst
+// place puts connector cn of the defining cell, under its array name,
+// at copy (i, j) in parent coordinates.
+func (in *Instance) place(cn *Connector, name string, i, j int) InstConn {
+	return InstConn{
+		Inst:  in,
+		Name:  name,
+		At:    in.CopyTransform(i, j).Apply(cn.At),
+		Layer: cn.Layer,
+		Width: cn.Width,
+		Side:  cn.Side.Transform(in.Tr.O),
+	}
 }
 
 // Sites calls fn(i, j, k) for every visible connector of the
@@ -237,11 +237,14 @@ func appendArrayName(b []byte, base string, i, j, nx, ny int) []byte {
 }
 
 // Connector resolves a (possibly array-indexed) connector name on the
-// instance.
+// instance: the name's array suffix picks the copy, and the defining
+// cell's memo finds the base name, which that copy must show. No list
+// is built.
 func (in *Instance) Connector(name string) (InstConn, error) {
-	for _, ic := range in.Connectors() {
-		if ic.Name == name {
-			return ic, nil
+	if base, i, j, ok := splitArrayName(name, in.Nx, in.Ny); ok {
+		m := in.Cell.memoized()
+		if k := m.find(base, i, j, in.Nx, in.Ny); k >= 0 {
+			return in.place(&m.conns[k], name, i, j), nil
 		}
 	}
 	return InstConn{}, fmt.Errorf("core: instance %s has no connector %q", in.Name, name)

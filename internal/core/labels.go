@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"slices"
-
-	"riot/internal/geom"
-)
+import "fmt"
 
 // Label sites. A cell's labels are the connector names a flatten of it
 // resolves to nets. Their sites, in walk order, are the connectors
@@ -22,19 +17,13 @@ import (
 // LabelHead returns the connectors that open c's label sites: a leaf's
 // own, or the extras a composition keeps and exports, dropping an
 // extra whose name an exported instance connector (one on the cell's
-// box edge) or an earlier extra holds.
+// box edge) or an earlier extra holds. The slice is the cell's
+// connector memo's; callers must not modify it.
 func LabelHead(c *Cell) []Connector {
-	if c.Kind != Composition {
-		return c.Connectors()
+	if c.Kind == Composition && len(c.ExtraConnectors) == 0 {
+		return nil
 	}
-	var out []Connector
-	for k, cn := range c.ExtraConnectors {
-		named := func(p Connector) bool { return p.Name == cn.Name }
-		if !slices.ContainsFunc(c.ExtraConnectors[:k], named) && !c.namesSite(cn.Name) {
-			out = append(out, cn)
-		}
-	}
-	return out
+	return c.memoized().head
 }
 
 // LabelMap names a label table of c's current sites: each resolved
@@ -53,7 +42,7 @@ func LabelMap(c *Cell, tab []int32) map[string]int {
 	}
 	var buf []byte
 	for _, in := range c.Instances {
-		conns := in.Cell.Connectors()
+		conns := in.Cell.memoized().conns
 		in.Sites(conns, func(i, j, k int) {
 			if n := tab[s]; n >= 0 {
 				buf = appendArrayName(append(append(buf[:0], in.Name...), '.'), conns[k].Name, i, j, in.Nx, in.Ny)
@@ -66,27 +55,4 @@ func LabelMap(c *Cell, tab []int32) map[string]int {
 		panic(fmt.Sprintf("core: a %d-site label table names %s's %d sites", len(tab), c.Name, s))
 	}
 	return m
-}
-
-// namesSite reports whether a visible connector of one of c's
-// instances, on c's box edge, carries the label name. Only instances
-// whose name prefixes it are walked, and no name is built.
-func (c *Cell) namesSite(name string) bool {
-	for _, in := range c.Instances {
-		n := len(in.Name)
-		if len(name) <= n || name[n] != '.' || name[:n] != in.Name {
-			continue
-		}
-		conns, found := in.Cell.Connectors(), false
-		var buf [64]byte
-		in.Sites(conns, func(i, j, k int) {
-			if !found && string(appendArrayName(buf[:0], conns[k].Name, i, j, in.Nx, in.Ny)) == name[n+1:] {
-				found = geom.SideOf(c.BBox(), in.CopyTransform(i, j).Apply(conns[k].At)) != geom.SideNone
-			}
-		})
-		if found {
-			return true
-		}
-	}
-	return false
 }

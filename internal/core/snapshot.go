@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Snapshot isolation.
 //
 // A server wants many readers (verifiers, plotters, other sessions)
@@ -26,6 +28,15 @@ package core
 //     (the LVS reference's, the hier engine's retained composition)
 //     keep hitting across generations exactly as they did against a
 //     live editor — also when other cells were snapshotted in between.
+//
+//   - A re-cloned cell looks up each live instance's previous clone by
+//     position first: the clone at the same index, when the same live
+//     instance sits there. Only when a position holds another instance
+//     (a delete or insert shifted the list) is a map from every previous
+//     live instance to its clone built, once per re-clone. Either way a
+//     clone is reused only while its cell clone, name and placement
+//     still match, and a new live instance (a delete plus re-create,
+//     even in the same place) gets a fresh clone.
 //
 // Clones carry src = the live cell they froze, surfaced as
 // Cell.Origin(), so caches can answer "is this the same design cell as
@@ -87,32 +98,40 @@ func (b *snapBuilder) cell(c *Cell) *Cell {
 			return rec.clone
 		}
 	}
-	var froze map[*Instance]*Instance
-	if had {
-		froze = make(map[*Instance]*Instance, len(rec.live))
-		for i, in := range rec.live {
-			froze[in] = rec.clone.Instances[i]
-		}
-	}
 	cl := &Cell{
 		Name:            c.Name,
 		Kind:            Composition,
 		SourceFile:      c.SourceFile,
-		ExtraConnectors: append([]Connector(nil), c.ExtraConnectors...),
+		ExtraConnectors: slices.Clone(c.ExtraConnectors),
+		Instances:       make([]*Instance, len(c.Instances)),
 		rev:             rev,
 		src:             c.Origin(),
 	}
-	for _, in := range c.Instances {
+	var froze map[*Instance]*Instance
+	for k, in := range c.Instances {
 		child := b.cell(in.Cell)
-		ni := froze[in]
+		var ni *Instance
+		switch {
+		case !had:
+		case k < len(rec.live) && rec.live[k] == in:
+			ni = rec.clone.Instances[k]
+		default:
+			if froze == nil {
+				froze = make(map[*Instance]*Instance, len(rec.live))
+				for i, in := range rec.live {
+					froze[in] = rec.clone.Instances[i]
+				}
+			}
+			ni = froze[in]
+		}
 		if ni == nil || ni.Cell != child || ni.Name != in.Name || ni.Tr != in.Tr ||
 			ni.Nx != in.Nx || ni.Ny != in.Ny || ni.Sx != in.Sx || ni.Sy != in.Sy {
 			ni = &Instance{Name: in.Name, Cell: child, Tr: in.Tr,
 				Nx: in.Nx, Ny: in.Ny, Sx: in.Sx, Sy: in.Sy}
 		}
-		cl.Instances = append(cl.Instances, ni)
+		cl.Instances[k] = ni
 	}
-	b.cur[c] = cloneRec{clone: cl, rev: rev, live: append([]*Instance(nil), c.Instances...)}
+	b.cur[c] = cloneRec{clone: cl, rev: rev, live: slices.Clone(c.Instances)}
 	return cl
 }
 

@@ -296,3 +296,67 @@ func TestSnapshotDeleteCellReleasesRecord(t *testing.T) {
 		t.Fatal("a later generation revived the deleted cell's clone record")
 	}
 }
+
+// TestSnapshotReuseAfterMiddleDelete pins the fallback of positional
+// clone reuse: deleting a middle instance shifts every later one to a
+// new index, and each of them, unchanged, keeps its clone pointer.
+func TestSnapshotReuseAfterMiddleDelete(t *testing.T) {
+	d, e := newEditor(t)
+	addLeaf(t, d, "L")
+	var ins []*Instance
+	for i := 0; i < 6; i++ {
+		in, err := e.CreateInstance("L", instName("x", i), geom.Translate(geom.Pt(20*L*i, 0)), 1, 1, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	s1 := e.Snapshot()
+	if err := e.DeleteInstance(ins[2]); err != nil {
+		t.Fatal(err)
+	}
+	s2 := e.Snapshot()
+	if len(s2.Cell.Instances) != 5 {
+		t.Fatalf("%d clone instances after the delete, want 5", len(s2.Cell.Instances))
+	}
+	for k, cl := range s2.Cell.Instances {
+		old := k
+		if k >= 2 {
+			old++
+		}
+		if cl != s1.Cell.Instances[old] {
+			t.Errorf("instance %s (index %d, was %d) lost its clone pointer", ins[old].Name, k, old)
+		}
+	}
+}
+
+// TestSnapshotRecreateGetsFreshClone pins that reuse follows the live
+// instance, not its fields: deleting an instance and creating one of
+// the same cell, name and place at the same index yields a new live
+// instance, which gets a fresh clone.
+func TestSnapshotRecreateGetsFreshClone(t *testing.T) {
+	d, e := newEditor(t)
+	addLeaf(t, d, "L")
+	if _, err := e.CreateInstance("L", "a", geom.Identity, 1, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	tr := geom.Translate(geom.Pt(40*L, 0))
+	b, err := e.CreateInstance("L", "b", tr, 1, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := e.Snapshot()
+	if err := e.DeleteInstance(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CreateInstance("L", "b", tr, 1, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	s2 := e.Snapshot()
+	if s2.Cell.Instances[1] == s1.Cell.Instances[1] {
+		t.Fatal("the re-created instance took the deleted instance's clone")
+	}
+	if s2.Cell.Instances[0] != s1.Cell.Instances[0] {
+		t.Fatal("the untouched instance lost its clone pointer")
+	}
+}

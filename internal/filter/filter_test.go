@@ -1,8 +1,12 @@
 package filter
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"testing"
 
+	"riot/internal/cif"
 	"riot/internal/core"
 	"riot/internal/geom"
 )
@@ -159,6 +163,56 @@ func TestBuildChipBothVariants(t *testing.T) {
 			t.Errorf("%v: only %d symbols exported", variant, len(f.Symbols))
 		}
 		_ = d
+	}
+}
+
+// TestChipCIFPinned pins the exported mask file of both figure-10
+// chips byte for byte: connector names and order, geometry and the
+// CIF writer's formatting all show in it.
+func TestChipCIFPinned(t *testing.T) {
+	for _, tc := range []struct {
+		variant Variant
+		size    int
+		sha     string
+	}{
+		{Stretched, 8249, "d909ef50641c5c86657cc82235c4b4ab3e151067f69aca1c50c66f6c3758a209"},
+		{Routed, 7275, "2f8d0ef2604049c6cedd575ff64a2b41109c7276fa7ed6e0033749632280e94a"},
+	} {
+		_, chip, _, err := BuildChip(tc.variant)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.variant, err)
+		}
+		f, err := core.ExportCIF(chip)
+		if err != nil {
+			t.Fatalf("%v: export: %v", tc.variant, err)
+		}
+		text := cif.String(f)
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); len(text) != tc.size || sum != tc.sha {
+			t.Errorf("%v chip exports %d bytes, sha256 %s; want %d bytes, sha256 %s", tc.variant, len(text), sum, tc.size, tc.sha)
+		}
+	}
+}
+
+// BenchmarkExportCIF converts each figure-10 chip to CIF and writes
+// it out, the export half of riotbench's assemble_fig10 op.
+func BenchmarkExportCIF(b *testing.B) {
+	for _, variant := range []Variant{Stretched, Routed} {
+		b.Run(variant.String(), func(b *testing.B) {
+			_, chip, _, err := BuildChip(variant)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := core.ExportCIF(chip)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.WriteTo(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -106,8 +106,9 @@ func (inc *Incremental) CheckCell(cell *core.Cell, v *verify.Verifier) (*Result,
 // compare derives the reference and compares the verifier's circuit
 // against it: the walk-order witness, else the flat comparison.
 func (inc *Incremental) compare(cell *core.Cell, declared []core.Connection, rep *verify.Report) (*Result, error) {
-	if rep.CircuitErr != nil {
-		return nil, fmt.Errorf("lvs: %s: layout extraction failed: %w", cell.Name, rep.CircuitErr)
+	ckt, err := rep.Netlist()
+	if err != nil {
+		return nil, fmt.Errorf("lvs: %s: layout extraction failed: %w", cell.Name, err)
 	}
 	rsp := inc.Trace.Begin("reference")
 	ref, leaves, err := inc.Ref.unnamed(cell, declared)
@@ -116,7 +117,7 @@ func (inc *Incremental) compare(cell *core.Cell, declared []core.Connection, rep
 		return nil, err
 	}
 	msp := inc.Trace.Begin("match")
-	res := inc.Ref.compare(cell, ref, leaves, rep.Circuit)
+	res := inc.Ref.compare(cell, ref, leaves, ckt)
 	msp.End()
 	inc.last = res
 	return res, nil

@@ -340,18 +340,16 @@ func (e *refEntry) index() *geom.Index {
 }
 
 // face derives a composition entry's parent-facing parts on first
-// read (a leaf's come with its entry): its connectors, placed from the
-// sub-entries' connector lists, each bound through netAt, and its
-// material extent, spanned from each instance's corner copies.
+// read (a leaf's come with its entry): its connectors, each bound
+// through netAt, and its material extent, spanned from each instance's
+// corner copies.
 func (e *refEntry) face() *refEntry {
 	if e.faced {
 		return e
 	}
 	e.faced = true
 	c := e.cell
-	e.conns = core.CompositionConnectors(c, func(ii int, in *core.Instance, dst []core.InstConn) []core.InstConn {
-		return in.PlaceConnectors(e.subs[ii].conns, dst)
-	})
+	e.conns = c.Connectors()
 	e.bind = make([]int32, len(e.conns))
 	for k, cn := range e.conns {
 		e.bind[k] = e.netAt(cn.At, cn.Layer)

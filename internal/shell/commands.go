@@ -761,10 +761,11 @@ func cmdExtract(s *Shell, args []string) error {
 	if err != nil {
 		return err
 	}
-	if rep.CircuitErr != nil {
-		return rep.CircuitErr
+	ckt, err := rep.Netlist()
+	if err != nil {
+		return err
 	}
-	ckt, target := rep.Circuit, cell
+	target := cell
 	if snap != nil {
 		target = snap.Cell
 	}

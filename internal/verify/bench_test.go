@@ -92,6 +92,30 @@ func BenchmarkIncrementalVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotNudge measures the snapshot behind every edit
+// verdict on n x n grids: per iteration, one mid-array cell moves by a
+// lambda and the editor freezes the new generation. The top cell
+// re-clones; every other instance keeps its clone.
+func BenchmarkSnapshotNudge(b *testing.B) {
+	for _, n := range []int{32, 128} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			e := benchGrid(b, n)
+			in := e.Cell.Instances[n*n/2+n/2]
+			e.Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := rules.Lambda
+				if i%2 == 1 {
+					d = -rules.Lambda
+				}
+				e.MoveInstance(in, geom.Pt(d, 0))
+				e.Snapshot()
+			}
+		})
+	}
+}
+
 // BenchmarkPoisonedVerify measures what a poisoned design costs: an
 // n x n grid of individually placed SRCELLs whose centre cell is
 // rotated R90 in place, burying gates under its neighbours' diffusion.

@@ -56,6 +56,13 @@ type Report struct {
 	Gen uint64
 }
 
+// Netlist returns the extracted circuit, or the error extraction
+// failed with: the Circuit and CircuitErr fields as one accessor,
+// which program code reads instead of the fields.
+func (r *Report) Netlist() (*extract.Circuit, error) {
+	return r.Circuit, r.CircuitErr
+}
+
 // Clean reports whether the design extracted successfully and checked
 // rule-clean.
 func (r *Report) Clean() bool {

@@ -266,10 +266,7 @@ func (s *Session) Extract(cellName string) (*Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rep.CircuitErr != nil {
-		return nil, rep.CircuitErr
-	}
-	return rep.Circuit, nil
+	return rep.Netlist()
 }
 
 // VerifyCell runs the full verification pipeline (extract + DRC) over
