@@ -176,14 +176,21 @@ func TestCacheWarmStart(t *testing.T) {
 	}
 }
 
-// TestReferenceTemplatesFlat pins that the LVS reference stitch of an
-// array is template-driven: a 16x16 and a 32x32 ARRAY derive the same
-// number of pair templates — one per touching neighbour offset of the
-// arrayed cell (E, N and both diagonals) — however many copies replay
-// them.
+// TestReferenceTemplatesFlat pins that the LVS reference of an array
+// is template-driven: every ARRAY derives one pair template per
+// touching neighbour offset of the arrayed cell (E, N and both
+// diagonals), however many copies it has. An 8x8 and a 12x12 array,
+// under the fast path's smallest side, stitch their copies, which
+// replay those templates; a 16x16 and a 32x32 array, which the fast
+// path composes, are settled by the template witness, and no copy pair
+// replays one.
 func TestReferenceTemplatesFlat(t *testing.T) {
 	t.Chdir(t.TempDir())
-	for _, n := range []string{"16", "32"} {
+	for _, tc := range []struct {
+		n        string
+		template bool
+	}{{"8", false}, {"12", false}, {"16", true}, {"32", true}} {
+		n := tc.n
 		script := "READ srcell.sticks; EDIT CHIP; CREATE SRCELL a ARRAY " + n + " " + n
 		code, out, _ := execRun(t, "-c", script, "-lvs", "CHIP", "-stats=json")
 		if code != exitOK {
@@ -193,8 +200,12 @@ func TestReferenceTemplatesFlat(t *testing.T) {
 		if got := counter(t, snap, "lvs", "ref_templates_built"); got != 4 {
 			t.Errorf("%sx%s: built %v reference templates, want 4:\n%s", n, n, got, out)
 		}
-		if got := counter(t, snap, "lvs", "ref_template_hits"); got == 0 {
-			t.Errorf("%sx%s: no copy pair replayed a template:\n%s", n, n, out)
+		hits, settled := counter(t, snap, "lvs", "ref_template_hits"), counter(t, snap, "lvs", "template_certified")
+		if tc.template && (hits != 0 || settled != 1) {
+			t.Errorf("%sx%s: %v copy pair(s) replayed a template, %v check(s) settled by template; want 0 and 1:\n%s", n, n, hits, settled, out)
+		}
+		if !tc.template && (hits == 0 || settled != 0) {
+			t.Errorf("%sx%s: %v copy pair(s) replayed a template, %v check(s) settled by template; want some and 0:\n%s", n, n, hits, settled, out)
 		}
 	}
 }

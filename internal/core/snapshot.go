@@ -54,7 +54,8 @@ type snapBuilder struct {
 type cloneRec struct {
 	clone *Cell
 	rev   uint64
-	live  []*Instance // the live instance each clone instance froze
+	live  []*Instance       // the live instance each clone instance froze
+	at    map[*Instance]int // where each declared record's instance sits in live
 }
 
 func newSnapBuilder(prev *snapBuilder) *snapBuilder {
@@ -162,30 +163,39 @@ func (d *Design) SnapshotCell(c *Cell) *Cell {
 }
 
 // snapshotEditor freezes an editor's cell plus its declared
-// connections, remapped onto the clone's instances.
+// connections, remapped onto the clone's instances. A named instance is
+// found where the last snapshot found it, else by a scan of the live
+// list; one the cell does not hold keeps its pointer.
 func (d *Design) snapshotEditor(c *Cell, declared []Connection) (*Cell, []Connection) {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
 	b := d.builder()
 	cl := b.cell(c)
-	var decl []Connection
-	if len(declared) > 0 {
-		rec := b.cur[c]
-		froze := make(map[*Instance]*Instance, len(rec.live))
-		for i, in := range rec.live {
-			froze[in] = cl.Instances[i]
-		}
-		decl = make([]Connection, 0, len(declared))
-		for _, cn := range declared {
-			if from, ok := froze[cn.From]; ok {
-				cn.From = from
-			}
-			if to, ok := froze[cn.To]; ok {
-				cn.To = to
-			}
-			decl = append(decl, cn)
-		}
+	if len(declared) == 0 {
+		return cl, nil
 	}
+	rec, last := b.cur[c], b.prev[c].at
+	at := make(map[*Instance]int, 2*len(declared))
+	clone := func(in *Instance) *Instance {
+		k, ok := at[in]
+		if !ok {
+			if k, ok = last[in]; !ok || k < 0 || k >= len(rec.live) || rec.live[k] != in {
+				k = slices.Index(rec.live, in)
+			}
+			at[in] = k
+		}
+		if k < 0 {
+			return in
+		}
+		return cl.Instances[k]
+	}
+	decl := make([]Connection, 0, len(declared))
+	for _, cn := range declared {
+		cn.From, cn.To = clone(cn.From), clone(cn.To)
+		decl = append(decl, cn)
+	}
+	rec.at = at
+	b.cur[c] = rec
 	return cl, decl
 }
 

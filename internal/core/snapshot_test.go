@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"riot/internal/geom"
@@ -359,4 +360,66 @@ func TestSnapshotRecreateGetsFreshClone(t *testing.T) {
 	if s2.Cell.Instances[0] != s1.Cell.Instances[0] {
 		t.Fatal("the untouched instance lost its clone pointer")
 	}
+}
+
+// TestSnapshotDeclaredRemapAfterShift pins the declared records' remap against a
+// brute-force one (every live instance mapped to the clone at its
+// index) across a nudge, deletes that shift the instance list ahead of
+// and behind the named instances, and a create, with one record naming
+// an instance the cell does not hold, which keeps its pointer.
+func TestSnapshotDeclaredRemapAfterShift(t *testing.T) {
+	d, e := newEditor(t)
+	leaf := addLeaf(t, d, "L")
+	var ins []*Instance
+	for i := 0; i < 8; i++ {
+		in, err := e.CreateInstance("L", instName("x", i), geom.Translate(geom.Pt(20*L*i, 0)), 1, 1, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	ghost := NewInstance("ghost", leaf, geom.Identity)
+	for _, r := range [][2]*Instance{{ins[1], ins[2]}, {ins[6], ins[7]}, {ins[3], ins[5]}, {ghost, ins[6]}} {
+		if err := e.Declare(r[0], "OUT", r[1], "IN"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		s := e.Snapshot()
+		froze := map[*Instance]*Instance{}
+		for i, in := range e.Cell.Instances {
+			froze[in] = s.Cell.Instances[i]
+		}
+		want := make([]Connection, 0, len(e.Declared))
+		for _, cn := range e.Declared {
+			if c, ok := froze[cn.From]; ok {
+				cn.From = c
+			}
+			if c, ok := froze[cn.To]; ok {
+				cn.To = c
+			}
+			want = append(want, cn)
+		}
+		if !slices.Equal(s.Declared, want) {
+			t.Errorf("%s: declared remap %v, want %v", step, s.Declared, want)
+		}
+	}
+	check("first")
+	e.MoveInstance(ins[4], geom.Pt(L, 0))
+	check("nudge")
+	if err := e.DeleteInstance(ins[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("delete ahead")
+	if _, err := e.CreateInstance("L", "y", geom.Translate(geom.Pt(0, 40*L)), 1, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("create")
+	if err := e.DeleteInstance(ins[4]); err != nil {
+		t.Fatal(err)
+	}
+	check("delete between")
+	e.MoveInstance(ins[7], geom.Pt(0, L))
+	check("nudge after the shift")
 }

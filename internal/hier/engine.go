@@ -306,8 +306,13 @@ type Result struct {
 	e   *Engine
 	top *core.Cell
 	gen *genState // nil on the fast path until Circuit materializes
+	lat *Lattice  // what a fast-path Circuit composed over
 	ckt *extract.Circuit
 }
+
+// Lattice reports what a fast-path verdict's circuit was composed over,
+// once Circuit has materialized it; nil for a general composition.
+func (r *Result) Lattice() *Lattice { return r.lat }
 
 // cert returns the certificate for one distinct (cell, orientation),
 // building it at most once per engine (and at most once per disk

@@ -49,6 +49,9 @@ import (
 //     material box holds a point, in ascending occurrence order: the
 //     index query's candidate set, in the order locate sorts it into.
 //
+// Result.Lattice exports what that composition read, from which LVS
+// settles the array's check without walking the copies.
+//
 // Declines (any violation, any spacing candidate, an offsets-check
 // failure, a lattice pend/poison decline) run the general path, which
 // composes the full array or declines it; any other lattice decline
@@ -130,15 +133,29 @@ func farthest(offs []core.Offset) int {
 	return n
 }
 
+// Lattice is what a fast-path circuit was composed over: the
+// certificate at every copy of the top's one leaf ARRAY instance, its
+// port nets (Cell.Connectors order, -1: no material), and each pairing
+// offset with its template's (copy net, copy+offset net) unions. With
+// no deferred joins, the circuit's nets are the closure of those
+// unions. Every slice is the engine's: read-only.
+type Lattice struct {
+	Inst    *core.Instance
+	Cert    *Cert
+	PortNet []int32
+	Offsets []core.Offset
+	Unions  [][][2]int32
+}
+
 // lattice composes a fast-path array's connectivity by lattice
 // arithmetic (see the fast-path doc): each pairing offset resolves its
 // template once, replayed over the copies in (u, v) order into the
-// shared union/join/renumber tail.
-func (e *Engine) lattice(top *core.Cell) (*genState, error) {
+// shared union/join/renumber tail, and returns the Lattice it read.
+func (e *Engine) lattice(top *core.Cell) (*genState, *Lattice, error) {
 	in := top.Instances[0]
 	ct, err := e.cert(in.Cell, in.Tr.O)
 	if err != nil {
-		return nil, &Decline{Cond: CondCertBuild, Placement: -1, Err: err}
+		return nil, nil, &Decline{Cond: CondCertBuild, Placement: -1, Err: err}
 	}
 	nx, ny := in.Nx, in.Ny
 	e.stats.CertMemoHits += nx*ny - 1 // every other copy reuses it, as a walk counts
@@ -149,7 +166,7 @@ func (e *Engine) lattice(top *core.Cell) (*genState, error) {
 	}
 	total, err := e.number(st)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st.layers = layersOf(st.occs[:1])
 	offs := in.PairOffsets(st.latBox, pairReach(st.layers))
@@ -157,6 +174,7 @@ func (e *Engine) lattice(top *core.Cell) (*genState, error) {
 		e.stats.PairsComposed += (nx - o.DI) * (ny - max(o.DJ, -o.DJ))
 	}
 	tmpls := make([]*template, len(offs))
+	lt := &Lattice{Inst: in, Cert: ct, PortNet: ct.portNet, Offsets: offs, Unions: make([][][2]int32, len(offs))}
 	uf := geom.NewUnionFind(total)
 	for u := range st.occs {
 		for k, o := range offs {
@@ -166,15 +184,16 @@ func (e *Engine) lattice(top *core.Cell) (*genState, error) {
 			v := u + o.DI*ny + o.DJ
 			if tmpls[k] == nil {
 				tmpls[k] = e.template(ct, ct, st.occs[v].d.Sub(st.occs[u].d))
+				lt.Unions[k] = tmpls[k].unions
 			} else {
 				e.stats.TemplateHits++
 			}
 			if err := e.poisoned(st, int32(u), int32(v), tmpls[k]); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			st.unite(uf, int32(u), int32(v), tmpls[k])
 		}
 	}
 	st.link(uf)
-	return st, nil
+	return st, lt, nil
 }

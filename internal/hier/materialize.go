@@ -26,7 +26,7 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 	if st == nil {
 		csp := r.e.Trace.Begin("compose")
 		var err error
-		st, err = r.e.lattice(r.top)
+		st, r.lat, err = r.e.lattice(r.top)
 		csp.End()
 		if err != nil {
 			// a decline this late is still a decline: counted, recorded

@@ -15,7 +15,9 @@
 package lib
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"riot/internal/cif"
 	"riot/internal/core"
@@ -327,8 +329,23 @@ func Install(d *core.Design) error {
 
 // Files renders the library as interchange files (name -> contents),
 // the form "taken from a library of CIF cells" — usable as a shell
-// file system.
+// file system. The library never changes, so it renders once per
+// process; each call returns a fresh map of fresh copies, which the
+// caller may write into without another caller seeing it.
 func Files() (map[string][]byte, error) {
+	files, err := rendered()
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]byte, len(files))
+	for name, data := range files {
+		out[name] = bytes.Clone(data)
+	}
+	return out, nil
+}
+
+// rendered is the one rendering of the library files behind Files.
+var rendered = sync.OnceValues(func() (map[string][]byte, error) {
 	out := map[string][]byte{}
 	out["pads.cif"] = []byte(cif.String(PadFile()))
 	for _, sc := range []*sticks.Cell{SRCell(), NAND(), OR4(),
@@ -339,7 +356,7 @@ func Files() (map[string][]byte, error) {
 		out[lowerName(sc.Name)+".sticks"] = []byte(sticks.String(sc))
 	}
 	return out, nil
-}
+})
 
 func lowerName(s string) string {
 	b := []byte(s)

@@ -148,6 +148,29 @@ func TestFilesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFilesAreCopies pins that the once-rendered library reaches each
+// caller as its own copy: a write into one call's map or an in-place
+// change to one of its files shows in no later call.
+func TestFilesAreCopies(t *testing.T) {
+	a, err := Files()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(a["srcell.sticks"])
+	a["srcell.sticks"][0] ^= 0xff
+	a["extra.sticks"] = []byte("x")
+	b, err := Files()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(b["srcell.sticks"]); got != want {
+		t.Errorf("a change to one call's file shows in the next call's")
+	}
+	if _, ok := b["extra.sticks"]; ok || len(b) != len(a)-1 {
+		t.Errorf("a write into one call's map shows in the next call's: %d files, want %d", len(b), len(a)-1)
+	}
+}
+
 func TestPipeFittingTurnsCorner(t *testing.T) {
 	p := PipeFitting("P", geom.NM, 4)
 	a, _ := p.ConnectorByName("A")

@@ -163,11 +163,13 @@ func arrayEditor(tb testing.TB, n int) *core.Editor {
 }
 
 // BenchmarkReferenceArray measures the reference derivation of a
-// single ARRAY instance as every sign-off session pays it: each
-// iteration is a fresh Reference, so the time is one standalone leaf
-// extraction plus the array stitch — the four neighbour templates
-// replayed by lattice arithmetic (no copy index), device copy,
-// union-find, renumbering, labels.
+// single ARRAY instance as a sign-off session pays it when the template
+// witness declines the array (no fast-path lattice: under 14 copies a
+// side, or not DRC-clean; or a check it cannot settle): each iteration
+// is a fresh Reference, so the time is one standalone leaf extraction
+// plus the array stitch — the four neighbour templates replayed by
+// lattice arithmetic (no copy index), device copy, union-find,
+// renumbering, labels.
 func BenchmarkReferenceArray(b *testing.B) {
 	for _, n := range []int{32, 128} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
@@ -189,6 +191,36 @@ func BenchmarkReferenceArray(b *testing.B) {
 				}
 				if got := rf.Stats().TemplatesBuilt; got != 4 {
 					b.Fatalf("built %d templates, want the 4 neighbour offsets of one arrayed cell", got)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkArrayLVS measures LVS alone on a single ARRAY instance, as a
+// sign-off session pays it after its verify: each iteration is a fresh
+// Incremental over the report the hier verifier already holds for the
+// snapshot, so the time is one standalone leaf extraction, the four
+// neighbour templates and the template witness, none of which grows
+// with the copies.
+func BenchmarkArrayLVS(b *testing.B) {
+	for _, n := range []int{32, 128} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			snap := arrayEditor(b, n).Snapshot()
+			v := &verify.Verifier{Hier: true}
+			if _, err := v.VerifySnapshot(snap); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inc := &Incremental{}
+				res, err := inc.CheckSnapshot(snap, v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Clean || inc.Ref.Stats().TemplateCertified != 1 {
+					b.Fatalf("clean %v, %d check(s) settled by template; want a clean template witness", res.Clean, inc.Ref.Stats().TemplateCertified)
 				}
 			}
 		})

@@ -29,6 +29,7 @@ import (
 //     and the walk-order witness over both device lists and both
 //     tables.
 //
+// A fast-path array's check reruns none of it (the template witness).
 // A check the witness settles formats no label name: only the flat
 // comparison names both tables. A leaf mutated in place, which
 // Editor.Invalidate or Cell.MarkMutated announce, re-derives its entry.
@@ -104,11 +105,17 @@ func (inc *Incremental) CheckCell(cell *core.Cell, v *verify.Verifier) (*Result,
 }
 
 // compare derives the reference and compares the verifier's circuit
-// against it: the walk-order witness, else the flat comparison.
+// against it: the template witness of a fast-path array, else the
+// stitched reference through the walk-order witness, else the flat
+// comparison.
 func (inc *Incremental) compare(cell *core.Cell, declared []core.Connection, rep *verify.Report) (*Result, error) {
 	ckt, err := rep.Netlist()
 	if err != nil {
 		return nil, fmt.Errorf("lvs: %s: layout extraction failed: %w", cell.Name, err)
+	}
+	if res := inc.arrayWitness(cell, declared, rep.Lattice(), ckt); res != nil {
+		inc.last = res
+		return res, nil
 	}
 	rsp := inc.Trace.Begin("reference")
 	ref, leaves, err := inc.Ref.unnamed(cell, declared)

@@ -68,6 +68,37 @@
 //     device list — compares flat whole; nothing certifies the parts
 //     that do align and matches only the rest.
 //
+// A uniform array skips the stitch and the walk (template_witness.go).
+// When the check has no declared records, the top holds one leaf ARRAY
+// instance and no extra connector, and the verifier's hier fast path
+// composed the circuit over a certificate with no deferred join and no
+// pending terminal (hier.Lattice), the template witness checks facts
+// that do not grow with the copies:
+//
+//  1. Leaf binding: the reference leaf entry and the certificate have
+//     one device count and one net count, device k has one kind on
+//     both sides, and gate, A and B bind into one bijection β that
+//     covers every net, so every leaf net carries a device.
+//  2. Ports: every connector k is bound on both sides, and β maps the
+//     leaf's bind[k] onto the certificate's port net k.
+//  3. Offsets: at every offset either side pairs copies at (the
+//     stitch's over port boxes, the lattice's over material boxes; none
+//     there: no unions), the reference template's unions mapped through
+//     β generate the lattice template's partition of two copies' 2N nets.
+//
+// Then the walk-order witness would hold, copy by copy, so the Result
+// is the one it returns. The closure of a union of relations equals the
+// closure of the union of their closures, and both sides apply each
+// offset at the same copy pairs, so equal per-offset partitions under β
+// make the two composed partitions isomorphic through (copy, r) ↦
+// (copy, β(r)). Both sides list devices copy-major in one order, so
+// device k of every copy binds each composed class to its image, and
+// both fill each copy's label sites from its port nets, so every site
+// is resolved on both sides onto an image pair. Every composed class
+// holds a net a device touches, so the walk would bind every class:
+// RefNets = LayNets = the circuit's net count. Any failed check hands
+// the comparison to the stitch and the walk, unchanged.
+//
 // Labels travel as tables on both sides: one net per label site, in
 // the order internal/core enumerates the sites. The witness compares
 // the two tables site by site and formats no name; names are built

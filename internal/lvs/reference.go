@@ -136,8 +136,8 @@ type tmplKey struct {
 }
 
 // RefStats is the reference memo's cumulative accounting: standalone
-// leaf extractions, pair templates, and the label names its
-// comparisons formatted.
+// leaf extractions, pair templates, the label names its comparisons
+// formatted, and the checks the template witness settled.
 type RefStats struct {
 	LeavesExtracted int // standalone leaf extractions (-stats "leaves_extracted")
 	TemplatesBuilt  int // pair templates derived
@@ -146,6 +146,9 @@ type RefStats struct {
 	// on either side: only a name-keyed (flat) comparison names its
 	// tables.
 	NamesFormatted int
+	// TemplateCertified counts the checks the template witness settled
+	// (-stats "template_certified"): arrays that no stitch derived.
+	TemplateCertified int
 }
 
 // Reference derives and memoizes reference netlists. The zero value is
@@ -170,6 +173,8 @@ type Reference struct {
 	lastID uint64
 	memo   map[*core.Cell]*refEntry
 	stats  RefStats
+	// arr holds the pair templates the last template witness read
+	arr map[tmplKey][][2]int32
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.

@@ -5,24 +5,24 @@ import (
 	"riot/internal/extract"
 )
 
-// The walk-order witness: the certified path of every check. The
-// reference copies each leaf entry's devices per copy in flatten's walk
-// order, and the layout — the hier engine's materialized circuit or the
-// scratch flat solve — emits one transistor per walked device, so a
-// layout that realizes the declared structure agrees with its reference
-// index by index. The walk binds nets into one bijection, kept as two
-// arrays: a reference net that lands on two layout nets (an open)
-// breaks reference→layout, two reference nets on one layout net (a
-// short) breaks layout→reference. The package doc gives the soundness
-// argument.
+// The walk-order witness: the certified path of every check the
+// template witness leaves. The reference copies each leaf entry's
+// devices per copy in flatten's walk order, and the layout — the hier
+// engine's materialized circuit or the scratch flat solve — emits one
+// transistor per walked device, so a layout that realizes the declared
+// structure agrees with its reference index by index. The walk binds
+// nets into one bijection, kept as two arrays: a reference net that
+// lands on two layout nets (an open) breaks reference→layout, two
+// reference nets on one layout net (a short) breaks layout→reference.
+// The package doc gives the soundness argument.
 
 // CertStats is one comparison's witness accounting. It is
 // deterministic per design (independent of memo warmth), so cached and
 // from-scratch runs produce identical Results.
 type CertStats struct {
 	// Occurrences counts the design's leaf occurrences; Certified is
-	// all of them when the walk-order witness settled the comparison,
-	// none otherwise.
+	// all of them when a witness settled the comparison, none
+	// otherwise.
 	Occurrences int
 	Certified   int
 	// Fallback reports that the flat comparison decided the verdict.

@@ -55,6 +55,7 @@ func (s *Shell) initRegistry() {
 			obs.N("ref_templates_built", rs.TemplatesBuilt),
 			obs.N("ref_template_hits", rs.TemplateHits),
 			obs.N("names_formatted", rs.NamesFormatted),
+			obs.N("template_certified", rs.TemplateCertified),
 		}
 		if last := s.LVS.Last(); last != nil {
 			ct := last.Cert

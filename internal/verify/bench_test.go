@@ -95,12 +95,26 @@ func BenchmarkIncrementalVerify(b *testing.B) {
 // BenchmarkSnapshotNudge measures the snapshot behind every edit
 // verdict on n x n grids: per iteration, one mid-array cell moves by a
 // lambda and the editor freezes the new generation. The top cell
-// re-clones; every other instance keeps its clone.
+// re-clones; every other instance keeps its clone. The declared cases
+// hold one declared record (c0.OUT to c1.IN), which every snapshot
+// remaps onto the clone.
 func BenchmarkSnapshotNudge(b *testing.B) {
-	for _, n := range []int{32, 128} {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+	for _, c := range []struct {
+		n        int
+		declared bool
+	}{{32, false}, {128, false}, {32, true}, {128, true}} {
+		n, name := c.n, fmt.Sprintf("%dx%d", c.n, c.n)
+		if c.declared {
+			name += "/declared"
+		}
+		b.Run(name, func(b *testing.B) {
 			e := benchGrid(b, n)
 			in := e.Cell.Instances[n*n/2+n/2]
+			if c.declared {
+				if err := e.Declare(e.Cell.Instances[0], "OUT", e.Cell.Instances[1], "IN"); err != nil {
+					b.Fatal(err)
+				}
+			}
 			e.Snapshot()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -43,7 +43,8 @@ import (
 	"riot/internal/obs"
 )
 
-// Report is the outcome of one whole-design verification.
+// Report is the outcome of one whole-design verification. One the
+// array fast path answered carries its lattice (Lattice) for LVS.
 type Report struct {
 	// Circuit is the extracted netlist, nil when extraction failed
 	// (CircuitErr says why — e.g. a transistor with a floating channel
@@ -54,7 +55,13 @@ type Report struct {
 	Violations []drc.Violation
 	// Gen is the editor generation the report describes.
 	Gen uint64
+
+	lattice *hier.Lattice
 }
+
+// Lattice returns the lattice the report's circuit was composed over
+// when the hierarchical engine's array fast path answered, else nil.
+func (r *Report) Lattice() *hier.Lattice { return r.lattice }
 
 // Netlist returns the extracted circuit, or the error extraction
 // failed with: the Circuit and CircuitErr fields as one accessor,
@@ -234,6 +241,7 @@ func (v *Verifier) runHier(cell *core.Cell, gen uint64) (*Report, bool) {
 		Circuit:    ckt,
 		Violations: res.Violations,
 		Gen:        gen,
+		lattice:    res.Lattice(),
 	}
 	return v.report, true
 }

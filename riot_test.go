@@ -17,6 +17,44 @@ func TestSessionLibraryFiles(t *testing.T) {
 	}
 }
 
+// TestSessionLibraryFilesIsolated pins that sessions share no library
+// file: a WRITE over one in one session, or an in-place change to the
+// bytes Session.File returned, leaves another session's file intact.
+func TestSessionLibraryFilesIsolated(t *testing.T) {
+	a, err := NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := func(s *Session, name string) string {
+		data, _ := s.File(name)
+		return string(data)
+	}
+	want, wantSR := file(b, "nand.sticks"), file(b, "srcell.sticks")
+	if err := a.ExecAll("READ srcell.sticks", "WRITE srcell.sticks"); err != nil {
+		t.Fatal(err)
+	}
+	if file(a, "srcell.sticks") == wantSR {
+		t.Fatal("WRITE left srcell.sticks as it was; the test needs it overwritten")
+	}
+	data, _ := a.File("nand.sticks")
+	for i := range data {
+		data[i] = ' '
+	}
+	if file(b, "nand.sticks") != want {
+		t.Error("an in-place change to one session's nand.sticks shows in another's")
+	}
+	if file(b, "srcell.sticks") != wantSR {
+		t.Error("a WRITE in one session replaced another's srcell.sticks")
+	}
+	if err := b.ExecAll("READ nand.sticks", "READ srcell.sticks"); err != nil {
+		t.Fatalf("another session's changes broke this one's library: %v", err)
+	}
+}
+
 func TestSessionQuickstartFlow(t *testing.T) {
 	s, err := NewSession(nil)
 	if err != nil {
