@@ -54,8 +54,7 @@ type snapBuilder struct {
 type cloneRec struct {
 	clone *Cell
 	rev   uint64
-	live  []*Instance       // the live instance each clone instance froze
-	at    map[*Instance]int // where each declared record's instance sits in live
+	live  []*Instance // the live instance each clone instance froze
 }
 
 func newSnapBuilder(prev *snapBuilder) *snapBuilder {
@@ -163,9 +162,9 @@ func (d *Design) SnapshotCell(c *Cell) *Cell {
 }
 
 // snapshotEditor freezes an editor's cell plus its declared
-// connections, remapped onto the clone's instances. A named instance is
-// found where the last snapshot found it, else by a scan of the live
-// list; one the cell does not hold keeps its pointer.
+// connections, remapped onto the clone's instances: each named
+// instance is found by a scan of the live list, and one the cell does
+// not hold keeps its pointer.
 func (d *Design) snapshotEditor(c *Cell, declared []Connection) (*Cell, []Connection) {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
@@ -174,28 +173,18 @@ func (d *Design) snapshotEditor(c *Cell, declared []Connection) (*Cell, []Connec
 	if len(declared) == 0 {
 		return cl, nil
 	}
-	rec, last := b.cur[c], b.prev[c].at
-	at := make(map[*Instance]int, 2*len(declared))
+	live := b.cur[c].live
 	clone := func(in *Instance) *Instance {
-		k, ok := at[in]
-		if !ok {
-			if k, ok = last[in]; !ok || k < 0 || k >= len(rec.live) || rec.live[k] != in {
-				k = slices.Index(rec.live, in)
-			}
-			at[in] = k
+		if k := slices.Index(live, in); k >= 0 {
+			return cl.Instances[k]
 		}
-		if k < 0 {
-			return in
-		}
-		return cl.Instances[k]
+		return in
 	}
 	decl := make([]Connection, 0, len(declared))
 	for _, cn := range declared {
 		cn.From, cn.To = clone(cn.From), clone(cn.To)
 		decl = append(decl, cn)
 	}
-	rec.at = at
-	b.cur[c] = rec
 	return cl, decl
 }
 

@@ -138,7 +138,9 @@ func farthest(offs []core.Offset) int {
 // port nets (Cell.Connectors order, -1: no material), and each pairing
 // offset with its template's (copy net, copy+offset net) unions. With
 // no deferred joins, the circuit's nets are the closure of those
-// unions. Every slice is the engine's: read-only.
+// unions. The certificate is never Pend (number declines one), and the
+// circuit lists its devices once per copy. Every slice is the engine's:
+// read-only.
 type Lattice struct {
 	Inst    *core.Instance
 	Cert    *Cert

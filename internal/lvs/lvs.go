@@ -71,9 +71,10 @@
 // A uniform array skips the stitch and the walk (template_witness.go).
 // When the check has no declared records, the top holds one leaf ARRAY
 // instance and no extra connector, and the verifier's hier fast path
-// composed the circuit over a certificate with no deferred join and no
-// pending terminal (hier.Lattice), the template witness checks facts
-// that do not grow with the copies:
+// composed the circuit over a certificate with no deferred join
+// (hier.Lattice; the fast path takes no certificate with a pending
+// terminal), the template witness checks facts that do not grow with
+// the copies:
 //
 //  1. Leaf binding: the reference leaf entry and the certificate have
 //     one device count and one net count, device k has one kind on

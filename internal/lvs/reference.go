@@ -148,6 +148,8 @@ type RefStats struct {
 	NamesFormatted int
 	// TemplateCertified counts the checks the template witness settled
 	// (-stats "template_certified"): arrays that no stitch derived.
+	// Each such check builds its own offset templates (TemplatesBuilt)
+	// and replays no copy pair (TemplateHits).
 	TemplateCertified int
 }
 
@@ -173,8 +175,6 @@ type Reference struct {
 	lastID uint64
 	memo   map[*core.Cell]*refEntry
 	stats  RefStats
-	// arr holds the pair templates the last template witness read
-	arr map[tmplKey][][2]int32
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.

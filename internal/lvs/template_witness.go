@@ -28,7 +28,7 @@ type arrayRef struct {
 // soundness argument.
 func (inc *Incremental) arrayWitness(c *core.Cell, declared []core.Connection, lat *hier.Lattice, ckt *extract.Circuit) *Result {
 	if len(declared) > 0 || lat == nil || len(c.Instances) != 1 || lat.Inst != c.Instances[0] ||
-		len(core.LabelHead(c)) > 0 || len(lat.Cert.X.Joins) > 0 || lat.Cert.X.Pend {
+		len(core.LabelHead(c)) > 0 || len(lat.Cert.X.Joins) > 0 {
 		return nil
 	}
 	rsp := inc.Trace.Begin("reference")
@@ -43,10 +43,8 @@ func (inc *Incremental) arrayWitness(c *core.Cell, declared []core.Connection, l
 }
 
 // arrayTemplates derives the leaf entry of in and one reference
-// template per stitch pairing offset. The templates carry over from the
-// previous template-witness check, and only those this one read are
-// kept. nil: the leaf failed to derive, or the Reference is busy (the
-// stitch reports either).
+// template per stitch pairing offset. nil: the leaf failed to derive,
+// or the Reference is busy (the stitch reports either).
 func (rf *Reference) arrayTemplates(in *core.Instance) *arrayRef {
 	if !atomic.CompareAndSwapInt32(&rf.busy, 0, 1) {
 		return nil
@@ -57,13 +55,11 @@ func (rf *Reference) arrayTemplates(in *core.Instance) *arrayRef {
 		return nil
 	}
 	ar := &arrayRef{leaf: e, offs: in.PairOffsets(portBox(in.Cell), 0)}
-	memo := map[tmplKey][][2]int32{}
 	for _, off := range ar.offs {
 		d := in.CopyTransform(off.DI, off.DJ).D.Sub(in.Tr.D)
-		k := tmplKey{u: e, v: e, ou: in.Tr.O, ov: in.Tr.O, dx: d.X, dy: d.Y}
-		ar.tmpl = append(ar.tmpl, rf.template(memo, rf.arr, k))
+		ar.tmpl = append(ar.tmpl, buildTemplate(tmplKey{u: e, v: e, ou: in.Tr.O, ov: in.Tr.O, dx: d.X, dy: d.Y}))
+		rf.stats.TemplatesBuilt++
 	}
-	rf.arr = memo
 	return ar
 }
 
@@ -74,8 +70,7 @@ func (rf *Reference) arrayTemplates(in *core.Instance) *arrayRef {
 func (rf *Reference) templateWitness(ar *arrayRef, lat *hier.Lattice, ckt *extract.Circuit) *Result {
 	leaf, x := ar.leaf, lat.Cert.X
 	n, copies := x.NetCount, lat.Inst.Nx*lat.Inst.Ny
-	if leaf.nets != n || len(leaf.devices) != len(x.Devices) || len(leaf.bind) != len(lat.PortNet) ||
-		len(ckt.Transistors) != copies*len(leaf.devices) {
+	if leaf.nets != n || len(leaf.devices) != len(x.Devices) || len(leaf.bind) != len(lat.PortNet) {
 		return nil
 	}
 	// 1. the leaf binding β, device by device, onto every net

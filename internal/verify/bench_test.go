@@ -96,8 +96,9 @@ func BenchmarkIncrementalVerify(b *testing.B) {
 // verdict on n x n grids: per iteration, one mid-array cell moves by a
 // lambda and the editor freezes the new generation. The top cell
 // re-clones; every other instance keeps its clone. The declared cases
-// hold one declared record (c0.OUT to c1.IN), which every snapshot
-// remaps onto the clone.
+// hold one declared record between the grid's last two instances, the
+// deepest a lookup of the named instances can have to reach, which
+// every snapshot remaps onto the clone.
 func BenchmarkSnapshotNudge(b *testing.B) {
 	for _, c := range []struct {
 		n        int
@@ -111,7 +112,7 @@ func BenchmarkSnapshotNudge(b *testing.B) {
 			e := benchGrid(b, n)
 			in := e.Cell.Instances[n*n/2+n/2]
 			if c.declared {
-				if err := e.Declare(e.Cell.Instances[0], "OUT", e.Cell.Instances[1], "IN"); err != nil {
+				if err := e.Declare(e.Cell.Instances[n*n-2], "OUT", e.Cell.Instances[n*n-1], "IN"); err != nil {
 					b.Fatal(err)
 				}
 			}
