@@ -4,7 +4,7 @@
 // placements of those certificates into the whole-design verdict.
 // Work scales with the number of distinct cells plus the number of
 // placements, not with flattened geometry. For a uniform array, a
-// fast path proves the DRC verdict on one fixed 13×13 lattice and so
+// fast path proves the DRC verdict on one fixed 5×5 lattice and so
 // drops even the per-placement term; only the circuit, when a caller
 // asks for it, composes every copy's connectivity, by lattice
 // arithmetic: integer work per copy, no spatial query.

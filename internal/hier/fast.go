@@ -8,28 +8,66 @@ import (
 
 // The fast path proves a uniform single-instance array's DRC verdict
 // in O(1) placed copies: it runs the exact general composition on one
-// 13×13 lattice of the same cell, pitch and orientation.
+// 5×5 lattice of the same cell, pitch and orientation.
 //
-// Why one lattice proves the whole array:
+// Why one lattice proves the whole array. The locality check (local)
+// bounds what a copy reads, at two radii. core's PairOffsets lists
+// every offset that comes within a radius, whatever its ring
+// max(|di|, |dj|), so the check is exact:
 //
-//   - The offsets pre-check proves pairs form only between immediate
-//     lattice neighbors (no ring-2 offset comes within the
-//     pair-discovery reach) and that material reads — window clips
-//     reach 3*rho past a copy — stay within the ±2-step neighborhood
-//     (no ring-3 offset comes within that). core's PairOffsets lists
-//     every offset that does, whatever its ring, so the check is exact.
-//   - Everything the DRC verdict derives at a copy is then determined
-//     by the copy's ±2-step occupancy, so a copy's verdict is a
-//     function of its edge class (min(i,3), min(n-1-i,3)) per axis.
-//     The 13×13 lattice realizes every class combination and every
-//     relative placement of the immediate ring, so a clean lattice
-//     proves the full array clean... EXCEPT that spacing's component
-//     exemption can, in principle, ride connectivity chains of
-//     unbounded length. The lattice therefore also requires ZERO
-//     spacing candidates — candidacy is a pure pair-template property
-//     and the full array's pair templates all appear in the lattice,
-//     so zero candidates transfers exactly and the chain question
-//     never arises.
+//   - No ring-2 offset comes within the pair-discovery reach, so pairs
+//     form only between ring-1 neighbours.
+//   - No ring-3 offset comes within the material-read reach (3ρ past a
+//     copy's material box), so every read stays within ring fastRing
+//     = 2 of the copy.
+//
+// Every quantity the composition derives belongs to one copy u, or to
+// one pair (u, v) with u the pair's first occurrence:
+//
+//   - the pair's template (unions, spacing candidates, poison), a
+//     function of its offset;
+//   - u's width residues minus the windows of the pairs that hold u,
+//     all of them ring 1;
+//   - a pair's width-window pieces, read from every occupant whose
+//     material meets the window's clip, which lies inside u's material
+//     box grown by 3ρ;
+//   - u's dirty-cut surround, read from every occupant whose material
+//     meets the cut grown by the surround (1λ, inside the pair reach).
+//
+// Every occupant those reads see lies within ring 2 of u. So each
+// quantity is a function of the certificate, the offset and u's class
+// (min(i, 2), min(n−1−i, 2)) per axis, which fixes u's ring-2
+// occupancy. An array with both sides at least 5 has exactly 5 such
+// classes per axis, and the 5×5 lattice realizes all 25 combinations,
+// each with the ring-2 occupancy it has in the array. Its copies
+// therefore derive the same residues, windows, surround and pair
+// templates as the array's copies of their class, and the lattice is
+// clean exactly when the array is. Both directions hold: the lattice's
+// size moves no array from one path to the other.
+//
+// Spacing's component exemption alone can ride connectivity chains of
+// unbounded length. The lattice therefore also requires ZERO spacing
+// candidates. Candidacy is a pair-template property, and every pair is
+// ring 1: each of the four forward ring-1 offsets is in every lattice
+// of side ≥ 2. So zero candidates transfers exactly and the chain
+// question never arises.
+//
+// A second argument covers the direction that matters, that the path
+// passes only clean arrays, and it holds for any lattice of side ≥ 2.
+// Width and surround are monotone in material. An opening only grows
+// with material, so a width residue of a copy's own material stays one
+// when occupants go, and foreign metal only adds cover to a cut. So a
+// copy with fewer occupants keeps every violation of one with more.
+// On each axis, the lattice's first copy has no more neighbours than
+// any array copy in the array's first half, and its last copy no more
+// than any in the second half. So every array copy has a lattice copy
+// whose occupants, placed relative to it, are a subset of its own.
+// Spacing candidates, poison and pend need no class at all: the
+// lattice holds every forward ring-1 offset and the one certificate.
+// A lattice that missed a class could thus only decline a clean array
+// to the general composition, which still answers exactly, and never
+// pass a dirty one. This is why verdict tests cannot tell lattice
+// sizes from 2 up apart; the class argument is what makes 5 exact.
 //
 // The verdict carries violations only. Result.Circuit composes the
 // whole array's connectivity when a caller needs the netlist (lattice),
@@ -52,13 +90,21 @@ import (
 // Result.Lattice exports what that composition read, from which LVS
 // settles the array's check without walking the copies.
 //
-// Declines (any violation, any spacing candidate, an offsets-check
+// Declines (any violation, any spacing candidate, a locality-check
 // failure, a lattice pend/poison decline) run the general path, which
 // composes the full array or declines it; any other lattice decline
 // declines the engine.
 const (
-	fastMinDim  = 14 // smallest array side the fast path takes
-	fastLattice = 13 // side of the one lattice it composes
+	// fastMinDim is the smallest array side the fast path takes. Any
+	// side of at least fastLattice would be exact; 14 keeps smaller
+	// arrays, and with them their LVS path, on the general composition.
+	fastMinDim = 14
+	// fastRing is the farthest ring the locality check lets a copy's
+	// material reads reach.
+	fastRing = 2
+	// fastLattice is the side of the one lattice the fast path
+	// composes: one copy per class on each axis.
+	fastLattice = 2*fastRing + 1
 )
 
 // fast attempts the lattice path. ok=false with nil error means "not
@@ -78,23 +124,7 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	// Locality proof, two radii. Ring 2 (offsets with max(|di|,|dj|)=2)
-	// must clear the pair-discovery reach: then templates — and with
-	// them unions, windows, spacing candidates — exist only between
-	// immediate neighbors. Ring 3 must clear the largest MATERIAL READ
-	// radius (a width window extends rho beyond the pair's boxes and
-	// its clip another 2*rho): then everything the composition derives
-	// at a copy reads only the ±2-step neighborhood, which the edge
-	// classes determine.
-	reach2 := pairReach(ct.D.Layers) + rules.Lambda
-	reach3 := reach2
-	for _, l := range ct.D.Layers {
-		if r := 3*rhoOf(l) + rules.Lambda; r > reach3 {
-			reach3 = r
-		}
-	}
-	box := in.Tr.O.Inverse().ApplyRect(ct.X.MatBox) // in the cell's frame
-	if farthest(in.PairOffsets(box, reach2)) > 1 || farthest(in.PairOffsets(box, reach3)) > 2 {
+	if !local(in, ct) {
 		return nil, false, nil
 	}
 
@@ -112,6 +142,10 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 		// A pend or poison lattice makes the fast path not eligible:
 		// the general path decides, so an injected fault keyed to a
 		// placement index fires where the full array puts that index.
+		// The lattice lacks every index from fastLattice² up: a fault
+		// at one of those lets the fast path answer, and fires in
+		// lattice, when the circuit materializes, at the pair the
+		// general path would name.
 		if d, ok := err.(*Decline); ok && (d.Cond == CondPend || d.Cond == CondPoison) {
 			return nil, false, nil
 		}
@@ -121,6 +155,26 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 		return nil, false, nil
 	}
 	return &Result{e: e, top: top}, true, nil
+}
+
+// local is the locality check, at two radii. Ring 2 (offsets with
+// max(|di|, |dj|) = 2) must clear the pair-discovery reach: then
+// templates, and with them unions, windows and spacing candidates,
+// exist only between ring-1 neighbours. Ring fastRing+1 must clear the
+// largest MATERIAL READ radius (a width window extends rho beyond the
+// pair's boxes and its clip another 2*rho): then everything the
+// composition derives at a copy reads only ring fastRing, which the
+// copy's class determines.
+func local(in *core.Instance, ct *Cert) bool {
+	reach2 := pairReach(ct.D.Layers) + rules.Lambda
+	reach3 := reach2
+	for _, l := range ct.D.Layers {
+		if r := 3*rhoOf(l) + rules.Lambda; r > reach3 {
+			reach3 = r
+		}
+	}
+	box := in.Tr.O.Inverse().ApplyRect(ct.X.MatBox) // in the cell's frame
+	return farthest(in.PairOffsets(box, reach2)) <= 1 && farthest(in.PairOffsets(box, reach3)) <= fastRing
 }
 
 // farthest returns the largest ring, max(|di|, |dj|), among forward

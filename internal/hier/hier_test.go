@@ -113,9 +113,10 @@ func TestHierArrayMatchesFlat(t *testing.T) {
 
 // TestHierFastPathSkipsPlacements pins the fast path's whole point: a
 // large array's verdict must not walk the placements. The engine
-// proves the array on one 13x13 lattice, so a fresh engine's fast
-// verdict composes exactly the pairs a fresh engine's general compose
-// of a 13x13 array does, whatever the array's size.
+// proves the array on one fastLattice×fastLattice lattice, so a fresh
+// engine's fast verdict composes exactly the pairs a fresh engine's
+// general compose of an array of that size does, whatever the array's
+// size.
 func TestHierFastPathSkipsPlacements(t *testing.T) {
 	e := New()
 	res, ok := e.Verify(srArray(t, 64, 64, geom.R0))
@@ -130,10 +131,10 @@ func TestHierFastPathSkipsPlacements(t *testing.T) {
 	}
 	lat := New()
 	if _, ok := lat.Verify(srArray(t, fastLattice, fastLattice, geom.R0)); !ok || lat.Stats().FastRuns != 0 {
-		t.Fatalf("13x13 general compose: ok=%v stats=%+v", ok, lat.Stats())
+		t.Fatalf("%dx%[1]d general compose: ok=%v stats=%+v", fastLattice, ok, lat.Stats())
 	}
 	if got, want := e.Stats().PairsComposed, lat.Stats().PairsComposed; got != want || want == 0 {
-		t.Fatalf("64x64 fast verdict composed %d pairs, one 13x13 lattice composes %d", got, want)
+		t.Fatalf("64x64 fast verdict composed %d pairs, one %dx%[2]d lattice composes %d", got, fastLattice, want)
 	}
 }
 

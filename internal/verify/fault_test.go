@@ -84,6 +84,30 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		declinedFlat(t, v, hier.CondPoison)
 	})
 
+	// placement 100 of a 16x16 array lies beyond the fast path's proof
+	// lattice: the engine answers on the fast path, its circuit
+	// declines at the pair a general composition names, and the flat
+	// run serves the report
+	t.Run("template-poison-beyond-proof", func(t *testing.T) {
+		ed := gridEditor(t, 0)
+		if _, err := ed.CreateInstance("SRCELL", "a", geom.MakeTransform(geom.R0, geom.Pt(0, 0)),
+			16, 16, 20*rules.Lambda, 24*rules.Lambda); err != nil {
+			t.Fatal(err)
+		}
+		v := &Verifier{Hier: true}
+		f := faultinject.New()
+		f.Enable(faultinject.TemplatePoison, "100")
+		v.InjectFaults(f)
+		faultCheck(t, v, ed)
+		if hs := v.HierStats(); hs.FastRuns != 1 || hs.Fallbacks != 1 {
+			t.Fatalf("want one fast verdict whose circuit declined: %+v", hs)
+		}
+		declinedFlat(t, v, hier.CondPoison)
+		if d := v.HierDeclineInfo(); d.Cell != "SRCELL" || d.Placement != 83 {
+			t.Fatalf("decline = %+v, want cell SRCELL placement 83", d)
+		}
+	})
+
 	t.Run("cert-decode", func(t *testing.T) {
 		dir := t.TempDir()
 		st1, err := castore.Open(dir)
