@@ -69,12 +69,14 @@ func BenchmarkHierGeneralCompose(b *testing.B) {
 // BenchmarkHierSignoff measures array sign-off's fixed shape: each op
 // is a fresh engine, as a new CLI run has, over a store that already
 // holds the certificate, then Verify and Circuit. Verify proves the
-// array on the fast path's lattice; Circuit composes the whole array's
-// connectivity by lattice arithmetic (integer work per copy: the
-// neighbour templates' unions, the renumbering, the device copy and
-// the label table).
+// array on the fast path's 5x5 lattice; Circuit composes the whole
+// array's connectivity by column classes, whose union-finds hold one
+// column's boundary nets and the (column, class) pairs. What is left
+// per copy is the walk-order numbering pass and the device copy (the
+// label table reads the edge copies only), so the slope across the
+// three sizes is that work's.
 func BenchmarkHierSignoff(b *testing.B) {
-	for _, n := range []int{32, 128} {
+	for _, n := range []int{32, 128, 256} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			top := srArray(b, n, n, geom.R0)
 			mem := castore.NewMem()

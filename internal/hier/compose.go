@@ -19,11 +19,13 @@ import (
 // stays valid whatever later generations carry from it.
 type genState struct {
 	retained
-	// matIx indexes the occurrences' material boxes; a fast-path
-	// circuit has none: lat is its array, whose copy (i, j) is
-	// occurrence i·Ny+j, and latBox the material box in the cell's frame.
+	// matIx indexes the occurrences' material boxes. A fast-path
+	// circuit has none, and no occurrence list: lat is what it was
+	// composed over, whose array copy (i, j) is occurrence i·Ny+j (occ,
+	// shift), and latBox the certificate's material box in the cell's
+	// frame.
 	matIx  *geom.Index
-	lat    *core.Instance
+	lat    *Lattice
 	latBox geom.Rect
 
 	netOf    []int32 // dense net of each (occ netBase + local net) node
@@ -43,9 +45,9 @@ type genState struct {
 // them.
 type retained struct {
 	occs []placed
-	// top is the frozen top cell the occurrences were walked from (nil
-	// for the fast path's lattice); first[k] is where its instance
-	// k's occurrence block starts, first[len] = len(occs).
+	// top is the frozen top cell whose occurrences these are (nil for
+	// the fast path's proof lattice); first[k] is where its instance
+	// k's occurrence block starts, first[len] = the occurrence count.
 	top    *core.Cell
 	first  []int
 	layers []geom.Layer
@@ -127,12 +129,30 @@ func diff(prev *retained, top *core.Cell, occs []placed, first []int) *carry {
 	return c
 }
 
-func (st *genState) deviceCount() int {
-	n := 0
-	for i := range st.occs {
-		n += len(st.occs[i].cert.X.Devices)
+// size returns the number of occurrences.
+func (st *genState) size() int {
+	if lt := st.lat; lt != nil {
+		return lt.Inst.Nx * lt.Inst.Ny
 	}
-	return n
+	return len(st.occs)
+}
+
+// occ returns occurrence u's certificate and net base. A fast-path
+// circuit's copies share one certificate, copy u at net base u·K.
+func (st *genState) occ(u int) (*Cert, int32) {
+	if lt := st.lat; lt != nil {
+		return lt.Cert, int32(u * lt.Cert.X.NetCount)
+	}
+	return st.occs[u].cert, st.occs[u].netBase
+}
+
+// shift returns occurrence u's local -> global translation: a
+// fast-path circuit's copy (u/Ny, u%Ny) sits at its CopyTransform.
+func (st *genState) shift(u int) geom.Point {
+	if lt := st.lat; lt != nil {
+		return lt.Inst.CopyTransform(u/lt.Inst.Ny, u%lt.Inst.Ny).D
+	}
+	return st.occs[u].d
 }
 
 func neg(p geom.Point) geom.Point { return geom.Pt(-p.X, -p.Y) }
@@ -188,9 +208,20 @@ func (e *Engine) connect(st *genState, c *carry) error {
 	}
 	uf := geom.NewUnionFind(total)
 	for _, pr := range st.pairs {
-		st.unite(uf, pr.u, pr.v, pr.t)
+		ub, vb := occs[pr.u].netBase, occs[pr.v].netBase
+		for _, p := range pr.t.unions {
+			uf.Union(int(ub+p[0]), int(vb+p[1]))
+		}
 	}
-	st.link(uf)
+	st.joins(func(a, b int32) { uf.Union(int(a), int(b)) })
+
+	// Dense renumbering: first appearance in global fragment order. The
+	// flat solver numbers by first fragment over its occurrence-major
+	// fragment list; numbering the nodes in order — occurrences in
+	// global order, each over its local net ids (themselves
+	// first-fragment-ordered) — visits every class exactly at its first
+	// flat fragment, so the two orders agree.
+	st.netOf, st.netCount = uf.Dense()
 	return nil
 }
 
@@ -213,38 +244,25 @@ func (e *Engine) number(st *genState) (int, error) {
 	return total, nil
 }
 
-// unite applies one pair's template unions.
-func (st *genState) unite(uf *geom.UnionFind, u, v int32, t *template) {
-	ub, vb := st.occs[u].netBase, st.occs[v].netBase
-	for _, p := range t.unions {
-		uf.Union(int(ub+p[0]), int(vb+p[1]))
-	}
-}
-
-// link closes a connectivity compose: the deferred joins, then the
-// dense renumbering of the total nodes.
-func (st *genState) link(uf *geom.UnionFind) {
-	// deferred joins, resolved in placement context. Both-sides-found
-	// joins union; others drop, matching the flat solver.
-	occs := st.occs
-	for ui := range occs {
-		u := &occs[ui]
-		for _, j := range u.cert.X.Joins {
-			a := st.nodeAt(j.At[0].Add(u.d), j.Layers[0])
-			b := st.nodeAt(j.At[1].Add(u.d), j.Layers[1])
+// joins resolves every occurrence's deferred joins in placement
+// context, in walk order, and calls fn with the two nodes of each join
+// both of whose sides find a net; the others drop, matching the flat
+// solver.
+func (st *genState) joins(fn func(a, b int32)) {
+	for u, n := 0, st.size(); u < n; u++ {
+		ct, _ := st.occ(u)
+		if len(ct.X.Joins) == 0 {
+			continue
+		}
+		d := st.shift(u)
+		for _, j := range ct.X.Joins {
+			a := st.nodeAt(j.At[0].Add(d), j.Layers[0])
+			b := st.nodeAt(j.At[1].Add(d), j.Layers[1])
 			if a >= 0 && b >= 0 {
-				uf.Union(int(a), int(b))
+				fn(a, b)
 			}
 		}
 	}
-
-	// Dense renumbering: first appearance in global fragment order. The
-	// flat solver numbers by first fragment over its occurrence-major
-	// fragment list; numbering the nodes in order — occurrences in
-	// global order, each over its local net ids (themselves
-	// first-fragment-ordered) — visits every class exactly at its first
-	// flat fragment, so the two orders agree.
-	st.netOf, st.netCount = uf.Dense()
 }
 
 // discover records the run's interacting pairs in (u, v) order, u < v.
@@ -329,7 +347,8 @@ func (e *Engine) poisoned(st *genState, u, v int32, t *template) error {
 			e.Faults.Hit(faultinject.TemplatePoison, strconv.Itoa(int(v)))
 	}
 	if poison {
-		return &Decline{Cond: CondPoison, Cell: st.occs[u].cert.Cell.Name, Placement: int(u)}
+		ct, _ := st.occ(int(u))
+		return &Decline{Cond: CondPoison, Cell: ct.Cell.Name, Placement: int(u)}
 	}
 	return nil
 }
@@ -359,27 +378,28 @@ func (st *genState) nodeAt(p geom.Point, l geom.Layer) int32 {
 // lowest-global-fragment pick.
 func (st *genState) locate(p geom.Point, l geom.Layer, belowCut bool) int32 {
 	for _, id := range st.occupants(p) {
-		o := &st.occs[id]
-		lp := p.Sub(o.d)
+		ct, base := st.occ(id)
+		lp := p.Sub(st.shift(id))
 		var n int32
 		if belowCut {
-			n = o.cert.X.FindAtNone(lp)
+			n = ct.X.FindAtNone(lp)
 		} else {
-			n = o.cert.X.FindOnLayer(lp, l)
+			n = ct.X.FindOnLayer(lp, l)
 		}
 		if n >= 0 {
-			return o.netBase + n
+			return base + n
 		}
 	}
 	return -1
 }
 
 // occupants returns the occurrences whose material box contains p, in
-// ascending order. A lattice state divides on the array's lattice,
-// which yields the index query's candidates in the same order.
+// ascending order. A fast-path circuit's state divides on the array's
+// lattice, which yields the index query's candidates in the same order.
 func (st *genState) occupants(p geom.Point) []int {
 	var occ []int
-	if in := st.lat; in != nil {
+	if lt := st.lat; lt != nil {
+		in := lt.Inst
 		in.CopiesTouching(st.latBox, geom.Rect{Min: p, Max: p}, func(i, j int) { occ = append(occ, i*in.Ny+j) })
 		return occ
 	}

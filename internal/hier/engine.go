@@ -6,8 +6,10 @@
 // placements, not with flattened geometry. For a uniform array, a
 // fast path proves the DRC verdict on one fixed 5×5 lattice and so
 // drops even the per-placement term; only the circuit, when a caller
-// asks for it, composes every copy's connectivity, by lattice
-// arithmetic: integer work per copy, no spatial query.
+// asks for it, composes every copy's connectivity, by column classes:
+// union-finds over one column's boundary nets and over (column, class)
+// pairs, then one walk-order numbering pass and the device copy per
+// copy, with no per-copy record and no spatial query.
 //
 // The engine's contract is verdict identity: the composed circuit
 // (after the same canonical dense net renumbering) and the composed

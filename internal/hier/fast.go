@@ -1,7 +1,10 @@
 package hier
 
 import (
+	"slices"
+
 	"riot/internal/core"
+	"riot/internal/faultinject"
 	"riot/internal/geom"
 	"riot/internal/rules"
 )
@@ -71,21 +74,57 @@ import (
 //
 // The verdict carries violations only. Result.Circuit composes the
 // whole array's connectivity when a caller needs the netlist (lattice),
-// with no walk and no index, and equals the general connect because:
+// with no walk, no index and no per-copy record. Copy (i, j) is the
+// walk's occurrence u = i·Ny+j, at CopyTransform(i, j).D, with the one
+// certificate and its K local nets at net base u·K. The general
+// connect would union, in one union-find over all Nx·Ny·K nets:
 //
-//   - Copy (i, j) is the walk's occurrence i·Ny+j, at CopyTransform(i,
-//     j).D, and every copy has the one certificate.
-//   - Pair existence (material boxes within pairReach) and the pair's
-//     template are functions of the copies' offset alone, so the pairs
-//     are exactly PairOffsets' offsets at every (i, j) they fit, each
-//     with one template. Once ring 2 clears the reach, they are ring 1.
-//   - The union-find's partition does not depend on union order, and
-//     the renumbering reads only that partition. The unions run in
-//     (u, v) order anyway, so declines, faults and the per-pair
-//     counters match the general path's.
-//   - Arithmetic occupancy (CopiesTouching) returns the copies whose
-//     material box holds a point, in ascending occurrence order: the
-//     index query's candidate set, in the order locate sorts it into.
+//   - every pair's template unions. Pair existence (material boxes
+//     within pairReach) and the pair's template are functions of the
+//     copies' offset alone, so the pairs are exactly PairOffsets'
+//     offsets at every (i, j) they fit, each with one template. Once
+//     ring 2 clears the reach, they are ring 1.
+//   - every copy's resolved deferred joins. Arithmetic occupancy
+//     (CopiesTouching) returns the copies whose material box holds a
+//     point, in ascending occurrence order: the index query's
+//     candidate set, in the order locate sorts it into. So the joins
+//     resolve, copy by copy, to the nodes connect would union.
+//
+// Only a boundary net, a local net that some offset's template union
+// or some resolved join names, is ever unioned; every other net is a
+// class of its own. The lattice closes the boundary nets by column
+// (the copies (i, 0..Ny−1)), as two-pass connected-component labelling
+// does with its equivalence table (Rosenfeld and Pfaltz, 1966), in four
+// steps, each exact:
+//
+//  1. The DI = 0 offsets' unions join copies of one column, and they
+//     are the same set in every column. So one column's partition of
+//     its boundary nets under them, the column classes, serves every
+//     column.
+//  2. A DI > 0 offset's union joins net a of copy (i, j) to net b of
+//     copy (i+DI, j+DJ), so class c(j, a) of column i to class
+//     c(j+DJ, b) of column i+DI. The set of those class pairs, over
+//     the offset's unions and the rows j where it fits, does not
+//     depend on the column. So it is deduplicated once and replayed
+//     over the columns, in a union-find over (column, class).
+//  3. A resolved join names two boundary nets, by the definition of
+//     the boundary, so it is one more (column, class) union.
+//  4. Dense numbers the classes by first element in node order, which
+//     is walk order: copies in walk order, each over its local nets
+//     (themselves numbered by first fragment). One pass in that order,
+//     numbering each (column, class) root at its first appearance and
+//     every other net afresh, gives the same numbers: the flat
+//     solver's first-fragment numbering (connect).
+//
+// So the union-finds hold Ny times the boundary nets and Nx times the
+// column classes, not Nx·Ny·K nodes, and what is left per copy is the
+// numbering pass, the device copy, and the joins of a certificate that
+// has any; the label table reads the edge copies. Declines, fault
+// fires and counters stay the general path's: the pend fault, while
+// armed, is asked copy by copy, and poison pair by pair in (u, v)
+// order, over every copy while faults are armed and otherwise over the
+// prefix of copies where each offset first fits, which resolves its
+// template; every later pair is a template hit by arithmetic.
 //
 // Result.Lattice exports what that composition read, from which LVS
 // settles the array's check without walking the copies.
@@ -192,9 +231,9 @@ func farthest(offs []core.Offset) int {
 // port nets (Cell.Connectors order, -1: no material), and each pairing
 // offset with its template's (copy net, copy+offset net) unions. With
 // no deferred joins, the circuit's nets are the closure of those
-// unions. The certificate is never Pend (number declines one), and the
-// circuit lists its devices once per copy. Every slice is the engine's:
-// read-only.
+// unions. The certificate is never Pend (lattice declines one), and
+// the circuit lists its devices once per copy. Every slice is the
+// engine's: read-only.
 type Lattice struct {
 	Inst    *core.Instance
 	Cert    *Cert
@@ -203,53 +242,196 @@ type Lattice struct {
 	Unions  [][][2]int32
 }
 
-// lattice composes a fast-path array's connectivity by lattice
-// arithmetic (see the fast-path doc): each pairing offset resolves its
-// template once, replayed over the copies in (u, v) order into the
-// shared union/join/renumber tail, and returns the Lattice it read.
+// lattice composes a fast-path array's connectivity by column classes
+// (see the fast-path doc): the pend checks, each pairing offset's
+// template, every copy's resolved joins, then the numbering. It
+// returns a state that lists no occurrences (genState.occ computes
+// them) and the Lattice it read.
 func (e *Engine) lattice(top *core.Cell) (*genState, *Lattice, error) {
 	in := top.Instances[0]
 	ct, err := e.cert(in.Cell, in.Tr.O)
 	if err != nil {
 		return nil, nil, &Decline{Cond: CondCertBuild, Placement: -1, Err: err}
 	}
-	nx, ny := in.Nx, in.Ny
-	e.stats.CertMemoHits += nx*ny - 1 // every other copy reuses it, as a walk counts
-	st := &genState{retained: retained{top: top, first: []int{0, nx * ny}, occs: make([]placed, nx*ny)},
-		lat: in, latBox: in.Tr.O.Inverse().ApplyRect(ct.X.MatBox)}
-	for u := range st.occs {
-		st.occs[u] = placedAt(ct, in.CopyTransform(u/ny, u%ny).D)
+	n := in.Nx * in.Ny
+	e.stats.CertMemoHits += n - 1 // every other copy reuses it, as a walk counts
+	lt := &Lattice{Inst: in, Cert: ct, PortNet: ct.portNet}
+	st := &genState{retained: retained{top: top, first: []int{0, n}},
+		lat: lt, latBox: in.Tr.O.Inverse().ApplyRect(ct.X.MatBox)}
+	if e.Faults.Hit(faultinject.ComposeBudget, "") {
+		return nil, nil, &Decline{Cond: CondComposeBudget, Placement: -1}
 	}
-	total, err := e.number(st)
-	if err != nil {
+	for u := 0; u < n; u++ {
+		if ct.X.Pend || e.Faults.Hit(faultinject.CertPend, ct.Cell.Name) {
+			return nil, nil, &Decline{Cond: CondPend, Cell: ct.Cell.Name, Placement: u}
+		}
+		if e.Faults == nil {
+			break // unarmed, every copy answers as the first
+		}
+	}
+	lt.Offsets = in.PairOffsets(st.latBox, pairReach(ct.D.Layers))
+	if err := e.offsetTemplates(st); err != nil {
 		return nil, nil, err
 	}
-	st.layers = layersOf(st.occs[:1])
-	offs := in.PairOffsets(st.latBox, pairReach(st.layers))
-	for _, o := range offs {
-		e.stats.PairsComposed += (nx - o.DI) * (ny - max(o.DJ, -o.DJ))
+	var joins [][2]int32
+	if len(ct.X.Joins) > 0 {
+		st.joins(func(a, b int32) { joins = append(joins, [2]int32{a, b}) })
 	}
-	tmpls := make([]*template, len(offs))
-	lt := &Lattice{Inst: in, Cert: ct, PortNet: ct.portNet, Offsets: offs, Unions: make([][][2]int32, len(offs))}
-	uf := geom.NewUnionFind(total)
-	for u := range st.occs {
-		for k, o := range offs {
+	st.netOf, st.netCount = lt.number(joins)
+	return st, lt, nil
+}
+
+// offsetTemplates resolves each lattice offset's template into
+// lt.Unions and checks pairs for poison as discover does, in (u, v)
+// order: over every copy while faults are armed, else over the prefix
+// of copies in which each offset first fits, at copy (0, max(0, −DJ)),
+// where a poison template declines at the pair the general path names.
+// Every later pair counts as a template hit.
+func (e *Engine) offsetTemplates(st *genState) error {
+	lt := st.lat
+	in := lt.Inst
+	nx, ny := in.Nx, in.Ny
+	pairs, end := 0, nx*ny
+	if e.Faults == nil {
+		end = 1
+	}
+	for _, o := range lt.Offsets {
+		pairs += (nx - o.DI) * (ny - max(o.DJ, -o.DJ))
+		if e.Faults == nil {
+			end = max(end, 1-o.DJ)
+		}
+	}
+	e.stats.PairsComposed += pairs
+	lt.Unions = make([][][2]int32, len(lt.Offsets))
+	tmpls := make([]*template, len(lt.Offsets))
+	for u := 0; u < end; u++ {
+		for k, o := range lt.Offsets {
 			if i, j := u/ny+o.DI, u%ny+o.DJ; i >= nx || j < 0 || j >= ny {
 				continue
 			}
 			v := u + o.DI*ny + o.DJ
 			if tmpls[k] == nil {
-				tmpls[k] = e.template(ct, ct, st.occs[v].d.Sub(st.occs[u].d))
+				tmpls[k] = e.template(lt.Cert, lt.Cert, st.shift(v).Sub(st.shift(u)))
 				lt.Unions[k] = tmpls[k].unions
 			} else {
 				e.stats.TemplateHits++
 			}
+			pairs--
 			if err := e.poisoned(st, int32(u), int32(v), tmpls[k]); err != nil {
-				return nil, nil, err
+				return err
 			}
-			st.unite(uf, int32(u), int32(v), tmpls[k])
 		}
 	}
-	st.link(uf)
-	return st, lt, nil
+	e.stats.TemplateHits += pairs
+	return nil
+}
+
+// number closes a lattice's boundary nets by column classes, then
+// (column, class) pairs and the resolved joins' node pairs, and
+// numbers every copy's nets in walk order (the fast-path doc's four
+// steps): each node's dense net, and the net count, as Dense numbers
+// the general connect's union-find.
+func (lt *Lattice) number(joins [][2]int32) ([]int32, int) {
+	nx, ny, k := lt.Inst.Nx, lt.Inst.Ny, lt.Cert.X.NetCount
+	// bix[a] is boundary net a's index among the m boundary nets, -1
+	// for any other net
+	bix := make([]int32, k)
+	for a := range bix {
+		bix[a] = -1
+	}
+	for _, us := range lt.Unions {
+		for _, p := range us {
+			bix[p[0]], bix[p[1]] = 0, 0
+		}
+	}
+	for _, jn := range joins {
+		bix[jn[0]%int32(k)], bix[jn[1]%int32(k)] = 0, 0
+	}
+	m := 0
+	for a := range bix {
+		if bix[a] == 0 {
+			bix[a] = int32(m)
+			m++
+		}
+	}
+
+	// 1. column classes: one column's boundary nets, (j, a) at j·m+bix[a],
+	// under the DI = 0 unions
+	col := geom.NewUnionFind(ny * m)
+	for x, o := range lt.Offsets {
+		if o.DI != 0 {
+			continue
+		}
+		for j := 0; j+o.DJ < ny; j++ {
+			for _, p := range lt.Unions[x] {
+				col.Union(j*m+int(bix[p[0]]), (j+o.DJ)*m+int(bix[p[1]]))
+			}
+		}
+	}
+	cls, nc := col.Dense()
+
+	// 2. each DI > 0 offset's class pairs, deduplicated and replayed over
+	// the columns; (column i, class c) is node i·nc+c
+	uf := geom.NewUnionFind(nx * nc)
+	var cps []uint64
+	for x, o := range lt.Offsets {
+		if o.DI == 0 {
+			continue
+		}
+		cps = cps[:0]
+		for j := max(0, -o.DJ); j < min(ny, ny-o.DJ); j++ {
+			for _, p := range lt.Unions[x] {
+				a, b := cls[j*m+int(bix[p[0]])], cls[(j+o.DJ)*m+int(bix[p[1]])]
+				cps = append(cps, uint64(a)<<32|uint64(b))
+			}
+		}
+		slices.Sort(cps)
+		cps = slices.Compact(cps)
+		for i := 0; i+o.DI < nx; i++ {
+			for _, cp := range cps {
+				uf.Union(i*nc+int(cp>>32), (i+o.DI)*nc+int(uint32(cp)))
+			}
+		}
+	}
+
+	// 3. each resolved join, between the classes of its two nodes
+	class := func(node int32) int {
+		u, a := int(node)/k, int(node)%k
+		return u/ny*nc + int(cls[u%ny*m+int(bix[a])])
+	}
+	for _, jn := range joins {
+		uf.Union(class(jn[0]), class(jn[1]))
+	}
+
+	// 4. walk-order numbering: a class at its first appearance, every
+	// other net afresh
+	netOf := make([]int32, nx*ny*k)
+	num := make([]int32, nx*nc) // (column, class) root -> net, -1 until seen
+	for r := range num {
+		num[r] = -1
+	}
+	root := make([]int, nc) // the current column's class roots
+	next := int32(0)
+	for i := 0; i < nx; i++ {
+		for c := range root {
+			root[c] = uf.Find(i*nc + c)
+		}
+		for j := 0; j < ny; j++ {
+			base := (i*ny + j) * k
+			for a, x := range bix {
+				if x < 0 {
+					netOf[base+a] = next
+					next++
+					continue
+				}
+				r := root[cls[j*m+int(x)]]
+				if num[r] < 0 {
+					num[r] = next
+					next++
+				}
+				netOf[base+a] = num[r]
+			}
+		}
+	}
+	return netOf, int(next)
 }

@@ -48,11 +48,12 @@ func ncutLeaf(t testing.TB) *core.Cell {
 
 // TestHierLatticeCircuitExact is the fast-path circuit's differential:
 // over every orientation, both pitch signs and non-square arrays, the
-// lattice-arithmetic circuit equals the flat extractor's, the verdict
-// equals the flat checker's, and the circuit builds no material index
-// and discovers no pairs. On NCUT at a positive pitch some context
-// join must find two occurrences at its point, the lower one without
-// material there, so occupancy must return every candidate in order.
+// column-class circuit equals the flat extractor's, the verdict equals
+// the flat checker's, and the circuit builds no material index,
+// discovers no pairs and lists no per-copy placement. On NCUT at a
+// positive pitch some context join must find two occurrences at its
+// point, the lower one without material there, so occupancy must
+// return every candidate in order.
 func TestHierLatticeCircuitExact(t *testing.T) {
 	d, _ := newDesign(t, "SCRATCH")
 	sr, _ := d.Cell("SRCELL")
@@ -91,8 +92,9 @@ func TestHierLatticeCircuitExact(t *testing.T) {
 						if !reflect.DeepEqual(ckt, wantCkt) {
 							t.Fatalf("circuit differs from flat: %d nets, flat %d", ckt.NetCount, wantCkt.NetCount)
 						}
-						if st := res.gen; st.matIx != nil || st.pairs != nil {
-							t.Fatalf("the lattice circuit built an index (%v) or discovered pairs (%d)", st.matIx != nil, len(st.pairs))
+						if st := res.gen; st.matIx != nil || st.pairs != nil || st.occs != nil {
+							t.Fatalf("the lattice circuit built an index (%v), discovered pairs (%d) or placed copies (%d)",
+								st.matIx != nil, len(st.pairs), len(st.occs))
 						}
 						if leaf.cell != nc {
 							return
@@ -113,15 +115,18 @@ func TestHierLatticeCircuitExact(t *testing.T) {
 // contestedJoins counts the context joins whose point lies in two or
 // more occurrences' material boxes with no eligible material in the
 // lowest one: there a lookup that stops at the first candidate drops
-// the join.
+// the join. It reads the occurrences through the state's accessors, so
+// a fast-path circuit's copies answer by arithmetic occupancy.
 func contestedJoins(st *genState) int {
 	n := 0
-	for u := range st.occs {
-		o := &st.occs[u]
-		for _, j := range o.cert.X.Joins {
-			p := j.At[1].Add(o.d)
-			if occ := st.occupants(p); len(occ) > 1 && st.occs[occ[0]].cert.X.FindAtNone(p.Sub(st.occs[occ[0]].d)) < 0 {
-				n++
+	for u := 0; u < st.size(); u++ {
+		ct, _ := st.occ(u)
+		for _, j := range ct.X.Joins {
+			p := j.At[1].Add(st.shift(u))
+			if occ := st.occupants(p); len(occ) > 1 {
+				if low, _ := st.occ(occ[0]); low.X.FindAtNone(p.Sub(st.shift(occ[0]))) < 0 {
+					n++
+				}
 			}
 		}
 	}
@@ -249,6 +254,28 @@ func edgeLeaf(t testing.TB) *core.Cell {
 	return leaf
 }
 
+// diagLeaf builds a CIF leaf DIAG, a 10 lambda square whose only links
+// to its neighbours are diagonal: metal squares at its bottom-left and
+// top-right corners and poly squares at its top-left and bottom-right,
+// each at its layer's minimum width. At its box pitch a copy's metal
+// touches its (1, 1) neighbour's at one corner point and its poly its
+// (1, -1) neighbour's, and no orthogonal neighbour's material reaches
+// it, so the diagonal offsets' template unions are the array's only
+// ones: a circuit that drops either offset splits nets.
+func diagLeaf(t testing.TB) *core.Cell {
+	t.Helper()
+	f, err := cif.ParseString("DS 1; 9 DIAG; L NM; B 750 750 375 375; B 750 750 2125 2125; " +
+		"L NP; B 500 500 250 2250; B 500 500 2250 250; DF; E")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := core.NewLeafFromCIF(f, f.SymbolByID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return leaf
+}
+
 // floatSRCell is SRCELL with a floating metal square: a net no device
 // touches.
 func floatSRCell(t testing.TB) *core.Cell {
@@ -273,8 +300,8 @@ type proofArray struct {
 }
 
 // proofArrays lists the lattice-proof differential's designs: SRCELL,
-// NAND, OR4, PIPEM, PIPEP, FLOAT and EDGE at their box pitch and NCUT
-// at its 20 lambda pitch, each in all eight orientations, at both
+// NAND, OR4, PIPEM, PIPEP, FLOAT, EDGE and DIAG at their box pitch and
+// NCUT at its 20 lambda pitch, each in all eight orientations, at both
 // pitch signs, with no gap, 2 lambda apart on x, 3 lambda apart on y,
 // overlapping 1 lambda on x or on y, or overlapping 6 lambda on y
 // (deep enough to bury SRCELL's gates in its neighbour's diffusion, a
@@ -290,7 +317,7 @@ func proofArrays(t *testing.T) []proofArray {
 		sx, sy int
 	}
 	var leaves []leaf
-	for _, c := range append(cells[:5], floatSRCell(t), edgeLeaf(t)) {
+	for _, c := range append(cells[:5], floatSRCell(t), edgeLeaf(t), diagLeaf(t)) {
 		leaves = append(leaves, leaf{c, c.BBox().W(), c.BBox().H()})
 	}
 	leaves = append(leaves, leaf{ncutLeaf(t), 20 * rules.Lambda, 20 * rules.Lambda})
@@ -356,7 +383,9 @@ func templateDeltas(e *Engine) map[geom.Point]bool {
 //     any other verdict equals the general composition's and the flat
 //     checker's;
 //   - a fast verdict's proof composed the pair templates of the whole
-//     array's composition, no more and no fewer.
+//     array's composition, no more and no fewer;
+//   - a fast verdict's circuit, numbered by column classes, equals the
+//     circuit of the whole array's composition.
 //
 // Verdicts alone cannot tell proof lattices of side 2 and up apart
 // (the doc's monotonicity argument); the last check pins the proof's
@@ -449,11 +478,22 @@ func proofDesign(t *testing.T, tc proofArray) string {
 	if tc.edgeOnly && (len(want) == 0 || !onEdgeCopies(in, want)) {
 		t.Fatalf("%s: want violations at edge copies only, flat has %v", tc.name, want)
 	}
-	if onFast && !reflect.DeepEqual(templateDeltas(e), templateDeltas(g)) {
+	if !onFast {
+		return "dirty"
+	}
+	if !reflect.DeepEqual(templateDeltas(e), templateDeltas(g)) {
 		t.Fatalf("%s: the proof composed templates at %v, the whole array at %v", tc.name, templateDeltas(e), templateDeltas(g))
 	}
-	if onFast {
-		return "fast"
+	ckt, err := res.Circuit()
+	if err != nil {
+		t.Fatalf("%s: fast-path circuit: %v", tc.name, err)
 	}
-	return "dirty"
+	gckt, err := (&Result{e: g, top: tc.top, gen: st}).Circuit()
+	if err != nil {
+		t.Fatalf("%s: the general composition's circuit: %v", tc.name, err)
+	}
+	if !reflect.DeepEqual(ckt, gckt) {
+		t.Fatalf("%s: the fast-path circuit differs from the general composition's (%d nets, %d)", tc.name, ckt.NetCount, gckt.NetCount)
+	}
+	return "fast"
 }

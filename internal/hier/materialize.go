@@ -13,11 +13,14 @@ import (
 // O(placed copies) — exactly the cost the fast path exists to avoid —
 // so it only happens when a caller needs the netlist. A fast-path
 // verdict is exact already (its violations stand), so it composes only
-// connectivity first, by lattice arithmetic over the array's one
-// certificate (lattice): no walk, no spatial index, integer work per
-// copy. A decline there is recorded as the engine's last decline. The
-// top must not have changed since Verify (a snapshot never does):
-// sites index the walked occurrences by the top's instance list.
+// connectivity first, by column classes over the array's one
+// certificate (lattice): no walk, no spatial index and no per-copy
+// record, with union-finds over one column's boundary nets and over
+// (column, class) pairs. What stays per copy is the walk-order
+// numbering pass and the device copy. A decline there is recorded as
+// the engine's last decline. The top must not have changed since
+// Verify (a snapshot never does): sites index the occurrences by the
+// top's instance list.
 func (r *Result) Circuit() (*extract.Circuit, error) {
 	if r.ckt != nil {
 		return r.ckt, nil
@@ -38,27 +41,37 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 		r.gen = st
 	}
 
-	// Devices in flat walk order: each occurrence's certificate
-	// terminals, renumbered into the composed nets.
-	ckt := &extract.Circuit{NetCount: st.netCount}
-	if n := st.deviceCount(); n > 0 {
-		ckt.Transistors = make([]extract.Transistor, 0, n)
-	}
-	for i := range st.occs {
-		o := &st.occs[i]
-		for _, dv := range o.cert.X.Devices {
-			ckt.Transistors = append(ckt.Transistors, extract.Transistor{
-				Kind: dv.Kind,
-				Gate: int(st.netOf[o.netBase+dv.GateNet]),
-				A:    int(st.netOf[o.netBase+dv.ANet]),
-				B:    int(st.netOf[o.netBase+dv.BNet]),
-			})
-		}
-	}
-
+	ckt := &extract.Circuit{NetCount: st.netCount, Transistors: st.devices()}
 	ckt.Sites = r.sites(st)
 	r.ckt = ckt
 	return ckt, nil
+}
+
+// devices lists the transistors in flat walk order: each occurrence's
+// certificate terminals, renumbered into the composed nets (nil when
+// there are none).
+func (st *genState) devices() []extract.Transistor {
+	n, total := st.size(), 0
+	for u := 0; u < n; u++ {
+		ct, _ := st.occ(u)
+		total += len(ct.X.Devices)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]extract.Transistor, 0, total)
+	for u := 0; u < n; u++ {
+		ct, base := st.occ(u)
+		for _, dv := range ct.X.Devices {
+			out = append(out, extract.Transistor{
+				Kind: dv.Kind,
+				Gate: int(st.netOf[base+dv.GateNet]),
+				A:    int(st.netOf[base+dv.ANet]),
+				B:    int(st.netOf[base+dv.BNet]),
+			})
+		}
+	}
+	return out
 }
 
 // sites fills the label table in site order: the top's kept extras,
@@ -80,7 +93,8 @@ func (r *Result) sites(st *genState) []int32 {
 	hint := len(head)
 	for k, in := range top.Instances {
 		if in.Cell.Kind != core.Composition {
-			hint += len(st.occs[first[k]].cert.conns) * max(in.Nx, in.Ny)
+			ct, _ := st.occ(first[k])
+			hint += len(ct.conns) * max(in.Nx, in.Ny)
 		}
 	}
 	tab := make([]int32, 0, hint)
@@ -98,15 +112,17 @@ func (r *Result) sites(st *genState) []int32 {
 			})
 			continue
 		}
-		ct, fk := st.occs[first[k]].cert, first[k]
+		fk := first[k]
+		ct, _ := st.occ(fk)
 		in.Sites(ct.conns, func(i, j, p int) {
-			o := &st.occs[fk+i*in.Ny+j]
+			u := fk + i*in.Ny + j
 			if n := ct.portNet[p]; n >= 0 {
 				local++
-				tab = append(tab, st.netOf[o.netBase+n])
+				_, base := st.occ(u)
+				tab = append(tab, st.netOf[base+n])
 			} else {
 				context++
-				tab = append(tab, st.labelNet(ct.conns[p].At.Add(o.d), ct.conns[p].Layer))
+				tab = append(tab, st.labelNet(ct.conns[p].At.Add(st.shift(u)), ct.conns[p].Layer))
 			}
 		})
 	}
